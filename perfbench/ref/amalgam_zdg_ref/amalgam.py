@@ -1,0 +1,307 @@
+"""Duplication of a ring along an ideal, and the square-zero idealization.
+
+The duplication of R along an ideal I lives on the carrier R x I with
+componentwise addition and multiplication (r,i)(s,j) = (rs, rj+si+ij).
+Mapping (r,i) to (r, r+i) identifies it with the subring
+{(a,b) : b-a in I} of R x R; the idealization uses the same carrier but
+drops the ij term, so the two coincide exactly when I*I = 0.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .graphs import ZDGraph, build_graph
+from .rings import FiniteRing, Ideal, ideal_violations, zero_divisors
+
+__all__ = [
+    "NotAnIdealError",
+    "AmalgamRing",
+    "amalgamated_duplication",
+    "idealization",
+    "to_product_rep",
+    "verify_product_embedding",
+    "ZDClassification",
+    "classify_zero_divisors",
+    "StructureChecks",
+    "structure_checks",
+]
+
+
+class NotAnIdealError(ValueError):
+    """The member set handed to a pair construction is not an ideal."""
+
+
+def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
+    """Addition/multiplication tables over the carrier base x members."""
+    n, k = base.order, len(members)
+    rv = np.repeat(np.arange(n), k)
+    iv = np.tile(np.array(members, dtype=np.intp), n)
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[list(members)] = np.arange(k)
+    add_t, mul_t = base.add_table, base.mul_table
+
+    add_first = add_t[rv[:, None], rv[None, :]]
+    add_second = add_t[iv[:, None], iv[None, :]]
+    mul_first = mul_t[rv[:, None], rv[None, :]]
+    cross = add_t[mul_t[rv[:, None], iv[None, :]], mul_t[iv[:, None], rv[None, :]]]
+    if with_product_term:
+        mul_second = add_t[cross, mul_t[iv[:, None], iv[None, :]]]
+    else:
+        mul_second = cross
+    if (pos[add_second] < 0).any() or (pos[mul_second] < 0).any():
+        raise NotAnIdealError("second coordinates escape the ideal carrier")
+    add = add_first * k + pos[add_second]
+    mul = mul_first * k + pos[mul_second]
+    labels = [f"({base.labels[r]},{base.labels[i]})" for r, i in zip(rv, iv)]
+    zero = int(base.zero * k + pos[base.zero])
+    one = int(base.one * k + pos[base.zero])
+    return add, mul, zero, one, labels
+
+
+def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
+    if ideal.ring is not base:
+        raise NotAnIdealError("ideal belongs to a different ring")
+    violations = ideal_violations(base, ideal.members)
+    if violations:
+        raise NotAnIdealError(
+            f"member set is not an ideal of {base.spec_name}: "
+            + "; ".join(violations)
+        )
+    return ideal.sorted_members
+
+
+class AmalgamRing:
+    """The duplication of ``base`` along ``ideal`` in pair-carrier form."""
+
+    def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
+        members = _checked_ideal(base, ideal)
+        self.base = base
+        self.ideal = ideal
+        self.ideal_elements = members
+        self._pos = {elem: t for t, elem in enumerate(members)}
+        add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=True)
+        name = f"{base.spec_name} join {base.format_subset(members)}"
+        self.ring = FiniteRing(base.order * len(members), add, mul, zero, one, labels, name)
+
+    def __repr__(self) -> str:
+        return f"AmalgamRing({self.ring.spec_name!r})"
+
+    def pair_of(self, e: int) -> tuple[int, int]:
+        """Decode a carrier index into base-ring element indices (r, i)."""
+        r, t = divmod(e, len(self.ideal_elements))
+        return r, self.ideal_elements[t]
+
+    def index_of(self, r: int, i: int) -> int:
+        """Encode base-ring element indices (r, i) with i in the ideal."""
+        try:
+            t = self._pos[i]
+        except KeyError:
+            raise ValueError(
+                f"{self.base.labels[i]} is not a member of the ideal"
+            ) from None
+        return r * len(self.ideal_elements) + t
+
+    @cached_property
+    def o1(self) -> Ideal:
+        """Kernel of the first coordinate projection: {(0, i)}."""
+        zero = self.base.zero
+        return Ideal(
+            self.ring, frozenset(self.index_of(zero, i) for i in self.ideal_elements)
+        )
+
+    @cached_property
+    def o2(self) -> Ideal:
+        """Kernel of the second projection of the product form: {(-i, i)}."""
+        return Ideal(
+            self.ring,
+            frozenset(self.index_of(self.base.neg(i), i) for i in self.ideal_elements),
+        )
+
+
+def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
+    """Build the duplication of ``base`` along ``ideal`` (may be {0} or R)."""
+    return AmalgamRing(base, ideal)
+
+
+def idealization(base: FiniteRing, ideal: Ideal) -> FiniteRing:
+    """The square-zero extension on the same carrier: (r,m)(s,n) = (rs, rn+sm)."""
+    members = _checked_ideal(base, ideal)
+    add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=False)
+    name = f"{base.spec_name} idealization {base.format_subset(members)}"
+    return FiniteRing(base.order * len(members), add, mul, zero, one, labels, name)
+
+
+def to_product_rep(amalgam: AmalgamRing, e: int) -> tuple[int, int]:
+    """Image (r, r+i) of a carrier element under the product-form embedding."""
+    r, i = amalgam.pair_of(e)
+    return r, amalgam.base.add(r, i)
+
+
+def verify_product_embedding(amalgam: AmalgamRing) -> list[str]:
+    """Exhaustively check the product-form embedding (r,i) -> (r, r+i).
+
+    Empty list iff the map is injective, lands exactly on
+    {(a,b) : b-a in ideal}, and preserves both operations into R x R.
+    """
+    base = amalgam.base
+    ring = amalgam.ring
+    size = ring.order
+    k = len(amalgam.ideal_elements)
+    rv = np.repeat(np.arange(base.order), k)
+    iv = np.tile(np.array(amalgam.ideal_elements, dtype=np.intp), base.order)
+    f1 = rv
+    f2 = base.add_table[rv, iv]
+    out: list[str] = []
+
+    images = set(zip(f1.tolist(), f2.tolist()))
+    if len(images) != size:
+        out.append("embedding is not injective")
+    member_mask = np.zeros(base.order, dtype=bool)
+    member_mask[list(amalgam.ideal_elements)] = True
+    expected = {
+        (int(x), int(y))
+        for x in range(base.order)
+        for y in range(base.order)
+        if member_mask[base.sub(y, x)]
+    }
+    if images != expected:
+        out.append("embedding image differs from {(a,b) : b-a in ideal}")
+
+    added = ring.add_table
+    if not (
+        np.array_equal(f1[added], base.add_table[f1[:, None], f1[None, :]])
+        and np.array_equal(f2[added], base.add_table[f2[:, None], f2[None, :]])
+    ):
+        out.append("embedding does not preserve addition")
+    multiplied = ring.mul_table
+    if not (
+        np.array_equal(f1[multiplied], base.mul_table[f1[:, None], f1[None, :]])
+        and np.array_equal(f2[multiplied], base.mul_table[f2[:, None], f2[None, :]])
+    ):
+        out.append("embedding does not preserve multiplication")
+    return out
+
+
+@dataclass(frozen=True)
+class ZDClassification:
+    """The zero-divisors of a duplication split into four descriptive sets.
+
+    t1: pairs (0, i); t2: pairs (-i, i); t3: pairs whose first coordinate is
+    a nonzero zero-divisor of the base; t4: pairs (x, i) with x regular,
+    x+i nonzero, and some nonzero j in the ideal killing x+i.
+    """
+
+    t1: frozenset[int]
+    t2: frozenset[int]
+    t3: frozenset[int]
+    t4: frozenset[int]
+
+    def union(self) -> frozenset[int]:
+        return self.t1 | self.t2 | self.t3 | self.t4
+
+
+def classify_zero_divisors(amalgam: AmalgamRing) -> ZDClassification:
+    base = amalgam.base
+    members = amalgam.ideal_elements
+    base_zd = zero_divisors(base)
+    zero = base.zero
+
+    t1 = frozenset(amalgam.index_of(zero, i) for i in members)
+    t2 = frozenset(amalgam.index_of(base.neg(i), i) for i in members)
+    t3 = frozenset(
+        amalgam.index_of(x, i) for x in base_zd if x != zero for i in members
+    )
+
+    nonzero_members = [j for j in members if j != zero]
+    if nonzero_members:
+        killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
+    else:
+        killed = np.zeros(base.order, dtype=bool)
+    t4 = set()
+    for x in range(base.order):
+        if x in base_zd:
+            continue
+        for i in members:
+            s = base.add(x, i)
+            if s != zero and killed[s]:
+                t4.add(amalgam.index_of(x, i))
+    return ZDClassification(t1, t2, t3, frozenset(t4))
+
+
+@dataclass(frozen=True)
+class StructureChecks:
+    """Structural facts about the duplication graph, checked exhaustively.
+
+    crossings_complete: every nonzero (0,i) -- (j,-j) pair is an edge, so a
+    complete bipartite pattern on two parts of size |I|-1 is present.
+    regular_members_exclusive: for ideal members outside Z(R), (0,i) touches
+    only the (j,-j) side and (i,-i) only the (0,j) side.
+    embeds_base: x -> (x,0) carries the base graph onto a subgraph.
+    vacuous: the ideal is {0}, so there is nothing to check.
+    """
+
+    crossings_complete: bool
+    regular_members_exclusive: bool
+    embeds_base: bool
+    vacuous: bool
+
+    def all_hold(self) -> bool:
+        return self.crossings_complete and self.regular_members_exclusive and self.embeds_base
+
+
+def structure_checks(
+    amalgam: AmalgamRing,
+    base_graph: ZDGraph | None = None,
+    dup_graph: ZDGraph | None = None,
+) -> StructureChecks:
+    base = amalgam.base
+    ring = amalgam.ring
+    members = amalgam.ideal_elements
+    if len(members) < 2:
+        return StructureChecks(True, True, True, vacuous=True)
+    if dup_graph is None:
+        dup_graph = build_graph(ring)
+    if base_graph is None:
+        base_graph = build_graph(base)
+    zero = base.zero
+    t1_nonzero = sorted(amalgam.index_of(zero, i) for i in members if i != zero)
+    t2_nonzero = sorted(amalgam.index_of(base.neg(i), i) for i in members if i != zero)
+
+    crossings = bool(
+        (ring.mul_table[np.ix_(t1_nonzero, t2_nonzero)] == ring.zero).all()
+    )
+
+    base_zd = zero_divisors(base)
+    exclusive = True
+    t1_set, t2_set = set(t1_nonzero), set(t2_nonzero)
+    for i in members:
+        if i in base_zd:
+            continue
+        v1 = amalgam.index_of(zero, i)
+        v2 = amalgam.index_of(base.neg(i), i)
+        nbrs1 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v1)]}
+        nbrs2 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v2)]}
+        if not (nbrs1 <= t2_set and nbrs2 <= t1_set):
+            exclusive = False
+            break
+
+    embeds = True
+    dup_vertices = set(dup_graph.vertices)
+    images = {x: amalgam.index_of(x, zero) for x in base_graph.vertices}
+    if not set(images.values()) <= dup_vertices:
+        embeds = False
+    else:
+        for a, x in enumerate(base_graph.vertices):
+            for b in base_graph.neighbors[a]:
+                y = base_graph.vertices[b]
+                if ring.mul(images[x], images[y]) != ring.zero:
+                    embeds = False
+                    break
+            if not embeds:
+                break
+
+    return StructureChecks(crossings, exclusive, embeds, vacuous=False)

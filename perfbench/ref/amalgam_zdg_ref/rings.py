@@ -1,0 +1,478 @@
+"""Finite commutative rings with identity, backed by dense operation tables.
+
+Rings are immutable after construction and every operation in this module is
+a pure function of its inputs, so instances can be shared freely across
+worker processes.  Elements are plain integer indices into the tables.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+__all__ = [
+    "FiniteRing",
+    "Ideal",
+    "make_zn",
+    "direct_product",
+    "product_ring",
+    "verify_ring_axioms",
+    "zero_divisors",
+    "annihilator",
+    "annihilator_pair",
+    "principal_ideal",
+    "ideal_from_generators",
+    "all_ideals",
+    "ideal_violations",
+    "is_ideal",
+    "is_prime_ideal",
+    "zset_square_zero",
+    "is_domain",
+    "is_reduced",
+    "is_field",
+    "prime_ideals",
+    "minimal_primes",
+]
+
+
+class FiniteRing:
+    """A finite commutative ring with nonzero unity, elements 0..order-1."""
+
+    def __init__(
+        self,
+        order: int,
+        add_table: Sequence[Sequence[int]] | np.ndarray,
+        mul_table: Sequence[Sequence[int]] | np.ndarray,
+        zero: int,
+        one: int,
+        labels: Sequence[str],
+        spec_name: str = "",
+    ) -> None:
+        self.order = int(order)
+        if self.order < 1:
+            raise ValueError(f"ring order must be positive, got {order}")
+        add = np.array(add_table, dtype=np.intp)
+        mul = np.array(mul_table, dtype=np.intp)
+        shape = (self.order, self.order)
+        if add.shape != shape:
+            raise ValueError(f"add_table has shape {add.shape}, expected {shape}")
+        if mul.shape != shape:
+            raise ValueError(f"mul_table has shape {mul.shape}, expected {shape}")
+        add.setflags(write=False)
+        mul.setflags(write=False)
+        self.add_table = add
+        self.mul_table = mul
+        self.zero = int(zero)
+        self.one = int(one)
+        self.labels = tuple(str(lbl) for lbl in labels)
+        if len(self.labels) != self.order:
+            raise ValueError(f"{len(self.labels)} labels for order {self.order}")
+        self.spec_name = spec_name or f"ring<{self.order}>"
+        self._cache: dict = {}
+
+    def __repr__(self) -> str:
+        return f"FiniteRing({self.spec_name!r}, order={self.order})"
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def add(self, a: int, b: int) -> int:
+        return int(self.add_table[a, b])
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_table[a, b])
+
+    def neg(self, a: int) -> int:
+        return int(self._neg_table[a])
+
+    def sub(self, a: int, b: int) -> int:
+        return int(self.add_table[a, self._neg_table[b]])
+
+    @cached_property
+    def _neg_table(self) -> np.ndarray:
+        rows, cols = np.nonzero(self.add_table == self.zero)
+        neg = np.empty(self.order, dtype=np.intp)
+        neg[rows] = cols
+        neg.setflags(write=False)
+        return neg
+
+    def label(self, a: int) -> str:
+        return self.labels[a]
+
+    def format_subset(self, elems: Iterable[int]) -> str:
+        """Render a set of elements as ``{l1, l2, ...}`` in index order."""
+        return "{" + ", ".join(self.labels[e] for e in sorted(elems)) + "}"
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {lbl: idx for idx, lbl in enumerate(self.labels)}
+
+    def element_index(self, label: str) -> int:
+        """Resolve an element label (as printed) back to its index."""
+        try:
+            return self._label_index[label]
+        except KeyError:
+            raise ValueError(
+                f"unknown element label '{label}' for ring {self.spec_name}"
+            ) from None
+
+
+@dataclass(frozen=True)
+class Ideal:
+    """An ideal of a finite commutative ring, stored as a member set."""
+
+    ring: FiniteRing
+    members: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if any(m < 0 or m >= self.ring.order for m in self.members):
+            raise ValueError("ideal members out of range for the ring carrier")
+
+    @cached_property
+    def sorted_members(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
+    def __contains__(self, elem: int) -> bool:
+        return elem in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.sorted_members)
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.ring.labels[m] for m in self.sorted_members)
+
+    @property
+    def is_zero(self) -> bool:
+        return len(self.members) == 1
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.members) == self.ring.order
+
+    def __repr__(self) -> str:
+        return f"Ideal({self.ring.spec_name}, {self.ring.format_subset(self.members)})"
+
+
+# ---------------------------------------------------------------------------
+# Constructors
+
+
+def make_zn(n: int) -> FiniteRing:
+    """The ring of integers modulo ``n`` (``n >= 2``)."""
+    if n < 2:
+        raise ValueError(f"Z_n requires n >= 2, got {n}")
+    idx = np.arange(n)
+    add = (idx[:, None] + idx[None, :]) % n
+    mul = (idx[:, None] * idx[None, :]) % n
+    return FiniteRing(n, add, mul, 0, 1, [str(i) for i in range(n)], f"Z{n}")
+
+
+def product_ring(factors: Sequence[FiniteRing]) -> FiniteRing:
+    """Direct product of two or more rings with componentwise operations."""
+    factors = tuple(factors)
+    if len(factors) < 2:
+        raise ValueError("product_ring needs at least two factors")
+    order = 1
+    for f in factors:
+        order *= f.order
+    idx = np.arange(order)
+    digits = []
+    weight = order
+    for f in factors:
+        weight //= f.order
+        digits.append((idx // weight) % f.order)
+    add = np.zeros((order, order), dtype=np.intp)
+    mul = np.zeros((order, order), dtype=np.intp)
+    for f, d in zip(factors, digits):
+        add = add * f.order + f.add_table[d[:, None], d[None, :]]
+        mul = mul * f.order + f.mul_table[d[:, None], d[None, :]]
+    labels = [
+        "(" + ",".join(f.labels[int(d[i])] for f, d in zip(factors, digits)) + ")"
+        for i in range(order)
+    ]
+    zero = one = 0
+    for f in factors:
+        zero = zero * f.order + f.zero
+        one = one * f.order + f.one
+    name = "x".join(f.spec_name for f in factors)
+    return FiniteRing(order, add, mul, zero, one, labels, name)
+
+
+def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
+    return product_ring((r1, r2))
+
+
+# ---------------------------------------------------------------------------
+# Axioms
+
+
+def verify_ring_axioms(ring: FiniteRing) -> list[str]:
+    """Exhaustively check the commutative-ring axioms.
+
+    Returns a list of human-readable violations; an empty list means the
+    tables describe a commutative ring with nonzero unity.  Each axiom
+    reports only its first offending tuple.
+    """
+    n = ring.order
+    add, mul = ring.add_table, ring.mul_table
+    lab = ring.labels
+    out: list[str] = []
+
+    for name, table in (("addition", add), ("multiplication", mul)):
+        if table.min() < 0 or table.max() >= n:
+            out.append(f"{name} table entries out of range [0, {n})")
+    if out:
+        return out
+
+    if ring.zero == ring.one:
+        out.append("unity coincides with zero (the one-element ring is rejected)")
+
+    def first2(mask: np.ndarray) -> tuple[int, int]:
+        a, b = np.argwhere(mask)[0]
+        return int(a), int(b)
+
+    if (add != add.T).any():
+        a, b = first2(add != add.T)
+        out.append(f"addition not commutative at ({lab[a]}, {lab[b]})")
+    arange = np.arange(n)
+    if (add[ring.zero] != arange).any():
+        b = int(np.nonzero(add[ring.zero] != arange)[0][0])
+        out.append(f"zero is not an additive identity at {lab[b]}")
+    if (np.sort(add, axis=1) != arange).any():
+        a = int(np.argwhere((np.sort(add, axis=1) != arange).any(axis=1))[0][0])
+        out.append(f"addition row of {lab[a]} is not a permutation")
+    missing_inverse = ~(add == ring.zero).any(axis=1)
+    if missing_inverse.any():
+        a = int(np.nonzero(missing_inverse)[0][0])
+        out.append(f"{lab[a]} has no additive inverse")
+    for a in range(n):
+        lhs = add[add[a], :]
+        rhs = add[a, add]
+        if (lhs != rhs).any():
+            b, c = first2(lhs != rhs)
+            out.append(f"addition not associative at ({lab[a]}, {lab[b]}, {lab[c]})")
+            break
+
+    if (mul != mul.T).any():
+        a, b = first2(mul != mul.T)
+        out.append(f"multiplication not commutative at ({lab[a]}, {lab[b]})")
+    if (mul[ring.one] != arange).any():
+        b = int(np.nonzero(mul[ring.one] != arange)[0][0])
+        out.append(f"one is not a multiplicative identity at {lab[b]}")
+    for a in range(n):
+        lhs = mul[mul[a], :]
+        rhs = mul[a, mul]
+        if (lhs != rhs).any():
+            b, c = first2(lhs != rhs)
+            out.append(
+                f"multiplication not associative at ({lab[a]}, {lab[b]}, {lab[c]})"
+            )
+            break
+
+    for a in range(n):
+        lhs = mul[a, add]
+        rhs = add[mul[a][:, None], mul[a][None, :]]
+        if (lhs != rhs).any():
+            b, c = first2(lhs != rhs)
+            out.append(f"distributivity fails at ({lab[a]}, {lab[b]}, {lab[c]})")
+            break
+
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Zero-divisors, annihilators, nilpotents
+
+
+def zero_divisors(ring: FiniteRing) -> frozenset[int]:
+    """The set Z(R) of zero-divisors, including 0 (order >= 2)."""
+    cached = ring._cache.get("zero_divisors")
+    if cached is not None:
+        return cached
+    mask = ring.mul_table == ring.zero
+    mask[:, ring.zero] = False
+    zd = frozenset(np.nonzero(mask.any(axis=1))[0].tolist())
+    ring._cache["zero_divisors"] = zd
+    return zd
+
+
+def annihilator(ring: FiniteRing, a: int) -> Ideal:
+    """Ann(a) = {r : r*a = 0}."""
+    members = np.nonzero(ring.mul_table[:, a] == ring.zero)[0]
+    return Ideal(ring, frozenset(members.tolist()))
+
+
+def annihilator_pair(ring: FiniteRing, a: int, b: int) -> Ideal:
+    """Ann(a, b) = Ann(a) ∩ Ann(b)."""
+    col_a = ring.mul_table[:, a] == ring.zero
+    col_b = ring.mul_table[:, b] == ring.zero
+    members = np.nonzero(col_a & col_b)[0]
+    return Ideal(ring, frozenset(members.tolist()))
+
+
+def zset_square_zero(ring: FiniteRing) -> bool:
+    """True iff x*y = 0 for every pair of zero-divisors."""
+    zd = sorted(zero_divisors(ring))
+    return bool((ring.mul_table[np.ix_(zd, zd)] == ring.zero).all())
+
+
+def is_domain(ring: FiniteRing) -> bool:
+    return zero_divisors(ring) == frozenset({ring.zero})
+
+
+def is_reduced(ring: FiniteRing) -> bool:
+    """True iff the ring has no nonzero nilpotents.
+
+    In a finite ring the nilpotency index of any element is at most the
+    order, so it suffices to square the power table ceil(log2 n) times.
+    """
+    n = ring.order
+    powers = np.arange(n)
+    for _ in range(max(1, (n - 1).bit_length())):
+        powers = ring.mul_table[powers, powers]
+    nil = powers == ring.zero
+    nil[ring.zero] = False
+    return not nil.any()
+
+
+def is_field(ring: FiniteRing) -> bool:
+    """True iff every nonzero element has a multiplicative inverse."""
+    invertible = (ring.mul_table == ring.one).any(axis=1)
+    invertible[ring.zero] = True
+    return bool(invertible.all())
+
+
+# ---------------------------------------------------------------------------
+# Ideals
+
+
+def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
+    """Why a member set fails to be an ideal; empty list iff it is one."""
+    s = frozenset(members)
+    out: list[str] = []
+    lab = ring.labels
+    if ring.zero not in s:
+        out.append("does not contain zero")
+    if not s:
+        return out
+    elems = sorted(s)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[elems] = True
+    sums = ring.add_table[np.ix_(elems, elems)]
+    bad = ~mask[sums]
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        out.append(
+            f"not closed under addition: {lab[elems[int(i)]]} + {lab[elems[int(j)]]}"
+            f" = {lab[int(sums[i, j])]} is outside"
+        )
+    prods = ring.mul_table[:, elems]
+    bad = ~mask[prods]
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        out.append(
+            f"not absorbing: {lab[int(r)]} * {lab[elems[int(j)]]}"
+            f" = {lab[int(prods[r, j])]} is outside"
+        )
+    return out
+
+
+def is_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
+    return not ideal_violations(ring, members)
+
+
+def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
+    """(a) = {r*a : r in R}."""
+    return Ideal(ring, frozenset(np.unique(ring.mul_table[:, a]).tolist()))
+
+
+def _sum_sets(ring: FiniteRing, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+    block = ring.add_table[np.ix_(sorted(left), sorted(right))]
+    return frozenset(np.unique(block).tolist())
+
+
+def ideal_from_generators(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
+    """Smallest ideal containing the generators (a sum of principal ideals)."""
+    members = frozenset({ring.zero})
+    for g in generators:
+        members = _sum_sets(ring, members, principal_ideal(ring, g).members)
+    return Ideal(ring, members)
+
+
+def all_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Every ideal of the ring, exactly once.
+
+    Computed as the closure of the principal ideals under pairwise ideal
+    sum, then sorted by (size, member indices).  A brute-force subset scan
+    serves as the test oracle for small orders.
+    """
+    cached = ring._cache.get("all_ideals")
+    if cached is not None:
+        return cached
+    ideals: set[frozenset[int]] = {
+        principal_ideal(ring, a).members for a in ring.elements()
+    }
+    frontier = list(ideals)
+    while frontier:
+        fresh: list[frozenset[int]] = []
+        for left in frontier:
+            for right in list(ideals):
+                s = _sum_sets(ring, left, right)
+                if s not in ideals:
+                    ideals.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    ordered = [
+        Ideal(ring, m)
+        for m in sorted(ideals, key=lambda m: (len(m), tuple(sorted(m))))
+    ]
+    ring._cache["all_ideals"] = ordered
+    return ordered
+
+
+def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
+    """True iff the set is a proper ideal P with ab in P => a in P or b in P."""
+    s = frozenset(members)
+    if len(s) == ring.order or not is_ideal(ring, s):
+        return False
+    complement = sorted(set(ring.elements()) - s)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[sorted(s)] = True
+    prods = ring.mul_table[np.ix_(complement, complement)]
+    return not mask[prods].any()
+
+
+def prime_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Proper ideals whose complement is multiplicatively closed."""
+    cached = ring._cache.get("prime_ideals")
+    if cached is not None:
+        return cached
+    mask = np.zeros(ring.order, dtype=bool)
+    primes = []
+    for ideal in all_ideals(ring):
+        if ideal.is_full:
+            continue
+        complement = sorted(set(ring.elements()) - ideal.members)
+        mask[:] = False
+        mask[list(ideal.sorted_members)] = True
+        prods = ring.mul_table[np.ix_(complement, complement)]
+        if not mask[prods].any():
+            primes.append(ideal)
+    ring._cache["prime_ideals"] = primes
+    return primes
+
+
+def minimal_primes(ring: FiniteRing) -> list[Ideal]:
+    """Prime ideals that are minimal under inclusion."""
+    primes = prime_ideals(ring)
+    out = []
+    for p in primes:
+        if not any(q.members < p.members for q in primes):
+            out.append(p)
+    return out

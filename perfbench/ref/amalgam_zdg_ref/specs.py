@@ -1,0 +1,122 @@
+"""Parsers for the textual ring and ideal grammars used by the CLI.
+
+Ring specs: ``Z<n>`` with ``n >= 2``, optionally multiplied with the infix
+``x`` (up to three factors), e.g. ``Z6``, ``Z2xZ3``, ``Z2xZ2xZ2``.  The
+leading ``Z`` is case-insensitive; no whitespace inside a spec.
+
+Ideal specs (relative to a base ring): ``zero``, ``full``, or
+``gen(e1,e2,...)`` where each ``e`` is an element label of the base ring
+("3" for Z_n, "(1,0)" for products).
+"""
+
+from __future__ import annotations
+
+import re
+
+from .rings import FiniteRing, Ideal, ideal_from_generators, make_zn, product_ring
+
+__all__ = ["SpecError", "parse_ring_spec", "expand_family", "parse_ideal_spec"]
+
+_FACTOR_RE = re.compile(r"[Zz]([0-9]+)")
+_RANGE_RE = re.compile(r"[Zz]([0-9]+)\.\.[Zz]([0-9]+)")
+_GEN_RE = re.compile(r"gen\((.*)\)", re.DOTALL)
+
+
+class SpecError(ValueError):
+    """A ring or ideal spec string could not be parsed."""
+
+
+def parse_ring_spec(text: str) -> FiniteRing:
+    """Build the ring named by a spec string, or raise SpecError."""
+    spec = text.strip()
+    if not spec:
+        raise SpecError("empty ring spec")
+    if any(ch.isspace() for ch in spec):
+        raise SpecError(f"ring spec '{text}' contains whitespace")
+    parts = spec.split("x")
+    if len(parts) > 3:
+        raise SpecError(f"ring spec '{text}' has more than three factors")
+    factors = []
+    for part in parts:
+        m = _FACTOR_RE.fullmatch(part)
+        if m is None:
+            raise SpecError(f"unrecognized ring token '{part}' in '{text}'")
+        n = int(m.group(1))
+        if n < 2:
+            raise SpecError(f"modulus in '{part}' must be at least 2")
+        factors.append(make_zn(n))
+    if len(factors) == 1:
+        return factors[0]
+    return product_ring(factors)
+
+
+def expand_family(text: str) -> list[str]:
+    """Expand a comma-separated family list with inclusive ``Za..Zb`` ranges.
+
+    Every entry is validated and returned in canonical spelling.
+    """
+    if not text or not text.strip():
+        raise SpecError("empty ring family")
+    out: list[str] = []
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            raise SpecError(f"empty entry in family '{text}'")
+        m = _RANGE_RE.fullmatch(item)
+        if m is not None:
+            lo, hi = int(m.group(1)), int(m.group(2))
+            if lo < 2 or hi < lo:
+                raise SpecError(f"bad modulus range '{item}'")
+            out.extend(f"Z{n}" for n in range(lo, hi + 1))
+        else:
+            out.append(parse_ring_spec(item).spec_name)
+    return out
+
+
+def _split_top_level(text: str) -> list[str]:
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise SpecError(f"unbalanced parentheses in '{text}'")
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise SpecError(f"unbalanced parentheses in '{text}'")
+    parts.append("".join(current))
+    return parts
+
+
+def parse_ideal_spec(ring: FiniteRing, text: str) -> Ideal:
+    """Build an ideal of ``ring`` from ``zero``, ``full``, or ``gen(...)``."""
+    spec = text.strip()
+    if spec == "zero":
+        return Ideal(ring, frozenset({ring.zero}))
+    if spec == "full":
+        return Ideal(ring, frozenset(ring.elements()))
+    m = _GEN_RE.fullmatch(spec)
+    if m is None:
+        raise SpecError(
+            f"unrecognized ideal spec '{text}' (expected zero, full, or gen(...))"
+        )
+    body = m.group(1).strip()
+    if not body:
+        raise SpecError("gen(...) needs at least one element label")
+    generators = []
+    for token in _split_top_level(body):
+        token = token.replace(" ", "")
+        if not token:
+            raise SpecError(f"empty element label in '{text}'")
+        try:
+            generators.append(ring.element_index(token))
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+    return ideal_from_generators(ring, generators)

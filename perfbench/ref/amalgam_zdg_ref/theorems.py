@@ -1,0 +1,757 @@
+"""Executable checks for structural statements about duplication graphs.
+
+Each registered check evaluates a hypothesis/conclusion pair on a concrete
+(ring, ideal) instance and reports one of verified / vacuous /
+counterexample.  The sweep applies every check to every instance of a ring
+family and additionally asserts the global invariants (connectivity,
+diameter bound, girth values, the zero-divisor classification, reducedness
+transfer, and the square-zero table identity).
+"""
+
+from __future__ import annotations
+
+import csv
+import enum
+import io
+import json
+import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .amalgam import (
+    AmalgamRing,
+    amalgamated_duplication,
+    classify_zero_divisors,
+    idealization,
+    structure_checks,
+)
+from .graphs import (
+    ZDGraph,
+    build_graph,
+    complete_bipartition,
+    diameter,
+    girth,
+    is_complete,
+    is_connected,
+    universal_vertices,
+)
+from .rings import (
+    FiniteRing,
+    Ideal,
+    all_ideals,
+    annihilator,
+    annihilator_pair,
+    is_domain,
+    is_ideal,
+    is_prime_ideal,
+    is_reduced,
+    minimal_primes,
+    zero_divisors,
+    zset_square_zero,
+)
+from .specs import parse_ring_spec
+
+__all__ = [
+    "TheoremId",
+    "Status",
+    "PreconditionError",
+    "VerificationOutcome",
+    "Instance",
+    "check_girth_classification",
+    "check_domain_equivalences",
+    "check_completeness_equivalence",
+    "check_ideal_zdivs_diam_three",
+    "check_universal_vertex_diam_three",
+    "check_diam_three_persists",
+    "check_nonideal_zdivs_diam_three",
+    "check_diam_two_preserved",
+    "check_annihilators_meet_ideal",
+    "check_universal_vertex_prime_zdivs",
+    "run_all",
+    "instance_invariant_violations",
+    "InstanceRecord",
+    "SweepReport",
+    "sweep",
+]
+
+
+class TheoremId(enum.Enum):
+    """Closed enumeration of the statements tracked by this harness."""
+
+    P2_1A = "P2.1a"
+    P2_1B = "P2.1b"
+    P2_2 = "P2.2"
+    R2_3 = "R2.3"
+    P3_1 = "P3.1"
+    P3_2 = "P3.2"
+    C3_3 = "C3.3"
+    C3_4 = "C3.4"
+    L4_5 = "L4.5"
+    T4_8 = "T4.8"
+    L4_9 = "L4.9"
+    C4_10 = "C4.10"
+    P4_11 = "P4.11"
+    T4_12 = "T4.12"
+    P4_13 = "P4.13"
+    C4_14 = "C4.14"
+    L4_15 = "L4.15"
+    P4_16 = "P4.16"
+
+
+class Status(enum.Enum):
+    VERIFIED = "verified"
+    VACUOUS = "vacuous"
+    COUNTEREXAMPLE = "counterexample"
+
+
+class PreconditionError(Exception):
+    """A check was invoked outside its stated preconditions."""
+
+
+@dataclass(frozen=True)
+class VerificationOutcome:
+    """Result of one check on one (ring, ideal) instance.
+
+    ``status`` is derived: counterexample iff the hypotheses hold and the
+    conclusion fails, vacuous iff the hypotheses fail.  ``witness`` names
+    counterexample evidence by element labels; ``note`` carries measured
+    values or the reason a check was vacuous.
+    """
+
+    theorem: TheoremId
+    ring_spec: str
+    ideal_members: tuple[str, ...]
+    hypotheses_hold: bool
+    conclusion_holds: bool
+    status: Status
+    witness: str | None = None
+    note: str | None = None
+
+
+def _outcome(
+    theorem: TheoremId,
+    inst: "Instance",
+    hypotheses: bool,
+    conclusion: bool,
+    witness: str | None = None,
+    note: str | None = None,
+) -> VerificationOutcome:
+    if not hypotheses:
+        status = Status.VACUOUS
+    elif conclusion:
+        status = Status.VERIFIED
+    else:
+        status = Status.COUNTEREXAMPLE
+    if status is not Status.COUNTEREXAMPLE:
+        witness = None
+    return VerificationOutcome(
+        theorem=theorem,
+        ring_spec=inst.ring_spec,
+        ideal_members=inst.ideal_labels,
+        hypotheses_hold=hypotheses,
+        conclusion_holds=conclusion,
+        status=status,
+        witness=witness,
+        note=note,
+    )
+
+
+def _fmt_girth(g: int | float) -> str:
+    return "inf" if math.isinf(g) else str(int(g))
+
+
+def _fmt_diam(d: int | None) -> str:
+    return "empty" if d is None else str(d)
+
+
+class Instance:
+    """Lazily-computed views of one (ring, ideal) pair shared by all checks."""
+
+    def __init__(self, ring: FiniteRing, ideal: Ideal) -> None:
+        if ideal.ring is not ring:
+            raise ValueError("ideal belongs to a different ring")
+        self.ring = ring
+        self.ideal = ideal
+
+    @property
+    def ring_spec(self) -> str:
+        return self.ring.spec_name
+
+    @cached_property
+    def ideal_labels(self) -> tuple[str, ...]:
+        return self.ideal.labels()
+
+    @cached_property
+    def amalgam(self) -> AmalgamRing:
+        return amalgamated_duplication(self.ring, self.ideal)
+
+    @cached_property
+    def idealization_ring(self) -> FiniteRing:
+        return idealization(self.ring, self.ideal)
+
+    @cached_property
+    def base_graph(self) -> ZDGraph:
+        return build_graph(self.ring)
+
+    @cached_property
+    def dup_graph(self) -> ZDGraph:
+        return build_graph(self.amalgam.ring)
+
+    @cached_property
+    def base_zdivs(self) -> frozenset[int]:
+        return zero_divisors(self.ring)
+
+    @cached_property
+    def zdivs_form_ideal(self) -> bool:
+        return is_ideal(self.ring, self.base_zdivs)
+
+    @cached_property
+    def ideal_inside_zdivs(self) -> bool:
+        return self.ideal.members <= self.base_zdivs
+
+    @cached_property
+    def base_is_domain(self) -> bool:
+        return is_domain(self.ring)
+
+    @cached_property
+    def base_is_reduced(self) -> bool:
+        return is_reduced(self.ring)
+
+    @cached_property
+    def base_diameter(self) -> int | None:
+        return diameter(self.base_graph)
+
+    @cached_property
+    def base_girth(self) -> int | float:
+        return girth(self.base_graph)
+
+    @cached_property
+    def dup_diameter(self) -> int | None:
+        return diameter(self.dup_graph)
+
+    @cached_property
+    def dup_girth(self) -> int | float:
+        return girth(self.dup_graph)
+
+    @cached_property
+    def base_universal(self) -> tuple[int, ...]:
+        return universal_vertices(self.base_graph)
+
+    @cached_property
+    def dup_universal(self) -> tuple[int, ...]:
+        return universal_vertices(self.dup_graph)
+
+    def require_nonzero_ideal(self) -> None:
+        if len(self.ideal) == 1:
+            raise PreconditionError("the ideal is {0}; a nonzero ideal is required")
+
+
+# ---------------------------------------------------------------------------
+# Individual checks
+
+
+def _girth_classification(inst: Instance) -> VerificationOutcome:
+    """Girth of the duplication graph is 3 iff the base ring has nonzero
+    zero-divisors, 4 iff the base is a domain with |I| >= 3, and infinite
+    iff I is the whole two-element field."""
+    inst.require_nonzero_ideal()
+    g = inst.dup_girth
+    dom = inst.base_is_domain
+    k = len(inst.ideal)
+    clauses = (
+        (g == 3) == (not dom),
+        (g == 4) == (dom and k >= 3),
+        math.isinf(g) == (k == inst.ring.order == 2),
+    )
+    ok = all(clauses)
+    note = f"girth = {_fmt_girth(g)}, domain = {dom}, |I| = {k}"
+    return _outcome(TheoremId.C3_3, inst, True, ok, witness=note, note=note)
+
+
+def _domain_equivalences(inst: Instance) -> VerificationOutcome:
+    """Four statements agree on every instance: the base is a domain; the
+    duplication graph has girth 4 or infinity; the duplication ring has
+    exactly the two projection kernels as minimal primes, meeting in zero;
+    the duplication graph is complete bipartite."""
+    inst.require_nonzero_ideal()
+    a = inst.base_is_domain
+    b = inst.dup_girth == 4 or math.isinf(inst.dup_girth)
+    mins = minimal_primes(inst.amalgam.ring)
+    zero = inst.amalgam.ring.zero
+    c = (
+        len(mins) == 2
+        and (mins[0].members & mins[1].members) == {zero}
+        and {m.members for m in mins}
+        == {inst.amalgam.o1.members, inst.amalgam.o2.members}
+    )
+    d = complete_bipartition(inst.dup_graph) is not None
+    ok = a == b == c == d
+    note = (
+        f"domain = {a}, girth in {{4, inf}} = {b}, "
+        f"kernel minimal primes = {c}, complete bipartite = {d}"
+    )
+    return _outcome(TheoremId.C3_4, inst, True, ok, witness=note, note=note)
+
+
+def _completeness_equivalence(inst: Instance) -> VerificationOutcome:
+    """Three statements agree: the duplication graph is complete; the base
+    zero-divisors square to zero and the ideal sits inside them; the
+    duplication zero-divisors square to zero.
+
+    The duplication of the two-element field along itself is excluded: its
+    graph is a single edge (complete) while both square-zero clauses fail,
+    so the equivalence holds only away from that instance.
+    """
+    inst.require_nonzero_ideal()
+    if inst.ring.order == 2 and len(inst.ideal) == 2:
+        return _outcome(
+            TheoremId.T4_8,
+            inst,
+            False,
+            False,
+            note=(
+                "excluded instance: duplication of the two-element field along "
+                "itself has a complete single-edge graph while both square-zero "
+                "clauses fail"
+            ),
+        )
+    a = is_complete(inst.dup_graph)
+    b = zset_square_zero(inst.ring) and inst.ideal_inside_zdivs
+    c = zset_square_zero(inst.amalgam.ring)
+    ok = a == b == c
+    note = (
+        f"complete = {a}, base square-zero with I inside Z(R) = {b}, "
+        f"duplication square-zero = {c}"
+    )
+    return _outcome(TheoremId.T4_8, inst, True, ok, witness=note, note=note)
+
+
+def _ideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
+    """If the base has nonzero zero-divisors forming an ideal and the ideal
+    escapes them, the duplication graph has diameter 3."""
+    hyp = (
+        not inst.base_is_domain
+        and not inst.ideal_inside_zdivs
+        and inst.zdivs_form_ideal
+    )
+    if not hyp:
+        return _outcome(
+            TheoremId.L4_9, inst, False, False, note=_diam3_vacuous_reason(inst)
+        )
+    concl = inst.dup_diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    return _outcome(TheoremId.L4_9, inst, True, concl, witness=note, note=note)
+
+
+def _diam3_vacuous_reason(inst: Instance) -> str:
+    reasons = []
+    if inst.base_is_domain:
+        reasons.append("base ring is a domain")
+    if inst.ideal_inside_zdivs:
+        reasons.append("I lies inside Z(R)")
+    if not inst.zdivs_form_ideal:
+        reasons.append("Z(R) is not an ideal")
+    return "; ".join(reasons) if reasons else "hypotheses not met"
+
+
+def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
+    """If the ideal escapes Z(R) and the base graph has a universal vertex,
+    the duplication graph has diameter 3."""
+    hyp = not inst.ideal_inside_zdivs and bool(inst.base_universal)
+    if not hyp:
+        why = (
+            "I lies inside Z(R)"
+            if inst.ideal_inside_zdivs
+            else "base graph has no universal vertex"
+        )
+        return _outcome(TheoremId.C4_10, inst, False, False, note=why)
+    concl = inst.dup_diameter == 3
+    note = (
+        f"universal base vertices {inst.ring.format_subset(inst.base_universal)}; "
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    )
+    return _outcome(TheoremId.C4_10, inst, True, concl, witness=note, note=note)
+
+
+def _diam_three_persists(inst: Instance) -> VerificationOutcome:
+    """Diameter 3 of the base graph forces diameter 3 of the duplication."""
+    hyp = inst.base_diameter == 3
+    if not hyp:
+        return _outcome(
+            TheoremId.P4_11,
+            inst,
+            False,
+            False,
+            note=f"diameter(base graph) = {_fmt_diam(inst.base_diameter)}",
+        )
+    concl = inst.dup_diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    return _outcome(TheoremId.P4_11, inst, True, concl, witness=note, note=note)
+
+
+def _nonideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
+    """If Z(R) is not an ideal, the duplication graph has diameter 3."""
+    inst.require_nonzero_ideal()
+    hyp = not inst.zdivs_form_ideal
+    if not hyp:
+        return _outcome(
+            TheoremId.T4_12, inst, False, False, note="Z(R) is an ideal"
+        )
+    concl = inst.dup_diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    return _outcome(TheoremId.T4_12, inst, True, concl, witness=note, note=note)
+
+
+def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
+    """Diameter 2 carries over to the duplication when Z(R) is an ideal
+    containing I and either every adjacent base pair has a nonzero joint
+    annihilator, or (variant) the base ring is non-reduced."""
+    core = (
+        inst.zdivs_form_ideal
+        and inst.ideal_inside_zdivs
+        and inst.base_diameter == 2
+    )
+    pair_hyp = False
+    if core:
+        pair_hyp = True
+        zero = inst.ring.zero
+        for u, v in inst.base_graph.edge_positions():
+            a = inst.base_graph.vertices[u]
+            b = inst.base_graph.vertices[v]
+            if annihilator_pair(inst.ring, a, b).members == {zero}:
+                pair_hyp = False
+                break
+    variant_hyp = core and not inst.base_is_reduced
+    hyp = (core and pair_hyp) or variant_hyp
+    variant_text = (
+        "non-reduced variant: hypotheses hold"
+        if variant_hyp
+        else "non-reduced variant: vacuous"
+    )
+    if not hyp:
+        if not core:
+            why = "Z(R) not an ideal, I escapes Z(R), or base diameter is not 2"
+        else:
+            why = "an adjacent base pair has zero joint annihilator"
+        return _outcome(
+            TheoremId.P4_13, inst, False, False, note=f"{why}; {variant_text}"
+        )
+    concl = inst.dup_diameter == 2
+    note = (
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}; {variant_text}"
+    )
+    return _outcome(TheoremId.P4_13, inst, True, concl, witness=note, note=note)
+
+
+def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
+    """If the ideal escapes Z(R) and the duplication graph has diameter 2,
+    every nonzero zero-divisor of the base has an annihilator meeting I."""
+    hyp = not inst.ideal_inside_zdivs and inst.dup_diameter == 2
+    if not hyp:
+        why = (
+            "I lies inside Z(R)"
+            if inst.ideal_inside_zdivs
+            else f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+        )
+        return _outcome(TheoremId.L4_15, inst, False, False, note=why)
+    zero = inst.ring.zero
+    offender = None
+    for y in sorted(inst.base_zdivs - {zero}):
+        if annihilator(inst.ring, y).members & inst.ideal.members == {zero}:
+            offender = y
+            break
+    concl = offender is None
+    witness = (
+        None
+        if concl
+        else f"Ann({inst.ring.labels[offender]}) meets the ideal only in zero"
+    )
+    note = f"checked {len(inst.base_zdivs) - 1} nonzero zero-divisors"
+    return _outcome(TheoremId.L4_15, inst, True, concl, witness=witness, note=note)
+
+
+def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
+    """A universal vertex in the duplication graph forces Z(R) to be a
+    prime ideal of the base ring (implication only)."""
+    hyp = bool(inst.dup_universal)
+    if not hyp:
+        return _outcome(
+            TheoremId.P4_16,
+            inst,
+            False,
+            False,
+            note="duplication graph has no universal vertex",
+        )
+    concl = inst.zdivs_form_ideal and is_prime_ideal(inst.ring, inst.base_zdivs)
+    labels = inst.amalgam.ring.format_subset(inst.dup_universal)
+    note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
+    return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
+
+
+_REGISTRY: tuple[tuple[TheoremId, Callable[[Instance], VerificationOutcome]], ...] = (
+    (TheoremId.C3_3, _girth_classification),
+    (TheoremId.C3_4, _domain_equivalences),
+    (TheoremId.T4_8, _completeness_equivalence),
+    (TheoremId.L4_9, _ideal_zdivs_diam_three),
+    (TheoremId.C4_10, _universal_vertex_diam_three),
+    (TheoremId.P4_11, _diam_three_persists),
+    (TheoremId.T4_12, _nonideal_zdivs_diam_three),
+    (TheoremId.P4_13, _diam_two_preserved),
+    (TheoremId.L4_15, _annihilators_meet_ideal),
+    (TheoremId.P4_16, _universal_vertex_prime_zdivs),
+)
+
+
+def _public(check: Callable[[Instance], VerificationOutcome]):
+    def wrapper(ring: FiniteRing, ideal: Ideal) -> VerificationOutcome:
+        return check(Instance(ring, ideal))
+
+    wrapper.__doc__ = check.__doc__
+    return wrapper
+
+
+check_girth_classification = _public(_girth_classification)
+check_domain_equivalences = _public(_domain_equivalences)
+check_completeness_equivalence = _public(_completeness_equivalence)
+check_ideal_zdivs_diam_three = _public(_ideal_zdivs_diam_three)
+check_universal_vertex_diam_three = _public(_universal_vertex_diam_three)
+check_diam_three_persists = _public(_diam_three_persists)
+check_nonideal_zdivs_diam_three = _public(_nonideal_zdivs_diam_three)
+check_diam_two_preserved = _public(_diam_two_preserved)
+check_annihilators_meet_ideal = _public(_annihilators_meet_ideal)
+check_universal_vertex_prime_zdivs = _public(_universal_vertex_prime_zdivs)
+
+
+def _registry_outcomes(inst: Instance) -> list[VerificationOutcome]:
+    out = []
+    for theorem, check in _REGISTRY:
+        try:
+            out.append(check(inst))
+        except PreconditionError as exc:
+            out.append(
+                _outcome(theorem, inst, False, False, note=f"precondition not met: {exc}")
+            )
+    return out
+
+
+def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
+    """Apply every registered check once, in registry order.
+
+    Checks whose preconditions fail are reported as vacuous with a note,
+    never skipped silently.
+    """
+    return _registry_outcomes(Instance(ring, ideal))
+
+
+# ---------------------------------------------------------------------------
+# Per-instance global invariants
+
+
+def _graph_invariant_violations(prefix: str, tag: str, graph: ZDGraph) -> list[str]:
+    out = []
+    if graph.vertex_count == 0:
+        return out
+    if not is_connected(graph):
+        out.append(f"{prefix} {tag} graph is disconnected")
+        return out
+    d = diameter(graph)
+    if d is not None and d > 3:
+        out.append(f"{prefix} {tag} graph has diameter {d} > 3")
+    g = girth(graph)
+    if not math.isinf(g) and g not in (3, 4):
+        out.append(f"{prefix} {tag} graph has girth {_fmt_girth(g)} outside {{3, 4, inf}}")
+    return out
+
+
+def instance_invariant_violations(inst: Instance) -> list[str]:
+    """Check the global invariants on one instance; returns violations."""
+    prefix = f"[{inst.ring_spec} | I={{{','.join(inst.ideal_labels)}}}]"
+    out: list[str] = []
+
+    out.extend(_graph_invariant_violations(prefix, "base", inst.base_graph))
+    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup_graph))
+
+    cls = classify_zero_divisors(inst.amalgam)
+    zero = inst.amalgam.ring.zero
+    computed = zero_divisors(inst.amalgam.ring) - {zero}
+    if cls.union() - {zero} != computed:
+        out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
+
+    if is_reduced(inst.amalgam.ring) != inst.base_is_reduced:
+        out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
+
+    members = inst.ideal.sorted_members
+    square_zero = bool(
+        (inst.ring.mul_table[np.ix_(members, members)] == inst.ring.zero).all()
+    )
+    tables_equal = np.array_equal(
+        inst.amalgam.ring.mul_table, inst.idealization_ring.mul_table
+    )
+    if square_zero != tables_equal:
+        out.append(
+            f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
+        )
+
+    checks = structure_checks(inst.amalgam, inst.base_graph, inst.dup_graph)
+    if not checks.vacuous and not checks.all_hold():
+        failing = [
+            name
+            for name, value in (
+                ("crossings", checks.crossings_complete),
+                ("exclusive neighbors", checks.regular_members_exclusive),
+                ("base embedding", checks.embeds_base),
+            )
+            if not value
+        ]
+        out.append(f"{prefix} {TheoremId.R2_3.value}: {', '.join(failing)} failed")
+
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+
+
+@dataclass(frozen=True)
+class InstanceRecord:
+    ring: str
+    ideal: tuple[str, ...]
+    outcomes: tuple[VerificationOutcome, ...]
+
+
+def _filtered_ideals(ring: FiniteRing, ideal_filter: str) -> list[Ideal]:
+    ideals = all_ideals(ring)
+    if ideal_filter == "all":
+        return ideals
+    if ideal_filter == "nonzero":
+        return [i for i in ideals if not i.is_zero]
+    if ideal_filter == "proper":
+        return [i for i in ideals if not i.is_zero and not i.is_full]
+    raise ValueError(f"unknown ideal filter '{ideal_filter}'")
+
+
+def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], list[str]]:
+    ring = parse_ring_spec(spec)
+    records: list[InstanceRecord] = []
+    violations: list[str] = []
+    for ideal in _filtered_ideals(ring, ideal_filter):
+        inst = Instance(ring, ideal)
+        outcomes = tuple(_registry_outcomes(inst))
+        violations.extend(instance_invariant_violations(inst))
+        records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
+    return records, violations
+
+
+def _sweep_worker(args: tuple[str, str]) -> tuple[list[InstanceRecord], list[str]]:
+    return _sweep_ring(*args)
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    family: tuple[str, ...]
+    ideal_filter: str
+    instances: tuple[InstanceRecord, ...]
+    invariant_violations: tuple[str, ...]
+
+    @cached_property
+    def totals(self) -> dict[str, dict[str, int]]:
+        counts = {
+            theorem.value: {s.value: 0 for s in Status} for theorem, _ in _REGISTRY
+        }
+        for record in self.instances:
+            for outcome in record.outcomes:
+                counts[outcome.theorem.value][outcome.status.value] += 1
+        return counts
+
+    @property
+    def counterexample_count(self) -> int:
+        return sum(t[Status.COUNTEREXAMPLE.value] for t in self.totals.values())
+
+    @property
+    def succeeded(self) -> bool:
+        return self.counterexample_count == 0 and not self.invariant_violations
+
+    def to_json_dict(self) -> dict:
+        instances = []
+        for record in self.instances:
+            outcomes = []
+            for o in record.outcomes:
+                entry: dict = {"theorem": o.theorem.value, "status": o.status.value}
+                if o.witness is not None:
+                    entry["witness"] = o.witness
+                if o.note is not None:
+                    entry["note"] = o.note
+                outcomes.append(entry)
+            instances.append(
+                {"ring": record.ring, "ideal": list(record.ideal), "outcomes": outcomes}
+            )
+        return {
+            "family": list(self.family),
+            "ideal_filter": self.ideal_filter,
+            "instances": instances,
+            "totals": self.totals,
+            "invariant_violations": list(self.invariant_violations),
+        }
+
+    def to_json(self, generated_at: str | None = None) -> str:
+        data = self.to_json_dict()
+        if generated_at is not None:
+            data["generated_at"] = generated_at
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    def to_csv(self) -> str:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["ring", "ideal", "theorem", "status", "witness", "note"])
+        for record in self.instances:
+            ideal_text = "{" + ",".join(record.ideal) + "}"
+            for o in record.outcomes:
+                writer.writerow(
+                    [
+                        record.ring,
+                        ideal_text,
+                        o.theorem.value,
+                        o.status.value,
+                        o.witness or "",
+                        o.note or "",
+                    ]
+                )
+        return buffer.getvalue()
+
+
+def sweep(
+    family: Sequence[str],
+    ideal_filter: str = "nonzero",
+    workers: int | None = None,
+) -> SweepReport:
+    """Run every registered check over every (ring, ideal) of a family.
+
+    The report is assembled in family order regardless of worker count, so
+    identical inputs produce byte-identical serializations.
+    """
+    specs = [parse_ring_spec(spec).spec_name for spec in family]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, int(workers))
+    tasks = [(spec, ideal_filter) for spec in specs]
+    if workers == 1 or len(tasks) <= 1:
+        results = [_sweep_worker(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_sweep_worker, tasks))
+    records: list[InstanceRecord] = []
+    violations: list[str] = []
+    for recs, viols in results:
+        records.extend(recs)
+        violations.extend(viols)
+    return SweepReport(
+        family=tuple(specs),
+        ideal_filter=ideal_filter,
+        instances=tuple(records),
+        invariant_violations=tuple(violations),
+    )
