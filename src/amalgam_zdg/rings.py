@@ -326,8 +326,8 @@ def is_domain(ring: FiniteRing) -> bool:
     return zero_divisors(ring) == frozenset({ring.zero})
 
 
-def is_reduced(ring: FiniteRing) -> bool:
-    """True iff the ring has no nonzero nilpotents.
+def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:
+    """Boolean mask over the elements, True exactly on the nilpotents.
 
     In a finite ring the nilpotency index of any element is at most the
     order, so it suffices to square the power table ceil(log2 n) times.
@@ -336,7 +336,12 @@ def is_reduced(ring: FiniteRing) -> bool:
     powers = np.arange(n)
     for _ in range(max(1, (n - 1).bit_length())):
         powers = ring.mul_table[powers, powers]
-    nil = powers == ring.zero
+    return powers == ring.zero
+
+
+def is_reduced(ring: FiniteRing) -> bool:
+    """True iff the ring has no nonzero nilpotents."""
+    nil = _nilpotent_mask(ring)
     nil[ring.zero] = False
     return not nil.any()
 
@@ -392,6 +397,11 @@ def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     return Ideal(ring, frozenset(np.unique(ring.mul_table[:, a]).tolist()))
 
 
+def _ideal_order(members: frozenset[int]) -> tuple:
+    """Sort key of every ideal listing: by size, then by member indices."""
+    return len(members), tuple(sorted(members))
+
+
 def _sum_sets(ring: FiniteRing, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
     block = ring.add_table[np.ix_(sorted(left), sorted(right))]
     return frozenset(np.unique(block).tolist())
@@ -428,42 +438,38 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
                     ideals.add(s)
                     fresh.append(s)
         frontier = fresh
-    ordered = [
-        Ideal(ring, m)
-        for m in sorted(ideals, key=lambda m: (len(m), tuple(sorted(m))))
-    ]
+    ordered = [Ideal(ring, m) for m in sorted(ideals, key=_ideal_order)]
     ring._cache["all_ideals"] = ordered
     return ordered
 
 
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
-    """True iff the set is a proper ideal P with ab in P => a in P or b in P."""
+    """True iff the set is one of the ring's prime ideals."""
     s = frozenset(members)
-    if len(s) == ring.order or not is_ideal(ring, s):
-        return False
-    complement = sorted(set(ring.elements()) - s)
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[sorted(s)] = True
-    prods = ring.mul_table[np.ix_(complement, complement)]
-    return not mask[prods].any()
+    return any(p.members == s for p in prime_ideals(ring))
 
 
 def prime_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Proper ideals whose complement is multiplicatively closed."""
+    """Every prime ideal, sorted by (size, member indices).
+
+    A finite commutative ring is the product of local rings, one for each
+    primitive idempotent e, so its primes are exactly the ideals
+    M_e = {x : x*e nilpotent}.  A nonzero idempotent is primitive when no
+    other nonzero idempotent f satisfies e*f = f.  The ideal lattice is
+    never built; the tests compare against a complement scan over it.
+    """
     cached = ring._cache.get("prime_ideals")
     if cached is not None:
         return cached
-    mask = np.zeros(ring.order, dtype=bool)
-    primes = []
-    for ideal in all_ideals(ring):
-        if ideal.is_full:
-            continue
-        complement = sorted(set(ring.elements()) - ideal.members)
-        mask[:] = False
-        mask[list(ideal.sorted_members)] = True
-        prods = ring.mul_table[np.ix_(complement, complement)]
-        if not mask[prods].any():
-            primes.append(ideal)
+    mul = ring.mul_table
+    idem = np.nonzero(np.diagonal(mul) == np.arange(ring.order))[0]
+    idem = idem[idem != ring.zero]
+    # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
+    below = mul[np.ix_(idem, idem)] == idem[None, :]
+    primitive = idem[below.sum(axis=1) == 1]
+    nil = _nilpotent_mask(ring)
+    found = [frozenset(np.nonzero(nil[mul[:, e]])[0].tolist()) for e in primitive]
+    primes = [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
     ring._cache["prime_ideals"] = primes
     return primes
 

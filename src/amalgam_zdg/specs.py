@@ -7,15 +7,29 @@ leading ``Z`` is case-insensitive; no whitespace inside a spec.
 Ideal specs (relative to a base ring): ``zero``, ``full``, or
 ``gen(e1,e2,...)`` where each ``e`` is an element label of the base ring
 ("3" for Z_n, "(1,0)" for products).
+
+A ring's order is the product of its moduli and may not exceed
+``MAX_RING_ORDER``; larger specs are rejected before any table is built.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .rings import FiniteRing, Ideal, ideal_from_generators, make_zn, product_ring
 
-__all__ = ["SpecError", "parse_ring_spec", "expand_family", "parse_ideal_spec"]
+__all__ = [
+    "MAX_RING_ORDER",
+    "SpecError",
+    "parse_ring_spec",
+    "expand_family",
+    "parse_ideal_spec",
+]
+
+# A ring of order n is stored as two dense n x n intp tables, 128 MiB each
+# at this order; make_zn and product_ring briefly hold a few more.
+MAX_RING_ORDER = 4096
 
 _FACTOR_RE = re.compile(r"[Zz]([0-9]+)")
 _RANGE_RE = re.compile(r"[Zz]([0-9]+)\.\.[Zz]([0-9]+)")
@@ -36,7 +50,7 @@ def parse_ring_spec(text: str) -> FiniteRing:
     parts = spec.split("x")
     if len(parts) > 3:
         raise SpecError(f"ring spec '{text}' has more than three factors")
-    factors = []
+    moduli = []
     for part in parts:
         m = _FACTOR_RE.fullmatch(part)
         if m is None:
@@ -44,10 +58,19 @@ def parse_ring_spec(text: str) -> FiniteRing:
         n = int(m.group(1))
         if n < 2:
             raise SpecError(f"modulus in '{part}' must be at least 2")
-        factors.append(make_zn(n))
+        moduli.append(n)
+    _check_order(math.prod(moduli), text)
+    factors = [make_zn(n) for n in moduli]
     if len(factors) == 1:
         return factors[0]
     return product_ring(factors)
+
+
+def _check_order(order: int, text: str) -> None:
+    if order > MAX_RING_ORDER:
+        raise SpecError(
+            f"ring '{text}' has order {order}, above the limit of {MAX_RING_ORDER}"
+        )
 
 
 def expand_family(text: str) -> list[str]:
@@ -67,6 +90,7 @@ def expand_family(text: str) -> list[str]:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo < 2 or hi < lo:
                 raise SpecError(f"bad modulus range '{item}'")
+            _check_order(hi, f"Z{hi}")
             out.extend(f"Z{n}" for n in range(lo, hi + 1))
         else:
             out.append(parse_ring_spec(item).spec_name)

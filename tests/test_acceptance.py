@@ -6,6 +6,8 @@ Each criterion prints one pass/fail line (visible with ``pytest -s``).
 
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 from contextlib import contextmanager
 
@@ -19,16 +21,22 @@ from amalgam_zdg import (
     distance,
     girth,
     ideal_from_generators,
+    is_prime_ideal,
     is_star,
     make_zn,
+    minimal_primes,
     parse_ideal_spec,
     parse_ring_spec,
+    prime_ideals,
     structure_checks,
     sweep,
+    to_product_rep,
     zero_divisors,
     zset_square_zero,
 )
 from oracles import (
+    complement_scan_is_prime,
+    complement_scan_primes,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
     subset_scan_ideals,
@@ -39,6 +47,13 @@ FAMILY = (
     + ["Z2xZ2", "Z2xZ3", "Z2xZ4", "Z3xZ3", "Z3xZ4", "Z4xZ4"]
     + ["Z2xZ2xZ2"]
 )
+
+# sha256 of the family's sweep reports at workers=1.  A refactor that is
+# meant to keep the report bytes must pass without editing these.
+REPORT_SHA256 = {
+    "json": "be97df09e87f6e30775e995cabe222f4582fd3cffc8a2b2fb240e7861754b5d1",
+    "csv": "610da669bd9e5ac7558fa61c5ec66bff3e02980e08c5dd60a1ff223614ea55e3",
+}
 
 
 @contextmanager
@@ -150,13 +165,33 @@ def test_exhaustive_sweep_is_clean(sweep_report):
         assert report.to_json() == sweep_report.to_json()
 
 
+def _assert_primes_match_oracle(ring, rng: random.Random) -> None:
+    """Compare the prime functions with the complement-scan oracle.  The
+    oracle builds the whole ideal lattice, which stays cheap here because
+    every duplication of the family has order at most 256."""
+    oracle = complement_scan_primes(ring)
+    assert [p.members for p in prime_ideals(ring)] == oracle, ring.spec_name
+    minimal = [p for p in oracle if not any(q < p for q in oracle)]
+    assert [p.members for p in minimal_primes(ring)] == minimal, ring.spec_name
+    candidates = [i.members for i in all_ideals(ring)] + [zero_divisors(ring)]
+    for _ in range(3):
+        picked = rng.sample(range(ring.order), rng.randint(1, ring.order))
+        candidates.append(frozenset(picked) | {ring.zero})
+    for members in candidates:
+        assert is_prime_ideal(ring, members) == complement_scan_is_prime(
+            ring, members
+        ), (ring.spec_name, sorted(members))
+
+
 def test_oracle_equivalence(family_instances):
-    with criterion("oracles: ideal lattice, all-pairs diameter, cycle girth"):
+    with criterion("oracles: ideal lattice, primes, all-pairs diameter, cycle girth"):
+        rng = random.Random(0)
         for spec in FAMILY:
             ring = parse_ring_spec(spec)
             if ring.order <= 8:
                 got = [i.members for i in all_ideals(ring)]
                 assert got == subset_scan_ideals(ring), spec
+            _assert_primes_match_oracle(ring, rng)
         seen_rings = set()
         for ring, ideal in family_instances:
             graphs = []
@@ -164,12 +199,32 @@ def test_oracle_equivalence(family_instances):
                 seen_rings.add(ring.spec_name)
                 graphs.append(build_graph(ring))
             dup = amalgamated_duplication(ring, ideal)
+            _assert_primes_match_oracle(dup.ring, rng)
             graphs.append(build_graph(dup.ring))
             for graph in graphs:
                 if graph.vertex_count <= 50:
                     assert diameter(graph) == floyd_warshall_diameter(graph)
                 if graph.vertex_count <= 12:
                     assert girth(graph) == enumerate_cycles_girth(graph)
+
+
+def test_duplication_primes_lift_base_primes(family_instances):
+    """D'Anna-Fontana: the primes of the duplication are exactly the
+    preimages of the base ring's primes under the two projections
+    (r, i) -> r and (r, i) -> r + i, and the two preimages of P coincide
+    exactly when the ideal lies inside P."""
+    with criterion("spectrum: duplication primes are lifts of base primes"):
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal)
+            images = [to_product_rep(dup, e) for e in dup.ring.elements()]
+            lifts = set()
+            for p in complement_scan_primes(ring):
+                first = frozenset(e for e, (a, _) in enumerate(images) if a in p)
+                second = frozenset(e for e, (_, b) in enumerate(images) if b in p)
+                assert (first == second) == (ideal.members <= p)
+                lifts |= {first, second}
+            got = {q.members for q in prime_ideals(dup.ring)}
+            assert got == lifts, dup.ring.spec_name
 
 
 def test_bipartite_pattern_and_embedding(family_instances):
@@ -191,6 +246,16 @@ def test_bipartite_pattern_and_embedding(family_instances):
             assert len(t1) == len(t2) == nonzero
             checked += 1
         assert checked == len(family_instances)
+
+
+def test_sweep_report_bytes_are_pinned(sweep_report):
+    with criterion("pinned: acceptance-family JSON and CSV report digests"):
+        for fmt, text in (
+            ("json", sweep_report.to_json()),
+            ("csv", sweep_report.to_csv()),
+        ):
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == REPORT_SHA256[fmt], fmt
 
 
 def test_sweep_determinism(sweep_report):

@@ -45,6 +45,12 @@ class TestAnalyze:
         assert code == 2
         assert "Q7" in err
 
+    def test_oversized_ring_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "Z100000")
+        assert code == 2
+        assert out == ""
+        assert "order 100000, above the limit" in err
+
 
 class TestVerify:
     def test_klein_line_ideal_passes(self, capsys):

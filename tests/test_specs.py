@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from amalgam_zdg import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
+from amalgam_zdg import specs
+from amalgam_zdg.specs import MAX_RING_ORDER
+
+
+def _no_tables(*args):
+    raise AssertionError("a ring table was built for an oversized spec")
 
 
 class TestRingSpecs:
@@ -30,6 +38,27 @@ class TestRingSpecs:
         with pytest.raises(SpecError, match="Q7"):
             parse_ring_spec("Q7")
 
+    @pytest.mark.parametrize("big", ["Z100000", "Z20xZ20xZ20"])
+    def test_oversized_specs_fail_before_any_table(self, big, monkeypatch):
+        monkeypatch.setattr(specs, "make_zn", _no_tables)
+        monkeypatch.setattr(specs, "product_ring", _no_tables)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="above the limit"):
+                parse_ring_spec(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_order_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(specs, "make_zn", lambda n: n)
+        monkeypatch.setattr(specs, "product_ring", tuple)
+        assert parse_ring_spec(f"Z{MAX_RING_ORDER}") == MAX_RING_ORDER
+        assert parse_ring_spec("Z64xZ64") == (64, 64)
+        with pytest.raises(SpecError, match="above the limit"):
+            parse_ring_spec("Z64xZ65")
+
 
 class TestFamilies:
     def test_range_expansion(self):
@@ -41,7 +70,10 @@ class TestFamilies:
     def test_entries_are_canonicalized(self):
         assert expand_family("z6") == ["Z6"]
 
-    @pytest.mark.parametrize("bad", ["", "   ", "Z5..Z2", "Z2,,Z3", "Z1..Z4"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "   ", "Z5..Z2", "Z2,,Z3", "Z1..Z4", f"Z2..Z{MAX_RING_ORDER + 1}"],
+    )
     def test_rejected_families(self, bad):
         with pytest.raises(SpecError):
             expand_family(bad)
