@@ -36,30 +36,47 @@ class NotAnIdealError(ValueError):
 
 
 def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
-    """Addition/multiplication tables over the carrier base x members."""
+    """Addition/multiplication tables over the carrier base x members.
+
+    The carrier element (r, i) has index r*k + t where i = members[t], so
+    both tables are built in the shape (n, k, n, k) from two small tables
+    of positions inside the ideal: of i+j (k x k) and of r*j (n x k).
+    Second coordinates never leave position form, and an escape from the
+    ideal shows in those two tables before anything of the carrier's
+    squared size is built.
+    """
     n, k = base.order, len(members)
-    rv = np.repeat(np.arange(n), k)
-    iv = np.tile(np.array(members, dtype=np.intp), n)
+    m = np.array(members, dtype=np.intp)
     pos = np.full(n, -1, dtype=np.intp)
-    pos[list(members)] = np.arange(k)
+    pos[m] = np.arange(k)
     add_t, mul_t = base.add_table, base.mul_table
 
-    add_first = add_t[rv[:, None], rv[None, :]]
-    add_second = add_t[iv[:, None], iv[None, :]]
-    mul_first = mul_t[rv[:, None], rv[None, :]]
-    cross = add_t[mul_t[rv[:, None], iv[None, :]], mul_t[iv[:, None], rv[None, :]]]
-    if with_product_term:
-        mul_second = add_t[cross, mul_t[iv[:, None], iv[None, :]]]
-    else:
-        mul_second = cross
-    if (pos[add_second] < 0).any() or (pos[mul_second] < 0).any():
+    sum_pos = pos[add_t[m[:, None], m[None, :]]]
+    prod_pos = pos[mul_t[:, m]]
+    if (sum_pos < 0).any() or (prod_pos < 0).any():
         raise NotAnIdealError("second coordinates escape the ideal carrier")
-    add = add_first * k + pos[add_second]
-    mul = mul_first * k + pos[mul_second]
-    labels = [f"({base.labels[r]},{base.labels[i]})" for r, i in zip(rv, iv)]
+
+    add = (add_t * k)[:, None, :, None] + sum_pos[None, :, None, :]
+    # The position of r*j at [r, i, j], or of r*j + i*j for the duplication.
+    if with_product_term:
+        rj_pos = sum_pos[prod_pos[:, None, :], prod_pos[m][None, :, :]]
+    else:
+        rj_pos = np.broadcast_to(prod_pos[:, None, :], (n, k, k))
+    # One gather per first coordinate r adds s*i at [i, s, j].  Gathering
+    # into a slab of the C-ordered result keeps carrier order; one gather
+    # over the whole shape comes out in a transposed layout, which the
+    # final reshape would copy.
+    mul = np.empty((n, k, n, k), dtype=np.intp)
+    sums = sum_pos.ravel()
+    cross = prod_pos.T[:, :, None]
+    for r in range(n):
+        np.take(sums, (rj_pos[r] * k)[:, None, :] + cross, out=mul[r])
+        mul[r] += (mul_t[r] * k)[None, :, None]
+    size = n * k
+    labels = [f"({base.labels[r]},{base.labels[i]})" for r in range(n) for i in members]
     zero = int(base.zero * k + pos[base.zero])
     one = int(base.one * k + pos[base.zero])
-    return add, mul, zero, one, labels
+    return add.reshape(size, size), mul.reshape(size, size), zero, one, labels
 
 
 def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
@@ -85,7 +102,9 @@ class AmalgamRing:
         self._pos = {elem: t for t, elem in enumerate(members)}
         add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=True)
         name = f"{base.spec_name} join {base.format_subset(members)}"
-        self.ring = FiniteRing(base.order * len(members), add, mul, zero, one, labels, name)
+        self.ring = FiniteRing(
+            base.order * len(members), add, mul, zero, one, labels, name, _owned=True
+        )
 
     def __repr__(self) -> str:
         return f"AmalgamRing({self.ring.spec_name!r})"
@@ -132,7 +151,9 @@ def idealization(base: FiniteRing, ideal: Ideal) -> FiniteRing:
     members = _checked_ideal(base, ideal)
     add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=False)
     name = f"{base.spec_name} idealization {base.format_subset(members)}"
-    return FiniteRing(base.order * len(members), add, mul, zero, one, labels, name)
+    return FiniteRing(
+        base.order * len(members), add, mul, zero, one, labels, name, _owned=True
+    )
 
 
 def to_product_rep(amalgam: AmalgamRing, e: int) -> tuple[int, int]:

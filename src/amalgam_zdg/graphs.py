@@ -132,40 +132,113 @@ def is_connected(graph: ZDGraph) -> bool:
     return all(d >= 0 for d in _bfs_depths(graph, 0))
 
 
-def diameter(graph: ZDGraph) -> int | None:
-    """Largest BFS eccentricity; None for the empty graph.
+def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left @ right) > 0 for boolean matrices, without BLAS.
 
-    Raises DisconnectedGraphError on a disconnected graph rather than
-    returning a value, since that would falsify the connectivity invariant.
+    Method of the four Russians on bit-packed rows: the columns of ``left``
+    are taken eight at a time, the ORs of all 256 subsets of the matching
+    eight rows of ``right`` form a table, and each result row ORs in the
+    entry its eight bits select.  The cost is about n*m*(256 + r)/64 byte
+    operations for an r x n by n x m product in n/8 vectorized steps,
+    whatever the density, on one thread.  A float32 BLAS matmul runs on
+    the library's thread pool, whose synchronisation can cost more than
+    the product: 16 ms against under 1 ms on one thread for 150 to 400
+    vertices, on a 2-vCPU virtual machine.
     """
-    if graph.vertex_count == 0:
+    groups = -(-left.shape[1] // 8)
+    keys = np.packbits(left, axis=1, bitorder="little")
+    packed = np.packbits(right, axis=1)
+    width = packed.shape[1]
+    rows = np.zeros((groups, 8, width), dtype=np.uint8)
+    rows.reshape(groups * 8, width)[: len(packed)] = packed
+    table = np.zeros((256, width), dtype=np.uint8)
+    out = np.zeros((len(left), width), dtype=np.uint8)
+    for g in range(groups):
+        for b in range(8):
+            np.bitwise_or(table[: 1 << b], rows[g, b], out=table[1 << b : 2 << b])
+        out |= table[keys[:, g]]
+    return np.unpackbits(out, axis=1, count=right.shape[1]).view(bool)
+
+
+def _two_step(graph: ZDGraph) -> np.ndarray:
+    """(A @ A) > 0, cached on the graph: u and v have a common neighbour."""
+    cached = graph._cache.get("two_step")
+    if cached is None:
+        cached = _boolean_product(graph.adjacency, graph.adjacency)
+        graph._cache["two_step"] = cached
+    return cached
+
+
+def diameter(graph: ZDGraph) -> int | None:
+    """Largest eccentricity; None for the empty graph.
+
+    Grows the boolean reach sets "within d steps" of every vertex, one
+    boolean matrix product per step on the rows not yet full, until every
+    row is full; the number of steps is the diameter.  No bound on the step
+    count is assumed, so a diameter above 3 is reported as it is.  Raises
+    DisconnectedGraphError on a disconnected graph rather than returning a
+    value, since that would falsify the connectivity invariant: there some
+    row stops growing before it is full.
+    """
+    n = graph.vertex_count
+    if n == 0:
         return None
     cached = graph._cache.get("diameter")
     if cached is not None:
         return cached
-    best = 0
-    for src in range(graph.vertex_count):
-        depths = _bfs_depths(graph, src)
-        worst = max(depths)
-        if min(depths) < 0:
+    reach = graph.adjacency | np.eye(n, dtype=bool)
+    steps = 0 if n == 1 else 1
+    open_rows = np.flatnonzero(~reach.all(axis=1))
+    while open_rows.size:
+        before = reach[open_rows]
+        if steps == 1:
+            # (A | I) @ A = A + A @ A, so the first step is the cached square.
+            grown = before | _two_step(graph)[open_rows]
+        else:
+            grown = before | _boolean_product(before, graph.adjacency)
+        if (grown == before).all(axis=1).any():
             raise DisconnectedGraphError(
                 "zero-divisor graph is disconnected; connectivity invariant violated"
             )
-        best = max(best, worst)
-    graph._cache["diameter"] = best
-    return best
+        reach[open_rows] = grown
+        steps += 1
+        open_rows = open_rows[~grown.all(axis=1)]
+    graph._cache["diameter"] = steps
+    return steps
 
 
 def girth(graph: ZDGraph) -> int | float:
     """Length of a shortest cycle, or math.inf for acyclic graphs.
 
-    Per-root BFS: a non-tree edge joining vertices at depths d1 and d2
-    exhibits a closed walk of length d1+d2+1, which always contains a cycle
-    no longer than that; minimizing over all roots is exact.
+    Girth 3 is an edge whose ends have a common neighbour (A @ A is nonzero
+    on an edge), girth 4 two distinct vertices with two common neighbours
+    (an off-diagonal entry of A @ A of at least 2, counted by a float32
+    matmul, which is exact below 2**24 vertices).  When neither holds the
+    girth is at least 5 or infinite, and a per-root BFS decides it.
     """
     cached = graph._cache.get("girth")
     if cached is not None:
         return cached
+    adj = graph.adjacency
+    if (_two_step(graph) & adj).any():
+        best: int | float = 3
+    else:
+        counts = adj.astype(np.float32)
+        shared = counts @ counts >= 2
+        np.fill_diagonal(shared, False)
+        best = 4 if shared.any() else _bfs_girth(graph)
+    graph._cache["girth"] = best
+    return best
+
+
+def _bfs_girth(graph: ZDGraph) -> int | float:
+    """Per-root BFS, for graphs already known to have no 3- or 4-cycle.
+
+    A non-tree edge joining vertices at depths d1 and d2 exhibits a closed
+    walk of length d1+d2+1, which always contains a cycle no longer than
+    that; minimizing over all roots is exact.  Girth 5 is the least left,
+    so finding it ends the search.
+    """
     best: int | float = math.inf
     n = graph.vertex_count
     for root in range(n):
@@ -184,9 +257,8 @@ def girth(graph: ZDGraph) -> int | float:
                     candidate = depth[u] + depth[w] + 1
                     if candidate < best:
                         best = candidate
-        if best == 3:
+        if best == 5:
             break
-    graph._cache["girth"] = best
     return best
 
 

@@ -50,12 +50,18 @@ class FiniteRing:
         one: int,
         labels: Sequence[str],
         spec_name: str = "",
+        *,
+        _owned: bool = False,
     ) -> None:
         self.order = int(order)
         if self.order < 1:
             raise ValueError(f"ring order must be positive, got {order}")
-        add = np.array(add_table, dtype=np.intp)
-        mul = np.array(mul_table, dtype=np.intp)
+        # Tables the package builds (_owned) are fresh and never touched
+        # again, so they are frozen in place; a caller's arrays are copied,
+        # so they are neither aliased nor frozen.
+        as_table = np.asarray if _owned else np.array
+        add = as_table(add_table, dtype=np.intp)
+        mul = as_table(mul_table, dtype=np.intp)
         shape = (self.order, self.order)
         if add.shape != shape:
             raise ValueError(f"add_table has shape {add.shape}, expected {shape}")
@@ -170,7 +176,8 @@ def make_zn(n: int) -> FiniteRing:
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
-    return FiniteRing(n, add, mul, 0, 1, [str(i) for i in range(n)], f"Z{n}")
+    labels = [str(i) for i in range(n)]
+    return FiniteRing(n, add, mul, 0, 1, labels, f"Z{n}", _owned=True)
 
 
 def product_ring(factors: Sequence[FiniteRing]) -> FiniteRing:
@@ -201,7 +208,7 @@ def product_ring(factors: Sequence[FiniteRing]) -> FiniteRing:
         zero = zero * f.order + f.zero
         one = one * f.order + f.one
     name = "x".join(f.spec_name for f in factors)
-    return FiniteRing(order, add, mul, zero, one, labels, name)
+    return FiniteRing(order, add, mul, zero, one, labels, name, _owned=True)
 
 
 def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:

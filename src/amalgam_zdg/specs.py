@@ -55,7 +55,7 @@ def parse_ring_spec(text: str) -> FiniteRing:
         m = _FACTOR_RE.fullmatch(part)
         if m is None:
             raise SpecError(f"unrecognized ring token '{part}' in '{text}'")
-        n = int(m.group(1))
+        n = _modulus(m.group(1))
         if n < 2:
             raise SpecError(f"modulus in '{part}' must be at least 2")
         moduli.append(n)
@@ -64,6 +64,19 @@ def parse_ring_spec(text: str) -> FiniteRing:
     if len(factors) == 1:
         return factors[0]
     return product_ring(factors)
+
+
+def _modulus(digits: str) -> int:
+    """The value of a modulus's digit string.  A string of more than
+    MAX_RING_ORDER significant digits is above the order limit whatever its
+    value, and is rejected before int(), which refuses more than 4300."""
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_RING_ORDER:
+        raise SpecError(
+            f"a modulus of {len(significant)} digits puts the ring order "
+            f"above the limit of {MAX_RING_ORDER}"
+        )
+    return int(significant or "0")
 
 
 def _check_order(order: int, text: str) -> None:
@@ -87,7 +100,7 @@ def expand_family(text: str) -> list[str]:
             raise SpecError(f"empty entry in family '{text}'")
         m = _RANGE_RE.fullmatch(item)
         if m is not None:
-            lo, hi = int(m.group(1)), int(m.group(2))
+            lo, hi = _modulus(m.group(1)), _modulus(m.group(2))
             if lo < 2 or hi < lo:
                 raise SpecError(f"bad modulus range '{item}'")
             _check_order(hi, f"Z{hi}")

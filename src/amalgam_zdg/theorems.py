@@ -15,11 +15,13 @@ import enum
 import io
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -651,6 +653,33 @@ def _sweep_worker(args: tuple[str, str]) -> tuple[list[InstanceRecord], list[str
     return _sweep_ring(*args)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A process pool whose workers each run a single BLAS thread.
+
+    A BLAS library sizes its thread pool once, from these variables, when
+    numpy loads it, so they are set while the pool lives: a spawned worker
+    starts from a fresh interpreter, whenever the pool decides to start
+    it, and inherits the environment of that moment.  Without them every
+    worker would start one BLAS thread per core.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 @dataclass(frozen=True)
 class SweepReport:
     family: tuple[str, ...]
@@ -742,7 +771,7 @@ def sweep(
     if workers == 1 or len(tasks) <= 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with _worker_pool(min(workers, len(tasks))) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     records: list[InstanceRecord] = []
     violations: list[str] = []

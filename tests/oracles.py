@@ -2,13 +2,17 @@
 
 These deliberately avoid the code paths they validate: subsets instead of
 closure for ideals, a complement scan over the ideal lattice instead of
-primitive idempotents for primes, Floyd-Warshall instead of BFS for
-distances, and exhaustive cycle enumeration instead of the BFS girth scan.
+primitive idempotents for primes, per-source BFS and Floyd-Warshall
+instead of boolean reachability products for the diameter, a per-root BFS and
+exhaustive cycle enumeration instead of the A @ A girth tests, and
+element-by-element gathers instead of broadcast position tables for the
+duplication and idealization tables.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
 
 import networkx as nx
@@ -105,3 +109,73 @@ def enumerate_cycles_girth(graph: ZDGraph) -> int | float:
     for cycle in nx.simple_cycles(g):
         best = min(best, len(cycle))
     return best
+
+
+def bfs_diameter(graph: ZDGraph) -> int | None:
+    """Largest eccentricity by one BFS per source; None for the empty graph
+    and for a disconnected one."""
+    n = graph.vertex_count
+    if n == 0:
+        return None
+    best = 0
+    for source in range(n):
+        depth = [-1] * n
+        depth[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in graph.neighbors[u]:
+                if depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+        if min(depth) < 0:
+            return None
+        best = max(best, max(depth))
+    return best
+
+
+def bfs_girth(graph: ZDGraph) -> int | float:
+    """Shortest cycle by a BFS from every root: a non-tree edge between
+    depths d1 and d2 closes a walk of length d1+d2+1 containing a cycle no
+    longer than that, and the minimum over all roots is exact."""
+    best: int | float = math.inf
+    n = graph.vertex_count
+    for root in range(n):
+        depth = [-1] * n
+        parent = [-1] * n
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in graph.neighbors[u]:
+                if depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    best = min(best, depth[u] + depth[w] + 1)
+    return best
+
+
+def gather_pair_tables(
+    base: FiniteRing, members, with_product_term: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables over the carrier base x members,
+    (r, i) at index r*k + t for i = members[t], by gathering every pair's
+    coordinates from the base tables element by element."""
+    n, k = base.order, len(members)
+    rv = np.repeat(np.arange(n), k)
+    iv = np.tile(np.array(sorted(members), dtype=np.intp), n)
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[sorted(members)] = np.arange(k)
+    add_t, mul_t = base.add_table, base.mul_table
+    add_first = add_t[rv[:, None], rv[None, :]]
+    add_second = add_t[iv[:, None], iv[None, :]]
+    mul_first = mul_t[rv[:, None], rv[None, :]]
+    cross = add_t[mul_t[rv[:, None], iv[None, :]], mul_t[iv[:, None], rv[None, :]]]
+    if with_product_term:
+        mul_second = add_t[cross, mul_t[iv[:, None], iv[None, :]]]
+    else:
+        mul_second = cross
+    assert (pos[add_second] >= 0).all() and (pos[mul_second] >= 0).all()
+    return add_first * k + pos[add_second], mul_first * k + pos[mul_second]

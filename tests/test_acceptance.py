@@ -11,6 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from amalgam_zdg import (
@@ -21,6 +22,7 @@ from amalgam_zdg import (
     distance,
     girth,
     ideal_from_generators,
+    idealization,
     is_prime_ideal,
     is_star,
     make_zn,
@@ -35,10 +37,13 @@ from amalgam_zdg import (
     zset_square_zero,
 )
 from oracles import (
+    bfs_diameter,
+    bfs_girth,
     complement_scan_is_prime,
     complement_scan_primes,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
+    gather_pair_tables,
     subset_scan_ideals,
 )
 
@@ -183,8 +188,21 @@ def _assert_primes_match_oracle(ring, rng: random.Random) -> None:
         ), (ring.spec_name, sorted(members))
 
 
+def _assert_tables_match_oracle(ring, ideal, dup) -> None:
+    for built, with_product_term in (
+        (dup.ring, True),
+        (idealization(ring, ideal), False),
+    ):
+        add, mul = gather_pair_tables(ring, ideal.members, with_product_term)
+        assert np.array_equal(built.add_table, add), built.spec_name
+        assert np.array_equal(built.mul_table, mul), built.spec_name
+
+
 def test_oracle_equivalence(family_instances):
-    with criterion("oracles: ideal lattice, primes, all-pairs diameter, cycle girth"):
+    with criterion(
+        "oracles: ideal lattice, primes, pair tables, BFS and all-pairs "
+        "diameter, BFS and cycle girth"
+    ):
         rng = random.Random(0)
         for spec in FAMILY:
             ring = parse_ring_spec(spec)
@@ -200,12 +218,16 @@ def test_oracle_equivalence(family_instances):
                 graphs.append(build_graph(ring))
             dup = amalgamated_duplication(ring, ideal)
             _assert_primes_match_oracle(dup.ring, rng)
+            _assert_tables_match_oracle(ring, ideal, dup)
             graphs.append(build_graph(dup.ring))
             for graph in graphs:
+                assert diameter(graph) == bfs_diameter(graph)
+                assert girth(graph) == bfs_girth(graph)
                 if graph.vertex_count <= 50:
                     assert diameter(graph) == floyd_warshall_diameter(graph)
                 if graph.vertex_count <= 12:
                     assert girth(graph) == enumerate_cycles_girth(graph)
+        assert len(seen_rings) == len(FAMILY) and len(family_instances) == 68
 
 
 def test_duplication_primes_lift_base_primes(family_instances):

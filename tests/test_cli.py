@@ -51,6 +51,12 @@ class TestAnalyze:
         assert out == ""
         assert "order 100000, above the limit" in err
 
+    def test_modulus_too_long_for_int_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "Z" + "9" * 5000)
+        assert code == 2
+        assert out == ""
+        assert "a modulus of 5000 digits puts the ring order above the limit" in err
+
 
 class TestVerify:
     def test_klein_line_ideal_passes(self, capsys):

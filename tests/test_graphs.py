@@ -27,7 +27,13 @@ from amalgam_zdg import (
     parse_ring_spec,
     universal_vertices,
 )
-from oracles import enumerate_cycles_girth, floyd_warshall_diameter
+from amalgam_zdg import graphs
+from oracles import (
+    bfs_diameter,
+    bfs_girth,
+    enumerate_cycles_girth,
+    floyd_warshall_diameter,
+)
 
 SAMPLE_SPECS = [
     ("Z6", "gen(3)"),
@@ -48,6 +54,47 @@ def dup_graph(spec, ideal_spec):
     ring = parse_ring_spec(spec)
     a = amalgamated_duplication(ring, parse_ideal_spec(ring, ideal_spec))
     return a, build_graph(a.ring)
+
+
+def synthetic(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return ZDGraph(range(n), [str(v) for v in range(n)], adj)
+
+
+def path(n, first=0):
+    return [(v, v + 1) for v in range(first, first + n - 1)]
+
+
+def cycle(n):
+    return synthetic(n, path(n) + [(n - 1, 0)])
+
+
+def k33():
+    return synthetic(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def star():
+    return synthetic(5, [(0, v) for v in range(1, 5)])
+
+
+def triangle_with_tail():
+    """Triangle 0-1-2 with the path 2-3-4 hanging off it."""
+    return synthetic(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+
+
+@pytest.fixture
+def bfs_girth_calls(monkeypatch):
+    calls = []
+    fallback = graphs._bfs_girth
+
+    def spy(graph):
+        calls.append(graph)
+        return fallback(graph)
+
+    monkeypatch.setattr(graphs, "_bfs_girth", spy)
+    return calls
 
 
 def sample_graphs():
@@ -116,6 +163,23 @@ class TestDistance:
                         assert duv <= duw + dwv
 
 
+class TestBooleanProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 20),
+        st.integers(0, 40),
+        st.integers(0, 20),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_integer_matmul(self, r, n, m, density, seed):
+        rng = np.random.default_rng(seed)
+        left = rng.random((r, n)) < density
+        right = rng.random((n, m)) < density
+        expected = (left.astype(np.int64) @ right.astype(np.int64)) > 0
+        assert np.array_equal(graphs._boolean_product(left, right), expected)
+
+
 class TestDiameter:
     def test_known_diameters(self):
         assert diameter(build_graph(make_zn(8))) == 2
@@ -138,6 +202,20 @@ class TestDiameter:
     def test_matches_all_pairs_oracle(self):
         for g in sample_graphs():
             assert diameter(g) == floyd_warshall_diameter(g)
+
+    def test_no_cap_at_three(self):
+        g = synthetic(6, path(6))
+        assert diameter(g) == 5 == bfs_diameter(g)
+
+    def test_reach_steps_past_the_square(self):
+        g = triangle_with_tail()
+        assert diameter(g) == 3 == bfs_diameter(g)
+
+    def test_row_stalling_after_the_square_raises(self):
+        # Two 4-vertex paths: every row grows through the squared step and
+        # the middle rows stall only at the first matmul step.
+        with pytest.raises(DisconnectedGraphError):
+            diameter(synthetic(8, path(4) + path(4, first=4)))
 
     def test_complete_iff_diameter_one(self):
         for g in sample_graphs():
@@ -163,6 +241,25 @@ class TestGirth:
         for g in sample_graphs():
             if g.vertex_count <= 12:
                 assert girth(g) == enumerate_cycles_girth(g)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_long_cycles_go_through_the_bfs_fallback(self, n, bfs_girth_calls):
+        g = cycle(n)
+        assert girth(g) == n == bfs_girth(g)
+        assert bfs_girth_calls == [g]
+
+    def test_star_is_acyclic_through_the_bfs_fallback(self, bfs_girth_calls):
+        g = star()
+        assert math.isinf(girth(g))
+        assert bfs_girth_calls == [g]
+
+    @pytest.mark.parametrize(
+        "build, expected", [(k33, 4), (triangle_with_tail, 3)], ids=["K33", "triangle"]
+    )
+    def test_square_decides_three_and_four(self, build, expected, bfs_girth_calls):
+        g = build()
+        assert girth(g) == expected == bfs_girth(g)
+        assert bfs_girth_calls == []
 
 
 class TestShapePredicates:

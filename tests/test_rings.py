@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from amalgam_zdg import (
     FiniteRing,
     all_ideals,
+    amalgamated_duplication,
     annihilator,
     annihilator_pair,
     direct_product,
     ideal_from_generators,
     ideal_violations,
+    idealization,
     is_domain,
     is_field,
     is_ideal,
@@ -82,6 +84,42 @@ class TestProducts:
         b = r.element_index("(1,1)")
         assert r.labels[r.add(a, b)] == "(0,0)"
         assert r.labels[r.mul(a, b)] == "(1,2)"
+
+
+class TestTableOwnership:
+    def test_package_built_tables_are_frozen_in_place(self, monkeypatch):
+        handed = {}
+        init = FiniteRing.__init__
+
+        def spy(self, order, add_table, mul_table, *args, **kwargs):
+            handed[self] = (add_table, mul_table)
+            init(self, order, add_table, mul_table, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteRing, "__init__", spy)
+        base = make_zn(6)
+        ideal = ideal_from_generators(base, [3])
+        built = [
+            base,
+            product_ring([make_zn(2), make_zn(3)]),
+            amalgamated_duplication(base, ideal).ring,
+            idealization(base, ideal),
+        ]
+        for ring in built:
+            add, mul = handed[ring]
+            assert np.shares_memory(add, ring.add_table), ring.spec_name
+            assert np.shares_memory(mul, ring.mul_table), ring.spec_name
+            assert not ring.add_table.flags.writeable
+            assert not ring.mul_table.flags.writeable
+
+    def test_caller_tables_are_copied(self):
+        add = np.array(make_zn(3).add_table)
+        mul = np.array(make_zn(3).mul_table)
+        ring = FiniteRing(3, add, mul, 0, 1, ["0", "1", "2"])
+        assert not np.shares_memory(add, ring.add_table)
+        assert not np.shares_memory(mul, ring.mul_table)
+        assert add.flags.writeable and mul.flags.writeable
+        add[0, 0] = mul[0, 0] = 2
+        assert ring.add(0, 0) == 0 and ring.mul(0, 0) == 0
 
 
 class TestAxioms:

@@ -51,6 +51,17 @@ class TestRingSpecs:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("big", ["Z" + "9" * 5000, "Z2xZ" + "1" * 4097])
+    def test_overlong_modulus_is_rejected_before_int(self, big):
+        with pytest.raises(SpecError, match="digits puts the ring order above the limit"):
+            parse_ring_spec(big)
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        zeros = "0" * 5000
+        assert parse_ring_spec(f"Z{zeros}6").spec_name == "Z6"
+        with pytest.raises(SpecError, match="order 99999, above the limit"):
+            parse_ring_spec(f"Z{zeros}99999")
+
     def test_order_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(specs, "make_zn", lambda n: n)
         monkeypatch.setattr(specs, "product_ring", tuple)
@@ -76,6 +87,13 @@ class TestFamilies:
     )
     def test_rejected_families(self, bad):
         with pytest.raises(SpecError):
+            expand_family(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["Z2..Z" + "9" * 5000, "Z" + "9" * 5000 + "..Z" + "9" * 5001]
+    )
+    def test_overlong_range_end_is_rejected_before_int(self, bad):
+        with pytest.raises(SpecError, match="digits puts the ring order above the limit"):
             expand_family(bad)
 
 

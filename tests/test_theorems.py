@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from amalgam_zdg import (
     run_all,
     sweep,
 )
-from amalgam_zdg.theorems import _outcome
+from amalgam_zdg.theorems import _BLAS_THREAD_VARS, _outcome, _worker_pool
 
 EXPECTED_ORDER = [
     TheoremId.C3_3,
@@ -296,6 +298,25 @@ class TestSweep:
         parallel = sweep(family, "nonzero", workers=2).to_json()
         assert serial == parallel
 
+    def test_pool_workers_run_one_blas_thread(self):
+        def blas_env():
+            return {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+
+        before = blas_env()
+        with _worker_pool(2) as pool:
+            futures = [pool.submit(_blas_thread_probe) for _ in range(2)]
+            counts = [f.result(timeout=120) for f in futures]
+        assert counts == [1, 1]
+        assert blas_env() == before
+
     def test_bad_spec_aborts(self):
         with pytest.raises(Exception):
             sweep(["Z6", "Q7"], "nonzero", workers=1)
+
+
+def _blas_thread_probe() -> int:
+    """Threads of this worker after a matmul large enough for BLAS to use
+    its whole thread pool."""
+    a = np.ones((600, 600), dtype=np.float32)
+    a @ a
+    return len(os.listdir("/proc/self/task"))
