@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "AmalgamRing",
     "amalgamated_duplication",
     "idealization",
+    "matches_idealization",
     "to_product_rep",
     "verify_product_embedding",
     "ZDClassification",
@@ -35,43 +37,69 @@ class NotAnIdealError(ValueError):
     """The member set handed to a pair construction is not an ideal."""
 
 
-def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
-    """Addition/multiplication tables over the carrier base x members.
+def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
+    """Positions inside the ideal of i+j (k x k) and of r*j (n x k).
 
-    The carrier element (r, i) has index r*k + t where i = members[t], so
-    both tables are built in the shape (n, k, n, k) from two small tables
-    of positions inside the ideal: of i+j (k x k) and of r*j (n x k).
+    The carrier element (r, i) has index r*k + t where i = members[t].
     Second coordinates never leave position form, and an escape from the
-    ideal shows in those two tables before anything of the carrier's
+    ideal shows in these two tables before anything of the carrier's
     squared size is built.
     """
-    n, k = base.order, len(members)
     m = np.array(members, dtype=np.intp)
-    pos = np.full(n, -1, dtype=np.intp)
-    pos[m] = np.arange(k)
-    add_t, mul_t = base.add_table, base.mul_table
-
-    sum_pos = pos[add_t[m[:, None], m[None, :]]]
-    prod_pos = pos[mul_t[:, m]]
+    pos = np.full(base.order, -1, dtype=np.intp)
+    pos[m] = np.arange(len(members))
+    sum_pos = pos[base.add_table[m[:, None], m[None, :]]]
+    prod_pos = pos[base.mul_table[:, m]]
     if (sum_pos < 0).any() or (prod_pos < 0).any():
         raise NotAnIdealError("second coordinates escape the ideal carrier")
+    return pos, sum_pos, prod_pos
 
-    add = (add_t * k)[:, None, :, None] + sum_pos[None, :, None, :]
+
+def _mul_slab_filler(
+    base: FiniteRing,
+    members: tuple[int, ...],
+    sum_pos: np.ndarray,
+    prod_pos: np.ndarray,
+    with_product_term: bool,
+) -> Callable[[int, np.ndarray], None]:
+    """``fill(r, out)`` writes the multiplication table's slab of first
+    coordinate r, shape (k, n, k) in carrier order, into ``out``.
+
+    Entry [i, s, j] is the carrier index of (r, i)(s, j): r*s times k plus
+    the position of r*j + s*i (+ i*j for the duplication), with i and j
+    given by position in the ideal.  Gathering one slab at a time into a
+    C-ordered buffer keeps carrier order; one gather over the whole shape
+    comes out in a transposed layout, which a reshape would copy.
+    """
+    n, k = base.order, len(members)
     # The position of r*j at [r, i, j], or of r*j + i*j for the duplication.
     if with_product_term:
-        rj_pos = sum_pos[prod_pos[:, None, :], prod_pos[m][None, :, :]]
+        rj_pos = sum_pos[prod_pos[:, None, :], prod_pos[list(members)][None, :, :]]
     else:
         rj_pos = np.broadcast_to(prod_pos[:, None, :], (n, k, k))
-    # One gather per first coordinate r adds s*i at [i, s, j].  Gathering
-    # into a slab of the C-ordered result keeps carrier order; one gather
-    # over the whole shape comes out in a transposed layout, which the
-    # final reshape would copy.
-    mul = np.empty((n, k, n, k), dtype=np.intp)
     sums = sum_pos.ravel()
     cross = prod_pos.T[:, :, None]
+    mul_t = base.mul_table
+
+    def fill(r: int, out: np.ndarray) -> None:
+        np.take(sums, (rj_pos[r] * k)[:, None, :] + cross, out=out)
+        out += (mul_t[r] * k)[None, :, None]
+
+    return fill
+
+
+def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
+    """Addition/multiplication tables over the carrier base x members,
+    built in the shape (n, k, n, k) from the two position tables: addition
+    by one broadcast add, multiplication one first-coordinate slab at a
+    time."""
+    n, k = base.order, len(members)
+    pos, sum_pos, prod_pos = _ideal_positions(base, members)
+    add = (base.add_table * k)[:, None, :, None] + sum_pos[None, :, None, :]
+    fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term)
+    mul = np.empty((n, k, n, k), dtype=np.intp)
     for r in range(n):
-        np.take(sums, (rj_pos[r] * k)[:, None, :] + cross, out=mul[r])
-        mul[r] += (mul_t[r] * k)[None, :, None]
+        fill(r, mul[r])
     size = n * k
     labels = [f"({base.labels[r]},{base.labels[i]})" for r in range(n) for i in members]
     zero = int(base.zero * k + pos[base.zero])
@@ -156,6 +184,31 @@ def idealization(base: FiniteRing, ideal: Ideal) -> FiniteRing:
     )
 
 
+def matches_idealization(amalgam: AmalgamRing) -> bool:
+    """True iff the duplication's multiplication table equals the
+    idealization's on the same carrier.
+
+    The idealization's table is gathered one first-coordinate slab at a
+    time, from the base tables and without the i*j term, and each slab is
+    compared with the matching rows of ``amalgam.ring.mul_table``; the
+    first slab that differs ends the scan.  Only one slab of the
+    idealization is ever held, never a second ring.  When I*I != 0 the
+    slab of r = 0 already differs (at s = 0 it holds the i*j terms).
+    """
+    base = amalgam.base
+    members = amalgam.ideal_elements
+    n, k = base.order, len(members)
+    _, sum_pos, prod_pos = _ideal_positions(base, members)
+    fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term=False)
+    built = amalgam.ring.mul_table.reshape(n, k, n, k)
+    slab = np.empty((k, n, k), dtype=np.intp)
+    for r in range(n):
+        fill(r, slab)
+        if not np.array_equal(slab, built[r]):
+            return False
+    return True
+
+
 def to_product_rep(amalgam: AmalgamRing, e: int) -> tuple[int, int]:
     """Image (r, r+i) of a carrier element under the product-form embedding."""
     r, i = amalgam.pair_of(e)
@@ -227,30 +280,27 @@ class ZDClassification:
 
 def classify_zero_divisors(amalgam: AmalgamRing) -> ZDClassification:
     base = amalgam.base
-    members = amalgam.ideal_elements
-    base_zd = zero_divisors(base)
-    zero = base.zero
+    members = np.array(amalgam.ideal_elements, dtype=np.intp)
+    n, k, zero = base.order, len(members), base.zero
+    base_zd = np.zeros(n, dtype=bool)
+    base_zd[list(zero_divisors(base))] = True
 
-    t1 = frozenset(amalgam.index_of(zero, i) for i in members)
-    t2 = frozenset(amalgam.index_of(base.neg(i), i) for i in members)
-    t3 = frozenset(
-        amalgam.index_of(x, i) for x in base_zd if x != zero for i in members
+    # Masks over the carrier in its (n, k) shape: [r, t] is (r, members[t]).
+    t1 = np.zeros((n, k), dtype=bool)
+    t1[zero] = True
+    t2 = np.zeros((n, k), dtype=bool)
+    t2[base._neg_table[members], np.arange(k)] = True
+    t3 = np.zeros((n, k), dtype=bool)
+    t3[base_zd] = True
+    t3[zero] = False
+
+    nonzero_members = members[members != zero]
+    killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
+    sums = base.add_table[:, members]
+    t4 = ~base_zd[:, None] & (sums != zero) & killed[sums]
+    return ZDClassification(
+        *(frozenset(np.flatnonzero(mask).tolist()) for mask in (t1, t2, t3, t4))
     )
-
-    nonzero_members = [j for j in members if j != zero]
-    if nonzero_members:
-        killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
-    else:
-        killed = np.zeros(base.order, dtype=bool)
-    t4 = set()
-    for x in range(base.order):
-        if x in base_zd:
-            continue
-        for i in members:
-            s = base.add(x, i)
-            if s != zero and killed[s]:
-                t4.add(amalgam.index_of(x, i))
-    return ZDClassification(t1, t2, t3, frozenset(t4))
 
 
 @dataclass(frozen=True)

@@ -315,9 +315,9 @@ def is_star(graph: ZDGraph) -> bool:
 
 def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
     """Element indices of vertices adjacent to every other vertex."""
-    n = graph.vertex_count
+    degrees = graph.adjacency.sum(axis=1)
     return tuple(
-        graph.vertices[u] for u in range(n) if len(graph.neighbors[u]) == n - 1
+        graph.vertices[u] for u in np.flatnonzero(degrees == graph.vertex_count - 1)
     )
 
 

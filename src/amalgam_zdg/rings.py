@@ -17,7 +17,6 @@ __all__ = [
     "FiniteRing",
     "Ideal",
     "make_zn",
-    "direct_product",
     "product_ring",
     "verify_ring_axioms",
     "zero_divisors",
@@ -209,10 +208,6 @@ def product_ring(factors: Sequence[FiniteRing]) -> FiniteRing:
         one = one * f.order + f.one
     name = "x".join(f.spec_name for f in factors)
     return FiniteRing(order, add, mul, zero, one, labels, name, _owned=True)
-
-
-def direct_product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
-    return product_ring((r1, r2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ primitive idempotents for primes, per-source BFS and Floyd-Warshall
 instead of boolean reachability products for the diameter, a per-root BFS and
 exhaustive cycle enumeration instead of the A @ A girth tests, and
 element-by-element gathers instead of broadcast position tables for the
-duplication and idealization tables.
+duplication and idealization tables, and per-element or per-edge loops
+instead of carrier masks and boolean products for the zero-divisor
+classification, P4.13's joint annihilators and universal vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from amalgam_zdg import FiniteRing, ZDGraph, all_ideals, is_ideal
+from amalgam_zdg import (
+    FiniteRing,
+    ZDGraph,
+    all_ideals,
+    annihilator_pair,
+    is_ideal,
+    zero_divisors,
+)
 
 
 def brute_zero_divisors(ring: FiniteRing) -> frozenset[int]:
@@ -179,3 +188,51 @@ def gather_pair_tables(
         mul_second = cross
     assert (pos[add_second] >= 0).all() and (pos[mul_second] >= 0).all()
     return add_first * k + pos[add_second], mul_first * k + pos[mul_second]
+
+
+def loop_classify_zero_divisors(amalgam) -> tuple[frozenset[int], ...]:
+    """The four sets t1..t4 of the zero-divisor classification, built
+    element by element with ``index_of``."""
+    base = amalgam.base
+    members = amalgam.ideal_elements
+    base_zd = zero_divisors(base)
+    zero = base.zero
+
+    t1 = frozenset(amalgam.index_of(zero, i) for i in members)
+    t2 = frozenset(amalgam.index_of(base.neg(i), i) for i in members)
+    t3 = frozenset(
+        amalgam.index_of(x, i) for x in base_zd if x != zero for i in members
+    )
+
+    nonzero_members = [j for j in members if j != zero]
+    if nonzero_members:
+        killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
+    else:
+        killed = np.zeros(base.order, dtype=bool)
+    t4 = set()
+    for x in range(base.order):
+        if x in base_zd:
+            continue
+        for i in members:
+            s = base.add(x, i)
+            if s != zero and killed[s]:
+                t4.add(amalgam.index_of(x, i))
+    return t1, t2, t3, frozenset(t4)
+
+
+def edge_loop_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
+    """True iff Ann(a, b) != {0} for every edge {a, b}, one
+    ``annihilator_pair`` call per edge."""
+    for u, v in graph.edge_positions():
+        a, b = graph.vertices[u], graph.vertices[v]
+        if annihilator_pair(ring, a, b).members == {ring.zero}:
+            return False
+    return True
+
+
+def neighbor_count_universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
+    """Vertices whose neighbour tuple holds every other vertex."""
+    n = graph.vertex_count
+    return tuple(
+        graph.vertices[u] for u in range(n) if len(graph.neighbors[u]) == n - 1
+    )

@@ -18,6 +18,7 @@ from amalgam_zdg import (
     all_ideals,
     amalgamated_duplication,
     build_graph,
+    classify_zero_divisors,
     diameter,
     distance,
     girth,
@@ -26,6 +27,7 @@ from amalgam_zdg import (
     is_prime_ideal,
     is_star,
     make_zn,
+    matches_idealization,
     minimal_primes,
     parse_ideal_spec,
     parse_ring_spec,
@@ -33,17 +35,22 @@ from amalgam_zdg import (
     structure_checks,
     sweep,
     to_product_rep,
+    universal_vertices,
     zero_divisors,
     zset_square_zero,
 )
+from amalgam_zdg.theorems import _edges_share_annihilator
 from oracles import (
     bfs_diameter,
     bfs_girth,
     complement_scan_is_prime,
     complement_scan_primes,
+    edge_loop_share_annihilator,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
     gather_pair_tables,
+    loop_classify_zero_divisors,
+    neighbor_count_universal_vertices,
     subset_scan_ideals,
 )
 
@@ -228,6 +235,45 @@ def test_oracle_equivalence(family_instances):
                 if graph.vertex_count <= 12:
                     assert girth(graph) == enumerate_cycles_girth(graph)
         assert len(seen_rings) == len(FAMILY) and len(family_instances) == 68
+
+
+def test_idealization_comparator_matches_whole_tables(family_instances):
+    with criterion("P2.1b: slab comparator equals whole-table equality"):
+        outcomes = []
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal)
+            whole = np.array_equal(
+                dup.ring.mul_table, idealization(ring, ideal).mul_table
+            )
+            assert matches_idealization(dup) == whole, dup.ring.spec_name
+            outcomes.append(whole)
+        assert len(outcomes) == 68 and 0 < sum(outcomes) < 68
+
+
+def test_vectorized_checks_match_loops(family_instances):
+    with criterion(
+        "oracles: zero-divisor classification, joint annihilators, "
+        "universal vertices"
+    ):
+        seen_rings = set()
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal)
+            cls = classify_zero_divisors(dup)
+            assert (cls.t1, cls.t2, cls.t3, cls.t4) == loop_classify_zero_divisors(
+                dup
+            ), dup.ring.spec_name
+            pairs = [(dup.ring, build_graph(dup.ring))]
+            if ring.spec_name not in seen_rings:
+                seen_rings.add(ring.spec_name)
+                pairs.append((ring, build_graph(ring)))
+            for owner, graph in pairs:
+                assert _edges_share_annihilator(
+                    owner, graph
+                ) == edge_loop_share_annihilator(owner, graph), owner.spec_name
+                assert universal_vertices(
+                    graph
+                ) == neighbor_count_universal_vertices(graph), owner.spec_name
+        assert len(seen_rings) == len(FAMILY)
 
 
 def test_duplication_primes_lift_base_primes(family_instances):

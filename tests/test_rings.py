@@ -11,7 +11,6 @@ from amalgam_zdg import (
     amalgamated_duplication,
     annihilator,
     annihilator_pair,
-    direct_product,
     ideal_from_generators,
     ideal_violations,
     idealization,
@@ -65,12 +64,12 @@ class TestMakeZn:
 
 class TestProducts:
     def test_z2xz2_zero_divisors(self):
-        r = direct_product(make_zn(2), make_zn(2))
+        r = product_ring([make_zn(2), make_zn(2)])
         nonzero = {r.labels[v] for v in zero_divisors(r) - {r.zero}}
         assert nonzero == {"(1,0)", "(0,1)"}
 
     def test_z2xz3_matches_z6_zero_divisor_count(self):
-        r = direct_product(make_zn(2), make_zn(3))
+        r = product_ring([make_zn(2), make_zn(3)])
         assert len(zero_divisors(r)) == len(zero_divisors(make_zn(6))) == 4
 
     def test_order_is_multiplicative(self):
@@ -79,7 +78,7 @@ class TestProducts:
         assert r.spec_name == "Z2xZ3xZ4"
 
     def test_componentwise_tables(self):
-        r = direct_product(make_zn(2), make_zn(3))
+        r = product_ring([make_zn(2), make_zn(3)])
         a = r.element_index("(1,2)")
         b = r.element_index("(1,1)")
         assert r.labels[r.add(a, b)] == "(0,0)"
@@ -124,7 +123,7 @@ class TestTableOwnership:
 
 class TestAxioms:
     def test_valid_rings_have_empty_reports(self):
-        for ring in (make_zn(6), make_zn(9), direct_product(make_zn(2), make_zn(4))):
+        for ring in (make_zn(6), make_zn(9), product_ring([make_zn(2), make_zn(4)])):
             assert verify_ring_axioms(ring) == []
 
     def test_corrupted_multiplication_is_reported(self):
@@ -198,14 +197,14 @@ class TestIdeals:
         assert [len(i) for i in all_ideals(r)] == [1, 7]
 
     def test_all_ideals_agree_with_subset_scan(self):
-        for ring in (make_zn(4), make_zn(6), direct_product(make_zn(2), make_zn(2))):
+        for ring in (make_zn(4), make_zn(6), product_ring([make_zn(2), make_zn(2)])):
             got = [i.members for i in all_ideals(ring)]
             assert got == subset_scan_ideals(ring)
 
     def test_klein_ring_has_four_ideals(self):
         # {0}, the two coordinate lines, and the whole ring; the diagonal
         # is additively closed but not absorbing.
-        r = direct_product(make_zn(2), make_zn(2))
+        r = product_ring([make_zn(2), make_zn(2)])
         assert len(all_ideals(r)) == 4
 
     def test_generated_ideal_closure(self):
@@ -267,7 +266,7 @@ class TestPrimes:
         assert not is_prime_ideal(r, set(range(8)))
 
     def test_complement_of_primes_multiplicatively_closed(self):
-        for spec_ring in (make_zn(12), direct_product(make_zn(2), make_zn(3))):
+        for spec_ring in (make_zn(12), product_ring([make_zn(2), make_zn(3)])):
             for p in prime_ideals(spec_ring):
                 outside = set(spec_ring.elements()) - p.members
                 for a in outside:

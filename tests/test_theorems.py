@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amalgam_zdg import (
+    FiniteRing,
     Instance,
     PreconditionError,
     Status,
@@ -23,6 +25,7 @@ from amalgam_zdg import (
     check_nonideal_zdivs_diam_three,
     check_universal_vertex_diam_three,
     check_universal_vertex_prime_zdivs,
+    idealization,
     instance_invariant_violations,
     parse_ideal_spec,
     parse_ring_spec,
@@ -253,6 +256,32 @@ class TestInstanceInvariants:
         ring, ideal = instance(spec, ideal_spec)
         assert instance_invariant_violations(Instance(ring, ideal)) == []
 
+    def test_square_zero_table_identity_reads_the_last_slab(self):
+        ring, ideal = instance("Z4", "gen(2)")
+        inst = Instance(ring, ideal)
+        assert instance_invariant_violations(inst) == []
+        dup = inst.amalgam
+        built = dup.ring
+        mul = np.array(built.mul_table)
+        # (3,2)*(3,2) = (1,0): a cell of the last first-coordinate slab,
+        # moved to another unit so that no zero-divisor changes.
+        last = dup.index_of(3, 2)
+        assert last == built.order - 1
+        assert mul[last, last] == dup.index_of(1, 0)
+        mul[last, last] = dup.index_of(1, 2)
+        dup.ring = FiniteRing(
+            built.order,
+            built.add_table,
+            mul,
+            built.zero,
+            built.one,
+            built.labels,
+            built.spec_name,
+        )
+        assert instance_invariant_violations(inst) == [
+            "[Z4 | I={0,2}] P2.1b: square-zero ideal and table equality disagree"
+        ]
+
 
 class TestSweep:
     def test_small_family_is_clean(self):
@@ -308,6 +337,17 @@ class TestSweep:
             counts = [f.result(timeout=120) for f in futures]
         assert counts == [1, 1]
         assert blas_env() == before
+
+    def test_sweep_builds_no_idealization_ring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built an idealization ring")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "amalgam_zdg":
+                if getattr(module, "idealization", None) is idealization:
+                    monkeypatch.setattr(module, "idealization", refuse)
+        report = sweep(["Z4", "Z8", "Z9", "Z2xZ2"], "nonzero", workers=1)
+        assert report.succeeded
 
     def test_bad_spec_aborts(self):
         with pytest.raises(Exception):
