@@ -16,10 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .graphs import ZDGraph, build_graph
-from .rings import FiniteRing, Ideal, ideal_violations, zero_divisors
+from .rings import TABLE_DTYPE, FiniteRing, Ideal, ideal_violations, zero_divisors
+from .specs import MAX_DUPLICATION_ORDER
 
 __all__ = [
     "NotAnIdealError",
+    "DuplicationTooLargeError",
     "AmalgamRing",
     "amalgamated_duplication",
     "idealization",
@@ -35,6 +37,10 @@ __all__ = [
 
 class NotAnIdealError(ValueError):
     """The member set handed to a pair construction is not an ideal."""
+
+
+class DuplicationTooLargeError(ValueError):
+    """A pair construction's carrier R x I is above MAX_DUPLICATION_ORDER."""
 
 
 def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
@@ -69,7 +75,8 @@ def _mul_slab_filler(
     the position of r*j + s*i (+ i*j for the duplication), with i and j
     given by position in the ideal.  Gathering one slab at a time into a
     C-ordered buffer keeps carrier order; one gather over the whole shape
-    comes out in a transposed layout, which a reshape would copy.
+    comes out in a transposed layout, which a reshape would copy.  ``out``
+    is a TABLE_DTYPE array, and every carrier index fits in it.
     """
     n, k = base.order, len(members)
     # The position of r*j at [r, i, j], or of r*j + i*j for the duplication.
@@ -77,7 +84,7 @@ def _mul_slab_filler(
         rj_pos = sum_pos[prod_pos[:, None, :], prod_pos[list(members)][None, :, :]]
     else:
         rj_pos = np.broadcast_to(prod_pos[:, None, :], (n, k, k))
-    sums = sum_pos.ravel()
+    sums = sum_pos.ravel().astype(TABLE_DTYPE)
     cross = prod_pos.T[:, :, None]
     mul_t = base.mul_table
 
@@ -92,12 +99,15 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: 
     """Addition/multiplication tables over the carrier base x members,
     built in the shape (n, k, n, k) from the two position tables: addition
     by one broadcast add, multiplication one first-coordinate slab at a
-    time."""
+    time.  Both are written as TABLE_DTYPE from the start: the callers'
+    order check keeps every carrier index r*k + t below MAX_DUPLICATION_ORDER,
+    so the arithmetic on base-table entries cannot wrap."""
     n, k = base.order, len(members)
     pos, sum_pos, prod_pos = _ideal_positions(base, members)
-    add = (base.add_table * k)[:, None, :, None] + sum_pos[None, :, None, :]
+    sums = sum_pos.astype(TABLE_DTYPE)
+    add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
     fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term)
-    mul = np.empty((n, k, n, k), dtype=np.intp)
+    mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
     for r in range(n):
         fill(r, mul[r])
     size = n * k
@@ -107,9 +117,23 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: 
     return add.reshape(size, size), mul.reshape(size, size), zero, one, labels
 
 
+def _check_duplication_order(base: FiniteRing, ideal: Ideal) -> None:
+    order = base.order * len(ideal)
+    if order > MAX_DUPLICATION_ORDER:
+        raise DuplicationTooLargeError(
+            f"the duplication of {base.spec_name} along "
+            f"{base.format_subset(ideal.members)} has order {order}, above "
+            f"the limit of {MAX_DUPLICATION_ORDER}"
+        )
+
+
 def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
+    """The ideal's sorted members, once they are known to form an ideal of
+    ``base`` whose pair carrier is within MAX_DUPLICATION_ORDER; nothing of
+    the carrier's size has been allocated when either check fails."""
     if ideal.ring is not base:
         raise NotAnIdealError("ideal belongs to a different ring")
+    _check_duplication_order(base, ideal)
     violations = ideal_violations(base, ideal.members)
     if violations:
         raise NotAnIdealError(
@@ -201,7 +225,7 @@ def matches_idealization(amalgam: AmalgamRing) -> bool:
     _, sum_pos, prod_pos = _ideal_positions(base, members)
     fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term=False)
     built = amalgam.ring.mul_table.reshape(n, k, n, k)
-    slab = np.empty((k, n, k), dtype=np.intp)
+    slab = np.empty((k, n, k), dtype=TABLE_DTYPE)
     for r in range(n):
         fill(r, slab)
         if not np.array_equal(slab, built[r]):
@@ -324,6 +348,12 @@ class StructureChecks:
         return self.crossings_complete and self.regular_members_exclusive and self.embeds_base
 
 
+def _carrier_mask(ring: FiniteRing, elems: list[int]) -> np.ndarray:
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[elems] = True
+    return mask
+
+
 def structure_checks(
     amalgam: AmalgamRing,
     base_graph: ZDGraph | None = None,
@@ -346,33 +376,24 @@ def structure_checks(
         (ring.mul_table[np.ix_(t1_nonzero, t2_nonzero)] == ring.zero).all()
     )
 
+    # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
+    # meet only the other kernel's nonzero elements.
     base_zd = zero_divisors(base)
-    exclusive = True
-    t1_set, t2_set = set(t1_nonzero), set(t2_nonzero)
-    for i in members:
-        if i in base_zd:
-            continue
-        v1 = amalgam.index_of(zero, i)
-        v2 = amalgam.index_of(base.neg(i), i)
-        nbrs1 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v1)]}
-        nbrs2 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v2)]}
-        if not (nbrs1 <= t2_set and nbrs2 <= t1_set):
-            exclusive = False
-            break
+    regular = [i for i in members if i not in base_zd]
+    adj = dup_graph.adjacency
+    vertices = list(dup_graph.vertices)
+    rows1 = [dup_graph.position(amalgam.index_of(zero, i)) for i in regular]
+    rows2 = [dup_graph.position(amalgam.index_of(base.neg(i), i)) for i in regular]
+    exclusive = not (
+        adj[rows1][:, ~_carrier_mask(ring, t2_nonzero)[vertices]].any()
+        or adj[rows2][:, ~_carrier_mask(ring, t1_nonzero)[vertices]].any()
+    )
 
-    embeds = True
-    dup_vertices = set(dup_graph.vertices)
-    images = {x: amalgam.index_of(x, zero) for x in base_graph.vertices}
-    if not set(images.values()) <= dup_vertices:
-        embeds = False
-    else:
-        for a, x in enumerate(base_graph.vertices):
-            for b in base_graph.neighbors[a]:
-                y = base_graph.vertices[b]
-                if ring.mul(images[x], images[y]) != ring.zero:
-                    embeds = False
-                    break
-            if not embeds:
-                break
+    # x -> (x, 0) must land on vertices, and every base edge on a product zero.
+    images = [amalgam.index_of(x, zero) for x in base_graph.vertices]
+    products = ring.mul_table[np.ix_(images, images)][base_graph.adjacency]
+    embeds = bool(
+        _carrier_mask(ring, vertices)[images].all() and (products == ring.zero).all()
+    )
 
     return StructureChecks(crossings, exclusive, embeds, vacuous=False)

@@ -1,7 +1,8 @@
 """Command-line front end: analyze rings, verify checks, sweep families.
 
 Exit codes: 0 success / all checks verified or vacuous, 1 counterexample or
-invariant violation, 2 usage or parse error.
+invariant violation, 2 usage or parse error, or a duplication above the
+order limit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 
 from .amalgam import (
+    DuplicationTooLargeError,
     NotAnIdealError,
     amalgamated_duplication,
     classify_zero_divisors,
@@ -322,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, NotAnIdealError) as exc:
+    except (SpecError, NotAnIdealError, DuplicationTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,11 +65,19 @@ class ZDGraph:
         adj.setflags(write=False)
         self.adjacency = adj
         self.ring = ring
-        self.neighbors = tuple(
-            tuple(np.nonzero(row)[0].tolist()) for row in adj
-        )
         self._pos = {v: k for k, v in enumerate(self.vertices)}
         self._cache: dict = {}
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour positions of every vertex, built on first read."""
+        cached = self._cache.get("neighbors")
+        if cached is None:
+            cached = tuple(
+                tuple(np.flatnonzero(row).tolist()) for row in self.adjacency
+            )
+            self._cache["neighbors"] = cached
+        return cached
 
     @property
     def vertex_count(self) -> int:
@@ -274,33 +282,24 @@ def is_complete(graph: ZDGraph) -> bool:
 def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
     """Part sizes (m, n) if the graph is complete bipartite, else None.
 
-    BFS two-coloring; requires a proper coloring, both parts nonempty, and
-    every cross-part pair adjacent.  A single vertex is not bipartite here.
+    In a complete bipartite graph the parts are the neighbourhood of any
+    vertex and the rest, so vertex 0's neighbourhood and non-neighbourhood
+    are tested: both nonempty, no edge inside either, every cross pair an
+    edge.  A single vertex is not bipartite here.
     """
     n = graph.vertex_count
     if n <= 1:
         return None
-    color = [-1] * n
-    for root in range(n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    part0 = [i for i in range(n) if color[i] == 0]
-    part1 = [i for i in range(n) if color[i] == 1]
-    if not part0 or not part1:
+    adj = graph.adjacency
+    near = adj[0]
+    far = ~near
+    if not near.any():
         return None
-    if not graph.adjacency[np.ix_(part0, part1)].all():
+    if adj[np.ix_(near, near)].any() or adj[np.ix_(far, far)].any():
         return None
-    return tuple(sorted((len(part0), len(part1))))  # type: ignore[return-value]
+    if not adj[np.ix_(far, near)].all():
+        return None
+    return tuple(sorted((int(far.sum()), int(near.sum()))))  # type: ignore[return-value]
 
 
 def is_complete_bipartite(graph: ZDGraph) -> bool:

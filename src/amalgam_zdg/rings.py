@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "TABLE_DTYPE",
+    "MAX_TABLE_ORDER",
     "FiniteRing",
     "Ideal",
     "make_zn",
@@ -36,9 +38,51 @@ __all__ = [
     "minimal_primes",
 ]
 
+# Every operation table holds element indices as two-byte unsigned integers,
+# so a ring's order is at most the number of values they can hold.
+TABLE_DTYPE = np.uint16
+MAX_TABLE_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1
+
+
+def _check_table_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"ring order must be positive, got {order}")
+    if order > MAX_TABLE_ORDER:
+        raise ValueError(
+            f"ring order {order} is above {MAX_TABLE_ORDER}, the number of "
+            "element indices an operation table can hold"
+        )
+
+
+def _frozen_table(table, name: str, order: int, owned: bool) -> np.ndarray:
+    """A read-only order x order TABLE_DTYPE table.
+
+    The package's builders hand fresh TABLE_DTYPE arrays (``owned``) that
+    are never touched again, so those are frozen in place.  A caller's
+    table is copied, so it is neither aliased nor frozen, and its range is
+    checked while it is still wide: narrowing first would wrap an entry
+    such as 65539 to 3.
+    """
+    if owned:
+        table = np.asarray(table, dtype=TABLE_DTYPE)
+    else:
+        table = np.array(table, dtype=np.intp)
+    shape = (order, order)
+    if table.shape != shape:
+        raise ValueError(f"{name} has shape {table.shape}, expected {shape}")
+    if not owned:
+        if table.min() < 0 or table.max() >= order:
+            raise ValueError(f"{name} entries out of range [0, {order})")
+        table = table.astype(TABLE_DTYPE)
+    table.setflags(write=False)
+    return table
+
 
 class FiniteRing:
-    """A finite commutative ring with nonzero unity, elements 0..order-1."""
+    """A finite commutative ring with nonzero unity, elements 0..order-1.
+
+    ``add_table`` and ``mul_table`` are read-only TABLE_DTYPE arrays.
+    """
 
     def __init__(
         self,
@@ -53,23 +97,9 @@ class FiniteRing:
         _owned: bool = False,
     ) -> None:
         self.order = int(order)
-        if self.order < 1:
-            raise ValueError(f"ring order must be positive, got {order}")
-        # Tables the package builds (_owned) are fresh and never touched
-        # again, so they are frozen in place; a caller's arrays are copied,
-        # so they are neither aliased nor frozen.
-        as_table = np.asarray if _owned else np.array
-        add = as_table(add_table, dtype=np.intp)
-        mul = as_table(mul_table, dtype=np.intp)
-        shape = (self.order, self.order)
-        if add.shape != shape:
-            raise ValueError(f"add_table has shape {add.shape}, expected {shape}")
-        if mul.shape != shape:
-            raise ValueError(f"mul_table has shape {mul.shape}, expected {shape}")
-        add.setflags(write=False)
-        mul.setflags(write=False)
-        self.add_table = add
-        self.mul_table = mul
+        _check_table_order(self.order)
+        self.add_table = _frozen_table(add_table, "add_table", self.order, _owned)
+        self.mul_table = _frozen_table(mul_table, "mul_table", self.order, _owned)
         self.zero = int(zero)
         self.one = int(one)
         self.labels = tuple(str(lbl) for lbl in labels)
@@ -168,13 +198,25 @@ class Ideal:
 # Constructors
 
 
+# make_zn fills its tables a block of rows of about this many cells at a
+# time, so its intp intermediates stay this small whatever the order.
+_BLOCK_CELLS = 1 << 16
+
+
 def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (``n >= 2``)."""
     if n < 2:
         raise ValueError(f"Z_n requires n >= 2, got {n}")
+    _check_table_order(n)
     idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    add = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = idx[lo : lo + step, None]
+        # Every remainder is below n, so the unsafe cast into the table is exact.
+        np.remainder(rows + idx, n, out=add[lo : lo + step], casting="unsafe")
+        np.remainder(rows * idx, n, out=mul[lo : lo + step], casting="unsafe")
     labels = [str(i) for i in range(n)]
     return FiniteRing(n, add, mul, 0, 1, labels, f"Z{n}", _owned=True)
 
@@ -187,17 +229,20 @@ def product_ring(factors: Sequence[FiniteRing]) -> FiniteRing:
     order = 1
     for f in factors:
         order *= f.order
+    _check_table_order(order)
     idx = np.arange(order)
     digits = []
     weight = order
     for f in factors:
         weight //= f.order
         digits.append((idx // weight) % f.order)
-    add = np.zeros((order, order), dtype=np.intp)
-    mul = np.zeros((order, order), dtype=np.intp)
+    # Mixed-radix accumulation: every partial value is an index below order.
+    add = np.zeros((order, order), dtype=TABLE_DTYPE)
+    mul = np.zeros((order, order), dtype=TABLE_DTYPE)
     for f, d in zip(factors, digits):
-        add = add * f.order + f.add_table[d[:, None], d[None, :]]
-        mul = mul * f.order + f.mul_table[d[:, None], d[None, :]]
+        for table, factor_table in ((add, f.add_table), (mul, f.mul_table)):
+            table *= f.order
+            table += factor_table[d[:, None], d[None, :]]
     labels = [
         "(" + ",".join(f.labels[int(d[i])] for f, d in zip(factors, digits)) + ")"
         for i in range(order)
@@ -225,12 +270,6 @@ def verify_ring_axioms(ring: FiniteRing) -> list[str]:
     add, mul = ring.add_table, ring.mul_table
     lab = ring.labels
     out: list[str] = []
-
-    for name, table in (("addition", add), ("multiplication", mul)):
-        if table.min() < 0 or table.max() >= n:
-            out.append(f"{name} table entries out of range [0, {n})")
-    if out:
-        return out
 
     if ring.zero == ring.one:
         out.append("unity coincides with zero (the one-element ring is rejected)")

@@ -10,6 +10,8 @@ Ideal specs (relative to a base ring): ``zero``, ``full``, or
 
 A ring's order is the product of its moduli and may not exceed
 ``MAX_RING_ORDER``; larger specs are rejected before any table is built.
+A duplication's order |R|*|I| may not exceed ``MAX_DUPLICATION_ORDER``
+(checked by ``amalgam`` when it builds one).
 """
 
 from __future__ import annotations
@@ -21,15 +23,21 @@ from .rings import FiniteRing, Ideal, ideal_from_generators, make_zn, product_ri
 
 __all__ = [
     "MAX_RING_ORDER",
+    "MAX_DUPLICATION_ORDER",
     "SpecError",
     "parse_ring_spec",
     "expand_family",
     "parse_ideal_spec",
 ]
 
-# A ring of order n is stored as two dense n x n intp tables, 128 MiB each
-# at this order; make_zn and product_ring briefly hold a few more.
+# A ring of order n is stored as two dense n x n uint16 tables, 32 MiB each
+# at this order; product_ring briefly holds one more.
 MAX_RING_ORDER = 4096
+
+# The duplication of R along I has order |R|*|I|; its two uint16 tables take
+# 512 MiB each at this order, 1 GiB together.  The order is checked before
+# any of its tables is allocated.
+MAX_DUPLICATION_ORDER = 16384
 
 _FACTOR_RE = re.compile(r"[Zz]([0-9]+)")
 _RANGE_RE = re.compile(r"[Zz]([0-9]+)\.\.[Zz]([0-9]+)")

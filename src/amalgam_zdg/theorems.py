@@ -27,12 +27,14 @@ import numpy as np
 
 from .amalgam import (
     AmalgamRing,
+    _check_duplication_order,
     amalgamated_duplication,
     classify_zero_divisors,
     matches_idealization,
     structure_checks,
 )
 from .graphs import (
+    DisconnectedGraphError,
     ZDGraph,
     _boolean_product,
     build_graph,
@@ -40,7 +42,6 @@ from .graphs import (
     diameter,
     girth,
     is_complete,
-    is_connected,
     universal_vertices,
 )
 from .rings import (
@@ -552,10 +553,11 @@ def _graph_invariant_violations(prefix: str, tag: str, graph: ZDGraph) -> list[s
     out = []
     if graph.vertex_count == 0:
         return out
-    if not is_connected(graph):
+    try:
+        d = diameter(graph)
+    except DisconnectedGraphError:
         out.append(f"{prefix} {tag} graph is disconnected")
         return out
-    d = diameter(graph)
     if d is not None and d > 3:
         out.append(f"{prefix} {tag} graph has diameter {d} > 3")
     g = girth(graph)
@@ -630,9 +632,14 @@ def _filtered_ideals(ring: FiniteRing, ideal_filter: str) -> list[Ideal]:
 
 def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], list[str]]:
     ring = parse_ring_spec(spec)
+    ideals = _filtered_ideals(ring, ideal_filter)
+    # Ideals come sorted by size, so a ring whose largest duplication is
+    # above the order limit is refused before any of its instances runs.
+    if ideals:
+        _check_duplication_order(ring, ideals[-1])
     records: list[InstanceRecord] = []
     violations: list[str] = []
-    for ideal in _filtered_ideals(ring, ideal_filter):
+    for ideal in ideals:
         inst = Instance(ring, ideal)
         outcomes = tuple(_registry_outcomes(inst))
         violations.extend(instance_invariant_violations(inst))

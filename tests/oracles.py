@@ -6,9 +6,11 @@ primitive idempotents for primes, per-source BFS and Floyd-Warshall
 instead of boolean reachability products for the diameter, a per-root BFS and
 exhaustive cycle enumeration instead of the A @ A girth tests, and
 element-by-element gathers instead of broadcast position tables for the
-duplication and idealization tables, and per-element or per-edge loops
+duplication and idealization tables, per-element or per-edge loops
 instead of carrier masks and boolean products for the zero-divisor
-classification, P4.13's joint annihilators and universal vertices.
+classification, P4.13's joint annihilators and universal vertices, and a
+BFS two-colouring and neighbour-set loops instead of adjacency blocks for
+the complete bipartition and the duplication's structure checks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from amalgam_zdg import (
     FiniteRing,
+    StructureChecks,
     ZDGraph,
     all_ideals,
     annihilator_pair,
@@ -178,9 +181,9 @@ def gather_pair_tables(
     pos = np.full(n, -1, dtype=np.intp)
     pos[sorted(members)] = np.arange(k)
     add_t, mul_t = base.add_table, base.mul_table
-    add_first = add_t[rv[:, None], rv[None, :]]
+    add_first = add_t[rv[:, None], rv[None, :]].astype(np.intp)
     add_second = add_t[iv[:, None], iv[None, :]]
-    mul_first = mul_t[rv[:, None], rv[None, :]]
+    mul_first = mul_t[rv[:, None], rv[None, :]].astype(np.intp)
     cross = add_t[mul_t[rv[:, None], iv[None, :]], mul_t[iv[:, None], rv[None, :]]]
     if with_product_term:
         mul_second = add_t[cross, mul_t[iv[:, None], iv[None, :]]]
@@ -236,3 +239,79 @@ def neighbor_count_universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
     return tuple(
         graph.vertices[u] for u in range(n) if len(graph.neighbors[u]) == n - 1
     )
+
+
+def bfs_complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
+    """Part sizes of a complete bipartite graph, else None, by a BFS
+    two-colouring of every component followed by a cross-block test."""
+    n = graph.vertex_count
+    if n <= 1:
+        return None
+    color = [-1] * n
+    for root in range(n):
+        if color[root] >= 0:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in graph.neighbors[u]:
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    part0 = [i for i in range(n) if color[i] == 0]
+    part1 = [i for i in range(n) if color[i] == 1]
+    if not part0 or not part1:
+        return None
+    if not graph.adjacency[np.ix_(part0, part1)].all():
+        return None
+    return tuple(sorted((len(part0), len(part1))))
+
+
+def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
+    """The duplication's structure checks with neighbour sets per regular
+    ideal member and one ``mul`` call per base edge."""
+    base = amalgam.base
+    ring = amalgam.ring
+    members = amalgam.ideal_elements
+    if len(members) < 2:
+        return StructureChecks(True, True, True, vacuous=True)
+    zero = base.zero
+    t1_nonzero = sorted(amalgam.index_of(zero, i) for i in members if i != zero)
+    t2_nonzero = sorted(amalgam.index_of(base.neg(i), i) for i in members if i != zero)
+    crossings = all(
+        ring.mul(a, b) == ring.zero for a in t1_nonzero for b in t2_nonzero
+    )
+
+    base_zd = zero_divisors(base)
+    exclusive = True
+    t1_set, t2_set = set(t1_nonzero), set(t2_nonzero)
+    for i in members:
+        if i in base_zd:
+            continue
+        v1 = amalgam.index_of(zero, i)
+        v2 = amalgam.index_of(base.neg(i), i)
+        nbrs1 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v1)]}
+        nbrs2 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v2)]}
+        if not (nbrs1 <= t2_set and nbrs2 <= t1_set):
+            exclusive = False
+            break
+
+    embeds = True
+    dup_vertices = set(dup_graph.vertices)
+    images = {x: amalgam.index_of(x, zero) for x in base_graph.vertices}
+    if not set(images.values()) <= dup_vertices:
+        embeds = False
+    else:
+        for a, x in enumerate(base_graph.vertices):
+            for b in base_graph.neighbors[a]:
+                y = base_graph.vertices[b]
+                if ring.mul(images[x], images[y]) != ring.zero:
+                    embeds = False
+                    break
+            if not embeds:
+                break
+
+    return StructureChecks(crossings, exclusive, embeds, vacuous=False)

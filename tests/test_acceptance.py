@@ -7,20 +7,26 @@ Each criterion prints one pass/fail line (visible with ``pytest -s``).
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    ZDGraph,
     all_ideals,
     amalgamated_duplication,
     build_graph,
     classify_zero_divisors,
+    complete_bipartition,
     diameter,
     distance,
+    expand_family,
     girth,
     ideal_from_generators,
     idealization,
@@ -39,8 +45,10 @@ from amalgam_zdg import (
     zero_divisors,
     zset_square_zero,
 )
+from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
 from amalgam_zdg.theorems import _edges_share_annihilator
 from oracles import (
+    bfs_complete_bipartition,
     bfs_diameter,
     bfs_girth,
     complement_scan_is_prime,
@@ -50,6 +58,7 @@ from oracles import (
     floyd_warshall_diameter,
     gather_pair_tables,
     loop_classify_zero_divisors,
+    loop_structure_checks,
     neighbor_count_universal_vertices,
     subset_scan_ideals,
 )
@@ -274,6 +283,50 @@ def test_vectorized_checks_match_loops(family_instances):
                     graph
                 ) == neighbor_count_universal_vertices(graph), owner.spec_name
         assert len(seen_rings) == len(FAMILY)
+
+
+def _complement(graph: ZDGraph) -> ZDGraph:
+    adj = ~graph.adjacency
+    np.fill_diagonal(adj, False)
+    return ZDGraph(graph.vertices, graph.labels, adj, graph.ring)
+
+
+def test_whole_array_graph_checks_match_loops(family_instances):
+    """Complete bipartition and structure checks against the BFS colouring
+    and the neighbour-set loops, on every graph of the family and on its
+    complement, which makes the structure checks fail as well as hold."""
+    with criterion("oracles: complete bipartition, duplication structure checks"):
+        parts, exclusive, embeds = set(), set(), set()
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal)
+            base_graph, dup_graph = build_graph(ring), build_graph(dup.ring)
+            complements = (_complement(base_graph), _complement(dup_graph))
+            for pair in ((base_graph, dup_graph), complements):
+                for graph in pair:
+                    got = complete_bipartition(graph)
+                    assert got == bfs_complete_bipartition(graph), graph
+                    parts.add(got is None)
+                checks = structure_checks(dup, *pair)
+                assert checks == loop_structure_checks(dup, *pair), dup.ring.spec_name
+                exclusive.add(checks.regular_members_exclusive)
+                embeds.add(checks.embeds_base)
+        assert parts == exclusive == embeds == {True, False}
+
+
+def test_order_limit_leaves_every_family_alone(monkeypatch):
+    """The largest duplication of a ring is along the whole ring, of order
+    |R|^2; for the acceptance family and the benchmark's families it is
+    within MAX_DUPLICATION_ORDER (the largest is Z43's, 1849)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    families = [w.family for w in workloads.WORKLOADS.values()] + [",".join(FAMILY)]
+    largest = max(
+        parse_ring_spec(s).order ** 2 for f in families for s in expand_family(f)
+    )
+    assert largest == 43 ** 2 <= MAX_DUPLICATION_ORDER
 
 
 def test_duplication_primes_lift_base_primes(family_instances):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    DuplicationTooLargeError,
     Ideal,
     NotAnIdealError,
+    ZDGraph,
     amalgamated_duplication,
     build_graph,
     classify_zero_divisors,
@@ -22,6 +26,8 @@ from amalgam_zdg import (
     verify_ring_axioms,
     zero_divisors,
 )
+from amalgam_zdg import amalgam
+from oracles import loop_structure_checks
 
 Z8 = make_zn(8)
 I8 = ideal_from_generators(Z8, [4])
@@ -74,6 +80,56 @@ class TestConstruction:
         a = dup(r, [3])
         product = a.ring.mul(a.index_of(1, 3), a.index_of(0, 3))
         assert a.pair_of(product) == (0, 0)
+
+
+class TestOrderLimit:
+    """The order |R|*|I| of a pair construction is checked against
+    MAX_DUPLICATION_ORDER = 16384 before any of its tables is built."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(amalgam, "_pair_tables", refuse)
+
+    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    def test_oversized_carrier_fails_before_any_table(self, build, no_tables):
+        ring = make_zn(131)
+        with pytest.raises(DuplicationTooLargeError) as info:
+            build(ring, Ideal(ring, frozenset(ring.elements())))
+        message = str(info.value)
+        assert message.startswith("the duplication of Z131 along {0, 1, 2,")
+        assert message.endswith("has order 17161, above the limit of 16384")
+
+    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    def test_limit_is_inclusive(self, build, no_tables):
+        ring = make_zn(128)
+        with pytest.raises(self.Reached):
+            build(ring, Ideal(ring, frozenset(ring.elements())))
+
+    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    def test_one_above_a_lowered_limit_is_refused(self, build, monkeypatch):
+        monkeypatch.setattr(amalgam, "MAX_DUPLICATION_ORDER", 16)
+        z4 = make_zn(4)
+        assert build(z4, Ideal(z4, frozenset(z4.elements()))) is not None
+        z17 = make_zn(17)
+        with pytest.raises(DuplicationTooLargeError, match="order 17, above the limit of 16"):
+            build(z17, Ideal(z17, frozenset({0})))
+
+    def test_tables_are_written_without_a_wide_intermediate(self):
+        ring = make_zn(43)
+        ideal = Ideal(ring, frozenset(ring.elements()))
+        tracemalloc.start()
+        try:
+            built = amalgamated_duplication(ring, ideal).ring
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 * built.order**2 * built.mul_table.itemsize
 
 
 class TestIdealization:
@@ -204,6 +260,20 @@ class TestStructure:
     def test_exclusive_neighbors_for_regular_members(self):
         checks = structure_checks(full_dup(make_zn(3)))
         assert checks.regular_members_exclusive and checks.all_hold()
+
+    def test_base_images_missing_from_the_graph_fail_the_embedding(self):
+        a = dup(make_zn(6), [3])
+        base_graph, full = build_graph(a.base), build_graph(a.ring)
+        images = {a.index_of(x, 0) for x in base_graph.vertices}
+        keep = [p for p, v in enumerate(full.vertices) if v not in images]
+        graph = ZDGraph(
+            [full.vertices[p] for p in keep],
+            [full.labels[p] for p in keep],
+            full.adjacency[np.ix_(keep, keep)],
+        )
+        checks = structure_checks(a, base_graph, graph)
+        assert not checks.embeds_base
+        assert checks == loop_structure_checks(a, base_graph, graph)
 
     def test_zero_ideal_is_vacuous(self):
         checks = structure_checks(dup(make_zn(6), [0]))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+from amalgam_zdg import amalgam
 from amalgam_zdg.cli import main
 
 
@@ -83,6 +84,17 @@ class TestVerify:
         data = json.loads(out)
         assert data["counterexamples"] == 0
         assert len(data["outcomes"]) == 10
+
+    def test_duplication_above_the_order_limit_exits_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a duplication table was built")
+
+        monkeypatch.setattr(amalgam, "_pair_tables", refuse)
+        code, out, err = run_cli(capsys, "verify", "Z200", "--ideal", "gen(1)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the duplication of Z200 along {0, 1, 2,")
+        assert err.endswith("has order 40000, above the limit of 16384\n")
 
     def test_bad_ideal_label_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "Z6", "--ideal", "gen(7)")

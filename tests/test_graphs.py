@@ -29,6 +29,7 @@ from amalgam_zdg import (
 )
 from amalgam_zdg import graphs
 from oracles import (
+    bfs_complete_bipartition,
     bfs_diameter,
     bfs_girth,
     enumerate_cycles_girth,
@@ -180,6 +181,14 @@ class TestBooleanProduct:
         assert np.array_equal(graphs._boolean_product(left, right), expected)
 
 
+class TestNeighbors:
+    def test_built_on_first_read_from_the_adjacency_rows(self):
+        g = triangle_with_tail()
+        assert "neighbors" not in g._cache
+        assert g.neighbors == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
+        assert g.neighbors is g.neighbors
+
+
 class TestDiameter:
     def test_known_diameters(self):
         assert diameter(build_graph(make_zn(8))) == 2
@@ -275,6 +284,29 @@ class TestShapePredicates:
         assert complete_bipartition(k11) == (1, 1)
         _, triangle = dup_graph("Z4", "gen(2)")
         assert complete_bipartition(triangle) is None
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (lambda: synthetic(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]), (2, 3)),
+            (lambda: synthetic(5, [(u, v) for u in (0, 2) for v in (1, 3, 4)]), (2, 3)),
+            (star, (1, 4)),
+            (k33, (3, 3)),
+            (lambda: synthetic(4, path(2) + path(2, first=2)), None),
+            (lambda: synthetic(3, [(1, 2)]), None),
+            (lambda: synthetic(4, path(4)), None),
+            (lambda: cycle(6), None),
+            (lambda: cycle(5), None),
+            (lambda: synthetic(3, []), None),
+        ],
+        ids=[
+            "K23", "K23-interleaved", "star", "K33", "two-edges",
+            "isolated-first", "P4", "C6", "C5", "edgeless",
+        ],
+    )
+    def test_bipartition_matches_the_bfs_colouring(self, graph, expected):
+        g = graph()
+        assert complete_bipartition(g) == expected == bfs_complete_bipartition(g)
 
     def test_single_vertex_is_not_bipartite_but_is_complete(self):
         g = build_graph(make_zn(4))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,8 @@ from amalgam_zdg import (
     zero_divisors,
     zset_square_zero,
 )
+from amalgam_zdg import rings
+from amalgam_zdg.rings import MAX_TABLE_ORDER
 from oracles import brute_zero_divisors, subset_scan_ideals
 
 
@@ -56,6 +60,13 @@ class TestMakeZn:
         with pytest.raises(ValueError):
             make_zn(n)
 
+    @pytest.mark.parametrize("n", [2, 300, 1024])
+    def test_tables_match_integer_arithmetic_across_row_blocks(self, n):
+        r = make_zn(n)
+        idx = np.arange(n)
+        assert np.array_equal(r.add_table, (idx[:, None] + idx) % n)
+        assert np.array_equal(r.mul_table, (idx[:, None] * idx) % n)
+
     def test_labels_and_spec_name(self):
         r = make_zn(5)
         assert r.labels == ("0", "1", "2", "3", "4")
@@ -63,6 +74,15 @@ class TestMakeZn:
 
 
 class TestProducts:
+    def test_tables_match_componentwise_arithmetic(self):
+        moduli = (4, 6, 3)
+        r = product_ring([make_zn(m) for m in moduli])
+        digits = np.array(np.unravel_index(np.arange(r.order), moduli))
+        for table, op in ((r.add_table, np.add), (r.mul_table, np.multiply)):
+            combined = op(digits[:, :, None], digits[:, None, :])
+            expected = np.ravel_multi_index(tuple(combined), moduli, mode="wrap")
+            assert np.array_equal(table, expected)
+
     def test_z2xz2_zero_divisors(self):
         r = product_ring([make_zn(2), make_zn(2)])
         nonzero = {r.labels[v] for v in zero_divisors(r) - {r.zero}}
@@ -109,6 +129,59 @@ class TestTableOwnership:
             assert np.shares_memory(mul, ring.mul_table), ring.spec_name
             assert not ring.add_table.flags.writeable
             assert not ring.mul_table.flags.writeable
+
+    def test_package_built_tables_are_uint16_and_read_only(self):
+        base = make_zn(6)
+        ideal = ideal_from_generators(base, [3])
+        built = [
+            base,
+            product_ring([make_zn(2), make_zn(3)]),
+            amalgamated_duplication(base, ideal).ring,
+            idealization(base, ideal),
+        ]
+        for ring in built:
+            for table in (ring.add_table, ring.mul_table):
+                assert table.dtype == np.uint16, ring.spec_name
+                assert not table.flags.writeable, ring.spec_name
+
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            (lambda: make_zn(1024), 1.25),
+            # product_ring holds one gathered factor table besides its two.
+            (lambda: product_ring([make_zn(32), make_zn(32)]), 1.75),
+        ],
+        ids=["make_zn", "product_ring"],
+    )
+    def test_builders_hold_no_wide_order_squared_intermediate(self, build, bound):
+        tracemalloc.start()
+        try:
+            ring = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = 2 * ring.order**2 * np.dtype(np.uint16).itemsize
+        assert peak < bound * table_bytes
+
+    # 65539 narrowed to two bytes would read as 3, a valid element of Z5.
+    @pytest.mark.parametrize("bad", [-1, 5, 65539])
+    @pytest.mark.parametrize("which", ["add", "mul"])
+    def test_caller_entries_are_range_checked_before_narrowing(self, bad, which):
+        z5 = make_zn(5)
+        add = np.array(z5.add_table, dtype=np.intp)
+        mul = np.array(z5.mul_table, dtype=np.intp)
+        (add if which == "add" else mul)[1, 2] = bad
+        with pytest.raises(ValueError, match=f"{which}_table entries out of range"):
+            FiniteRing(5, add, mul, 0, 1, z5.labels)
+
+    def test_order_above_the_table_range_is_rejected_before_any_table(self):
+        rings._check_table_order(MAX_TABLE_ORDER)
+        with pytest.raises(ValueError, match="above 65536"):
+            FiniteRing(MAX_TABLE_ORDER + 1, [], [], 0, 1, [])
+        with pytest.raises(ValueError, match="above 65536"):
+            make_zn(MAX_TABLE_ORDER + 1)
+        with pytest.raises(ValueError, match="ring order 90000 is above 65536"):
+            product_ring([make_zn(300), make_zn(300)])
 
     def test_caller_tables_are_copied(self):
         add = np.array(make_zn(3).add_table)

@@ -10,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amalgam_zdg import (
+    DuplicationTooLargeError,
     FiniteRing,
     Instance,
     PreconditionError,
     Status,
     TheoremId,
+    ZDGraph,
     check_annihilators_meet_ideal,
     check_completeness_equivalence,
     check_diam_three_persists,
@@ -32,7 +34,13 @@ from amalgam_zdg import (
     run_all,
     sweep,
 )
-from amalgam_zdg.theorems import _BLAS_THREAD_VARS, _outcome, _worker_pool
+from amalgam_zdg import amalgam
+from amalgam_zdg.theorems import (
+    _BLAS_THREAD_VARS,
+    _graph_invariant_violations,
+    _outcome,
+    _worker_pool,
+)
 
 EXPECTED_ORDER = [
     TheoremId.C3_3,
@@ -247,6 +255,9 @@ class TestRunAll:
         }
 
 
+P5 = [(v, v + 1) for v in range(4)]
+
+
 class TestInstanceInvariants:
     @pytest.mark.parametrize(
         "spec,ideal_spec",
@@ -255,6 +266,23 @@ class TestInstanceInvariants:
     def test_no_violations_on_healthy_instances(self, spec, ideal_spec):
         ring, ideal = instance(spec, ideal_spec)
         assert instance_invariant_violations(Instance(ring, ideal)) == []
+
+    @pytest.mark.parametrize(
+        "edges, expected",
+        [
+            ([(0, 1), (2, 3), (3, 4)], "graph is disconnected"),
+            (P5, "graph has diameter 4 > 3"),
+            (P5 + [(4, 0)], "graph has girth 5 outside {3, 4, inf}"),
+        ],
+        ids=["two-components", "P5", "C5"],
+    )
+    def test_graph_invariants_report_synthetic_failures(self, edges, expected):
+        adj = np.zeros((5, 5), dtype=bool)
+        for u, v in edges:
+            adj[u, v] = adj[v, u] = True
+        graph = ZDGraph(range(5), list("abcde"), adj)
+        violations = _graph_invariant_violations("[p]", "base", graph)
+        assert violations == [f"[p] base {expected}"]
 
     def test_square_zero_table_identity_reads_the_last_slab(self):
         ring, ideal = instance("Z4", "gen(2)")
@@ -348,6 +376,31 @@ class TestSweep:
                     monkeypatch.setattr(module, "idealization", refuse)
         report = sweep(["Z4", "Z8", "Z9", "Z2xZ2"], "nonzero", workers=1)
         assert report.succeeded
+
+    def test_sweep_reads_no_neighbour_tuples(self, monkeypatch):
+        # Every graph of this family is empty or has girth 3 or 4, so the
+        # BFS girth fallback, which walks neighbour tuples, never runs.
+        def refuse(graph):
+            raise AssertionError("the sweep built neighbour tuples")
+
+        monkeypatch.setattr(ZDGraph, "neighbors", property(refuse))
+        family = ["Z3", "Z5", "Z12", "Z16", "Z2xZ2xZ2", "Z3xZ3"]
+        report = sweep(family, "nonzero", workers=1)
+        assert report.succeeded and len(report.instances) == 21
+
+    def test_oversized_ring_is_refused_before_any_instance(self, monkeypatch):
+        # Z200's ideals of 2..50 elements give duplications within the
+        # limit; the whole ring, of order 40000, is above it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a duplication table was built")
+
+        monkeypatch.setattr(amalgam, "_pair_tables", refuse)
+        with pytest.raises(DuplicationTooLargeError, match="Z200 .* has order 40000"):
+            sweep(["Z200"], "nonzero", workers=1)
+
+    def test_pool_sweep_raises_the_order_limit_error(self):
+        with pytest.raises(DuplicationTooLargeError, match="Z131 .* has order 17161"):
+            sweep(["Z2", "Z131"], "nonzero", workers=2)
 
     def test_bad_spec_aborts(self):
         with pytest.raises(Exception):
