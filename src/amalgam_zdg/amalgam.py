@@ -117,13 +117,23 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: 
     return add.reshape(size, size), mul.reshape(size, size), zero, one, labels
 
 
+# Members of a refused ideal named in the error message; the rest are
+# elided and counted, so the message stays short for any ideal.
+_SHOWN_MEMBERS = 8
+
+
 def _check_duplication_order(base: FiniteRing, ideal: Ideal) -> None:
     order = base.order * len(ideal)
     if order > MAX_DUPLICATION_ORDER:
+        members = sorted(ideal.members)
+        if len(members) <= _SHOWN_MEMBERS:
+            shown = base.format_subset(members)
+        else:
+            head = ", ".join(base.labels[e] for e in members[:_SHOWN_MEMBERS])
+            shown = f"{{{head}, …}} ({len(members)} members)"
         raise DuplicationTooLargeError(
-            f"the duplication of {base.spec_name} along "
-            f"{base.format_subset(ideal.members)} has order {order}, above "
-            f"the limit of {MAX_DUPLICATION_ORDER}"
+            f"the duplication of {base.spec_name} along {shown} has order "
+            f"{order}, above the limit of {MAX_DUPLICATION_ORDER}"
         )
 
 

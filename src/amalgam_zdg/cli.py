@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks verified or vacuous, 1 counterexample or
 invariant violation, 2 usage or parse error, or a duplication above the
-order limit.
+order limit, 3 a sweep worker process died (broken process pool), 4 out of
+memory.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .amalgam import (
     DuplicationTooLargeError,
@@ -327,6 +329,16 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecError, NotAnIdealError, DuplicationTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool:
+        print(
+            "error: a sweep worker process died before finishing its rings "
+            "(killed, or out of memory); try fewer --workers",
+            file=sys.stderr,
+        )
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

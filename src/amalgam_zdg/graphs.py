@@ -4,6 +4,10 @@ The graph of a ring has the nonzero zero-divisors as vertices, with an edge
 between distinct u and v exactly when u*v = 0.  Such graphs are always
 connected with diameter at most 3 and girth 3, 4, or infinite; those facts
 are treated as hard invariants and checked by the verification sweep.
+
+The diameter and girth are computed on the quotient by false twins
+(vertices with the same neighbourhood), by rules that hold for every graph,
+so a graph that breaks those invariants is reported as it is.
 """
 
 from __future__ import annotations
@@ -168,25 +172,43 @@ def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.unpackbits(out, axis=1, count=right.shape[1]).view(bool)
 
 
-def _two_step(graph: ZDGraph) -> np.ndarray:
-    """(A @ A) > 0, cached on the graph: u and v have a common neighbour."""
-    cached = graph._cache.get("two_step")
+def _twin_quotient(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's quotient by false twins, cached on the graph.
+
+    False twins are vertices with the same open neighbourhood; for a
+    zero-divisor graph they are the annihilator classes, so there are few.
+    Returns the c x c class adjacency ``q`` (classes i and j adjacent when
+    their members are; never on the diagonal, since a vertex is not its
+    own neighbour) and the class sizes.  Equal rows are grouped by sorting
+    the bit-packed adjacency rows as one opaque byte string each, so two
+    classes are merged only when their rows agree byte for byte.
+    """
+    cached = graph._cache.get("twin_quotient")
     if cached is None:
-        cached = _boolean_product(graph.adjacency, graph.adjacency)
-        graph._cache["two_step"] = cached
+        packed = np.packbits(graph.adjacency, axis=1)
+        # One void item per row; the empty graph's zero-width rows take 1.
+        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
+        _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
+        cached = (graph.adjacency[np.ix_(first, first)], sizes)
+        graph._cache["twin_quotient"] = cached
     return cached
 
 
 def diameter(graph: ZDGraph) -> int | None:
-    """Largest eccentricity; None for the empty graph.
+    """Largest eccentricity; None for the empty graph, 0 for one vertex.
 
-    Grows the boolean reach sets "within d steps" of every vertex, one
-    boolean matrix product per step on the rows not yet full, until every
-    row is full; the number of steps is the diameter.  No bound on the step
-    count is assumed, so a diameter above 3 is reported as it is.  Raises
-    DisconnectedGraphError on a disconnected graph rather than returning a
-    value, since that would falsify the connectivity invariant: there some
-    row stops growing before it is full.
+    Computed on the false-twin quotient Q (see ``_twin_quotient``).  A
+    path between different classes maps to a walk in Q and back, so their
+    distance is their distance in Q; two twins are at distance 2 through
+    any common neighbour.  Hence diam G = max(diam Q, 2 if some class has
+    two or more members).  diam Q comes from the boolean reach sets
+    "within d steps" of every class, grown by one boolean matrix product
+    per step on the rows not yet full until every row is full; the number
+    of steps is the diameter.  No bound on the step count is assumed, so a
+    diameter above 3 is reported as it is.  Raises DisconnectedGraphError
+    on a disconnected graph rather than returning a value, since that
+    would falsify the connectivity invariant: there a class has an empty
+    neighbourhood, or some row stops growing before it is full.
     """
     n = graph.vertex_count
     if n == 0:
@@ -194,23 +216,29 @@ def diameter(graph: ZDGraph) -> int | None:
     cached = graph._cache.get("diameter")
     if cached is not None:
         return cached
-    reach = graph.adjacency | np.eye(n, dtype=bool)
-    steps = 0 if n == 1 else 1
-    open_rows = np.flatnonzero(~reach.all(axis=1))
-    while open_rows.size:
-        before = reach[open_rows]
-        if steps == 1:
-            # (A | I) @ A = A + A @ A, so the first step is the cached square.
-            grown = before | _two_step(graph)[open_rows]
-        else:
-            grown = before | _boolean_product(before, graph.adjacency)
-        if (grown == before).all(axis=1).any():
+    if n == 1:
+        steps = 0
+    else:
+        q, sizes = _twin_quotient(graph)
+        if not q.any(axis=1).all():
             raise DisconnectedGraphError(
-                "zero-divisor graph is disconnected; connectivity invariant violated"
+                "zero-divisor graph has an isolated vertex; connectivity invariant violated"
             )
-        reach[open_rows] = grown
-        steps += 1
-        open_rows = open_rows[~grown.all(axis=1)]
+        reach = q | np.eye(len(q), dtype=bool)
+        steps = 1
+        open_rows = np.flatnonzero(~reach.all(axis=1))
+        while open_rows.size:
+            before = reach[open_rows]
+            grown = before | _boolean_product(before, q)
+            if (grown == before).all(axis=1).any():
+                raise DisconnectedGraphError(
+                    "zero-divisor graph is disconnected; connectivity invariant violated"
+                )
+            reach[open_rows] = grown
+            steps += 1
+            open_rows = open_rows[~grown.all(axis=1)]
+        if (sizes > 1).any():
+            steps = max(steps, 2)
     graph._cache["diameter"] = steps
     return steps
 
@@ -218,23 +246,29 @@ def diameter(graph: ZDGraph) -> int | None:
 def girth(graph: ZDGraph) -> int | float:
     """Length of a shortest cycle, or math.inf for acyclic graphs.
 
-    Girth 3 is an edge whose ends have a common neighbour (A @ A is nonzero
-    on an edge), girth 4 two distinct vertices with two common neighbours
-    (an off-diagonal entry of A @ A of at least 2, counted by a float32
-    matmul, which is exact below 2**24 vertices).  When neither holds the
-    girth is at least 5 or infinite, and a per-root BFS decides it.
+    Decided on the false-twin quotient Q where it can be.  Twins are never
+    adjacent, so a triangle of G lies across three classes: girth 3 iff Q
+    has a triangle (an edge of Q whose ends have a common neighbour).
+    Without one, a 4-cycle of G either crosses four classes, a 4-cycle of
+    Q (two classes with two common neighbours), or has two opposite
+    vertices that are twins, which happens iff some class of two or more
+    members has degree at least 2 in G.  The common-neighbour counts of Q
+    come from a float32 matmul, exact below 2**24 classes.  When neither
+    holds the girth is at least 5 or infinite, and a per-root BFS on G
+    decides it.
     """
     cached = graph._cache.get("girth")
     if cached is not None:
         return cached
-    adj = graph.adjacency
-    if (_two_step(graph) & adj).any():
+    q, sizes = _twin_quotient(graph)
+    weights = q.astype(np.float32)
+    shared = weights @ weights
+    if (shared[q] > 0).any():
         best: int | float = 3
     else:
-        counts = adj.astype(np.float32)
-        shared = counts @ counts >= 2
-        np.fill_diagonal(shared, False)
-        best = 4 if shared.any() else _bfs_girth(graph)
+        np.fill_diagonal(shared, 0)
+        twin_corner = (sizes > 1) & (q @ sizes >= 2)
+        best = 4 if (shared >= 2).any() or twin_corner.any() else _bfs_girth(graph)
     graph._cache["girth"] = best
     return best
 

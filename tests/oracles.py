@@ -2,15 +2,18 @@
 
 These deliberately avoid the code paths they validate: subsets instead of
 closure for ideals, a complement scan over the ideal lattice instead of
-primitive idempotents for primes, per-source BFS and Floyd-Warshall
-instead of boolean reachability products for the diameter, a per-root BFS and
-exhaustive cycle enumeration instead of the A @ A girth tests, and
-element-by-element gathers instead of broadcast position tables for the
-duplication and idealization tables, per-element or per-edge loops
-instead of carrier masks and boolean products for the zero-divisor
-classification, P4.13's joint annihilators and universal vertices, and a
-BFS two-colouring and neighbour-set loops instead of adjacency blocks for
-the complete bipartition and the duplication's structure checks.
+primitive idempotents for primes, per-source BFS, Floyd-Warshall and
+reach products over the whole adjacency instead of reach products on the
+false-twin quotient for the diameter, a per-root BFS, exhaustive cycle
+enumeration and the common-neighbour counts A @ A of the whole graph
+instead of the quotient's triangle, 4-cycle and twin-class degree rules
+for the girth, element-by-element gathers instead of broadcast position
+tables for the duplication and idealization tables, per-element or
+per-edge loops instead of carrier masks and boolean products for the
+zero-divisor classification, P4.13's joint annihilators and universal
+vertices, and a BFS two-colouring and neighbour-set loops instead of
+adjacency blocks for the complete bipartition and the duplication's
+structure checks.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import networkx as nx
 import numpy as np
 
 from amalgam_zdg import (
+    DisconnectedGraphError,
     FiniteRing,
     StructureChecks,
     ZDGraph,
@@ -31,6 +35,7 @@ from amalgam_zdg import (
     is_ideal,
     zero_divisors,
 )
+from amalgam_zdg.graphs import _boolean_product
 
 
 def brute_zero_divisors(ring: FiniteRing) -> frozenset[int]:
@@ -167,6 +172,44 @@ def bfs_girth(graph: ZDGraph) -> int | float:
                 elif parent[u] != w:
                     best = min(best, depth[u] + depth[w] + 1)
     return best
+
+
+def reach_product_diameter(graph: ZDGraph) -> int | None:
+    """Largest eccentricity from boolean reach products over all of G:
+    the "within d steps" sets of every vertex, started from A | I and
+    grown by one four-Russians product with A per step until every row is
+    full; None for the empty graph, DisconnectedGraphError when some row
+    stops growing short of full."""
+    n = graph.vertex_count
+    if n == 0:
+        return None
+    adj = graph.adjacency
+    reach = adj | np.eye(n, dtype=bool)
+    steps = 0 if n == 1 else 1
+    open_rows = np.flatnonzero(~reach.all(axis=1))
+    while open_rows.size:
+        before = reach[open_rows]
+        grown = before | _boolean_product(before, adj)
+        if (grown == before).all(axis=1).any():
+            raise DisconnectedGraphError("a reach row stopped growing")
+        reach[open_rows] = grown
+        steps += 1
+        open_rows = open_rows[~grown.all(axis=1)]
+    return steps
+
+
+def square_girth(graph: ZDGraph) -> int | float:
+    """Girth from the common-neighbour counts A @ A of all of G (integer
+    matmul): 3 when an edge has a common neighbour, 4 when two distinct
+    vertices have two, otherwise the per-root BFS oracle."""
+    counts = graph.adjacency.astype(np.int64)
+    shared = counts @ counts
+    if (shared[graph.adjacency] > 0).any():
+        return 3
+    np.fill_diagonal(shared, 0)
+    if (shared >= 2).any():
+        return 4
+    return bfs_girth(graph)
 
 
 def gather_pair_tables(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    DisconnectedGraphError,
     ZDGraph,
     all_ideals,
     amalgamated_duplication,
@@ -60,6 +61,8 @@ from oracles import (
     loop_classify_zero_divisors,
     loop_structure_checks,
     neighbor_count_universal_vertices,
+    reach_product_diameter,
+    square_girth,
     subset_scan_ideals,
 )
 
@@ -311,6 +314,33 @@ def test_whole_array_graph_checks_match_loops(family_instances):
                 exclusive.add(checks.regular_members_exclusive)
                 embeds.add(checks.embeds_base)
         assert parts == exclusive == embeds == {True, False}
+
+
+def _diameter_or_disconnected(diameter_of, graph):
+    try:
+        return diameter_of(graph)
+    except DisconnectedGraphError:
+        return "disconnected"
+
+
+def test_quotient_graph_layer_matches_whole_graph_oracles(family_instances):
+    """Diameter and girth on the false-twin quotient against reach products
+    and A @ A over the whole adjacency, on every graph of the family and on
+    its complement, which is often disconnected and has other classes."""
+    with criterion("oracles: twin-quotient diameter and girth"):
+        checked, outcomes = 0, set()
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal)
+            for graph in (build_graph(ring), build_graph(dup.ring)):
+                for g in (graph, _complement(graph)):
+                    got = _diameter_or_disconnected(diameter, g)
+                    assert got == _diameter_or_disconnected(
+                        reach_product_diameter, g
+                    ), g
+                    assert girth(g) == square_girth(g), g
+                    outcomes.add(got == "disconnected")
+                    checked += 1
+        assert checked == 4 * 68 and outcomes == {True, False}
 
 
 def test_order_limit_leaves_every_family_alone(monkeypatch):

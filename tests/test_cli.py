@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
-from amalgam_zdg import amalgam
+import pytest
+
+from amalgam_zdg import amalgam, cli
 from amalgam_zdg.cli import main
 
 
@@ -96,6 +99,17 @@ class TestVerify:
         assert err.startswith("error: the duplication of Z200 along {0, 1, 2,")
         assert err.endswith("has order 40000, above the limit of 16384\n")
 
+    @pytest.mark.parametrize("spec", ["Z4096", "Z16xZ16xZ16"])
+    def test_order_limit_message_stays_short(self, capsys, spec):
+        # The largest ideals the spec limit allows, the second with the
+        # longest element labels: a few members, then the member count.
+        code, out, err = run_cli(capsys, "verify", spec, "--ideal", "full")
+        assert code == 2 and out == ""
+        assert err.endswith(
+            ", …} (4096 members) has order 16777216, above the limit of 16384\n"
+        )
+        assert err.count("\n") == 1 and len(err) <= 200
+
     def test_bad_ideal_label_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "Z6", "--ideal", "gen(7)")
         assert code == 2
@@ -144,6 +158,26 @@ class TestSweep:
         )
         assert code == 0
         assert json.loads(out)["family"] == ["Z4", "Z6"]
+
+    @pytest.mark.parametrize(
+        "crash, code, message",
+        [
+            (BrokenProcessPool("a process terminated abruptly"), 3, "worker process died"),
+            (MemoryError(), 4, "out of memory"),
+        ],
+        ids=["broken-pool", "memory"],
+    )
+    def test_worker_crashes_have_their_own_exit_codes(
+        self, capsys, monkeypatch, crash, code, message
+    ):
+        def crashing_sweep(*args, **kwargs):
+            raise crash
+
+        monkeypatch.setattr(cli, "sweep", crashing_sweep)
+        got, out, err = run_cli(capsys, "sweep", "--family", "Z6", "--workers", "2")
+        assert got == code and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "Z6", "--workers", "1")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from amalgam_zdg import (
     make_zn,
     parse_ideal_spec,
     parse_ring_spec,
+    sweep,
     universal_vertices,
 )
 from amalgam_zdg import graphs
@@ -34,6 +36,8 @@ from oracles import (
     bfs_girth,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
+    reach_product_diameter,
+    square_girth,
 )
 
 SAMPLE_SPECS = [
@@ -187,6 +191,108 @@ class TestNeighbors:
         assert "neighbors" not in g._cache
         assert g.neighbors == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
         assert g.neighbors is g.neighbors
+
+
+def petersen():
+    g = nx.petersen_graph()
+    return synthetic(g.number_of_nodes(), g.edges())
+
+
+def class_count(graph):
+    """Number of distinct adjacency rows, counted without the library."""
+    return len({row.tobytes() for row in graph.adjacency})
+
+
+@st.composite
+def twin_graphs(draw):
+    """A random graph on a few vertices, each blown up into a class of
+    false twins (copies with the same neighbourhood, not adjacent to each
+    other), vertex order shuffled; a spanning path, when drawn, makes the
+    base graph and so the blow-up connected."""
+    m = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    base = np.triu(rng.random((m, m)) < density, 1)
+    if draw(st.booleans()):
+        base[np.arange(m - 1), np.arange(1, m)] = True
+    base |= base.T
+    sizes = rng.integers(1, 4, size=m)
+    owner = rng.permutation(np.repeat(np.arange(m), sizes))
+    adj = base[np.ix_(owner, owner)]
+    return ZDGraph(range(len(owner)), [str(v) for v in range(len(owner))], adj)
+
+
+class TestTwinQuotient:
+    @settings(max_examples=300, deadline=None)
+    @given(twin_graphs())
+    def test_matches_networkx(self, g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.vertex_count))
+        nxg.add_edges_from(g.edge_positions())
+        assert girth(g) == nx.girth(nxg)
+        if nx.is_connected(nxg):
+            assert diameter(g) == nx.diameter(nxg)
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                diameter(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(twin_graphs())
+    def test_classes_are_the_distinct_rows(self, g):
+        q, sizes = graphs._twin_quotient(g)
+        assert len(q) == len(sizes) == class_count(g)
+        assert sizes.sum() == g.vertex_count
+        assert not q.diagonal().any() and np.array_equal(q, q.T)
+        assert graphs._twin_quotient(g) is graphs._twin_quotient(g)
+
+    @pytest.mark.parametrize(
+        "build, diam, length, classes",
+        [
+            (lambda: cycle(4), 2, 4, 2),
+            (lambda: synthetic(4, [(0, v) for v in (1, 2, 3)]), 2, math.inf, 2),
+            (lambda: synthetic(5, path(5)), 4, math.inf, 5),
+            (petersen, 2, 5, 10),
+        ],
+        ids=["C4", "K13", "P5", "Petersen"],
+    )
+    def test_named_graphs(self, build, diam, length, classes):
+        g = build()
+        assert class_count(g) == classes
+        assert diameter(g) == diam == bfs_diameter(g) == reach_product_diameter(g)
+        assert girth(g) == length == bfs_girth(g) == square_girth(g)
+
+    def test_two_isolated_vertices_are_disconnected(self):
+        g = synthetic(2, [])
+        assert class_count(g) == 1
+        with pytest.raises(DisconnectedGraphError):
+            diameter(g)
+        assert math.isinf(girth(g))
+
+    def test_four_cycle_twins_decide_girth_without_bfs(self, bfs_girth_calls):
+        # The quotient of C4 is one edge: no 4-cycle there, but each class
+        # holds two twins with two neighbours.
+        assert girth(cycle(4)) == 4
+        assert bfs_girth_calls == []
+
+    def test_sweep_multiplies_only_quotient_sized_operands(self, monkeypatch):
+        shapes, counts = [], []
+        quotient, product = graphs._twin_quotient, graphs._boolean_product
+
+        def quotient_spy(graph):
+            counts.append((class_count(graph), graph.vertex_count))
+            return quotient(graph)
+
+        def product_spy(left, right):
+            shapes.append((left.shape, right.shape, counts[-1][0]))
+            return product(left, right)
+
+        monkeypatch.setattr(graphs, "_twin_quotient", quotient_spy)
+        monkeypatch.setattr(graphs, "_boolean_product", product_spy)
+        assert sweep(["Z32"], workers=1).succeeded
+        assert shapes and any(c < n for c, n in counts)
+        for left, right, c in shapes:
+            assert max(left[1], *right) <= c
 
 
 class TestDiameter:
