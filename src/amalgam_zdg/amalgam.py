@@ -16,7 +16,14 @@ from typing import Callable
 import numpy as np
 
 from .graphs import ZDGraph, build_graph
-from .rings import TABLE_DTYPE, FiniteRing, Ideal, ideal_violations, zero_divisors
+from .rings import (
+    _BLOCK_CELLS,
+    TABLE_DTYPE,
+    FiniteRing,
+    Ideal,
+    ideal_violations,
+    zero_divisors,
+)
 from .specs import MAX_DUPLICATION_ORDER
 
 __all__ = [
@@ -61,55 +68,62 @@ def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
     return pos, sum_pos, prod_pos
 
 
-def _mul_slab_filler(
+def _mul_block_filler(
     base: FiniteRing,
     members: tuple[int, ...],
     sum_pos: np.ndarray,
     prod_pos: np.ndarray,
     with_product_term: bool,
-) -> Callable[[int, np.ndarray], None]:
-    """``fill(r, out)`` writes the multiplication table's slab of first
-    coordinate r, shape (k, n, k) in carrier order, into ``out``.
+) -> tuple[int, Callable[[int, int, np.ndarray], None]]:
+    """``(step, fill)``: ``fill(lo, hi, out)`` writes the multiplication
+    table's rows of first coordinates lo..hi-1, shape (hi-lo, k, n, k) in
+    carrier order, into ``out``; a block of ``step`` first coordinates
+    holds about _BLOCK_CELLS cells, and never less than one coordinate.
 
-    Entry [i, s, j] is the carrier index of (r, i)(s, j): r*s times k plus
-    the position of r*j + s*i (+ i*j for the duplication), with i and j
-    given by position in the ideal.  Gathering one slab at a time into a
-    C-ordered buffer keeps carrier order; one gather over the whole shape
-    comes out in a transposed layout, which a reshape would copy.  ``out``
-    is a TABLE_DTYPE array, and every carrier index fits in it.
+    Entry [r, i, s, j] is the carrier index of (r, i)(s, j): r*s times k
+    plus the position of u*j + s*i, where u = r+i for the duplication
+    (rj+si+ij = (r+i)j + si) and u = r for the idealization, with i and j
+    given by position in the ideal.  Over j those k positions are row
+    u*k + pos(s*i) of one small table ``rows[u*k + b, j] = pos(u*j + m_b)``,
+    so a block is one gather of whole k-wide rows, driven by an index
+    array of 1/k of its cells.  ``out`` is a TABLE_DTYPE array, and every
+    carrier index fits in it.
     """
     n, k = base.order, len(members)
-    # The position of r*j at [r, i, j], or of r*j + i*j for the duplication.
+    rows = sum_pos.astype(TABLE_DTYPE)[prod_pos[:, None, :], np.arange(k)[:, None]]
+    rows = rows.reshape(n * k, k)
     if with_product_term:
-        rj_pos = sum_pos[prod_pos[:, None, :], prod_pos[list(members)][None, :, :]]
+        u = base.add_table[:, list(members)].astype(np.intp)
     else:
-        rj_pos = np.broadcast_to(prod_pos[:, None, :], (n, k, k))
-    sums = sum_pos.ravel().astype(TABLE_DTYPE)
-    cross = prod_pos.T[:, :, None]
+        u = np.arange(n)[:, None]
+    cross = prod_pos.T
     mul_t = base.mul_table
+    step = max(1, min(n, _BLOCK_CELLS // (n * k * k)))
 
-    def fill(r: int, out: np.ndarray) -> None:
-        np.take(sums, (rj_pos[r] * k)[:, None, :] + cross, out=out)
-        out += (mul_t[r] * k)[None, :, None]
+    def fill(lo: int, hi: int, out: np.ndarray) -> None:
+        # Every row index u*k + pos(s*i) is below n*k by construction;
+        # "raise" mode would gather into a scratch block and copy it over.
+        np.take(rows, u[lo:hi, :, None] * k + cross, axis=0, out=out, mode="clip")
+        out += (mul_t[lo:hi] * k)[:, None, :, None]
 
-    return fill
+    return step, fill
 
 
 def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
     """Addition/multiplication tables over the carrier base x members,
     built in the shape (n, k, n, k) from the two position tables: addition
-    by one broadcast add, multiplication one first-coordinate slab at a
-    time.  Both are written as TABLE_DTYPE from the start: the callers'
+    by one broadcast add, multiplication one block of first coordinates at
+    a time.  Both are written as TABLE_DTYPE from the start: the callers'
     order check keeps every carrier index r*k + t below MAX_DUPLICATION_ORDER,
     so the arithmetic on base-table entries cannot wrap."""
     n, k = base.order, len(members)
     pos, sum_pos, prod_pos = _ideal_positions(base, members)
     sums = sum_pos.astype(TABLE_DTYPE)
     add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
-    fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term)
+    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term)
     mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
-    for r in range(n):
-        fill(r, mul[r])
+    for lo in range(0, n, step):
+        fill(lo, min(lo + step, n), mul[lo : lo + step])
     size = n * k
     labels = [f"({base.labels[r]},{base.labels[i]})" for r in range(n) for i in members]
     zero = int(base.zero * k + pos[base.zero])
@@ -222,23 +236,26 @@ def matches_idealization(amalgam: AmalgamRing) -> bool:
     """True iff the duplication's multiplication table equals the
     idealization's on the same carrier.
 
-    The idealization's table is gathered one first-coordinate slab at a
-    time, from the base tables and without the i*j term, and each slab is
-    compared with the matching rows of ``amalgam.ring.mul_table``; the
-    first slab that differs ends the scan.  Only one slab of the
-    idealization is ever held, never a second ring.  When I*I != 0 the
-    slab of r = 0 already differs (at s = 0 it holds the i*j terms).
+    The idealization's table is gathered one block of first coordinates at
+    a time, from the same row table as the duplication's but with u = r in
+    place of r+i, and each block's values are compared with the matching
+    rows of ``amalgam.ring.mul_table``; the first block that differs ends
+    the scan.  Only one block of the idealization is ever held, never a
+    second ring.  When I*I != 0 the first block already differs (at
+    r = s = 0 it holds the i*j terms).
     """
     base = amalgam.base
     members = amalgam.ideal_elements
     n, k = base.order, len(members)
     _, sum_pos, prod_pos = _ideal_positions(base, members)
-    fill = _mul_slab_filler(base, members, sum_pos, prod_pos, with_product_term=False)
+    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term=False)
     built = amalgam.ring.mul_table.reshape(n, k, n, k)
-    slab = np.empty((k, n, k), dtype=TABLE_DTYPE)
-    for r in range(n):
-        fill(r, slab)
-        if not np.array_equal(slab, built[r]):
+    block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        gathered = block[: hi - lo]
+        fill(lo, hi, gathered)
+        if not np.array_equal(gathered, built[lo:hi]):
             return False
     return True
 

@@ -252,37 +252,59 @@ def girth(graph: ZDGraph) -> int | float:
     Without one, a 4-cycle of G either crosses four classes, a 4-cycle of
     Q (two classes with two common neighbours), or has two opposite
     vertices that are twins, which happens iff some class of two or more
-    members has degree at least 2 in G.  The common-neighbour counts of Q
-    come from a float32 matmul, exact below 2**24 classes.  When neither
-    holds the girth is at least 5 or infinite, and a per-root BFS on G
-    decides it.
+    members has degree at least 2 in G.  Both tests on Q read the boolean
+    product Q @ Q, on one thread and exact: some pair of distinct classes
+    has two common neighbours iff the paths of length 2 between distinct
+    classes, sum of deg*(deg-1)/2, outnumber the pairs they join.  When
+    neither holds the girth is at least 5 or infinite, and a BFS on the
+    2-core of G decides it.
     """
     cached = graph._cache.get("girth")
     if cached is not None:
         return cached
     q, sizes = _twin_quotient(graph)
-    weights = q.astype(np.float32)
-    shared = weights @ weights
-    if (shared[q] > 0).any():
+    joined = _boolean_product(q, q)
+    if (joined & q).any():
         best: int | float = 3
     else:
-        np.fill_diagonal(shared, 0)
+        degrees = q.sum(axis=1)
+        paths = int((degrees * (degrees - 1)).sum()) // 2
+        pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
         twin_corner = (sizes > 1) & (q @ sizes >= 2)
-        best = 4 if (shared >= 2).any() or twin_corner.any() else _bfs_girth(graph)
+        best = 4 if paths > pairs or twin_corner.any() else _bfs_girth(graph)
     graph._cache["girth"] = best
     return best
+
+
+def _two_core(adjacency: np.ndarray) -> np.ndarray:
+    """Positions of the 2-core: vertices left after repeatedly removing
+    those of degree at most 1, none of which lies on a cycle."""
+    alive = np.ones(len(adjacency), dtype=bool)
+    degrees = adjacency.sum(axis=1)
+    while True:
+        drop = alive & (degrees <= 1)
+        if not drop.any():
+            return np.flatnonzero(alive)
+        alive &= ~drop
+        degrees -= adjacency[drop].sum(axis=0)
 
 
 def _bfs_girth(graph: ZDGraph) -> int | float:
     """Per-root BFS, for graphs already known to have no 3- or 4-cycle.
 
-    A non-tree edge joining vertices at depths d1 and d2 exhibits a closed
-    walk of length d1+d2+1, which always contains a cycle no longer than
-    that; minimizing over all roots is exact.  Girth 5 is the least left,
-    so finding it ends the search.
+    Every cycle lies in the 2-core, so the search runs there, and an
+    empty core means an acyclic graph without any search.  A non-tree edge
+    joining vertices at depths d1 and d2 exhibits a closed walk of length
+    d1+d2+1, which always contains a cycle no longer than that; minimizing
+    over all roots is exact.  Girth 5 is the least left, so finding it
+    ends the search.
     """
+    core = _two_core(graph.adjacency)
+    neighbors = [
+        np.flatnonzero(row).tolist() for row in graph.adjacency[np.ix_(core, core)]
+    ]
     best: int | float = math.inf
-    n = graph.vertex_count
+    n = len(core)
     for root in range(n):
         depth = [-1] * n
         parent = [-1] * n
@@ -290,7 +312,7 @@ def _bfs_girth(graph: ZDGraph) -> int | float:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors[u]:
+            for w in neighbors[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
                     parent[w] = u

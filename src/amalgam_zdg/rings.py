@@ -163,7 +163,9 @@ class Ideal:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        if any(m < 0 or m >= self.ring.order for m in self.members):
+        if self.members and (
+            min(self.members) < 0 or max(self.members) >= self.ring.order
+        ):
             raise ValueError("ideal members out of range for the ring carrier")
 
     @cached_property

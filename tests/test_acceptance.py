@@ -46,6 +46,7 @@ from amalgam_zdg import (
     zero_divisors,
     zset_square_zero,
 )
+from amalgam_zdg import amalgam
 from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
 from amalgam_zdg.theorems import _edges_share_annihilator
 from oracles import (
@@ -250,7 +251,7 @@ def test_oracle_equivalence(family_instances):
 
 
 def test_idealization_comparator_matches_whole_tables(family_instances):
-    with criterion("P2.1b: slab comparator equals whole-table equality"):
+    with criterion("P2.1b: block comparator equals whole-table equality"):
         outcomes = []
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
@@ -260,6 +261,30 @@ def test_idealization_comparator_matches_whole_tables(family_instances):
             assert matches_idealization(dup) == whole, dup.ring.spec_name
             outcomes.append(whole)
         assert len(outcomes) == 68 and 0 < sum(outcomes) < 68
+
+
+@pytest.mark.parametrize("blocks", ["one-coordinate", "ragged"])
+def test_block_size_leaves_pair_tables_and_comparator_alone(
+    family_instances, blocks, monkeypatch
+):
+    """At the default block size no table of the family spans two blocks,
+    so the block loops run here at sizes that split every table: one first
+    coordinate per block, or n//2 + 1 of them, which leaves a shorter last
+    block whenever n >= 3."""
+    with criterion(f"pair tables and P2.1b comparator in {blocks} blocks"):
+        ragged = 0
+        for ring, ideal in family_instances:
+            n, k = ring.order, len(ideal)
+            step = 1 if blocks == "one-coordinate" else n // 2 + 1
+            monkeypatch.setattr(amalgam, "_BLOCK_CELLS", step * n * k * k)
+            dup = amalgamated_duplication(ring, ideal)
+            _assert_tables_match_oracle(ring, ideal, dup)
+            whole = np.array_equal(
+                dup.ring.mul_table, idealization(ring, ideal).mul_table
+            )
+            assert matches_idealization(dup) == whole, dup.ring.spec_name
+            ragged += n % step != 0
+        assert ragged == (0 if blocks == "one-coordinate" else 67)
 
 
 def test_vectorized_checks_match_loops(family_instances):

@@ -7,6 +7,7 @@ import pytest
 
 from amalgam_zdg import (
     DuplicationTooLargeError,
+    FiniteRing,
     Ideal,
     NotAnIdealError,
     ZDGraph,
@@ -157,6 +158,30 @@ class TestIdealization:
         a = amalgamated_duplication(r, ideal)
         ext = idealization(r, ideal)
         assert not np.array_equal(a.ring.mul_table, ext.mul_table)
+
+    @pytest.mark.parametrize("step", [1, 3], ids=["one-coordinate", "ragged"])
+    def test_comparator_reads_the_last_block(self, step, monkeypatch):
+        # Z8 along {0, 4} squares to zero, so the tables agree until one
+        # cell of first coordinate 7 is moved: (7,4)(7,4) = (1,0) becomes
+        # (1,4).  Three coordinates per block leave a last block of two.
+        a = amalgamated_duplication(Z8, I8)
+        monkeypatch.setattr(amalgam, "_BLOCK_CELLS", step * 8 * 2 * 2)
+        assert amalgam.matches_idealization(a)
+        built = a.ring
+        mul = np.array(built.mul_table)
+        last = a.index_of(7, 4)
+        assert mul[last, last] == a.index_of(1, 0)
+        mul[last, last] = a.index_of(1, 4)
+        a.ring = FiniteRing(
+            built.order,
+            built.add_table,
+            mul,
+            built.zero,
+            built.one,
+            built.labels,
+            built.spec_name,
+        )
+        assert not amalgam.matches_idealization(a)
 
 
 class TestProductEmbedding:

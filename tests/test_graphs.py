@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import networkx as nx
 import numpy as np
@@ -87,6 +88,12 @@ def star():
 def triangle_with_tail():
     """Triangle 0-1-2 with the path 2-3-4 hanging off it."""
     return synthetic(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+
+
+def square_with_pendants():
+    """The 4-cycle 0-1-2-3 with a leaf on each vertex: no two vertices are
+    twins, so the 4-cycle is one of the quotient's own."""
+    return synthetic(8, path(4) + [(3, 0), (0, 4), (1, 5), (2, 6), (3, 7)])
 
 
 @pytest.fixture
@@ -221,6 +228,29 @@ def twin_graphs(draw):
     owner = rng.permutation(np.repeat(np.arange(m), sizes))
     adj = base[np.ix_(owner, owner)]
     return ZDGraph(range(len(owner)), [str(v) for v in range(len(owner))], adj)
+
+
+@st.composite
+def forests_with_planted_cycles(draw):
+    """A random tree or forest on up to 30 vertices (each vertex after the
+    first hangs off an earlier one, in a forest only sometimes), and for
+    "cycle" a tree with one more edge between two vertices not yet
+    adjacent, which closes exactly one cycle, of any length from 3."""
+    kind = draw(st.sampled_from(["tree", "forest", "cycle"]))
+    n = draw(st.integers(1 if kind != "cycle" else 3, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [
+        (int(rng.integers(0, v)), v)
+        for v in range(1, n)
+        if kind != "forest" or rng.random() < 0.8
+    ]
+    if kind == "cycle":
+        free = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in edges and (v, u) not in edges
+        ]
+        edges.append(free[int(rng.integers(0, len(free)))])
+    return kind, synthetic(n, edges)
 
 
 class TestTwinQuotient:
@@ -368,8 +398,26 @@ class TestGirth:
         assert math.isinf(girth(g))
         assert bfs_girth_calls == [g]
 
+    def test_star_of_z4078_is_acyclic_within_a_second(self):
+        # Z4078 = Z2 x Z2039 has the star K_{1,2038} as its graph: no
+        # twin-class rule fires, and its 2-core is empty.
+        g = synthetic(2039, [(0, v) for v in range(1, 2039)])
+        start = time.perf_counter()
+        assert math.isinf(girth(g))
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(forests_with_planted_cycles())
+    def test_forests_and_planted_cycles(self, drawn):
+        kind, g = drawn
+        assert girth(g) == bfs_girth(g) == enumerate_cycles_girth(g)
+        assert math.isinf(girth(g)) == (kind != "cycle")
+        assert (graphs._two_core(g.adjacency).size == 0) == (kind != "cycle")
+
     @pytest.mark.parametrize(
-        "build, expected", [(k33, 4), (triangle_with_tail, 3)], ids=["K33", "triangle"]
+        "build, expected",
+        [(k33, 4), (triangle_with_tail, 3), (square_with_pendants, 4)],
+        ids=["K33", "triangle", "pendant-square"],
     )
     def test_square_decides_three_and_four(self, build, expected, bfs_girth_calls):
         g = build()

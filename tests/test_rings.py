@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amalgam_zdg import (
     FiniteRing,
+    Ideal,
     all_ideals,
     amalgamated_duplication,
     annihilator,
@@ -289,6 +290,12 @@ class TestIdeals:
         assert not is_ideal(make_zn(6), zero_divisors(make_zn(6)))
         assert is_ideal(make_zn(8), zero_divisors(make_zn(8)))
         assert is_ideal(make_zn(6), {0})
+
+    @pytest.mark.parametrize("member", [-1, 6], ids=["negative", "order"])
+    def test_members_outside_the_carrier_are_rejected(self, member):
+        z6 = make_zn(6)
+        with pytest.raises(ValueError, match="ideal members out of range"):
+            Ideal(z6, frozenset({0, 3, member}))
 
     def test_violation_messages_name_offenders(self):
         r = make_zn(6)
