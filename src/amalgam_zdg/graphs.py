@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, zero_divisors
+from .rings import _BLOCK_CELLS, FiniteRing, _zero_product_adjacency
 
 __all__ = [
     "DisconnectedGraphError",
@@ -49,8 +49,35 @@ class DisconnectedGraphError(RuntimeError):
     """
 
 
+def _symmetric_hollow(adj: np.ndarray) -> bool:
+    """True iff the square boolean ``adj`` equals its transpose and has an
+    empty diagonal.
+
+    Each square tile of about _BLOCK_CELLS cells on or above the diagonal
+    is compared with the transpose of its mirror tile, so both stay in
+    cache and no n x n temporary is allocated.
+    """
+    if adj.diagonal().any():
+        return False
+    n = len(adj)
+    side = max(1, math.isqrt(_BLOCK_CELLS))
+    for lo in range(0, n, side):
+        for co in range(lo, n, side):
+            tile = adj[lo : lo + side, co : co + side]
+            if (tile != adj[co : co + side, lo : lo + side].T).any():
+                return False
+    return True
+
+
 class ZDGraph:
-    """Immutable undirected graph with dense adjacency and labeled vertices."""
+    """Immutable undirected graph with dense adjacency and labeled vertices.
+
+    The adjacency is stored as a read-only C-ordered boolean array.
+    ``build_graph`` hands over fresh tuples and a fresh array (``_owned``),
+    which are kept as they are; a caller's are converted and copied.  Either
+    way the adjacency must be symmetric with an empty diagonal, so a graph
+    read off a non-commutative table is refused.
+    """
 
     def __init__(
         self,
@@ -58,13 +85,18 @@ class ZDGraph:
         labels: Sequence[str],
         adjacency: np.ndarray,
         ring: FiniteRing | None = None,
+        *,
+        _owned: bool = False,
     ) -> None:
-        self.vertices = tuple(int(v) for v in vertices)
-        self.labels = tuple(str(x) for x in labels)
-        adj = np.array(adjacency, dtype=bool)
+        if _owned:
+            self.vertices, self.labels, adj = vertices, labels, adjacency
+        else:
+            self.vertices = tuple(int(v) for v in vertices)
+            self.labels = tuple(str(x) for x in labels)
+            adj = np.array(adjacency, dtype=bool, order="C")
         if adj.shape != (len(self.vertices), len(self.vertices)):
             raise ValueError("adjacency shape does not match the vertex list")
-        if adj.size and ((adj != adj.T).any() or adj.diagonal().any()):
+        if not _symmetric_hollow(adj):
             raise ValueError("adjacency must be symmetric with an empty diagonal")
         adj.setflags(write=False)
         self.adjacency = adj
@@ -110,10 +142,10 @@ def build_graph(ring: FiniteRing) -> ZDGraph:
     cached = ring._cache.get("zdgraph")
     if cached is not None:
         return cached
-    verts = sorted(zero_divisors(ring) - {ring.zero})
-    adj = ring.mul_table[np.ix_(verts, verts)] == ring.zero
-    np.fill_diagonal(adj, False)
-    graph = ZDGraph(verts, [ring.labels[v] for v in verts], adj, ring)
+    verts, adj = _zero_product_adjacency(ring)
+    vertices = tuple(verts.tolist())
+    labels = tuple([ring.labels[v] for v in vertices])
+    graph = ZDGraph(vertices, labels, adj, ring, _owned=True)
     ring._cache["zdgraph"] = graph
     return graph
 
@@ -327,12 +359,12 @@ def _bfs_girth(graph: ZDGraph) -> int | float:
 
 
 def is_complete(graph: ZDGraph) -> bool:
-    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1)."""
+    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1).
+
+    The diagonal is empty by construction, so that is n(n-1) set entries.
+    """
     n = graph.vertex_count
-    if n <= 1:
-        return True
-    off_diagonal = ~np.eye(n, dtype=bool)
-    return bool(graph.adjacency[off_diagonal].all())
+    return int(np.count_nonzero(graph.adjacency)) == n * (n - 1)
 
 
 def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:

@@ -102,7 +102,8 @@ class FiniteRing:
         self.mul_table = _frozen_table(mul_table, "mul_table", self.order, _owned)
         self.zero = int(zero)
         self.one = int(one)
-        self.labels = tuple(str(lbl) for lbl in labels)
+        # The builders' labels are fresh strings; a caller's are converted.
+        self.labels = tuple(labels) if _owned else tuple(str(lbl) for lbl in labels)
         if len(self.labels) != self.order:
             raise ValueError(f"{len(self.labels)} labels for order {self.order}")
         self.spec_name = spec_name or f"ring<{self.order}>"
@@ -200,8 +201,9 @@ class Ideal:
 # Constructors
 
 
-# make_zn fills its tables a block of rows of about this many cells at a
-# time, so its intp intermediates stay this small whatever the order.
+# make_zn fills its tables, and the zero-product pass compares and gathers
+# them, a block of rows of about this many cells at a time, so their
+# intermediates stay this small whatever the order.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -334,15 +336,51 @@ def verify_ring_axioms(ring: FiniteRing) -> list[str]:
 
 
 def zero_divisors(ring: FiniteRing) -> frozenset[int]:
-    """The set Z(R) of zero-divisors, including 0 (order >= 2)."""
+    """The set Z(R) of zero-divisors, including 0 (order >= 2).
+
+    x is a zero-divisor when x*y = 0 for some y != 0.  The rows of
+    ``mul_table == zero`` are compared a block of about _BLOCK_CELLS cells
+    at a time, so no order x order boolean is ever allocated.
+    """
     cached = ring._cache.get("zero_divisors")
-    if cached is not None:
-        return cached
-    mask = ring.mul_table == ring.zero
-    mask[:, ring.zero] = False
-    zd = frozenset(np.nonzero(mask.any(axis=1))[0].tolist())
-    ring._cache["zero_divisors"] = zd
-    return zd
+    if cached is None:
+        mul, n = ring.mul_table, ring.order
+        mask = np.empty(n, dtype=bool)
+        step = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            block = mul[lo : lo + step] == ring.zero
+            block[:, ring.zero] = False
+            block.any(axis=1, out=mask[lo : lo + step])
+        cached = frozenset(np.flatnonzero(mask).tolist())
+        ring._cache["zero_divisors"] = cached
+    return cached
+
+
+def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero zero-divisors in ascending order and the fresh boolean
+    block of x*y == 0 over them with the diagonal cleared: the vertices and
+    adjacency of the zero-divisor graph.
+
+    The block is gathered from ``mul_table`` a block of about _BLOCK_CELLS
+    cells at a time.  Before its diagonal is cleared it also decides
+    whether Z(R)^2 = 0, together with the zero row and column read off the
+    table when 0 is in Z(R), so no ring axiom is assumed; only that answer
+    is cached on the ring, never the block.
+    """
+    mul, zero, n = ring.mul_table, ring.zero, ring.order
+    zd = np.array(sorted(zero_divisors(ring)), dtype=np.intp)
+    verts = zd[zd != zero]
+    adj = np.empty((len(verts), len(verts)), dtype=bool)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(verts), step):
+        rows = mul.take(verts[lo : lo + step], axis=0)
+        np.equal(rows.take(verts, axis=1), zero, out=adj[lo : lo + step])
+    square_zero = bool(adj.all())
+    if square_zero and len(verts) < len(zd):
+        square_zero = bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
+    ring._cache["zset_square_zero"] = square_zero
+    np.fill_diagonal(adj, False)
+    return verts, adj
 
 
 def annihilator(ring: FiniteRing, a: int) -> Ideal:
@@ -360,9 +398,17 @@ def annihilator_pair(ring: FiniteRing, a: int, b: int) -> Ideal:
 
 
 def zset_square_zero(ring: FiniteRing) -> bool:
-    """True iff x*y = 0 for every pair of zero-divisors."""
-    zd = sorted(zero_divisors(ring))
-    return bool((ring.mul_table[np.ix_(zd, zd)] == ring.zero).all())
+    """True iff x*y = 0 for every pair of zero-divisors.
+
+    Decided by the pass that gathers the zero-divisor graph's adjacency
+    (``_zero_product_adjacency``), which caches the answer; a ring whose
+    graph is already built pays nothing here.
+    """
+    cached = ring._cache.get("zset_square_zero")
+    if cached is None:
+        _zero_product_adjacency(ring)
+        cached = ring._cache["zset_square_zero"]
+    return cached
 
 
 def is_domain(ring: FiniteRing) -> bool:

@@ -11,9 +11,11 @@ for the girth, element-by-element gathers instead of broadcast position
 tables for the duplication and idealization tables, per-element or
 per-edge loops instead of carrier masks and boolean products for the
 zero-divisor classification, P4.13's joint annihilators and universal
-vertices, and a BFS two-colouring and neighbour-set loops instead of
+vertices, a BFS two-colouring and neighbour-set loops instead of
 adjacency blocks for the complete bipartition and the duplication's
-structure checks.
+structure checks, and a whole-table mask, ``np.ix_`` gathers and an
+off-diagonal ``eye`` mask instead of the one blocked zero-product pass for
+Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.
 """
 
 from __future__ import annotations
@@ -47,6 +49,37 @@ def brute_zero_divisors(ring: FiniteRing) -> frozenset[int]:
                 out.add(x)
                 break
     return frozenset(out)
+
+
+def full_mask_zero_divisors(ring: FiniteRing) -> frozenset[int]:
+    """Z(R) read off the whole order x order mask of x*y == 0."""
+    mask = ring.mul_table == ring.zero
+    mask[:, ring.zero] = False
+    return frozenset(np.nonzero(mask.any(axis=1))[0].tolist())
+
+
+def gather_adjacency(ring: FiniteRing) -> tuple[list[int], np.ndarray]:
+    """The zero-divisor graph's vertices and adjacency, gathered from the
+    table with ``np.ix_`` over the nonzero zero-divisors."""
+    verts = sorted(full_mask_zero_divisors(ring) - {ring.zero})
+    adj = ring.mul_table[np.ix_(verts, verts)] == ring.zero
+    np.fill_diagonal(adj, False)
+    return verts, adj
+
+
+def gather_zset_square_zero(ring: FiniteRing) -> bool:
+    """Z(R)^2 = 0 from an ``np.ix_`` gather over every zero-divisor."""
+    zd = sorted(full_mask_zero_divisors(ring))
+    return bool((ring.mul_table[np.ix_(zd, zd)] == ring.zero).all())
+
+
+def eye_mask_is_complete(graph: ZDGraph) -> bool:
+    """Every off-diagonal entry of the adjacency set, read through an
+    n x n ``eye`` mask."""
+    n = graph.vertex_count
+    if n <= 1:
+        return True
+    return bool(graph.adjacency[~np.eye(n, dtype=bool)].all())
 
 
 def subset_scan_ideals(ring: FiniteRing) -> list[frozenset[int]]:

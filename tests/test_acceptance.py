@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import math
 import random
 import sys
 import time
@@ -31,6 +32,7 @@ from amalgam_zdg import (
     girth,
     ideal_from_generators,
     idealization,
+    is_complete,
     is_prime_ideal,
     is_star,
     make_zn,
@@ -46,7 +48,7 @@ from amalgam_zdg import (
     zero_divisors,
     zset_square_zero,
 )
-from amalgam_zdg import amalgam
+from amalgam_zdg import amalgam, graphs, rings
 from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
 from amalgam_zdg.theorems import _edges_share_annihilator
 from oracles import (
@@ -57,8 +59,12 @@ from oracles import (
     complement_scan_primes,
     edge_loop_share_annihilator,
     enumerate_cycles_girth,
+    eye_mask_is_complete,
     floyd_warshall_diameter,
+    full_mask_zero_divisors,
+    gather_adjacency,
     gather_pair_tables,
+    gather_zset_square_zero,
     loop_classify_zero_divisors,
     loop_structure_checks,
     neighbor_count_universal_vertices,
@@ -339,6 +345,47 @@ def test_whole_array_graph_checks_match_loops(family_instances):
                 exclusive.add(checks.regular_members_exclusive)
                 embeds.add(checks.embeds_base)
         assert parts == exclusive == embeds == {True, False}
+
+
+@pytest.mark.parametrize("blocks", ["default", "one-row", "ragged"])
+def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch):
+    """Z(R), Z(R)^2 = 0, the graph adjacency and completeness from the one
+    blocked zero-product pass against the whole-table mask, the np.ix_
+    gathers and the eye mask, on the base and duplication rings of every
+    instance and on their graphs' complements.  The base ring is rebuilt so
+    its caches are empty, and asked for Z(R)^2 = 0 before its graph, the
+    duplication after.  At the default block size every pass of the family
+    is one block; "one-row" sizes the blocks to one row of the ring's
+    table, and "ragged" to n//2 + 1 rows, which leaves a shorter last block
+    and symmetry tiles that do not divide the graph."""
+    with criterion(f"oracles: zero-product pass in {blocks} blocks"):
+        outcomes, ragged = set(), 0
+        for ring, ideal in family_instances:
+            fresh = parse_ring_spec(ring.spec_name)
+            dup = amalgamated_duplication(ring, ideal).ring
+            for owner in (fresh, dup):
+                n = owner.order
+                if blocks != "default":
+                    cells = n if blocks == "one-row" else (n // 2 + 1) * n
+                    monkeypatch.setattr(rings, "_BLOCK_CELLS", cells)
+                    monkeypatch.setattr(graphs, "_BLOCK_CELLS", cells)
+                square_zero = gather_zset_square_zero(owner)
+                if owner is fresh:
+                    assert zset_square_zero(owner) == square_zero
+                graph = build_graph(owner)
+                assert zset_square_zero(owner) == square_zero, owner.spec_name
+                assert zero_divisors(owner) == full_mask_zero_divisors(owner)
+                verts, adj = gather_adjacency(owner)
+                assert graph.vertices == tuple(verts), owner.spec_name
+                assert np.array_equal(graph.adjacency, adj), owner.spec_name
+                assert graph.adjacency.flags.c_contiguous
+                for g in (graph, _complement(graph)):
+                    assert is_complete(g) == eye_mask_is_complete(g), g
+                    outcomes.add((square_zero, is_complete(g)))
+                side = math.isqrt(graphs._BLOCK_CELLS)
+                ragged += graph.vertex_count > side and graph.vertex_count % side != 0
+        assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}
+        assert (ragged > 0) == (blocks != "default")
 
 
 def _diameter_or_disconnected(diameter_of, graph):

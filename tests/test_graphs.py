@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from amalgam_zdg import (
     DisconnectedGraphError,
+    FiniteRing,
     ZDGraph,
     amalgamated_duplication,
     build_graph,
@@ -29,6 +31,8 @@ from amalgam_zdg import (
     parse_ring_spec,
     sweep,
     universal_vertices,
+    zero_divisors,
+    zset_square_zero,
 )
 from amalgam_zdg import graphs
 from oracles import (
@@ -139,6 +143,79 @@ class TestBuild:
     def test_no_self_loops_even_for_square_zero_elements(self):
         g = build_graph(make_zn(4))  # 2*2 = 0 but 2 is a single vertex
         assert g.vertex_count == 1 and edge_count(g) == 0
+
+
+class TestValidation:
+    """The symmetric, empty-diagonal check is a correctness check: a graph
+    read off a non-commutative table must be refused."""
+
+    @staticmethod
+    def two_tiles_and_a_ragged_one():
+        n = 2 * math.isqrt(graphs._BLOCK_CELLS) + 3
+        return n, np.zeros((n, n), dtype=bool)
+
+    @pytest.mark.parametrize(
+        "corner", ["last-above", "last-below", "first-row", "first-column"]
+    )
+    def test_one_asymmetric_entry_is_refused(self, corner):
+        n, adj = self.two_tiles_and_a_ragged_one()
+        u, v = {
+            "last-above": (n - 2, n - 1),
+            "last-below": (n - 1, n - 2),
+            "first-row": (0, n - 1),
+            "first-column": (n - 1, 0),
+        }[corner]
+        adj[u, v] = True
+        with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
+            ZDGraph(range(n), [str(x) for x in range(n)], adj)
+        adj[v, u] = True
+        assert ZDGraph(range(n), [str(x) for x in range(n)], adj).vertex_count == n
+
+    def test_one_diagonal_entry_is_refused(self):
+        n, adj = self.two_tiles_and_a_ragged_one()
+        adj[n - 1, n - 1] = True
+        with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
+            ZDGraph(range(n), [str(x) for x in range(n)], adj)
+
+    def test_non_commutative_caller_table_is_refused(self):
+        """In Z8 with 4*6 set to 4, both 4 and 6 stay zero-divisors (4*2
+        and 6*4 are still 0), so the graph has an edge one way only."""
+        z8 = make_zn(8)
+        mul = np.array(z8.mul_table)
+        mul[4, 6] = 4
+        ring = FiniteRing(8, z8.add_table, mul, 0, 1, z8.labels, "Z8*")
+        assert {4, 6} <= zero_divisors(ring)
+        with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
+            build_graph(ring)
+
+
+class TestZeroProductPass:
+    def test_z64_along_itself_holds_one_adjacency(self):
+        """Graph, Z(R), Z(R)^2 = 0 and completeness of a duplication of
+        order 4096.  The whole-table mask and np.ix_ gathers peaked at
+        36.5 MiB here; with no order^2 boolean allocated the peak stays
+        below order^2 bytes, and what is held afterwards is the graph's
+        adjacency plus O(order)."""
+        z64 = make_zn(64)
+        dup = amalgamated_duplication(z64, parse_ideal_spec(z64, "full")).ring
+        tracemalloc.start()
+        try:
+            graph = build_graph(dup)
+            zero_divisors(dup)
+            zset_square_zero(dup)
+            is_complete(graph)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dup.order == 4096 and graph.vertex_count == 3071
+        assert peak <= 36.5 * 2**20 and peak < dup.order**2
+        assert held <= graph.adjacency.nbytes + 256 * dup.order
+
+    def test_square_zero_is_cached_by_the_graph_pass(self):
+        ring = make_zn(8)
+        build_graph(ring)
+        assert ring._cache["zset_square_zero"] is False
+        assert zset_square_zero(make_zn(4)) is True
 
 
 class TestDistance:
@@ -291,6 +368,18 @@ class TestTwinQuotient:
         assert class_count(g) == classes
         assert diameter(g) == diam == bfs_diameter(g) == reach_product_diameter(g)
         assert girth(g) == length == bfs_girth(g) == square_girth(g)
+
+    @pytest.mark.parametrize(
+        "layout", [np.transpose, np.asfortranarray], ids=["transpose", "fortran"]
+    )
+    def test_column_ordered_adjacency_is_stored_row_ordered(self, layout):
+        """The quotient views each packed row as one byte string, which
+        needs rows contiguous whatever layout the caller passed."""
+        adj = layout(np.array(petersen().adjacency))
+        assert not adj.flags.c_contiguous
+        g = ZDGraph(range(10), [str(v) for v in range(10)], adj)
+        assert g.adjacency.flags.c_contiguous
+        assert diameter(g) == 2 and girth(g) == 5
 
     def test_two_isolated_vertices_are_disconnected(self):
         g = synthetic(2, [])
