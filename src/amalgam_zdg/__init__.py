@@ -60,20 +60,12 @@ from .theorems import (
     Instance,
     InstanceRecord,
     PreconditionError,
+    RingFacts,
     Status,
     SweepReport,
     TheoremId,
     VerificationOutcome,
-    check_annihilators_meet_ideal,
-    check_completeness_equivalence,
-    check_diam_three_persists,
-    check_diam_two_preserved,
-    check_domain_equivalences,
-    check_girth_classification,
-    check_ideal_zdivs_diam_three,
-    check_nonideal_zdivs_diam_three,
-    check_universal_vertex_diam_three,
-    check_universal_vertex_prime_zdivs,
+    check,
     instance_invariant_violations,
     run_all,
     sweep,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -102,18 +103,30 @@ class ZDGraph:
         self.adjacency = adj
         self.ring = ring
         self._pos = {v: k for k, v in enumerate(self.vertices)}
-        self._cache: dict = {}
 
-    @property
+    @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour positions of every vertex, built on first read."""
-        cached = self._cache.get("neighbors")
-        if cached is None:
-            cached = tuple(
-                tuple(np.flatnonzero(row).tolist()) for row in self.adjacency
-            )
-            self._cache["neighbors"] = cached
-        return cached
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+
+    @cached_property
+    def twin_quotient(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quotient by false twins, built on first read.
+
+        False twins are vertices with the same open neighbourhood; for a
+        zero-divisor graph they are the annihilator classes, so there are
+        few.  Returns the c x c class adjacency ``q`` (classes i and j
+        adjacent when their members are; never on the diagonal, since a
+        vertex is not its own neighbour) and the class sizes.  Equal rows
+        are grouped by sorting the bit-packed adjacency rows as one opaque
+        byte string each, so two classes are merged only when their rows
+        agree byte for byte.
+        """
+        packed = np.packbits(self.adjacency, axis=1)
+        # One void item per row; the empty graph's zero-width rows take 1.
+        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
+        _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
+        return self.adjacency[np.ix_(first, first)], sizes
 
     @property
     def vertex_count(self) -> int:
@@ -139,15 +152,10 @@ class ZDGraph:
 
 def build_graph(ring: FiniteRing) -> ZDGraph:
     """The zero-divisor graph of a ring, vertices in ascending element order."""
-    cached = ring._cache.get("zdgraph")
-    if cached is not None:
-        return cached
     verts, adj = _zero_product_adjacency(ring)
     vertices = tuple(verts.tolist())
     labels = tuple([ring.labels[v] for v in vertices])
-    graph = ZDGraph(vertices, labels, adj, ring, _owned=True)
-    ring._cache["zdgraph"] = graph
-    return graph
+    return ZDGraph(vertices, labels, adj, ring, _owned=True)
 
 
 def _bfs_depths(graph: ZDGraph, source: int) -> list[int]:
@@ -205,31 +213,15 @@ def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _twin_quotient(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The graph's quotient by false twins, cached on the graph.
-
-    False twins are vertices with the same open neighbourhood; for a
-    zero-divisor graph they are the annihilator classes, so there are few.
-    Returns the c x c class adjacency ``q`` (classes i and j adjacent when
-    their members are; never on the diagonal, since a vertex is not its
-    own neighbour) and the class sizes.  Equal rows are grouped by sorting
-    the bit-packed adjacency rows as one opaque byte string each, so two
-    classes are merged only when their rows agree byte for byte.
-    """
-    cached = graph._cache.get("twin_quotient")
-    if cached is None:
-        packed = np.packbits(graph.adjacency, axis=1)
-        # One void item per row; the empty graph's zero-width rows take 1.
-        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
-        _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
-        cached = (graph.adjacency[np.ix_(first, first)], sizes)
-        graph._cache["twin_quotient"] = cached
-    return cached
+    """``graph.twin_quotient``, read through one module-level function so
+    that a test can watch which quotients diameter and girth use."""
+    return graph.twin_quotient
 
 
 def diameter(graph: ZDGraph) -> int | None:
     """Largest eccentricity; None for the empty graph, 0 for one vertex.
 
-    Computed on the false-twin quotient Q (see ``_twin_quotient``).  A
+    Computed on the false-twin quotient Q (see ``ZDGraph.twin_quotient``).  A
     path between different classes maps to a walk in Q and back, so their
     distance is their distance in Q; two twins are at distance 2 through
     any common neighbour.  Hence diam G = max(diam Q, 2 if some class has
@@ -245,33 +237,28 @@ def diameter(graph: ZDGraph) -> int | None:
     n = graph.vertex_count
     if n == 0:
         return None
-    cached = graph._cache.get("diameter")
-    if cached is not None:
-        return cached
     if n == 1:
-        steps = 0
-    else:
-        q, sizes = _twin_quotient(graph)
-        if not q.any(axis=1).all():
+        return 0
+    q, sizes = _twin_quotient(graph)
+    if not q.any(axis=1).all():
+        raise DisconnectedGraphError(
+            "zero-divisor graph has an isolated vertex; connectivity invariant violated"
+        )
+    reach = q | np.eye(len(q), dtype=bool)
+    steps = 1
+    open_rows = np.flatnonzero(~reach.all(axis=1))
+    while open_rows.size:
+        before = reach[open_rows]
+        grown = before | _boolean_product(before, q)
+        if (grown == before).all(axis=1).any():
             raise DisconnectedGraphError(
-                "zero-divisor graph has an isolated vertex; connectivity invariant violated"
+                "zero-divisor graph is disconnected; connectivity invariant violated"
             )
-        reach = q | np.eye(len(q), dtype=bool)
-        steps = 1
-        open_rows = np.flatnonzero(~reach.all(axis=1))
-        while open_rows.size:
-            before = reach[open_rows]
-            grown = before | _boolean_product(before, q)
-            if (grown == before).all(axis=1).any():
-                raise DisconnectedGraphError(
-                    "zero-divisor graph is disconnected; connectivity invariant violated"
-                )
-            reach[open_rows] = grown
-            steps += 1
-            open_rows = open_rows[~grown.all(axis=1)]
-        if (sizes > 1).any():
-            steps = max(steps, 2)
-    graph._cache["diameter"] = steps
+        reach[open_rows] = grown
+        steps += 1
+        open_rows = open_rows[~grown.all(axis=1)]
+    if (sizes > 1).any():
+        steps = max(steps, 2)
     return steps
 
 
@@ -291,21 +278,15 @@ def girth(graph: ZDGraph) -> int | float:
     neither holds the girth is at least 5 or infinite, and a BFS on the
     2-core of G decides it.
     """
-    cached = graph._cache.get("girth")
-    if cached is not None:
-        return cached
     q, sizes = _twin_quotient(graph)
     joined = _boolean_product(q, q)
     if (joined & q).any():
-        best: int | float = 3
-    else:
-        degrees = q.sum(axis=1)
-        paths = int((degrees * (degrees - 1)).sum()) // 2
-        pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
-        twin_corner = (sizes > 1) & (q @ sizes >= 2)
-        best = 4 if paths > pairs or twin_corner.any() else _bfs_girth(graph)
-    graph._cache["girth"] = best
-    return best
+        return 3
+    degrees = q.sum(axis=1)
+    paths = int((degrees * (degrees - 1)).sum()) // 2
+    pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
+    twin_corner = (sizes > 1) & (q @ sizes >= 2)
+    return 4 if paths > pairs or twin_corner.any() else _bfs_girth(graph)
 
 
 def _two_core(adjacency: np.ndarray) -> np.ndarray:

@@ -107,7 +107,6 @@ class FiniteRing:
         if len(self.labels) != self.order:
             raise ValueError(f"{len(self.labels)} labels for order {self.order}")
         self.spec_name = spec_name or f"ring<{self.order}>"
-        self._cache: dict = {}
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.spec_name!r}, order={self.order})"
@@ -342,18 +341,14 @@ def zero_divisors(ring: FiniteRing) -> frozenset[int]:
     ``mul_table == zero`` are compared a block of about _BLOCK_CELLS cells
     at a time, so no order x order boolean is ever allocated.
     """
-    cached = ring._cache.get("zero_divisors")
-    if cached is None:
-        mul, n = ring.mul_table, ring.order
-        mask = np.empty(n, dtype=bool)
-        step = max(1, _BLOCK_CELLS // n)
-        for lo in range(0, n, step):
-            block = mul[lo : lo + step] == ring.zero
-            block[:, ring.zero] = False
-            block.any(axis=1, out=mask[lo : lo + step])
-        cached = frozenset(np.flatnonzero(mask).tolist())
-        ring._cache["zero_divisors"] = cached
-    return cached
+    mul, n = ring.mul_table, ring.order
+    mask = np.empty(n, dtype=bool)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        block = mul[lo : lo + step] == ring.zero
+        block[:, ring.zero] = False
+        block.any(axis=1, out=mask[lo : lo + step])
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -362,10 +357,7 @@ def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     adjacency of the zero-divisor graph.
 
     The block is gathered from ``mul_table`` a block of about _BLOCK_CELLS
-    cells at a time.  Before its diagonal is cleared it also decides
-    whether Z(R)^2 = 0, together with the zero row and column read off the
-    table when 0 is in Z(R), so no ring axiom is assumed; only that answer
-    is cached on the ring, never the block.
+    cells at a time.
     """
     mul, zero, n = ring.mul_table, ring.zero, ring.order
     zd = np.array(sorted(zero_divisors(ring)), dtype=np.intp)
@@ -375,10 +367,6 @@ def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(verts), step):
         rows = mul.take(verts[lo : lo + step], axis=0)
         np.equal(rows.take(verts, axis=1), zero, out=adj[lo : lo + step])
-    square_zero = bool(adj.all())
-    if square_zero and len(verts) < len(zd):
-        square_zero = bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
-    ring._cache["zset_square_zero"] = square_zero
     np.fill_diagonal(adj, False)
     return verts, adj
 
@@ -400,15 +388,18 @@ def annihilator_pair(ring: FiniteRing, a: int, b: int) -> Ideal:
 def zset_square_zero(ring: FiniteRing) -> bool:
     """True iff x*y = 0 for every pair of zero-divisors.
 
-    Decided by the pass that gathers the zero-divisor graph's adjacency
-    (``_zero_product_adjacency``), which caches the answer; a ring whose
-    graph is already built pays nothing here.
+    The products over Z(R) are gathered from ``mul_table`` a block of about
+    _BLOCK_CELLS cells at a time, and the first block holding a nonzero
+    product ends the scan.
     """
-    cached = ring._cache.get("zset_square_zero")
-    if cached is None:
-        _zero_product_adjacency(ring)
-        cached = ring._cache["zset_square_zero"]
-    return cached
+    mul, zero, n = ring.mul_table, ring.zero, ring.order
+    zd = np.array(sorted(zero_divisors(ring)), dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(zd), step):
+        rows = mul.take(zd[lo : lo + step], axis=0)
+        if (rows.take(zd, axis=1) != zero).any():
+            return False
+    return True
 
 
 def is_domain(ring: FiniteRing) -> bool:
@@ -511,9 +502,6 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     sum, then sorted by (size, member indices).  A brute-force subset scan
     serves as the test oracle for small orders.
     """
-    cached = ring._cache.get("all_ideals")
-    if cached is not None:
-        return cached
     ideals: set[frozenset[int]] = {
         principal_ideal(ring, a).members for a in ring.elements()
     }
@@ -527,9 +515,7 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
                     ideals.add(s)
                     fresh.append(s)
         frontier = fresh
-    ordered = [Ideal(ring, m) for m in sorted(ideals, key=_ideal_order)]
-    ring._cache["all_ideals"] = ordered
-    return ordered
+    return [Ideal(ring, m) for m in sorted(ideals, key=_ideal_order)]
 
 
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
@@ -547,9 +533,6 @@ def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     other nonzero idempotent f satisfies e*f = f.  The ideal lattice is
     never built; the tests compare against a complement scan over it.
     """
-    cached = ring._cache.get("prime_ideals")
-    if cached is not None:
-        return cached
     mul = ring.mul_table
     idem = np.nonzero(np.diagonal(mul) == np.arange(ring.order))[0]
     idem = idem[idem != ring.zero]
@@ -558,9 +541,7 @@ def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     primitive = idem[below.sum(axis=1) == 1]
     nil = _nilpotent_mask(ring)
     found = [frozenset(np.nonzero(nil[mul[:, e]])[0].tolist()) for e in primitive]
-    primes = [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
-    ring._cache["prime_ideals"] = primes
-    return primes
+    return [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
 
 
 def minimal_primes(ring: FiniteRing) -> list[Ideal]:

@@ -55,7 +55,6 @@ from .rings import (
     is_reduced,
     minimal_primes,
     zero_divisors,
-    zset_square_zero,
 )
 from .specs import parse_ring_spec
 
@@ -64,17 +63,9 @@ __all__ = [
     "Status",
     "PreconditionError",
     "VerificationOutcome",
+    "RingFacts",
     "Instance",
-    "check_girth_classification",
-    "check_domain_equivalences",
-    "check_completeness_equivalence",
-    "check_ideal_zdivs_diam_three",
-    "check_universal_vertex_diam_three",
-    "check_diam_three_persists",
-    "check_nonideal_zdivs_diam_three",
-    "check_diam_two_preserved",
-    "check_annihilators_meet_ideal",
-    "check_universal_vertex_prime_zdivs",
+    "check",
     "run_all",
     "instance_invariant_violations",
     "InstanceRecord",
@@ -168,14 +159,85 @@ def _fmt_diam(d: int | None) -> str:
     return "empty" if d is None else str(d)
 
 
-class Instance:
-    """Lazily-computed views of one (ring, ideal) pair shared by all checks."""
+class RingFacts:
+    """What the checks read about one ring, each computed on first read.
 
-    def __init__(self, ring: FiniteRing, ideal: Ideal) -> None:
+    One object serves every instance of a base ring, and each duplication
+    ring gets its own.  It holds the ring, and the ring holds nothing of
+    it, so the ring's tables and graph are freed with the last reference
+    to the facts, without waiting for the cyclic collector.
+    """
+
+    def __init__(self, ring: FiniteRing) -> None:
+        self.ring = ring
+
+    @cached_property
+    def graph(self) -> ZDGraph:
+        return build_graph(self.ring)
+
+    @cached_property
+    def zero_divisors(self) -> frozenset[int]:
+        return zero_divisors(self.ring)
+
+    @cached_property
+    def zdivs_form_ideal(self) -> bool:
+        return is_ideal(self.ring, self.zero_divisors)
+
+    @cached_property
+    def is_domain(self) -> bool:
+        return is_domain(self.ring)
+
+    @cached_property
+    def is_reduced(self) -> bool:
+        return is_reduced(self.ring)
+
+    @cached_property
+    def diameter(self) -> int | None:
+        return diameter(self.graph)
+
+    @cached_property
+    def girth(self) -> int | float:
+        return girth(self.graph)
+
+    @cached_property
+    def universal(self) -> tuple[int, ...]:
+        return universal_vertices(self.graph)
+
+    @cached_property
+    def complete(self) -> bool:
+        return is_complete(self.graph)
+
+    @cached_property
+    def square_zero(self) -> bool:
+        """Z(R)^2 = 0, read off the graph with no second pass over the
+        table: the graph is complete, every vertex squares to zero, and when
+        0 is a zero-divisor its row and column over Z(R) are zero.  No ring
+        axiom is assumed."""
+        mul, zero = self.ring.mul_table, self.ring.zero
+        verts = np.array(self.graph.vertices, dtype=np.intp)
+        if not self.complete or (mul[verts, verts] != zero).any():
+            return False
+        kills = mul[zero] == zero
+        kills[zero] = False
+        if not kills.any():
+            return True
+        zd = np.append(verts, zero)
+        return bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
+
+
+class Instance:
+    """One (ring, ideal) pair as the checks see it: the facts of the base
+    ring (``base``, which a caller may share between the ring's instances)
+    and of the duplication (``dup``), and what depends on the ideal."""
+
+    def __init__(self, ring: FiniteRing, ideal: Ideal, base: RingFacts | None = None) -> None:
         if ideal.ring is not ring:
             raise ValueError("ideal belongs to a different ring")
         self.ring = ring
         self.ideal = ideal
+        self.base = RingFacts(ring) if base is None else base
+        if self.base.ring is not ring:
+            raise ValueError("base facts belong to a different ring")
 
     @property
     def ring_spec(self) -> str:
@@ -190,56 +252,12 @@ class Instance:
         return amalgamated_duplication(self.ring, self.ideal)
 
     @cached_property
-    def base_graph(self) -> ZDGraph:
-        return build_graph(self.ring)
-
-    @cached_property
-    def dup_graph(self) -> ZDGraph:
-        return build_graph(self.amalgam.ring)
-
-    @cached_property
-    def base_zdivs(self) -> frozenset[int]:
-        return zero_divisors(self.ring)
-
-    @cached_property
-    def zdivs_form_ideal(self) -> bool:
-        return is_ideal(self.ring, self.base_zdivs)
+    def dup(self) -> RingFacts:
+        return RingFacts(self.amalgam.ring)
 
     @cached_property
     def ideal_inside_zdivs(self) -> bool:
-        return self.ideal.members <= self.base_zdivs
-
-    @cached_property
-    def base_is_domain(self) -> bool:
-        return is_domain(self.ring)
-
-    @cached_property
-    def base_is_reduced(self) -> bool:
-        return is_reduced(self.ring)
-
-    @cached_property
-    def base_diameter(self) -> int | None:
-        return diameter(self.base_graph)
-
-    @cached_property
-    def base_girth(self) -> int | float:
-        return girth(self.base_graph)
-
-    @cached_property
-    def dup_diameter(self) -> int | None:
-        return diameter(self.dup_graph)
-
-    @cached_property
-    def dup_girth(self) -> int | float:
-        return girth(self.dup_graph)
-
-    @cached_property
-    def base_universal(self) -> tuple[int, ...]:
-        return universal_vertices(self.base_graph)
-
-    @cached_property
-    def dup_universal(self) -> tuple[int, ...]:
-        return universal_vertices(self.dup_graph)
+        return self.ideal.members <= self.base.zero_divisors
 
     def require_nonzero_ideal(self) -> None:
         if len(self.ideal) == 1:
@@ -255,8 +273,8 @@ def _girth_classification(inst: Instance) -> VerificationOutcome:
     zero-divisors, 4 iff the base is a domain with |I| >= 3, and infinite
     iff I is the whole two-element field."""
     inst.require_nonzero_ideal()
-    g = inst.dup_girth
-    dom = inst.base_is_domain
+    g = inst.dup.girth
+    dom = inst.base.is_domain
     k = len(inst.ideal)
     clauses = (
         (g == 3) == (not dom),
@@ -274,8 +292,8 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
     exactly the two projection kernels as minimal primes, meeting in zero;
     the duplication graph is complete bipartite."""
     inst.require_nonzero_ideal()
-    a = inst.base_is_domain
-    b = inst.dup_girth == 4 or math.isinf(inst.dup_girth)
+    a = inst.base.is_domain
+    b = inst.dup.girth == 4 or math.isinf(inst.dup.girth)
     mins = minimal_primes(inst.amalgam.ring)
     zero = inst.amalgam.ring.zero
     c = (
@@ -284,7 +302,7 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
         and {m.members for m in mins}
         == {inst.amalgam.o1.members, inst.amalgam.o2.members}
     )
-    d = complete_bipartition(inst.dup_graph) is not None
+    d = complete_bipartition(inst.dup.graph) is not None
     ok = a == b == c == d
     note = (
         f"domain = {a}, girth in {{4, inf}} = {b}, "
@@ -315,9 +333,9 @@ def _completeness_equivalence(inst: Instance) -> VerificationOutcome:
                 "clauses fail"
             ),
         )
-    a = is_complete(inst.dup_graph)
-    b = zset_square_zero(inst.ring) and inst.ideal_inside_zdivs
-    c = zset_square_zero(inst.amalgam.ring)
+    a = inst.dup.complete
+    b = inst.base.square_zero and inst.ideal_inside_zdivs
+    c = inst.dup.square_zero
     ok = a == b == c
     note = (
         f"complete = {a}, base square-zero with I inside Z(R) = {b}, "
@@ -330,26 +348,26 @@ def _ideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
     """If the base has nonzero zero-divisors forming an ideal and the ideal
     escapes them, the duplication graph has diameter 3."""
     hyp = (
-        not inst.base_is_domain
+        not inst.base.is_domain
         and not inst.ideal_inside_zdivs
-        and inst.zdivs_form_ideal
+        and inst.base.zdivs_form_ideal
     )
     if not hyp:
         return _outcome(
             TheoremId.L4_9, inst, False, False, note=_diam3_vacuous_reason(inst)
         )
-    concl = inst.dup_diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    concl = inst.dup.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
     return _outcome(TheoremId.L4_9, inst, True, concl, witness=note, note=note)
 
 
 def _diam3_vacuous_reason(inst: Instance) -> str:
     reasons = []
-    if inst.base_is_domain:
+    if inst.base.is_domain:
         reasons.append("base ring is a domain")
     if inst.ideal_inside_zdivs:
         reasons.append("I lies inside Z(R)")
-    if not inst.zdivs_form_ideal:
+    if not inst.base.zdivs_form_ideal:
         reasons.append("Z(R) is not an ideal")
     return "; ".join(reasons) if reasons else "hypotheses not met"
 
@@ -357,7 +375,7 @@ def _diam3_vacuous_reason(inst: Instance) -> str:
 def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
     """If the ideal escapes Z(R) and the base graph has a universal vertex,
     the duplication graph has diameter 3."""
-    hyp = not inst.ideal_inside_zdivs and bool(inst.base_universal)
+    hyp = not inst.ideal_inside_zdivs and bool(inst.base.universal)
     if not hyp:
         why = (
             "I lies inside Z(R)"
@@ -365,40 +383,40 @@ def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
             else "base graph has no universal vertex"
         )
         return _outcome(TheoremId.C4_10, inst, False, False, note=why)
-    concl = inst.dup_diameter == 3
+    concl = inst.dup.diameter == 3
     note = (
-        f"universal base vertices {inst.ring.format_subset(inst.base_universal)}; "
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+        f"universal base vertices {inst.ring.format_subset(inst.base.universal)}; "
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
     )
     return _outcome(TheoremId.C4_10, inst, True, concl, witness=note, note=note)
 
 
 def _diam_three_persists(inst: Instance) -> VerificationOutcome:
     """Diameter 3 of the base graph forces diameter 3 of the duplication."""
-    hyp = inst.base_diameter == 3
+    hyp = inst.base.diameter == 3
     if not hyp:
         return _outcome(
             TheoremId.P4_11,
             inst,
             False,
             False,
-            note=f"diameter(base graph) = {_fmt_diam(inst.base_diameter)}",
+            note=f"diameter(base graph) = {_fmt_diam(inst.base.diameter)}",
         )
-    concl = inst.dup_diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    concl = inst.dup.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
     return _outcome(TheoremId.P4_11, inst, True, concl, witness=note, note=note)
 
 
 def _nonideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
     """If Z(R) is not an ideal, the duplication graph has diameter 3."""
     inst.require_nonzero_ideal()
-    hyp = not inst.zdivs_form_ideal
+    hyp = not inst.base.zdivs_form_ideal
     if not hyp:
         return _outcome(
             TheoremId.T4_12, inst, False, False, note="Z(R) is an ideal"
         )
-    concl = inst.dup_diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+    concl = inst.dup.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
     return _outcome(TheoremId.T4_12, inst, True, concl, witness=note, note=note)
 
 
@@ -407,12 +425,12 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
     containing I and either every adjacent base pair has a nonzero joint
     annihilator, or (variant) the base ring is non-reduced."""
     core = (
-        inst.zdivs_form_ideal
+        inst.base.zdivs_form_ideal
         and inst.ideal_inside_zdivs
-        and inst.base_diameter == 2
+        and inst.base.diameter == 2
     )
-    pair_hyp = core and _edges_share_annihilator(inst.ring, inst.base_graph)
-    variant_hyp = core and not inst.base_is_reduced
+    pair_hyp = core and _edges_share_annihilator(inst.ring, inst.base.graph)
+    variant_hyp = core and not inst.base.is_reduced
     hyp = pair_hyp or variant_hyp
     variant_text = (
         "non-reduced variant: hypotheses hold"
@@ -427,9 +445,9 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
         return _outcome(
             TheoremId.P4_13, inst, False, False, note=f"{why}; {variant_text}"
         )
-    concl = inst.dup_diameter == 2
+    concl = inst.dup.diameter == 2
     note = (
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}; {variant_text}"
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}; {variant_text}"
     )
     return _outcome(TheoremId.P4_13, inst, True, concl, witness=note, note=note)
 
@@ -448,17 +466,17 @@ def _edges_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
 def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
     """If the ideal escapes Z(R) and the duplication graph has diameter 2,
     every nonzero zero-divisor of the base has an annihilator meeting I."""
-    hyp = not inst.ideal_inside_zdivs and inst.dup_diameter == 2
+    hyp = not inst.ideal_inside_zdivs and inst.dup.diameter == 2
     if not hyp:
         why = (
             "I lies inside Z(R)"
             if inst.ideal_inside_zdivs
-            else f"diameter(duplication graph) = {_fmt_diam(inst.dup_diameter)}"
+            else f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
         )
         return _outcome(TheoremId.L4_15, inst, False, False, note=why)
     zero = inst.ring.zero
     offender = None
-    for y in sorted(inst.base_zdivs - {zero}):
+    for y in sorted(inst.base.zero_divisors - {zero}):
         if annihilator(inst.ring, y).members & inst.ideal.members == {zero}:
             offender = y
             break
@@ -468,14 +486,14 @@ def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
         if concl
         else f"Ann({inst.ring.labels[offender]}) meets the ideal only in zero"
     )
-    note = f"checked {len(inst.base_zdivs) - 1} nonzero zero-divisors"
+    note = f"checked {len(inst.base.zero_divisors) - 1} nonzero zero-divisors"
     return _outcome(TheoremId.L4_15, inst, True, concl, witness=witness, note=note)
 
 
 def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    hyp = bool(inst.dup_universal)
+    hyp = bool(inst.dup.universal)
     if not hyp:
         return _outcome(
             TheoremId.P4_16,
@@ -484,51 +502,42 @@ def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
             False,
             note="duplication graph has no universal vertex",
         )
-    concl = inst.zdivs_form_ideal and is_prime_ideal(inst.ring, inst.base_zdivs)
-    labels = inst.amalgam.ring.format_subset(inst.dup_universal)
+    zdivs = inst.base.zero_divisors
+    concl = inst.base.zdivs_form_ideal and is_prime_ideal(inst.ring, zdivs)
+    labels = inst.amalgam.ring.format_subset(inst.dup.universal)
     note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
     return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
 
 
-_REGISTRY: tuple[tuple[TheoremId, Callable[[Instance], VerificationOutcome]], ...] = (
-    (TheoremId.C3_3, _girth_classification),
-    (TheoremId.C3_4, _domain_equivalences),
-    (TheoremId.T4_8, _completeness_equivalence),
-    (TheoremId.L4_9, _ideal_zdivs_diam_three),
-    (TheoremId.C4_10, _universal_vertex_diam_three),
-    (TheoremId.P4_11, _diam_three_persists),
-    (TheoremId.T4_12, _nonideal_zdivs_diam_three),
-    (TheoremId.P4_13, _diam_two_preserved),
-    (TheoremId.L4_15, _annihilators_meet_ideal),
-    (TheoremId.P4_16, _universal_vertex_prime_zdivs),
-)
+_REGISTRY: dict[TheoremId, Callable[[Instance], VerificationOutcome]] = {
+    TheoremId.C3_3: _girth_classification,
+    TheoremId.C3_4: _domain_equivalences,
+    TheoremId.T4_8: _completeness_equivalence,
+    TheoremId.L4_9: _ideal_zdivs_diam_three,
+    TheoremId.C4_10: _universal_vertex_diam_three,
+    TheoremId.P4_11: _diam_three_persists,
+    TheoremId.T4_12: _nonideal_zdivs_diam_three,
+    TheoremId.P4_13: _diam_two_preserved,
+    TheoremId.L4_15: _annihilators_meet_ideal,
+    TheoremId.P4_16: _universal_vertex_prime_zdivs,
+}
 
 
-def _public(check: Callable[[Instance], VerificationOutcome]):
-    def wrapper(ring: FiniteRing, ideal: Ideal) -> VerificationOutcome:
-        return check(Instance(ring, ideal))
+def check(theorem: TheoremId, ring: FiniteRing, ideal: Ideal) -> VerificationOutcome:
+    """Apply the registered check for ``theorem`` to one (ring, ideal).
 
-    wrapper.__doc__ = check.__doc__
-    return wrapper
-
-
-check_girth_classification = _public(_girth_classification)
-check_domain_equivalences = _public(_domain_equivalences)
-check_completeness_equivalence = _public(_completeness_equivalence)
-check_ideal_zdivs_diam_three = _public(_ideal_zdivs_diam_three)
-check_universal_vertex_diam_three = _public(_universal_vertex_diam_three)
-check_diam_three_persists = _public(_diam_three_persists)
-check_nonideal_zdivs_diam_three = _public(_nonideal_zdivs_diam_three)
-check_diam_two_preserved = _public(_diam_two_preserved)
-check_annihilators_meet_ideal = _public(_annihilators_meet_ideal)
-check_universal_vertex_prime_zdivs = _public(_universal_vertex_prime_zdivs)
+    Raises PreconditionError when the instance is outside the check's
+    preconditions, and KeyError for a statement that is not a registered
+    check (P2.1a, P2.1b, P2.2 and R2.3 are sweep invariants).
+    """
+    return _REGISTRY[theorem](Instance(ring, ideal))
 
 
 def _registry_outcomes(inst: Instance) -> list[VerificationOutcome]:
     out = []
-    for theorem, check in _REGISTRY:
+    for theorem, run in _REGISTRY.items():
         try:
-            out.append(check(inst))
+            out.append(run(inst))
         except PreconditionError as exc:
             out.append(
                 _outcome(theorem, inst, False, False, note=f"precondition not met: {exc}")
@@ -549,18 +558,18 @@ def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
 # Per-instance global invariants
 
 
-def _graph_invariant_violations(prefix: str, tag: str, graph: ZDGraph) -> list[str]:
+def _graph_invariant_violations(prefix: str, tag: str, facts: RingFacts) -> list[str]:
     out = []
-    if graph.vertex_count == 0:
+    if facts.graph.vertex_count == 0:
         return out
     try:
-        d = diameter(graph)
+        d = facts.diameter
     except DisconnectedGraphError:
         out.append(f"{prefix} {tag} graph is disconnected")
         return out
     if d is not None and d > 3:
         out.append(f"{prefix} {tag} graph has diameter {d} > 3")
-    g = girth(graph)
+    g = facts.girth
     if not math.isinf(g) and g not in (3, 4):
         out.append(f"{prefix} {tag} graph has girth {_fmt_girth(g)} outside {{3, 4, inf}}")
     return out
@@ -571,16 +580,15 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     prefix = f"[{inst.ring_spec} | I={{{','.join(inst.ideal_labels)}}}]"
     out: list[str] = []
 
-    out.extend(_graph_invariant_violations(prefix, "base", inst.base_graph))
-    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup_graph))
+    out.extend(_graph_invariant_violations(prefix, "base", inst.base))
+    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
+    # The duplication graph's vertices are Z(R⋈I) without 0.
     cls = classify_zero_divisors(inst.amalgam)
-    zero = inst.amalgam.ring.zero
-    computed = zero_divisors(inst.amalgam.ring) - {zero}
-    if cls.union() - {zero} != computed:
+    if cls.union() - {inst.amalgam.ring.zero} != frozenset(inst.dup.graph.vertices):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
-    if is_reduced(inst.amalgam.ring) != inst.base_is_reduced:
+    if inst.dup.is_reduced != inst.base.is_reduced:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
     members = inst.ideal.sorted_members
@@ -592,7 +600,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
         )
 
-    checks = structure_checks(inst.amalgam, inst.base_graph, inst.dup_graph)
+    checks = structure_checks(inst.amalgam, inst.base.graph, inst.dup.graph)
     if not checks.vacuous and not checks.all_hold():
         failing = [
             name
@@ -637,10 +645,11 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
     # above the order limit is refused before any of its instances runs.
     if ideals:
         _check_duplication_order(ring, ideals[-1])
+    base = RingFacts(ring)
     records: list[InstanceRecord] = []
     violations: list[str] = []
     for ideal in ideals:
-        inst = Instance(ring, ideal)
+        inst = Instance(ring, ideal, base)
         outcomes = tuple(_registry_outcomes(inst))
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
@@ -688,7 +697,7 @@ class SweepReport:
     @cached_property
     def totals(self) -> dict[str, dict[str, int]]:
         counts = {
-            theorem.value: {s.value: 0 for s in Status} for theorem, _ in _REGISTRY
+            theorem.value: {s.value: 0 for s in Status} for theorem in _REGISTRY
         }
         for record in self.instances:
             for outcome in record.outcomes:

@@ -20,6 +20,7 @@ import pytest
 
 from amalgam_zdg import (
     DisconnectedGraphError,
+    RingFacts,
     ZDGraph,
     all_ideals,
     amalgamated_duplication,
@@ -352,10 +353,10 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
     """Z(R), Z(R)^2 = 0, the graph adjacency and completeness from the one
     blocked zero-product pass against the whole-table mask, the np.ix_
     gathers and the eye mask, on the base and duplication rings of every
-    instance and on their graphs' complements.  The base ring is rebuilt so
-    its caches are empty, and asked for Z(R)^2 = 0 before its graph, the
-    duplication after.  At the default block size every pass of the family
-    is one block; "one-row" sizes the blocks to one row of the ring's
+    instance and on their graphs' complements.  Z(R)^2 = 0 is asked of the
+    library's blocked scan and of the sweep's ``RingFacts``, which read it
+    off the graph.  At the default block size every pass of the family is
+    one block; "one-row" sizes the blocks to one row of the ring's
     table, and "ragged" to n//2 + 1 rows, which leaves a shorter last block
     and symmetry tiles that do not divide the graph."""
     with criterion(f"oracles: zero-product pass in {blocks} blocks"):
@@ -374,6 +375,7 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
                     assert zset_square_zero(owner) == square_zero
                 graph = build_graph(owner)
                 assert zset_square_zero(owner) == square_zero, owner.spec_name
+                assert RingFacts(owner).square_zero == square_zero, owner.spec_name
                 assert zero_divisors(owner) == full_mask_zero_divisors(owner)
                 verts, adj = gather_adjacency(owner)
                 assert graph.vertices == tuple(verts), owner.spec_name

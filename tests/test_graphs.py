@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from amalgam_zdg import (
     DisconnectedGraphError,
     FiniteRing,
+    RingFacts,
     ZDGraph,
     amalgamated_duplication,
     build_graph,
@@ -211,10 +212,21 @@ class TestZeroProductPass:
         assert peak <= 36.5 * 2**20 and peak < dup.order**2
         assert held <= graph.adjacency.nbytes + 256 * dup.order
 
-    def test_square_zero_is_cached_by_the_graph_pass(self):
-        ring = make_zn(8)
-        build_graph(ring)
-        assert ring._cache["zset_square_zero"] is False
+    def test_square_zero_is_cached_by_the_graph_pass(self, monkeypatch):
+        passes = []
+        adjacency = graphs._zero_product_adjacency
+
+        def spy(ring):
+            passes.append(ring.spec_name)
+            return adjacency(ring)
+
+        monkeypatch.setattr(graphs, "_zero_product_adjacency", spy)
+        z8, z4 = RingFacts(make_zn(8)), RingFacts(make_zn(4))
+        assert z8.square_zero is False
+        assert z4.square_zero is True
+        # Read again, and the graph too: no further pass.
+        assert z8.square_zero is False and z8.graph.vertex_count == 3
+        assert passes == ["Z8", "Z4"]
         assert zset_square_zero(make_zn(4)) is True
 
 
@@ -272,7 +284,7 @@ class TestBooleanProduct:
 class TestNeighbors:
     def test_built_on_first_read_from_the_adjacency_rows(self):
         g = triangle_with_tail()
-        assert "neighbors" not in g._cache
+        assert "neighbors" not in vars(g)
         assert g.neighbors == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
         assert g.neighbors is g.neighbors
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,19 +17,11 @@ from amalgam_zdg import (
     FiniteRing,
     Instance,
     PreconditionError,
+    RingFacts,
     Status,
     TheoremId,
     ZDGraph,
-    check_annihilators_meet_ideal,
-    check_completeness_equivalence,
-    check_diam_three_persists,
-    check_diam_two_preserved,
-    check_domain_equivalences,
-    check_girth_classification,
-    check_ideal_zdivs_diam_three,
-    check_nonideal_zdivs_diam_three,
-    check_universal_vertex_diam_three,
-    check_universal_vertex_prime_zdivs,
+    check,
     idealization,
     instance_invariant_violations,
     parse_ideal_spec,
@@ -34,7 +29,7 @@ from amalgam_zdg import (
     run_all,
     sweep,
 )
-from amalgam_zdg import amalgam
+from amalgam_zdg import amalgam, graphs, rings, theorems
 from amalgam_zdg.theorems import (
     _BLAS_THREAD_VARS,
     _graph_invariant_violations,
@@ -73,153 +68,153 @@ class TestStatusAssignment:
 
     def test_outcome_records_the_instance(self):
         ring, ideal = instance("Z6", "gen(3)")
-        outcome = check_girth_classification(ring, ideal)
+        outcome = check(TheoremId.C3_3, ring, ideal)
         assert outcome.ring_spec == "Z6"
         assert outcome.ideal_members == ("0", "3")
 
 
 class TestGirthClassification:
     def test_triangle_for_non_domain(self):
-        out = check_girth_classification(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.C3_3, *instance("Z6", "gen(3)"))
         assert out.status is Status.VERIFIED and "girth = 3" in out.note
 
     def test_four_cycle_for_domain_with_large_ideal(self):
-        out = check_girth_classification(*instance("Z3", "full"))
+        out = check(TheoremId.C3_3, *instance("Z3", "full"))
         assert out.status is Status.VERIFIED and "girth = 4" in out.note
 
     def test_infinite_for_the_two_element_field(self):
-        out = check_girth_classification(*instance("Z2", "full"))
+        out = check(TheoremId.C3_3, *instance("Z2", "full"))
         assert out.status is Status.VERIFIED and "girth = inf" in out.note
 
     def test_zero_ideal_violates_the_precondition(self):
         with pytest.raises(PreconditionError):
-            check_girth_classification(*instance("Z6", "zero"))
+            check(TheoremId.C3_3, *instance("Z6", "zero"))
 
 
 class TestDomainEquivalences:
     def test_all_true_for_a_field(self):
-        out = check_domain_equivalences(*instance("Z3", "full"))
+        out = check(TheoremId.C3_4, *instance("Z3", "full"))
         assert out.status is Status.VERIFIED and "domain = True" in out.note
 
     def test_all_false_for_z6(self):
-        out = check_domain_equivalences(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.C3_4, *instance("Z6", "gen(3)"))
         assert out.status is Status.VERIFIED and "domain = False" in out.note
 
     def test_two_element_field_uses_the_infinite_branch(self):
-        out = check_domain_equivalences(*instance("Z2", "full"))
+        out = check(TheoremId.C3_4, *instance("Z2", "full"))
         assert out.status is Status.VERIFIED
 
 
 class TestCompletenessEquivalence:
     def test_triangle_case_all_true(self):
-        out = check_completeness_equivalence(*instance("Z4", "gen(2)"))
+        out = check(TheoremId.T4_8, *instance("Z4", "gen(2)"))
         assert out.status is Status.VERIFIED and "complete = True" in out.note
 
     def test_prime_square_case_all_false(self):
-        out = check_completeness_equivalence(*instance("Z9", "full"))
+        out = check(TheoremId.T4_8, *instance("Z9", "full"))
         assert out.status is Status.VERIFIED and "complete = False" in out.note
 
     def test_klein_line_ideal_all_false(self):
-        out = check_completeness_equivalence(*instance("Z2xZ2", "gen((1,0))"))
+        out = check(TheoremId.T4_8, *instance("Z2xZ2", "gen((1,0))"))
         assert out.status is Status.VERIFIED and "complete = False" in out.note
 
     def test_two_element_field_is_excluded_not_a_counterexample(self):
-        out = check_completeness_equivalence(*instance("Z2", "full"))
+        out = check(TheoremId.T4_8, *instance("Z2", "full"))
         assert out.status is Status.VACUOUS
         assert "excluded instance" in out.note
 
 
 class TestDiameterThreeChecks:
     def test_ideal_zdivs_on_z4_full(self):
-        out = check_ideal_zdivs_diam_three(*instance("Z4", "full"))
+        out = check(TheoremId.L4_9, *instance("Z4", "full"))
         assert out.status is Status.VERIFIED
         assert "diameter(duplication graph) = 3" in out.note
 
     def test_ideal_zdivs_vacuous_when_zdivs_not_ideal(self):
-        out = check_ideal_zdivs_diam_three(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.L4_9, *instance("Z6", "gen(3)"))
         assert out.status is Status.VACUOUS
 
     def test_ideal_zdivs_vacuous_for_domains(self):
-        out = check_ideal_zdivs_diam_three(*instance("Z5", "full"))
+        out = check(TheoremId.L4_9, *instance("Z5", "full"))
         assert out.status is Status.VACUOUS
 
     def test_universal_vertex_on_z2xz3_full(self):
-        out = check_universal_vertex_diam_three(*instance("Z2xZ3", "full"))
+        out = check(TheoremId.C4_10, *instance("Z2xZ3", "full"))
         assert out.status is Status.VERIFIED
 
     def test_universal_vertex_on_klein_full(self):
-        out = check_universal_vertex_diam_three(*instance("Z2xZ2", "full"))
+        out = check(TheoremId.C4_10, *instance("Z2xZ2", "full"))
         assert out.status is Status.VERIFIED
 
     def test_universal_vertex_vacuous_when_ideal_inside_zdivs(self):
-        out = check_universal_vertex_diam_three(*instance("Z8", "gen(4)"))
+        out = check(TheoremId.C4_10, *instance("Z8", "gen(4)"))
         assert out.status is Status.VACUOUS
 
     def test_persistence_from_base_diameter_three(self):
-        out = check_diam_three_persists(*instance("Z2xZ4", "gen((0,1))"))
+        out = check(TheoremId.P4_11, *instance("Z2xZ4", "gen((0,1))"))
         assert out.status is Status.VERIFIED
 
     def test_persistence_vacuous_for_smaller_diameter(self):
-        out = check_diam_three_persists(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.P4_11, *instance("Z6", "gen(3)"))
         assert out.status is Status.VACUOUS
-        out = check_diam_three_persists(*instance("Z4", "gen(2)"))
+        out = check(TheoremId.P4_11, *instance("Z4", "gen(2)"))
         assert out.status is Status.VACUOUS
 
     def test_nonideal_zdivs_on_z6(self):
-        out = check_nonideal_zdivs_diam_three(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.T4_12, *instance("Z6", "gen(3)"))
         assert out.status is Status.VERIFIED
         assert "diameter(duplication graph) = 3" in out.note
 
     def test_nonideal_zdivs_on_klein_line(self):
-        out = check_nonideal_zdivs_diam_three(*instance("Z2xZ2", "gen((1,0))"))
+        out = check(TheoremId.T4_12, *instance("Z2xZ2", "gen((1,0))"))
         assert out.status is Status.VERIFIED
 
     def test_nonideal_zdivs_vacuous_on_z8(self):
-        out = check_nonideal_zdivs_diam_three(*instance("Z8", "gen(4)"))
+        out = check(TheoremId.T4_12, *instance("Z8", "gen(4)"))
         assert out.status is Status.VACUOUS
 
 
 class TestDiameterTwoPreserved:
     def test_z8_half_ideal(self):
-        out = check_diam_two_preserved(*instance("Z8", "gen(4)"))
+        out = check(TheoremId.P4_13, *instance("Z8", "gen(4)"))
         assert out.status is Status.VERIFIED
         assert "non-reduced variant: hypotheses hold" in out.note
         assert "diameter(duplication graph) = 2" in out.note
 
     def test_vacuous_when_zdivs_not_ideal(self):
-        out = check_diam_two_preserved(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.P4_13, *instance("Z6", "gen(3)"))
         assert out.status is Status.VACUOUS
 
     def test_vacuous_when_base_diameter_differs(self):
-        out = check_diam_two_preserved(*instance("Z4", "gen(2)"))
+        out = check(TheoremId.P4_13, *instance("Z4", "gen(2)"))
         assert out.status is Status.VACUOUS
 
 
 class TestAnnihilatorsMeetIdeal:
     def test_vacuous_when_duplication_diameter_is_not_two(self):
-        out = check_annihilators_meet_ideal(*instance("Z4", "full"))
+        out = check(TheoremId.L4_15, *instance("Z4", "full"))
         assert out.status is Status.VACUOUS
 
     def test_vacuous_when_ideal_inside_zdivs(self):
-        out = check_annihilators_meet_ideal(*instance("Z8", "gen(4)"))
+        out = check(TheoremId.L4_15, *instance("Z8", "gen(4)"))
         assert out.status is Status.VACUOUS
 
     def test_trivially_verified_for_domains_with_diameter_two(self):
-        out = check_annihilators_meet_ideal(*instance("Z3", "full"))
+        out = check(TheoremId.L4_15, *instance("Z3", "full"))
         assert out.status is Status.VERIFIED
 
 
 class TestUniversalVertexPrime:
     def test_triangle_duplication(self):
-        out = check_universal_vertex_prime_zdivs(*instance("Z4", "gen(2)"))
+        out = check(TheoremId.P4_16, *instance("Z4", "gen(2)"))
         assert out.status is Status.VERIFIED
 
     def test_two_element_field(self):
-        out = check_universal_vertex_prime_zdivs(*instance("Z2", "full"))
+        out = check(TheoremId.P4_16, *instance("Z2", "full"))
         assert out.status is Status.VERIFIED
 
     def test_vacuous_without_universal_vertex(self):
-        out = check_universal_vertex_prime_zdivs(*instance("Z6", "gen(3)"))
+        out = check(TheoremId.P4_16, *instance("Z6", "gen(3)"))
         assert out.status is Status.VACUOUS
 
 
@@ -280,8 +275,9 @@ class TestInstanceInvariants:
         adj = np.zeros((5, 5), dtype=bool)
         for u, v in edges:
             adj[u, v] = adj[v, u] = True
-        graph = ZDGraph(range(5), list("abcde"), adj)
-        violations = _graph_invariant_violations("[p]", "base", graph)
+        facts = RingFacts(None)  # a synthetic graph belongs to no ring
+        facts.graph = ZDGraph(range(5), list("abcde"), adj)
+        violations = _graph_invariant_violations("[p]", "base", facts)
         assert violations == [f"[p] base {expected}"]
 
     def test_square_zero_table_identity_reads_the_last_slab(self):
@@ -405,6 +401,55 @@ class TestSweep:
     def test_bad_spec_aborts(self):
         with pytest.raises(Exception):
             sweep(["Z6", "Q7"], "nonzero", workers=1)
+
+
+class TestRingFacts:
+    def test_one_zero_product_pass_per_graph(self, monkeypatch):
+        # Z2..Z32 has 31 base rings and 87 duplications along a nonzero
+        # ideal; T4.8's square-zero clauses read the graphs' own pass.
+        passes = []
+        adjacency = graphs._zero_product_adjacency
+
+        def spy(ring):
+            passes.append(ring.spec_name)
+            return adjacency(ring)
+
+        for module in (graphs, rings):
+            monkeypatch.setattr(module, "_zero_product_adjacency", spy)
+        report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
+        assert report.succeeded and len(report.instances) == 87
+        assert len(passes) == len(set(passes)) == 118
+
+    def test_swept_rings_are_freed_without_the_cyclic_collector(self, monkeypatch):
+        refs = []
+        for cls in (FiniteRing, ZDGraph):
+
+            def recording(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            theorems._sweep_ring("Z12", "nonzero")
+            alive = [ref() for ref in refs if ref() is not None]
+            monkeypatch.undo()
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                for spec in ("Z30", "Z32"):
+                    theorems._sweep_ring(spec, "nonzero")
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            gc.enable()
+        # Z12 and its five duplications along a nonzero ideal, with graphs.
+        assert len(refs) == 12
+        assert alive == []
+        # Z32 along itself alone has two 2 MiB tables.
+        assert held - start < 2**18
 
 
 def _blas_thread_probe() -> int:
