@@ -9,10 +9,8 @@ from .amalgam import (
     ZDClassification,
     amalgamated_duplication,
     classify_zero_divisors,
-    idealization,
     matches_idealization,
     structure_checks,
-    to_product_rep,
     verify_product_embedding,
 )
 from .graphs import (
@@ -22,15 +20,11 @@ from .graphs import (
     build_graph,
     complete_bipartition,
     diameter,
-    distance,
     edge_count,
     export_dot,
     girth,
     graph_invariants,
     is_complete,
-    is_complete_bipartite,
-    is_connected,
-    is_star,
     universal_vertices,
 )
 from .rings import (
@@ -38,10 +32,8 @@ from .rings import (
     Ideal,
     all_ideals,
     annihilator,
-    annihilator_pair,
     ideal_from_generators,
     ideal_violations,
-    is_domain,
     is_field,
     is_ideal,
     is_prime_ideal,
@@ -53,7 +45,6 @@ from .rings import (
     product_ring,
     verify_ring_axioms,
     zero_divisors,
-    zset_square_zero,
 )
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
 from .theorems import (

@@ -1,4 +1,5 @@
-"""Duplication of a ring along an ideal, and the square-zero idealization.
+"""Duplication of a ring along an ideal, and its comparison with the
+square-zero idealization.
 
 The duplication of R along an ideal I lives on the carrier R x I with
 componentwise addition and multiplication (r,i)(s,j) = (rs, rj+si+ij).
@@ -15,14 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import ZDGraph, build_graph
+from .graphs import ZDGraph
 from .rings import (
     _BLOCK_CELLS,
     TABLE_DTYPE,
     FiniteRing,
     Ideal,
     ideal_violations,
-    zero_divisors,
 )
 from .specs import MAX_DUPLICATION_ORDER
 
@@ -31,9 +31,7 @@ __all__ = [
     "DuplicationTooLargeError",
     "AmalgamRing",
     "amalgamated_duplication",
-    "idealization",
     "matches_idealization",
-    "to_product_rep",
     "verify_product_embedding",
     "ZDClassification",
     "classify_zero_divisors",
@@ -43,11 +41,11 @@ __all__ = [
 
 
 class NotAnIdealError(ValueError):
-    """The member set handed to a pair construction is not an ideal."""
+    """The member set handed to the duplication is not an ideal."""
 
 
 class DuplicationTooLargeError(ValueError):
-    """A pair construction's carrier R x I is above MAX_DUPLICATION_ORDER."""
+    """The duplication's carrier R x I is above MAX_DUPLICATION_ORDER."""
 
 
 def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
@@ -109,18 +107,19 @@ def _mul_block_filler(
     return step, fill
 
 
-def _pair_tables(base: FiniteRing, members: tuple[int, ...], with_product_term: bool):
-    """Addition/multiplication tables over the carrier base x members,
-    built in the shape (n, k, n, k) from the two position tables: addition
-    by one broadcast add, multiplication one block of first coordinates at
-    a time.  Both are written as TABLE_DTYPE from the start: the callers'
-    order check keeps every carrier index r*k + t below MAX_DUPLICATION_ORDER,
-    so the arithmetic on base-table entries cannot wrap."""
+def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
+    """The duplication's addition/multiplication tables over the carrier
+    base x members, built in the shape (n, k, n, k) from the two position
+    tables: addition by one broadcast add, multiplication one block of
+    first coordinates at a time.  Both are written as TABLE_DTYPE from the
+    start: the caller's order check keeps every carrier index r*k + t
+    below MAX_DUPLICATION_ORDER, so the arithmetic on base-table entries
+    cannot wrap."""
     n, k = base.order, len(members)
     pos, sum_pos, prod_pos = _ideal_positions(base, members)
     sums = sum_pos.astype(TABLE_DTYPE)
     add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
-    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term)
+    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term=True)
     mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
     for lo in range(0, n, step):
         fill(lo, min(lo + step, n), mul[lo : lo + step])
@@ -153,7 +152,7 @@ def _check_duplication_order(base: FiniteRing, ideal: Ideal) -> None:
 
 def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
     """The ideal's sorted members, once they are known to form an ideal of
-    ``base`` whose pair carrier is within MAX_DUPLICATION_ORDER; nothing of
+    ``base`` whose duplication is within MAX_DUPLICATION_ORDER; nothing of
     the carrier's size has been allocated when either check fails."""
     if ideal.ring is not base:
         raise NotAnIdealError("ideal belongs to a different ring")
@@ -176,7 +175,7 @@ class AmalgamRing:
         self.ideal = ideal
         self.ideal_elements = members
         self._pos = {elem: t for t, elem in enumerate(members)}
-        add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=True)
+        add, mul, zero, one, labels = _pair_tables(base, members)
         name = f"{base.spec_name} join {base.format_subset(members)}"
         self.ring = FiniteRing(
             base.order * len(members), add, mul, zero, one, labels, name, _owned=True
@@ -222,16 +221,6 @@ def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
     return AmalgamRing(base, ideal)
 
 
-def idealization(base: FiniteRing, ideal: Ideal) -> FiniteRing:
-    """The square-zero extension on the same carrier: (r,m)(s,n) = (rs, rn+sm)."""
-    members = _checked_ideal(base, ideal)
-    add, mul, zero, one, labels = _pair_tables(base, members, with_product_term=False)
-    name = f"{base.spec_name} idealization {base.format_subset(members)}"
-    return FiniteRing(
-        base.order * len(members), add, mul, zero, one, labels, name, _owned=True
-    )
-
-
 def matches_idealization(amalgam: AmalgamRing) -> bool:
     """True iff the duplication's multiplication table equals the
     idealization's on the same carrier.
@@ -258,12 +247,6 @@ def matches_idealization(amalgam: AmalgamRing) -> bool:
         if not np.array_equal(gathered, built[lo:hi]):
             return False
     return True
-
-
-def to_product_rep(amalgam: AmalgamRing, e: int) -> tuple[int, int]:
-    """Image (r, r+i) of a carrier element under the product-form embedding."""
-    r, i = amalgam.pair_of(e)
-    return r, amalgam.base.add(r, i)
 
 
 def verify_product_embedding(amalgam: AmalgamRing) -> list[str]:
@@ -329,12 +312,16 @@ class ZDClassification:
         return self.t1 | self.t2 | self.t3 | self.t4
 
 
-def classify_zero_divisors(amalgam: AmalgamRing) -> ZDClassification:
+def classify_zero_divisors(
+    amalgam: AmalgamRing, base_zd: frozenset[int]
+) -> ZDClassification:
+    """The classification of the duplication's zero-divisors, given the
+    base ring's zero-divisors ``base_zd`` (0 included)."""
     base = amalgam.base
     members = np.array(amalgam.ideal_elements, dtype=np.intp)
     n, k, zero = base.order, len(members), base.zero
-    base_zd = np.zeros(n, dtype=bool)
-    base_zd[list(zero_divisors(base))] = True
+    zd_mask = np.zeros(n, dtype=bool)
+    zd_mask[list(base_zd)] = True
 
     # Masks over the carrier in its (n, k) shape: [r, t] is (r, members[t]).
     t1 = np.zeros((n, k), dtype=bool)
@@ -342,13 +329,13 @@ def classify_zero_divisors(amalgam: AmalgamRing) -> ZDClassification:
     t2 = np.zeros((n, k), dtype=bool)
     t2[base._neg_table[members], np.arange(k)] = True
     t3 = np.zeros((n, k), dtype=bool)
-    t3[base_zd] = True
+    t3[zd_mask] = True
     t3[zero] = False
 
     nonzero_members = members[members != zero]
     killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
     sums = base.add_table[:, members]
-    t4 = ~base_zd[:, None] & (sums != zero) & killed[sums]
+    t4 = ~zd_mask[:, None] & (sums != zero) & killed[sums]
     return ZDClassification(
         *(frozenset(np.flatnonzero(mask).tolist()) for mask in (t1, t2, t3, t4))
     )
@@ -383,18 +370,17 @@ def _carrier_mask(ring: FiniteRing, elems: list[int]) -> np.ndarray:
 
 def structure_checks(
     amalgam: AmalgamRing,
-    base_graph: ZDGraph | None = None,
-    dup_graph: ZDGraph | None = None,
+    base_zd: frozenset[int],
+    base_graph: ZDGraph,
+    dup_graph: ZDGraph,
 ) -> StructureChecks:
+    """The structure checks of the duplication, given the base ring's
+    zero-divisors ``base_zd`` (0 included) and the graphs of both rings."""
     base = amalgam.base
     ring = amalgam.ring
     members = amalgam.ideal_elements
     if len(members) < 2:
         return StructureChecks(True, True, True, vacuous=True)
-    if dup_graph is None:
-        dup_graph = build_graph(ring)
-    if base_graph is None:
-        base_graph = build_graph(base)
     zero = base.zero
     t1_nonzero = sorted(amalgam.index_of(zero, i) for i in members if i != zero)
     t2_nonzero = sorted(amalgam.index_of(base.neg(i), i) for i in members if i != zero)
@@ -405,7 +391,6 @@ def structure_checks(
 
     # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
     # meet only the other kernel's nonzero elements.
-    base_zd = zero_divisors(base)
     regular = [i for i in members if i not in base_zd]
     adj = dup_graph.adjacency
     vertices = list(dup_graph.vertices)

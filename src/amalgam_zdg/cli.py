@@ -23,18 +23,9 @@ from .amalgam import (
     classify_zero_divisors,
 )
 from .graphs import ZDGraph, build_graph, export_dot, graph_invariants
-from .rings import (
-    FiniteRing,
-    Ideal,
-    is_domain,
-    is_field,
-    is_ideal,
-    is_reduced,
-    minimal_primes,
-    zero_divisors,
-)
+from .rings import FiniteRing, Ideal, is_field, minimal_primes
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
-from .theorems import Status, run_all, sweep
+from .theorems import RingFacts, Status, run_all, sweep
 
 WORKERS_ENV = "AMALGAM_ZDG_WORKERS"
 
@@ -88,25 +79,28 @@ def _yn(flag: bool) -> str:
 
 
 def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
-    zdivs = zero_divisors(ring)
+    """The report of ``analyze``: one zero-product pass over each ring, read
+    through the ring's ``RingFacts``."""
+    base = RingFacts(ring)
     data: dict = {
         "ring": {
             "spec": ring.spec_name,
             "order": ring.order,
-            "zero_divisors": [ring.labels[z] for z in sorted(zdivs)],
-            "zero_divisors_form_ideal": is_ideal(ring, zdivs),
-            "domain": is_domain(ring),
-            "reduced": is_reduced(ring),
+            "zero_divisors": [ring.labels[z] for z in sorted(base.zero_divisors)],
+            "zero_divisors_form_ideal": base.zdivs_form_ideal,
+            "domain": base.is_domain,
+            "reduced": base.is_reduced,
             "field": is_field(ring),
-            "graph": _graph_summary(build_graph(ring)),
+            "graph": _graph_summary(base.graph),
         }
     }
     if ideal is not None:
         amalgam = amalgamated_duplication(ring, ideal)
-        cls = classify_zero_divisors(amalgam)
-        dup = amalgam.ring
+        cls = classify_zero_divisors(amalgam, base.zero_divisors)
+        facts = RingFacts(amalgam.ring)
+        dup = facts.ring
         zero = dup.zero
-        nonzero = sorted(zero_divisors(dup) - {zero})
+        nonzero = facts.graph.vertices
         mins = minimal_primes(dup)
         data["ideal"] = {"members": list(ideal.labels()), "size": len(ideal)}
         data["duplication"] = {
@@ -122,7 +116,7 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
             "o1": [dup.labels[m] for m in amalgam.o1],
             "o2": [dup.labels[m] for m in amalgam.o2],
             "minimal_primes": [[dup.labels[m] for m in p] for p in mins],
-            "graph": _graph_summary(build_graph(dup)),
+            "graph": _graph_summary(facts.graph),
         }
     return data
 

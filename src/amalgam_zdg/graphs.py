@@ -26,14 +26,10 @@ __all__ = [
     "DisconnectedGraphError",
     "ZDGraph",
     "build_graph",
-    "distance",
-    "is_connected",
     "diameter",
     "girth",
     "is_complete",
     "complete_bipartition",
-    "is_complete_bipartite",
-    "is_star",
     "universal_vertices",
     "edge_count",
     "export_dot",
@@ -156,32 +152,6 @@ def build_graph(ring: FiniteRing) -> ZDGraph:
     vertices = tuple(verts.tolist())
     labels = tuple([ring.labels[v] for v in vertices])
     return ZDGraph(vertices, labels, adj, ring, _owned=True)
-
-
-def _bfs_depths(graph: ZDGraph, source: int) -> list[int]:
-    depth = [-1] * graph.vertex_count
-    depth[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return depth
-
-
-def distance(graph: ZDGraph, u: int, v: int) -> int | None:
-    """Shortest-path length between two vertices; None if unreachable."""
-    src, dst = graph.position(u), graph.position(v)
-    d = _bfs_depths(graph, src)[dst]
-    return None if d < 0 else d
-
-
-def is_connected(graph: ZDGraph) -> bool:
-    if graph.vertex_count == 0:
-        return True
-    return all(d >= 0 for d in _bfs_depths(graph, 0))
 
 
 def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -369,16 +339,6 @@ def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
     if not adj[np.ix_(far, near)].all():
         return None
     return tuple(sorted((int(far.sum()), int(near.sum()))))  # type: ignore[return-value]
-
-
-def is_complete_bipartite(graph: ZDGraph) -> bool:
-    return complete_bipartition(graph) is not None
-
-
-def is_star(graph: ZDGraph) -> bool:
-    """Complete bipartite with a part of size one."""
-    parts = complete_bipartition(graph)
-    return parts is not None and parts[0] == 1
 
 
 def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:

@@ -23,15 +23,12 @@ __all__ = [
     "verify_ring_axioms",
     "zero_divisors",
     "annihilator",
-    "annihilator_pair",
     "principal_ideal",
     "ideal_from_generators",
     "all_ideals",
     "ideal_violations",
     "is_ideal",
     "is_prime_ideal",
-    "zset_square_zero",
-    "is_domain",
     "is_reduced",
     "is_field",
     "prime_ideals",
@@ -375,35 +372,6 @@ def annihilator(ring: FiniteRing, a: int) -> Ideal:
     """Ann(a) = {r : r*a = 0}."""
     members = np.nonzero(ring.mul_table[:, a] == ring.zero)[0]
     return Ideal(ring, frozenset(members.tolist()))
-
-
-def annihilator_pair(ring: FiniteRing, a: int, b: int) -> Ideal:
-    """Ann(a, b) = Ann(a) ∩ Ann(b)."""
-    col_a = ring.mul_table[:, a] == ring.zero
-    col_b = ring.mul_table[:, b] == ring.zero
-    members = np.nonzero(col_a & col_b)[0]
-    return Ideal(ring, frozenset(members.tolist()))
-
-
-def zset_square_zero(ring: FiniteRing) -> bool:
-    """True iff x*y = 0 for every pair of zero-divisors.
-
-    The products over Z(R) are gathered from ``mul_table`` a block of about
-    _BLOCK_CELLS cells at a time, and the first block holding a nonzero
-    product ends the scan.
-    """
-    mul, zero, n = ring.mul_table, ring.zero, ring.order
-    zd = np.array(sorted(zero_divisors(ring)), dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, len(zd), step):
-        rows = mul.take(zd[lo : lo + step], axis=0)
-        if (rows.take(zd, axis=1) != zero).any():
-            return False
-    return True
-
-
-def is_domain(ring: FiniteRing) -> bool:
-    return zero_divisors(ring) == frozenset({ring.zero})
 
 
 def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:

@@ -49,12 +49,10 @@ from .rings import (
     Ideal,
     all_ideals,
     annihilator,
-    is_domain,
     is_ideal,
     is_prime_ideal,
     is_reduced,
     minimal_primes,
-    zero_divisors,
 )
 from .specs import parse_ring_spec
 
@@ -177,7 +175,14 @@ class RingFacts:
 
     @cached_property
     def zero_divisors(self) -> frozenset[int]:
-        return zero_divisors(self.ring)
+        """Z(R), read off the graph's pass: its vertices, and 0 when 0*y = 0
+        for some y != 0.  That is the definition ``rings.zero_divisors``
+        uses, so no ring axiom is assumed."""
+        zero = self.ring.zero
+        kills = self.ring.mul_table[zero] == zero
+        kills[zero] = False
+        vertices = frozenset(self.graph.vertices)
+        return vertices | {zero} if kills.any() else vertices
 
     @cached_property
     def zdivs_form_ideal(self) -> bool:
@@ -185,7 +190,7 @@ class RingFacts:
 
     @cached_property
     def is_domain(self) -> bool:
-        return is_domain(self.ring)
+        return self.zero_divisors == {self.ring.zero}
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -217,9 +222,7 @@ class RingFacts:
         verts = np.array(self.graph.vertices, dtype=np.intp)
         if not self.complete or (mul[verts, verts] != zero).any():
             return False
-        kills = mul[zero] == zero
-        kills[zero] = False
-        if not kills.any():
+        if zero not in self.zero_divisors:
             return True
         zd = np.append(verts, zero)
         return bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
@@ -584,7 +587,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
-    cls = classify_zero_divisors(inst.amalgam)
+    cls = classify_zero_divisors(inst.amalgam, inst.base.zero_divisors)
     if cls.union() - {inst.amalgam.ring.zero} != frozenset(inst.dup.graph.vertices):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
@@ -600,7 +603,9 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
         )
 
-    checks = structure_checks(inst.amalgam, inst.base.graph, inst.dup.graph)
+    checks = structure_checks(
+        inst.amalgam, inst.base.zero_divisors, inst.base.graph, inst.dup.graph
+    )
     if not checks.vacuous and not checks.all_hold():
         failing = [
             name

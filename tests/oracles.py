@@ -16,6 +16,13 @@ adjacency blocks for the complete bipartition and the duplication's
 structure checks, and a whole-table mask, ``np.ix_`` gathers and an
 off-diagonal ``eye`` mask instead of the one blocked zero-product pass for
 Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.
+
+The library builds no idealization ring, measures no distance between two
+vertices, and has no joint annihilator or product-form image of one
+element; the tests read those from here: the idealization as a ring on
+the gathered tables, a distance from the Floyd-Warshall matrix, Ann(a, b)
+as two ``annihilator`` calls intersected, and (r, i) -> (r, r+i) from
+``pair_of``.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from amalgam_zdg import (
     FiniteRing,
     StructureChecks,
     ZDGraph,
+    Ideal,
     all_ideals,
-    annihilator_pair,
+    annihilator,
     is_ideal,
     zero_divisors,
 )
@@ -140,6 +148,14 @@ def floyd_warshall_distances(graph: ZDGraph) -> np.ndarray:
     for k in range(n):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     return dist
+
+
+def floyd_warshall_distance(graph: ZDGraph, u: int, v: int) -> int | None:
+    """Shortest-path length between the vertices u and v (element indices)
+    from the all-pairs matrix; None if unreachable.  ValueError for an
+    element that is not a vertex."""
+    d = floyd_warshall_distances(graph)[graph.position(u), graph.position(v)]
+    return None if math.isinf(d) else int(d)
 
 
 def floyd_warshall_diameter(graph: ZDGraph) -> int | None:
@@ -267,6 +283,30 @@ def gather_pair_tables(
         mul_second = cross
     assert (pos[add_second] >= 0).all() and (pos[mul_second] >= 0).all()
     return add_first * k + pos[add_second], mul_first * k + pos[mul_second]
+
+
+def gather_idealization(base: FiniteRing, ideal) -> FiniteRing:
+    """The square-zero idealization (r,m)(s,n) = (rs, rn+sm) on the
+    duplication's carrier, as a ring on the gathered tables."""
+    members = sorted(ideal.members)
+    k = len(members)
+    add, mul = gather_pair_tables(base, members, with_product_term=False)
+    labels = [f"({base.labels[r]},{base.labels[i]})" for r in base.elements() for i in members]
+    zero = base.zero * k + members.index(base.zero)
+    one = base.one * k + members.index(base.zero)
+    name = f"{base.spec_name} idealization {base.format_subset(members)}"
+    return FiniteRing(base.order * k, add, mul, zero, one, labels, name)
+
+
+def product_rep(amalgam, e: int) -> tuple[int, int]:
+    """Image (r, r+i) of a carrier element under the product-form embedding."""
+    r, i = amalgam.pair_of(e)
+    return r, amalgam.base.add(r, i)
+
+
+def annihilator_pair(ring: FiniteRing, a: int, b: int) -> Ideal:
+    """Ann(a, b) = Ann(a) ∩ Ann(b), from two ``annihilator`` calls."""
+    return Ideal(ring, annihilator(ring, a).members & annihilator(ring, b).members)
 
 
 def loop_classify_zero_divisors(amalgam) -> tuple[frozenset[int], ...]:

@@ -28,14 +28,12 @@ from amalgam_zdg import (
     classify_zero_divisors,
     complete_bipartition,
     diameter,
-    distance,
     expand_family,
     girth,
+    graph_invariants,
     ideal_from_generators,
-    idealization,
     is_complete,
     is_prime_ideal,
-    is_star,
     make_zn,
     matches_idealization,
     minimal_primes,
@@ -44,10 +42,8 @@ from amalgam_zdg import (
     prime_ideals,
     structure_checks,
     sweep,
-    to_product_rep,
     universal_vertices,
     zero_divisors,
-    zset_square_zero,
 )
 from amalgam_zdg import amalgam, graphs, rings
 from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
@@ -62,13 +58,16 @@ from oracles import (
     enumerate_cycles_girth,
     eye_mask_is_complete,
     floyd_warshall_diameter,
+    floyd_warshall_distance,
     full_mask_zero_divisors,
     gather_adjacency,
+    gather_idealization,
     gather_pair_tables,
     gather_zset_square_zero,
     loop_classify_zero_divisors,
     loop_structure_checks,
     neighbor_count_universal_vertices,
+    product_rep,
     reach_product_diameter,
     square_girth,
     subset_scan_ideals,
@@ -142,7 +141,7 @@ def test_z6_half_ideal_golden():
             dup = amalgamated_duplication(ring, ideal)
             graph = build_graph(dup.ring)
             assert diameter(graph) == 3
-            assert distance(graph, dup.index_of(1, 3), dup.index_of(3, 0)) == 3
+            assert floyd_warshall_distance(graph, dup.index_of(1, 3), dup.index_of(3, 0)) == 3
 
 
 def test_z8_half_ideal_golden():
@@ -169,7 +168,7 @@ def test_star_base_golden(field_spec):
             ring = parse_ring_spec(f"Z2x{field_spec}")
             ideal = parse_ideal_spec(ring, "gen((1,0))")
             assert len(ideal) == 2
-            assert is_star(build_graph(ring))
+            assert graph_invariants(build_graph(ring)).is_star
             dup = amalgamated_duplication(ring, ideal)
             assert diameter(build_graph(dup.ring)) == 3
 
@@ -180,10 +179,10 @@ def test_prime_square_golden(p):
         with under_a_second():
             ring = make_zn(p * p)
             ideal = parse_ideal_spec(ring, "full")
-            assert zset_square_zero(ring)
+            assert RingFacts(ring).square_zero
             assert not ideal.members <= zero_divisors(ring)
             dup = amalgamated_duplication(ring, ideal)
-            assert not zset_square_zero(dup.ring)
+            assert not RingFacts(dup.ring).square_zero
 
 
 def test_exhaustive_sweep_is_clean(sweep_report):
@@ -216,13 +215,9 @@ def _assert_primes_match_oracle(ring, rng: random.Random) -> None:
 
 
 def _assert_tables_match_oracle(ring, ideal, dup) -> None:
-    for built, with_product_term in (
-        (dup.ring, True),
-        (idealization(ring, ideal), False),
-    ):
-        add, mul = gather_pair_tables(ring, ideal.members, with_product_term)
-        assert np.array_equal(built.add_table, add), built.spec_name
-        assert np.array_equal(built.mul_table, mul), built.spec_name
+    add, mul = gather_pair_tables(ring, ideal.members, with_product_term=True)
+    assert np.array_equal(dup.ring.add_table, add), dup.ring.spec_name
+    assert np.array_equal(dup.ring.mul_table, mul), dup.ring.spec_name
 
 
 def test_oracle_equivalence(family_instances):
@@ -263,7 +258,7 @@ def test_idealization_comparator_matches_whole_tables(family_instances):
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
             whole = np.array_equal(
-                dup.ring.mul_table, idealization(ring, ideal).mul_table
+                dup.ring.mul_table, gather_idealization(ring, ideal).mul_table
             )
             assert matches_idealization(dup) == whole, dup.ring.spec_name
             outcomes.append(whole)
@@ -287,7 +282,7 @@ def test_block_size_leaves_pair_tables_and_comparator_alone(
             dup = amalgamated_duplication(ring, ideal)
             _assert_tables_match_oracle(ring, ideal, dup)
             whole = np.array_equal(
-                dup.ring.mul_table, idealization(ring, ideal).mul_table
+                dup.ring.mul_table, gather_idealization(ring, ideal).mul_table
             )
             assert matches_idealization(dup) == whole, dup.ring.spec_name
             ragged += n % step != 0
@@ -302,7 +297,7 @@ def test_vectorized_checks_match_loops(family_instances):
         seen_rings = set()
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
-            cls = classify_zero_divisors(dup)
+            cls = classify_zero_divisors(dup, zero_divisors(ring))
             assert (cls.t1, cls.t2, cls.t3, cls.t4) == loop_classify_zero_divisors(
                 dup
             ), dup.ring.spec_name
@@ -341,7 +336,7 @@ def test_whole_array_graph_checks_match_loops(family_instances):
                     got = complete_bipartition(graph)
                     assert got == bfs_complete_bipartition(graph), graph
                     parts.add(got is None)
-                checks = structure_checks(dup, *pair)
+                checks = structure_checks(dup, zero_divisors(ring), *pair)
                 assert checks == loop_structure_checks(dup, *pair), dup.ring.spec_name
                 exclusive.add(checks.regular_members_exclusive)
                 embeds.add(checks.embeds_base)
@@ -353,9 +348,9 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
     """Z(R), Z(R)^2 = 0, the graph adjacency and completeness from the one
     blocked zero-product pass against the whole-table mask, the np.ix_
     gathers and the eye mask, on the base and duplication rings of every
-    instance and on their graphs' complements.  Z(R)^2 = 0 is asked of the
-    library's blocked scan and of the sweep's ``RingFacts``, which read it
-    off the graph.  At the default block size every pass of the family is
+    instance and on their graphs' complements.  Z(R) and Z(R)^2 = 0 are
+    also asked of the sweep's ``RingFacts``, which read them off the
+    graph.  At the default block size every pass of the family is
     one block; "one-row" sizes the blocks to one row of the ring's
     table, and "ragged" to n//2 + 1 rows, which leaves a shorter last block
     and symmetry tiles that do not divide the graph."""
@@ -371,12 +366,11 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
                     monkeypatch.setattr(rings, "_BLOCK_CELLS", cells)
                     monkeypatch.setattr(graphs, "_BLOCK_CELLS", cells)
                 square_zero = gather_zset_square_zero(owner)
-                if owner is fresh:
-                    assert zset_square_zero(owner) == square_zero
                 graph = build_graph(owner)
-                assert zset_square_zero(owner) == square_zero, owner.spec_name
-                assert RingFacts(owner).square_zero == square_zero, owner.spec_name
+                facts = RingFacts(owner)
+                assert facts.square_zero == square_zero, owner.spec_name
                 assert zero_divisors(owner) == full_mask_zero_divisors(owner)
+                assert facts.zero_divisors == full_mask_zero_divisors(owner)
                 verts, adj = gather_adjacency(owner)
                 assert graph.vertices == tuple(verts), owner.spec_name
                 assert np.array_equal(graph.adjacency, adj), owner.spec_name
@@ -441,7 +435,7 @@ def test_duplication_primes_lift_base_primes(family_instances):
     with criterion("spectrum: duplication primes are lifts of base primes"):
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
-            images = [to_product_rep(dup, e) for e in dup.ring.elements()]
+            images = [product_rep(dup, e) for e in dup.ring.elements()]
             lifts = set()
             for p in complement_scan_primes(ring):
                 first = frozenset(e for e, (a, _) in enumerate(images) if a in p)
@@ -459,7 +453,9 @@ def test_bipartite_pattern_and_embedding(family_instances):
             if len(ideal) < 2:
                 continue
             dup = amalgamated_duplication(ring, ideal)
-            checks = structure_checks(dup)
+            checks = structure_checks(
+                dup, zero_divisors(ring), build_graph(ring), build_graph(dup.ring)
+            )
             assert not checks.vacuous
             assert checks.crossings_complete, dup.ring.spec_name
             assert checks.embeds_base, dup.ring.spec_name

@@ -14,7 +14,6 @@ from amalgam_zdg import (
     amalgamated_duplication,
     build_graph,
     classify_zero_divisors,
-    idealization,
     ideal_from_generators,
     is_ideal,
     make_zn,
@@ -22,13 +21,12 @@ from amalgam_zdg import (
     parse_ideal_spec,
     parse_ring_spec,
     structure_checks,
-    to_product_rep,
     verify_product_embedding,
     verify_ring_axioms,
     zero_divisors,
 )
 from amalgam_zdg import amalgam
-from oracles import loop_structure_checks
+from oracles import gather_idealization, loop_structure_checks, product_rep
 
 Z8 = make_zn(8)
 I8 = ideal_from_generators(Z8, [4])
@@ -40,6 +38,12 @@ def dup(ring, gens):
 
 def full_dup(ring):
     return amalgamated_duplication(ring, Ideal(ring, frozenset(ring.elements())))
+
+
+def checks_of(a):
+    """``structure_checks`` of a duplication with its base ring's Z(R) and
+    the two rings' graphs."""
+    return structure_checks(a, zero_divisors(a.base), build_graph(a.base), build_graph(a.ring))
 
 
 class TestConstruction:
@@ -84,7 +88,7 @@ class TestConstruction:
 
 
 class TestOrderLimit:
-    """The order |R|*|I| of a pair construction is checked against
+    """The order |R|*|I| of the duplication is checked against
     MAX_DUPLICATION_ORDER = 16384 before any of its tables is built."""
 
     class Reached(Exception):
@@ -97,7 +101,7 @@ class TestOrderLimit:
 
         monkeypatch.setattr(amalgam, "_pair_tables", refuse)
 
-    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    @pytest.mark.parametrize("build", [amalgamated_duplication])
     def test_oversized_carrier_fails_before_any_table(self, build, no_tables):
         ring = make_zn(131)
         with pytest.raises(DuplicationTooLargeError) as info:
@@ -106,13 +110,13 @@ class TestOrderLimit:
         assert message.startswith("the duplication of Z131 along {0, 1, 2,")
         assert message.endswith("has order 17161, above the limit of 16384")
 
-    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    @pytest.mark.parametrize("build", [amalgamated_duplication])
     def test_limit_is_inclusive(self, build, no_tables):
         ring = make_zn(128)
         with pytest.raises(self.Reached):
             build(ring, Ideal(ring, frozenset(ring.elements())))
 
-    @pytest.mark.parametrize("build", [amalgamated_duplication, idealization])
+    @pytest.mark.parametrize("build", [amalgamated_duplication])
     def test_one_above_a_lowered_limit_is_refused(self, build, monkeypatch):
         monkeypatch.setattr(amalgam, "MAX_DUPLICATION_ORDER", 16)
         z4 = make_zn(4)
@@ -136,19 +140,19 @@ class TestOrderLimit:
 class TestIdealization:
     def test_square_zero_multiplication(self):
         r = make_zn(4)
-        ext = idealization(r, ideal_from_generators(r, [2]))
+        ext = gather_idealization(r, ideal_from_generators(r, [2]))
         v = ext.element_index("(1,2)")
         assert ext.labels[ext.mul(v, v)] == "(1,0)"
 
     def test_second_component_squares_to_zero(self):
         r = make_zn(6)
-        ext = idealization(r, ideal_from_generators(r, [3]))
+        ext = gather_idealization(r, ideal_from_generators(r, [3]))
         zero_part = ext.element_index("(0,3)")
         assert ext.mul(zero_part, zero_part) == ext.zero
 
     def test_tables_match_duplication_when_ideal_squares_to_zero(self):
         a = amalgamated_duplication(Z8, I8)
-        ext = idealization(Z8, I8)
+        ext = gather_idealization(Z8, I8)
         assert np.array_equal(a.ring.mul_table, ext.mul_table)
         assert np.array_equal(a.ring.add_table, ext.add_table)
 
@@ -156,7 +160,7 @@ class TestIdealization:
         r = make_zn(6)
         ideal = ideal_from_generators(r, [2])
         a = amalgamated_duplication(r, ideal)
-        ext = idealization(r, ideal)
+        ext = gather_idealization(r, ideal)
         assert not np.array_equal(a.ring.mul_table, ext.mul_table)
 
     @pytest.mark.parametrize("step", [1, 3], ids=["one-coordinate", "ragged"])
@@ -187,8 +191,8 @@ class TestIdealization:
 class TestProductEmbedding:
     def test_known_images(self):
         a = amalgamated_duplication(Z8, I8)
-        assert to_product_rep(a, a.index_of(4, 4)) == (4, 0)
-        assert to_product_rep(a, a.ring.zero) == (0, 0)
+        assert product_rep(a, a.index_of(4, 4)) == (4, 0)
+        assert product_rep(a, a.ring.zero) == (0, 0)
 
     @pytest.mark.parametrize(
         "ring,gens",
@@ -221,7 +225,7 @@ class TestProjectionKernels:
 class TestClassification:
     def test_z8_classes(self):
         a = amalgamated_duplication(Z8, I8)
-        cls = classify_zero_divisors(a)
+        cls = classify_zero_divisors(a, zero_divisors(a.base))
         zero = a.ring.zero
         lab = a.ring.labels
         assert {lab[v] for v in cls.t1 - {zero}} == {"(0,4)"}
@@ -233,7 +237,7 @@ class TestClassification:
 
     def test_domain_case_has_only_kernel_classes(self):
         a = full_dup(make_zn(3))
-        cls = classify_zero_divisors(a)
+        cls = classify_zero_divisors(a, zero_divisors(a.base))
         zero = a.ring.zero
         assert cls.t3 == cls.t4 == frozenset()
         vertices = frozenset(build_graph(a.ring).vertices)
@@ -241,14 +245,14 @@ class TestClassification:
 
     def test_zero_ideal_classes_collapse(self):
         a = dup(make_zn(6), [0])
-        cls = classify_zero_divisors(a)
+        cls = classify_zero_divisors(a, zero_divisors(a.base))
         zero = a.ring.zero
         assert cls.t1 == cls.t2 == frozenset({zero})
         assert cls.t4 == frozenset()
 
     def test_t4_disjoint_from_earlier_classes(self):
         a = full_dup(make_zn(4))
-        cls = classify_zero_divisors(a)
+        cls = classify_zero_divisors(a, zero_divisors(a.base))
         assert cls.t4
         assert not cls.t4 & (cls.t1 | cls.t2 | cls.t3)
         base_zd = zero_divisors(a.base)
@@ -269,7 +273,7 @@ class TestClassification:
     def test_union_matches_brute_force(self, spec, ideal_spec):
         ring = parse_ring_spec(spec)
         a = amalgamated_duplication(ring, parse_ideal_spec(ring, ideal_spec))
-        cls = classify_zero_divisors(a)
+        cls = classify_zero_divisors(a, zero_divisors(a.base))
         zero = a.ring.zero
         assert cls.union() - {zero} == zero_divisors(a.ring) - {zero}
 
@@ -277,13 +281,13 @@ class TestClassification:
 class TestStructure:
     def test_crossing_edges_in_z6(self):
         a = dup(make_zn(6), [3])
-        checks = structure_checks(a)
+        checks = checks_of(a)
         assert not checks.vacuous
         assert checks.crossings_complete
         assert checks.embeds_base
 
     def test_exclusive_neighbors_for_regular_members(self):
-        checks = structure_checks(full_dup(make_zn(3)))
+        checks = checks_of(full_dup(make_zn(3)))
         assert checks.regular_members_exclusive and checks.all_hold()
 
     def test_base_images_missing_from_the_graph_fail_the_embedding(self):
@@ -296,10 +300,10 @@ class TestStructure:
             [full.labels[p] for p in keep],
             full.adjacency[np.ix_(keep, keep)],
         )
-        checks = structure_checks(a, base_graph, graph)
+        checks = structure_checks(a, zero_divisors(a.base), base_graph, graph)
         assert not checks.embeds_base
         assert checks == loop_structure_checks(a, base_graph, graph)
 
     def test_zero_ideal_is_vacuous(self):
-        checks = structure_checks(dup(make_zn(6), [0]))
+        checks = checks_of(dup(make_zn(6), [0]))
         assert checks.vacuous

@@ -19,21 +19,17 @@ from amalgam_zdg import (
     build_graph,
     complete_bipartition,
     diameter,
-    distance,
     edge_count,
     export_dot,
     girth,
     graph_invariants,
     is_complete,
-    is_connected,
-    is_star,
     make_zn,
     parse_ideal_spec,
     parse_ring_spec,
     sweep,
     universal_vertices,
     zero_divisors,
-    zset_square_zero,
 )
 from amalgam_zdg import graphs
 from oracles import (
@@ -42,6 +38,7 @@ from oracles import (
     bfs_girth,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
+    floyd_warshall_distance,
     reach_product_diameter,
     square_girth,
 )
@@ -193,18 +190,19 @@ class TestValidation:
 class TestZeroProductPass:
     def test_z64_along_itself_holds_one_adjacency(self):
         """Graph, Z(R), Z(R)^2 = 0 and completeness of a duplication of
-        order 4096.  The whole-table mask and np.ix_ gathers peaked at
-        36.5 MiB here; with no order^2 boolean allocated the peak stays
-        below order^2 bytes, and what is held afterwards is the graph's
-        adjacency plus O(order)."""
+        order 4096, read through one ``RingFacts``.  The whole-table mask
+        and np.ix_ gathers peaked at 36.5 MiB here; with no order^2 boolean
+        allocated the peak stays below order^2 bytes, and what is held
+        afterwards is the graph's adjacency plus O(order)."""
         z64 = make_zn(64)
         dup = amalgamated_duplication(z64, parse_ideal_spec(z64, "full")).ring
         tracemalloc.start()
         try:
-            graph = build_graph(dup)
-            zero_divisors(dup)
-            zset_square_zero(dup)
-            is_complete(graph)
+            facts = RingFacts(dup)
+            graph = facts.graph
+            facts.zero_divisors
+            facts.square_zero
+            facts.complete
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -227,41 +225,23 @@ class TestZeroProductPass:
         # Read again, and the graph too: no further pass.
         assert z8.square_zero is False and z8.graph.vertex_count == 3
         assert passes == ["Z8", "Z4"]
-        assert zset_square_zero(make_zn(4)) is True
 
 
 class TestDistance:
     def test_two_step_path_in_z6(self):
         g = build_graph(make_zn(6))
-        assert distance(g, 2, 4) == 2
-        assert distance(g, 2, 2) == 0
+        assert floyd_warshall_distance(g, 2, 4) == 2
+        assert floyd_warshall_distance(g, 2, 2) == 0
 
     def test_unknown_vertex_is_an_error(self):
         g = build_graph(make_zn(6))
         with pytest.raises(ValueError):
-            distance(g, 1, 2)
+            floyd_warshall_distance(g, 1, 2)
 
     def test_worked_distances_in_the_z6_duplication(self):
         a, g = dup_graph("Z6", "gen(3)")
-        assert distance(g, a.index_of(0, 3), a.index_of(3, 3)) == 1
-        assert distance(g, a.index_of(1, 3), a.index_of(3, 0)) == 3
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.sampled_from(SAMPLE_SPECS))
-    def test_distance_is_a_metric(self, pair):
-        _, g = dup_graph(*pair)
-        verts = g.vertices
-        for u in verts:
-            assert distance(g, u, u) == 0
-            for v in verts:
-                duv = distance(g, u, v)
-                assert duv == distance(g, v, u)
-                if u != v:
-                    assert duv is None or duv >= 1
-                for w in verts:
-                    duw, dwv = distance(g, u, w), distance(g, w, v)
-                    if duw is not None and dwv is not None and duv is not None:
-                        assert duv <= duw + dwv
+        assert floyd_warshall_distance(g, a.index_of(0, 3), a.index_of(3, 3)) == 1
+        assert floyd_warshall_distance(g, a.index_of(1, 3), a.index_of(3, 0)) == 3
 
 
 class TestBooleanProduct:
@@ -441,7 +421,7 @@ class TestDiameter:
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
         synthetic = ZDGraph([0, 1, 2, 3], ["a", "b", "c", "d"], adj)
-        assert not is_connected(synthetic)
+        assert not nx.is_connected(nx.from_numpy_array(synthetic.adjacency))
         with pytest.raises(DisconnectedGraphError):
             diameter(synthetic)
 
@@ -567,11 +547,11 @@ class TestShapePredicates:
         g = build_graph(make_zn(4))
         assert complete_bipartition(g) is None
         assert is_complete(g)
-        assert not is_star(g)
+        assert not graph_invariants(g).is_star
 
     def test_star_with_universal_center(self):
         g = build_graph(parse_ring_spec("Z2xZ3"))
-        assert is_star(g)
+        assert graph_invariants(g).is_star
         assert [g.ring.labels[v] for v in universal_vertices(g)] == ["(1,0)"]
 
     def test_single_vertex_is_universal(self):

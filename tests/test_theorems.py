@@ -22,7 +22,6 @@ from amalgam_zdg import (
     TheoremId,
     ZDGraph,
     check,
-    idealization,
     instance_invariant_violations,
     parse_ideal_spec,
     parse_ring_spec,
@@ -362,17 +361,6 @@ class TestSweep:
         assert counts == [1, 1]
         assert blas_env() == before
 
-    def test_sweep_builds_no_idealization_ring(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep built an idealization ring")
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "amalgam_zdg":
-                if getattr(module, "idealization", None) is idealization:
-                    monkeypatch.setattr(module, "idealization", refuse)
-        report = sweep(["Z4", "Z8", "Z9", "Z2xZ2"], "nonzero", workers=1)
-        assert report.succeeded
-
     def test_sweep_reads_no_neighbour_tuples(self, monkeypatch):
         # Every graph of this family is empty or has girth 3 or 4, so the
         # BFS girth fallback, which walks neighbour tuples, never runs.
@@ -419,6 +407,25 @@ class TestRingFacts:
         report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
         assert report.succeeded and len(report.instances) == 87
         assert len(passes) == len(set(passes)) == 118
+
+    def test_one_zero_divisor_pass_per_graph(self, monkeypatch):
+        # The same 118 graphs of Z2..Z32: the base ring's Z(R), which the
+        # checks, the zero-divisor classification and the structure checks
+        # read, comes from its graph's pass, not from a pass of its own.
+        calls = []
+        counted = rings.zero_divisors
+
+        def spy(ring):
+            calls.append(ring.spec_name)
+            return counted(ring)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "amalgam_zdg":
+                if getattr(module, "zero_divisors", None) is counted:
+                    monkeypatch.setattr(module, "zero_divisors", spy)
+        report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
+        assert report.succeeded and len(report.instances) == 87
+        assert len(calls) == len(set(calls)) == 118
 
     def test_swept_rings_are_freed_without_the_cyclic_collector(self, monkeypatch):
         refs = []
