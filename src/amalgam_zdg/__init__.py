@@ -3,6 +3,7 @@ zero-divisor graphs, with an exhaustive verification harness."""
 
 from .amalgam import (
     AmalgamRing,
+    DuplicationCarrier,
     DuplicationTooLargeError,
     NotAnIdealError,
     StructureChecks,
@@ -48,6 +49,7 @@ from .rings import (
 )
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
 from .theorems import (
+    DuplicationFacts,
     Instance,
     InstanceRecord,
     PreconditionError,

@@ -6,6 +6,12 @@ componentwise addition and multiplication (r,i)(s,j) = (rs, rj+si+ij).
 Mapping (r,i) to (r, r+i) identifies it with the subring
 {(a,b) : b-a in I} of R x R; the idealization uses the same carrier but
 drops the ij term, so the two coincide exactly when I*I = 0.
+
+``DuplicationCarrier`` is the carrier alone, with its element encoding,
+labels and projection kernels, and the product-form coordinates that its
+minimal primes are read from; ``AmalgamRing`` adds the two operation
+tables.  The verification sweep reads everything off the carrier and the
+base ring's tables, and builds no table of the duplication.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from .rings import (
     TABLE_DTYPE,
     FiniteRing,
     Ideal,
+    _minimal,
+    _nilpotent_mask,
+    _primes_from_idempotents,
     ideal_violations,
 )
 from .specs import MAX_DUPLICATION_ORDER
@@ -29,6 +38,7 @@ from .specs import MAX_DUPLICATION_ORDER
 __all__ = [
     "NotAnIdealError",
     "DuplicationTooLargeError",
+    "DuplicationCarrier",
     "AmalgamRing",
     "amalgamated_duplication",
     "matches_idealization",
@@ -48,22 +58,29 @@ class DuplicationTooLargeError(ValueError):
     """The duplication's carrier R x I is above MAX_DUPLICATION_ORDER."""
 
 
+def _member_positions(base: FiniteRing, members: tuple[int, ...]) -> np.ndarray:
+    """pos[x]: the position t of x in the sorted ``members``, -1 for an
+    element outside them.  The carrier element (r, i) has index r*k + t
+    where i = members[t]."""
+    pos = np.full(base.order, -1, dtype=np.intp)
+    pos[list(members)] = np.arange(len(members))
+    return pos
+
+
 def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
     """Positions inside the ideal of i+j (k x k) and of r*j (n x k).
 
-    The carrier element (r, i) has index r*k + t where i = members[t].
     Second coordinates never leave position form, and an escape from the
     ideal shows in these two tables before anything of the carrier's
     squared size is built.
     """
     m = np.array(members, dtype=np.intp)
-    pos = np.full(base.order, -1, dtype=np.intp)
-    pos[m] = np.arange(len(members))
+    pos = _member_positions(base, members)
     sum_pos = pos[base.add_table[m[:, None], m[None, :]]]
     prod_pos = pos[base.mul_table[:, m]]
     if (sum_pos < 0).any() or (prod_pos < 0).any():
         raise NotAnIdealError("second coordinates escape the ideal carrier")
-    return pos, sum_pos, prod_pos
+    return sum_pos, prod_pos
 
 
 def _mul_block_filler(
@@ -71,34 +88,34 @@ def _mul_block_filler(
     members: tuple[int, ...],
     sum_pos: np.ndarray,
     prod_pos: np.ndarray,
-    with_product_term: bool,
-) -> tuple[int, Callable[[int, int, np.ndarray], None]]:
-    """``(step, fill)``: ``fill(lo, hi, out)`` writes the multiplication
-    table's rows of first coordinates lo..hi-1, shape (hi-lo, k, n, k) in
-    carrier order, into ``out``; a block of ``step`` first coordinates
-    holds about _BLOCK_CELLS cells, and never less than one coordinate.
+) -> tuple[int, Callable[[int, int, np.ndarray, bool], None]]:
+    """``(step, fill)``: ``fill(lo, hi, out, with_product_term)`` writes
+    the multiplication table's rows of first coordinates lo..hi-1, shape
+    (hi-lo, k, n, k) in carrier order, into ``out``: the duplication's
+    with the product term, the idealization's without; a block of
+    ``step`` first coordinates holds about _BLOCK_CELLS cells, and never
+    less than one coordinate.
 
     Entry [r, i, s, j] is the carrier index of (r, i)(s, j): r*s times k
     plus the position of u*j + s*i, where u = r+i for the duplication
     (rj+si+ij = (r+i)j + si) and u = r for the idealization, with i and j
     given by position in the ideal.  Over j those k positions are row
     u*k + pos(s*i) of one small table ``rows[u*k + b, j] = pos(u*j + m_b)``,
-    so a block is one gather of whole k-wide rows, driven by an index
-    array of 1/k of its cells.  ``out`` is a TABLE_DTYPE array, and every
-    carrier index fits in it.
+    which both tables share, so a block is one gather of whole k-wide
+    rows, driven by an index array of 1/k of its cells.  ``out`` is a
+    TABLE_DTYPE array, and every carrier index fits in it.
     """
     n, k = base.order, len(members)
     rows = sum_pos.astype(TABLE_DTYPE)[prod_pos[:, None, :], np.arange(k)[:, None]]
     rows = rows.reshape(n * k, k)
-    if with_product_term:
-        u = base.add_table[:, list(members)].astype(np.intp)
-    else:
-        u = np.arange(n)[:, None]
+    u_dup = base.add_table[:, list(members)].astype(np.intp)
+    u_ideal = np.arange(n)[:, None]
     cross = prod_pos.T
     mul_t = base.mul_table
     step = max(1, min(n, _BLOCK_CELLS // (n * k * k)))
 
-    def fill(lo: int, hi: int, out: np.ndarray) -> None:
+    def fill(lo: int, hi: int, out: np.ndarray, with_product_term: bool) -> None:
+        u = u_dup if with_product_term else u_ideal
         # Every row index u*k + pos(s*i) is below n*k by construction;
         # "raise" mode would gather into a scratch block and copy it over.
         np.take(rows, u[lo:hi, :, None] * k + cross, axis=0, out=out, mode="clip")
@@ -116,18 +133,15 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
     below MAX_DUPLICATION_ORDER, so the arithmetic on base-table entries
     cannot wrap."""
     n, k = base.order, len(members)
-    pos, sum_pos, prod_pos = _ideal_positions(base, members)
+    sum_pos, prod_pos = _ideal_positions(base, members)
     sums = sum_pos.astype(TABLE_DTYPE)
     add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
-    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term=True)
+    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos)
     mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
     for lo in range(0, n, step):
-        fill(lo, min(lo + step, n), mul[lo : lo + step])
+        fill(lo, min(lo + step, n), mul[lo : lo + step], True)
     size = n * k
-    labels = [f"({base.labels[r]},{base.labels[i]})" for r in range(n) for i in members]
-    zero = int(base.zero * k + pos[base.zero])
-    one = int(base.one * k + pos[base.zero])
-    return add.reshape(size, size), mul.reshape(size, size), zero, one, labels
+    return add.reshape(size, size), mul.reshape(size, size)
 
 
 # Members of a refused ideal named in the error message; the rest are
@@ -166,23 +180,30 @@ def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
     return ideal.sorted_members
 
 
-class AmalgamRing:
-    """The duplication of ``base`` along ``ideal`` in pair-carrier form."""
+class DuplicationCarrier:
+    """The duplication of ``base`` along ``ideal`` as its carrier R x I,
+    with no operation table.
+
+    The element (r, i) has index r*k + t, where i is the ideal's t-th
+    member in ascending order and k = |I|.  ``coordinates`` gives every
+    element's product-form image (a, b) = (r, r+i) in R x R, where the
+    multiplication is componentwise.  The ideal and the order limit are
+    checked at construction, before anything of the carrier's size exists.
+    """
 
     def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
         members = _checked_ideal(base, ideal)
         self.base = base
         self.ideal = ideal
         self.ideal_elements = members
+        self.order = base.order * len(members)
         self._pos = {elem: t for t, elem in enumerate(members)}
-        add, mul, zero, one, labels = _pair_tables(base, members)
-        name = f"{base.spec_name} join {base.format_subset(members)}"
-        self.ring = FiniteRing(
-            base.order * len(members), add, mul, zero, one, labels, name, _owned=True
-        )
+        self.zero = self.index_of(base.zero, base.zero)
+        self.one = self.index_of(base.one, base.zero)
+        self.spec_name = f"{base.spec_name} join {base.format_subset(members)}"
 
     def __repr__(self) -> str:
-        return f"AmalgamRing({self.ring.spec_name!r})"
+        return f"{type(self).__name__}({self.spec_name!r})"
 
     def pair_of(self, e: int) -> tuple[int, int]:
         """Decode a carrier index into base-ring element indices (r, i)."""
@@ -199,21 +220,87 @@ class AmalgamRing:
             ) from None
         return r * len(self.ideal_elements) + t
 
+    def label(self, e: int) -> str:
+        r, i = self.pair_of(e)
+        return f"({self.base.labels[r]},{self.base.labels[i]})"
+
+    def format_subset(self, elems) -> str:
+        """Render a set of carrier elements as ``{(r,i), ...}`` in index order."""
+        return "{" + ", ".join(self.label(e) for e in sorted(elems)) + "}"
+
+    @cached_property
+    def o1_members(self) -> frozenset[int]:
+        """Kernel of the first coordinate projection: {(0, i)}."""
+        zero = self.base.zero
+        return frozenset(self.index_of(zero, i) for i in self.ideal_elements)
+
+    @cached_property
+    def o2_members(self) -> frozenset[int]:
+        """Kernel of the second projection of the product form: {(-i, i)}."""
+        return frozenset(self.index_of(self.base.neg(i), i) for i in self.ideal_elements)
+
+    @cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element's product-form image (r, r+i), as two index arrays
+        over the base ring in carrier order."""
+        n, k = self.base.order, len(self.ideal_elements)
+        first = np.repeat(np.arange(n), k)
+        second = self.base.add_table[:, list(self.ideal_elements)].ravel().astype(np.intp)
+        return first, second
+
+    @cached_property
+    def nilpotents(self) -> np.ndarray:
+        """Mask of the nilpotent elements: (a, b) is nilpotent iff a and b
+        both are."""
+        nil = _nilpotent_mask(self.base)
+        first, second = self.coordinates
+        return nil[first] & nil[second]
+
+    @cached_property
+    def minimal_primes(self) -> list[frozenset[int]]:
+        """Members of the minimal prime ideals, sorted by (size, member
+        indices), by the primitive-idempotent rule of ``prime_ideals``
+        applied to the carrier: (a, b) is idempotent iff a and b both
+        are, and products are taken componentwise in R x R."""
+        base = self.base
+        mul = base.mul_table
+        k = len(self.ideal_elements)
+        first, second = self.coordinates
+        square_fixed = np.diagonal(mul) == np.arange(base.order)
+        idem = np.flatnonzero(square_fixed[first] & square_fixed[second])
+        idem = idem[idem != self.zero]
+        pos = _member_positions(base, self.ideal_elements)
+
+        def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            # (a, b) is the carrier element (a, b-a).
+            a = mul[first[x], first[y]].astype(np.intp)
+            b = mul[second[x], second[y]]
+            return a * k + pos[base.add_table[b, base._neg_table[a]]]
+
+        return _minimal(_primes_from_idempotents(idem, times, self.nilpotents))
+
+
+class AmalgamRing(DuplicationCarrier):
+    """The duplication of ``base`` along ``ideal`` in pair-carrier form,
+    with its operation tables as the FiniteRing ``ring``."""
+
+    def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
+        super().__init__(base, ideal)
+        add, mul = _pair_tables(base, self.ideal_elements)
+        labels = [self.label(e) for e in range(self.order)]
+        self.ring = FiniteRing(
+            self.order, add, mul, self.zero, self.one, labels, self.spec_name, _owned=True
+        )
+
     @cached_property
     def o1(self) -> Ideal:
         """Kernel of the first coordinate projection: {(0, i)}."""
-        zero = self.base.zero
-        return Ideal(
-            self.ring, frozenset(self.index_of(zero, i) for i in self.ideal_elements)
-        )
+        return Ideal(self.ring, self.o1_members)
 
     @cached_property
     def o2(self) -> Ideal:
         """Kernel of the second projection of the product form: {(-i, i)}."""
-        return Ideal(
-            self.ring,
-            frozenset(self.index_of(self.base.neg(i), i) for i in self.ideal_elements),
-        )
+        return Ideal(self.ring, self.o2_members)
 
 
 def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
@@ -221,30 +308,29 @@ def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
     return AmalgamRing(base, ideal)
 
 
-def matches_idealization(amalgam: AmalgamRing) -> bool:
+def matches_idealization(dup: DuplicationCarrier) -> bool:
     """True iff the duplication's multiplication table equals the
     idealization's on the same carrier.
 
-    The idealization's table is gathered one block of first coordinates at
-    a time, from the same row table as the duplication's but with u = r in
-    place of r+i, and each block's values are compared with the matching
-    rows of ``amalgam.ring.mul_table``; the first block that differs ends
-    the scan.  Only one block of the idealization is ever held, never a
-    second ring.  When I*I != 0 the first block already differs (at
-    r = s = 0 it holds the i*j terms).
+    Both tables are generated one block of first coordinates at a time
+    by one ``_mul_block_filler``, with u = r+i for the duplication and
+    u = r for the idealization, and compared block by block; the first block that
+    differs ends the scan.  Neither table is stored, and a stored table of
+    ``dup`` is never read.  When I*I != 0 the first block already differs
+    (at r = s = 0 it holds the i*j terms).
     """
-    base = amalgam.base
-    members = amalgam.ideal_elements
+    base = dup.base
+    members = dup.ideal_elements
     n, k = base.order, len(members)
-    _, sum_pos, prod_pos = _ideal_positions(base, members)
-    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos, with_product_term=False)
-    built = amalgam.ring.mul_table.reshape(n, k, n, k)
-    block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
+    sum_pos, prod_pos = _ideal_positions(base, members)
+    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos)
+    dup_block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
+    ideal_block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        gathered = block[: hi - lo]
-        fill(lo, hi, gathered)
-        if not np.array_equal(gathered, built[lo:hi]):
+        fill(lo, hi, dup_block[: hi - lo], True)
+        fill(lo, hi, ideal_block[: hi - lo], False)
+        if not np.array_equal(dup_block[: hi - lo], ideal_block[: hi - lo]):
             return False
     return True
 
@@ -313,12 +399,12 @@ class ZDClassification:
 
 
 def classify_zero_divisors(
-    amalgam: AmalgamRing, base_zd: frozenset[int]
+    dup: DuplicationCarrier, base_zd: frozenset[int]
 ) -> ZDClassification:
     """The classification of the duplication's zero-divisors, given the
     base ring's zero-divisors ``base_zd`` (0 included)."""
-    base = amalgam.base
-    members = np.array(amalgam.ideal_elements, dtype=np.intp)
+    base = dup.base
+    members = np.array(dup.ideal_elements, dtype=np.intp)
     n, k, zero = base.order, len(members), base.zero
     zd_mask = np.zeros(n, dtype=bool)
     zd_mask[list(base_zd)] = True
@@ -362,50 +448,70 @@ class StructureChecks:
         return self.crossings_complete and self.regular_members_exclusive and self.embeds_base
 
 
-def _carrier_mask(ring: FiniteRing, elems: list[int]) -> np.ndarray:
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[elems] = True
-    return mask
+def _products_vanish(base: FiniteRing, r, i, s, j) -> np.ndarray:
+    """Whether (r,i)(s,j) = (rs, (r+i)j + si) is zero, elementwise over
+    broadcast arrays of base-ring indices, from the definition."""
+    add, mul, zero = base.add_table, base.mul_table, base.zero
+    second = add[mul[add[r, i], j], mul[s, i]]
+    return (mul[r, s] == zero) & (second == zero)
 
 
 def structure_checks(
-    amalgam: AmalgamRing,
+    dup: DuplicationCarrier,
     base_zd: frozenset[int],
     base_graph: ZDGraph,
-    dup_graph: ZDGraph,
+    dup_graph,
 ) -> StructureChecks:
     """The structure checks of the duplication, given the base ring's
-    zero-divisors ``base_zd`` (0 included) and the graphs of both rings."""
-    base = amalgam.base
-    ring = amalgam.ring
-    members = amalgam.ideal_elements
+    zero-divisors ``base_zd`` (0 included), its graph, and the
+    duplication's graph ``dup_graph``: anything with the carrier indices
+    of its ``vertices`` and a ``neighbour_mask(elems, order)``, such as a
+    ``ZDGraph`` or the sweep's factored duplication facts.
+
+    The crossing and embedding products are computed from the definition
+    of the multiplication over the base ring's tables, so they can fail
+    on tables that are not a ring's.
+    """
+    base = dup.base
+    members = np.array(dup.ideal_elements, dtype=np.intp)
     if len(members) < 2:
         return StructureChecks(True, True, True, vacuous=True)
     zero = base.zero
-    t1_nonzero = sorted(amalgam.index_of(zero, i) for i in members if i != zero)
-    t2_nonzero = sorted(amalgam.index_of(base.neg(i), i) for i in members if i != zero)
+    nonzero = members[members != zero]
+    negated = base._neg_table[nonzero]
+    t1_nonzero = sorted(dup.index_of(zero, i) for i in nonzero.tolist())
+    t2_nonzero = sorted(dup.index_of(base.neg(i), i) for i in nonzero.tolist())
 
+    # (0, i)(-j, j) for every pair of nonzero members i, j.
     crossings = bool(
-        (ring.mul_table[np.ix_(t1_nonzero, t2_nonzero)] == ring.zero).all()
+        _products_vanish(base, zero, nonzero[:, None], negated[None, :], nonzero[None, :]).all()
     )
 
     # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
     # meet only the other kernel's nonzero elements.
-    regular = [i for i in members if i not in base_zd]
-    adj = dup_graph.adjacency
-    vertices = list(dup_graph.vertices)
-    rows1 = [dup_graph.position(amalgam.index_of(zero, i)) for i in regular]
-    rows2 = [dup_graph.position(amalgam.index_of(base.neg(i), i)) for i in regular]
+    regular = [i for i in dup.ideal_elements if i not in base_zd]
+    rows1 = dup_graph.neighbour_mask([dup.index_of(zero, i) for i in regular], dup.order)
+    rows2 = dup_graph.neighbour_mask(
+        [dup.index_of(base.neg(i), i) for i in regular], dup.order
+    )
     exclusive = not (
-        adj[rows1][:, ~_carrier_mask(ring, t2_nonzero)[vertices]].any()
-        or adj[rows2][:, ~_carrier_mask(ring, t1_nonzero)[vertices]].any()
+        rows1[:, ~_carrier_mask(dup.order, t2_nonzero)].any()
+        or rows2[:, ~_carrier_mask(dup.order, t1_nonzero)].any()
     )
 
     # x -> (x, 0) must land on vertices, and every base edge on a product zero.
-    images = [amalgam.index_of(x, zero) for x in base_graph.vertices]
-    products = ring.mul_table[np.ix_(images, images)][base_graph.adjacency]
+    verts = np.array(base_graph.vertices, dtype=np.intp)
+    images = [dup.index_of(x, zero) for x in base_graph.vertices]
+    products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
     embeds = bool(
-        _carrier_mask(ring, vertices)[images].all() and (products == ring.zero).all()
+        _carrier_mask(dup.order, list(dup_graph.vertices))[images].all()
+        and products[base_graph.adjacency].all()
     )
 
     return StructureChecks(crossings, exclusive, embeds, vacuous=False)
+
+
+def _carrier_mask(order: int, elems: list[int]) -> np.ndarray:
+    mask = np.zeros(order, dtype=bool)
+    mask[elems] = True
+    return mask

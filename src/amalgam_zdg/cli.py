@@ -22,10 +22,10 @@ from .amalgam import (
     amalgamated_duplication,
     classify_zero_divisors,
 )
-from .graphs import ZDGraph, build_graph, export_dot, graph_invariants
-from .rings import FiniteRing, Ideal, is_field, minimal_primes
+from .graphs import GraphInvariants, build_graph, export_dot, graph_invariants
+from .rings import FiniteRing, Ideal, is_field
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
-from .theorems import RingFacts, Status, run_all, sweep
+from .theorems import Instance, RingFacts, Status, run_all, sweep
 
 WORKERS_ENV = "AMALGAM_ZDG_WORKERS"
 
@@ -42,8 +42,9 @@ def _girth_json(g: int | float) -> int | str:
     return "inf" if math.isinf(g) else int(g)
 
 
-def _graph_summary(graph: ZDGraph) -> dict:
-    inv = graph_invariants(graph)
+def _graph_summary(inv: GraphInvariants, universal: list[str]) -> dict:
+    """The graph part of the ``analyze`` report, given the invariants and
+    the labels of the universal vertices."""
     return {
         "vertices": inv.vertex_count,
         "edges": inv.edge_count,
@@ -53,7 +54,7 @@ def _graph_summary(graph: ZDGraph) -> dict:
         "complete_bipartite": inv.is_complete_bipartite,
         "parts": list(inv.bipartition) if inv.bipartition else None,
         "star": inv.is_star,
-        "universal": [graph.labels[graph.position(v)] for v in inv.universal_vertices],
+        "universal": universal,
     }
 
 
@@ -79,9 +80,11 @@ def _yn(flag: bool) -> str:
 
 
 def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
-    """The report of ``analyze``: one zero-product pass over each ring, read
-    through the ring's ``RingFacts``."""
+    """The report of ``analyze``: the base ring read through its
+    ``RingFacts``, and the duplication through the sweep's table-free
+    ``DuplicationFacts``."""
     base = RingFacts(ring)
+    inv = graph_invariants(base.graph)
     data: dict = {
         "ring": {
             "spec": ring.spec_name,
@@ -91,32 +94,33 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
             "domain": base.is_domain,
             "reduced": base.is_reduced,
             "field": is_field(ring),
-            "graph": _graph_summary(base.graph),
+            "graph": _graph_summary(inv, [ring.labels[v] for v in inv.universal_vertices]),
         }
     }
     if ideal is not None:
-        amalgam = amalgamated_duplication(ring, ideal)
-        cls = classify_zero_divisors(amalgam, base.zero_divisors)
-        facts = RingFacts(amalgam.ring)
-        dup = facts.ring
-        zero = dup.zero
-        nonzero = facts.graph.vertices
-        mins = minimal_primes(dup)
+        inst = Instance(ring, ideal, base)
+        carrier, facts = inst.carrier, inst.dup
+        cls = classify_zero_divisors(carrier, base.zero_divisors)
+        zero = carrier.zero
         data["ideal"] = {"members": list(ideal.labels()), "size": len(ideal)}
         data["duplication"] = {
-            "spec": dup.spec_name,
-            "order": dup.order,
+            "spec": carrier.spec_name,
+            "order": carrier.order,
             "classes": {
                 "t1_nonzero": len(cls.t1 - {zero}),
                 "t2_nonzero": len(cls.t2 - {zero}),
                 "t3": len(cls.t3),
                 "t4": len(cls.t4),
             },
-            "nonzero_zero_divisors": [dup.labels[v] for v in nonzero],
-            "o1": [dup.labels[m] for m in amalgam.o1],
-            "o2": [dup.labels[m] for m in amalgam.o2],
-            "minimal_primes": [[dup.labels[m] for m in p] for p in mins],
-            "graph": _graph_summary(facts.graph),
+            "nonzero_zero_divisors": [carrier.label(v) for v in facts.vertices],
+            "o1": [carrier.label(m) for m in sorted(carrier.o1_members)],
+            "o2": [carrier.label(m) for m in sorted(carrier.o2_members)],
+            "minimal_primes": [
+                [carrier.label(m) for m in sorted(p)] for p in carrier.minimal_primes
+            ],
+            "graph": _graph_summary(
+                facts.invariants, [carrier.label(v) for v in facts.universal]
+            ),
         }
     return data
 

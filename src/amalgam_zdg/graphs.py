@@ -5,9 +5,15 @@ between distinct u and v exactly when u*v = 0.  Such graphs are always
 connected with diameter at most 3 and girth 3, 4, or infinite; those facts
 are treated as hard invariants and checked by the verification sweep.
 
-The diameter and girth are computed on the quotient by false twins
-(vertices with the same neighbourhood), by rules that hold for every graph,
-so a graph that breaks those invariants is reported as it is.
+The diameter and girth are computed on a quotient of the vertices into
+classes of twins, by rules that hold for every graph, so a graph that
+breaks those invariants is reported as it is.  A class is either
+independent (false twins: the same open neighbourhood, never adjacent to
+each other) or a clique (true twins: the same closed neighbourhood, all
+adjacent to each other).  A ``ZDGraph`` is quotiented by its false twins;
+a graph known only by its classes, such as a duplication's, is handed to
+the ``_class_*`` functions as the class adjacency, the class sizes and
+the clique flags.
 """
 
 from __future__ import annotations
@@ -141,6 +147,13 @@ class ZDGraph:
                 if u < v:
                     yield u, v
 
+    def neighbour_mask(self, elems: Sequence[int], order: int) -> np.ndarray:
+        """Boolean (len(elems), order): row t marks the neighbours of the
+        vertex ``elems[t]`` among the element indices below ``order``."""
+        out = np.zeros((len(elems), order), dtype=bool)
+        out[:, list(self.vertices)] = self.adjacency[[self.position(e) for e in elems]]
+        return out
+
     def __repr__(self) -> str:
         name = self.ring.spec_name if self.ring is not None else "synthetic"
         return f"ZDGraph({name!r}, vertices={self.vertex_count})"
@@ -188,28 +201,34 @@ def _twin_quotient(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray]:
     return graph.twin_quotient
 
 
-def diameter(graph: ZDGraph) -> int | None:
-    """Largest eccentricity; None for the empty graph, 0 for one vertex.
+def _class_diameter(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> int | None:
+    """Largest eccentricity of a graph given by its classes: ``q`` the
+    c x c adjacency between distinct classes (empty diagonal), ``sizes``
+    the member counts, and ``clique`` the classes whose members are
+    adjacent to each other.  None for the empty graph, 0 for one vertex.
 
-    Computed on the false-twin quotient Q (see ``ZDGraph.twin_quotient``).  A
-    path between different classes maps to a walk in Q and back, so their
-    distance is their distance in Q; two twins are at distance 2 through
-    any common neighbour.  Hence diam G = max(diam Q, 2 if some class has
-    two or more members).  diam Q comes from the boolean reach sets
-    "within d steps" of every class, grown by one boolean matrix product
-    per step on the rows not yet full until every row is full; the number
-    of steps is the diameter.  No bound on the step count is assumed, so a
-    diameter above 3 is reported as it is.  Raises DisconnectedGraphError
-    on a disconnected graph rather than returning a value, since that
-    would falsify the connectivity invariant: there a class has an empty
-    neighbourhood, or some row stops growing before it is full.
+    A path between different classes maps to a walk in the quotient Q and
+    back, so their distance is their distance in Q; two members of one
+    class are at distance 1 in a clique class and 2, through any common
+    neighbour, in an independent one.  Hence diam G = max(diam Q, 2 if
+    some independent class has two or more members, 1 if some clique
+    class has).  diam Q comes from the boolean reach sets "within d steps"
+    of every class, grown by one boolean matrix product per step on the
+    rows not yet full until every row is full; the number of steps is the
+    diameter.  No bound on the step count is assumed, so a diameter above
+    3 is reported as it is.  Raises DisconnectedGraphError on a
+    disconnected graph rather than returning a value, since that would
+    falsify the connectivity invariant: there a class has no neighbour
+    (and is not a lone clique), or some row stops growing before it is
+    full.
     """
-    n = graph.vertex_count
+    n = int(sizes.sum())
     if n == 0:
         return None
     if n == 1:
         return 0
-    q, sizes = _twin_quotient(graph)
+    if len(q) == 1 and clique[0]:
+        return 1
     if not q.any(axis=1).all():
         raise DisconnectedGraphError(
             "zero-divisor graph has an isolated vertex; connectivity invariant violated"
@@ -227,28 +246,46 @@ def diameter(graph: ZDGraph) -> int | None:
         reach[open_rows] = grown
         steps += 1
         open_rows = open_rows[~grown.all(axis=1)]
-    if (sizes > 1).any():
+    if ((sizes > 1) & ~clique).any():
         steps = max(steps, 2)
     return steps
 
 
-def girth(graph: ZDGraph) -> int | float:
-    """Length of a shortest cycle, or math.inf for acyclic graphs.
+def diameter(graph: ZDGraph) -> int | None:
+    """Largest eccentricity; None for the empty graph, 0 for one vertex.
 
-    Decided on the false-twin quotient Q where it can be.  Twins are never
-    adjacent, so a triangle of G lies across three classes: girth 3 iff Q
-    has a triangle (an edge of Q whose ends have a common neighbour).
-    Without one, a 4-cycle of G either crosses four classes, a 4-cycle of
-    Q (two classes with two common neighbours), or has two opposite
-    vertices that are twins, which happens iff some class of two or more
-    members has degree at least 2 in G.  Both tests on Q read the boolean
-    product Q @ Q, on one thread and exact: some pair of distinct classes
-    has two common neighbours iff the paths of length 2 between distinct
-    classes, sum of deg*(deg-1)/2, outnumber the pairs they join.  When
-    neither holds the girth is at least 5 or infinite, and a BFS on the
-    2-core of G decides it.
+    Computed by ``_class_diameter`` on the false-twin quotient (see
+    ``ZDGraph.twin_quotient``).  Raises DisconnectedGraphError on a
+    disconnected graph.
     """
     q, sizes = _twin_quotient(graph)
+    return _class_diameter(q, sizes, np.zeros(len(q), dtype=bool))
+
+
+def _class_girth(
+    q: np.ndarray, sizes: np.ndarray, clique: np.ndarray, graph: ZDGraph | None = None
+) -> int | float:
+    """Length of a shortest cycle of a graph given by its classes (see
+    ``_class_diameter``), or math.inf for an acyclic one.
+
+    Members of an independent class are never adjacent, so a triangle has
+    two members in one clique class (which then has a third member or a
+    neighbour), or lies across three classes: an edge of Q whose ends
+    have a common neighbour.  Without one, a clique class has one member,
+    or two and no neighbour, and a 4-cycle of G either crosses four
+    classes, a 4-cycle of Q (two classes with two common neighbours), or
+    has two opposite vertices in one class, which happens iff some class
+    of two or more members has degree at least 2 in G.
+    Both tests on Q read the boolean product Q @ Q, on one thread and
+    exact: some pair of distinct classes has two common neighbours iff the
+    paths of length 2 between distinct classes, sum of deg*(deg-1)/2,
+    outnumber the pairs they join.  When neither holds, no class of two or
+    more members lies on a cycle, so G and Q have the same cycles, and a
+    BFS decides a girth of at least 5 or infinity: on ``graph`` when it is
+    given, else on Q itself.
+    """
+    if (clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))).any():
+        return 3
     joined = _boolean_product(q, q)
     if (joined & q).any():
         return 3
@@ -256,7 +293,19 @@ def girth(graph: ZDGraph) -> int | float:
     paths = int((degrees * (degrees - 1)).sum()) // 2
     pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
     twin_corner = (sizes > 1) & (q @ sizes >= 2)
-    return 4 if paths > pairs or twin_corner.any() else _bfs_girth(graph)
+    if paths > pairs or twin_corner.any():
+        return 4
+    if graph is None:
+        graph = ZDGraph(range(len(q)), [str(c) for c in range(len(q))], q)
+    return _bfs_girth(graph)
+
+
+def girth(graph: ZDGraph) -> int | float:
+    """Length of a shortest cycle, or math.inf for acyclic graphs, by
+    ``_class_girth`` on the false-twin quotient; its BFS, when the
+    quotient's rules leave the girth open, runs on the graph itself."""
+    q, sizes = _twin_quotient(graph)
+    return _class_girth(q, sizes, np.zeros(len(q), dtype=bool), graph)
 
 
 def _two_core(adjacency: np.ndarray) -> np.ndarray:
@@ -318,27 +367,55 @@ def is_complete(graph: ZDGraph) -> bool:
     return int(np.count_nonzero(graph.adjacency)) == n * (n - 1)
 
 
-def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
-    """Part sizes (m, n) if the graph is complete bipartite, else None.
+def _class_bipartition(
+    q: np.ndarray, sizes: np.ndarray, clique: np.ndarray
+) -> tuple[int, int] | None:
+    """Part sizes (m, n) if a graph given by its classes (see
+    ``_class_diameter``) is complete bipartite, else None.
 
     In a complete bipartite graph the parts are the neighbourhood of any
-    vertex and the rest, so vertex 0's neighbourhood and non-neighbourhood
+    vertex and the rest, so class 0's neighbourhood and non-neighbourhood
     are tested: both nonempty, no edge inside either, every cross pair an
-    edge.  A single vertex is not bipartite here.
+    edge.  Two members of a clique class are adjacent with the same closed
+    neighbourhood, which in a complete bipartite graph happens only in
+    K_{1,1}.  A single vertex is not bipartite here.
     """
-    n = graph.vertex_count
+    n = int(sizes.sum())
     if n <= 1:
         return None
-    adj = graph.adjacency
-    near = adj[0]
+    if (clique & (sizes > 1)).any():
+        return (1, 1) if n == 2 else None
+    near = q[0]
     far = ~near
     if not near.any():
         return None
-    if adj[np.ix_(near, near)].any() or adj[np.ix_(far, far)].any():
+    if q[np.ix_(near, near)].any() or q[np.ix_(far, far)].any():
         return None
-    if not adj[np.ix_(far, near)].all():
+    if not q[np.ix_(far, near)].all():
         return None
-    return tuple(sorted((int(far.sum()), int(near.sum()))))  # type: ignore[return-value]
+    return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
+
+
+def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
+    """Part sizes (m, n) if the graph is complete bipartite, else None, by
+    ``_class_bipartition`` on the false-twin quotient."""
+    q, sizes = _twin_quotient(graph)
+    return _class_bipartition(q, sizes, np.zeros(len(q), dtype=bool))
+
+
+def _class_universal(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> np.ndarray:
+    """Mask of the classes (see ``_class_diameter``) whose members are
+    adjacent to every other vertex: the class meets every other class, and
+    its members meet each other, being one or a clique."""
+    return (q | np.eye(len(q), dtype=bool)).all(axis=1) & (clique | (sizes == 1))
+
+
+def _class_edge_count(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> int:
+    """Edges of a graph given by its classes (see ``_class_diameter``):
+    |A|*|B| for each adjacent pair of classes, |A|(|A|-1)/2 inside each
+    clique class A."""
+    s = sizes.astype(np.int64)
+    return int(s @ q @ s) // 2 + int((s * (s - 1))[clique].sum()) // 2
 
 
 def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -492,31 +492,47 @@ def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     return any(p.members == s for p in prime_ideals(ring))
 
 
-def prime_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Every prime ideal, sorted by (size, member indices).
+def _primes_from_idempotents(
+    idem: np.ndarray,
+    times: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    nil: np.ndarray,
+) -> list[frozenset[int]]:
+    """Members of every prime ideal of a finite commutative ring, sorted by
+    (size, member indices), given its nonzero idempotents ``idem``, its
+    multiplication as ``times(x, y)`` on broadcast index arrays, and the
+    mask ``nil`` of its nilpotents over all of its elements.
 
     A finite commutative ring is the product of local rings, one for each
     primitive idempotent e, so its primes are exactly the ideals
     M_e = {x : x*e nilpotent}.  A nonzero idempotent is primitive when no
-    other nonzero idempotent f satisfies e*f = f.  The ideal lattice is
-    never built; the tests compare against a complement scan over it.
+    other nonzero idempotent f satisfies e*f = f.  No ideal lattice is
+    needed.
     """
+    # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
+    below = times(idem[:, None], idem[None, :]) == idem[None, :]
+    primitive = idem[below.sum(axis=1) == 1]
+    every = np.arange(len(nil))
+    found = [frozenset(np.flatnonzero(nil[times(every, e)]).tolist()) for e in primitive]
+    return sorted(found, key=_ideal_order)
+
+
+def _minimal(primes: list[frozenset[int]]) -> list[frozenset[int]]:
+    """The member sets that contain no other one of the list."""
+    return [p for p in primes if not any(q < p for q in primes)]
+
+
+def prime_ideals(ring: FiniteRing) -> list[Ideal]:
+    """Every prime ideal, sorted by (size, member indices), from the
+    ring's primitive idempotents (``_primes_from_idempotents``); the tests
+    compare against a complement scan over the ideal lattice."""
     mul = ring.mul_table
     idem = np.nonzero(np.diagonal(mul) == np.arange(ring.order))[0]
     idem = idem[idem != ring.zero]
-    # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
-    below = mul[np.ix_(idem, idem)] == idem[None, :]
-    primitive = idem[below.sum(axis=1) == 1]
-    nil = _nilpotent_mask(ring)
-    found = [frozenset(np.nonzero(nil[mul[:, e]])[0].tolist()) for e in primitive]
-    return [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
+    found = _primes_from_idempotents(idem, lambda x, y: mul[x, y], _nilpotent_mask(ring))
+    return [Ideal(ring, m) for m in found]
 
 
 def minimal_primes(ring: FiniteRing) -> list[Ideal]:
     """Prime ideals that are minimal under inclusion."""
-    primes = prime_ideals(ring)
-    out = []
-    for p in primes:
-        if not any(q.members < p.members for q in primes):
-            out.append(p)
-    return out
+    primes = [p.members for p in prime_ideals(ring)]
+    return [Ideal(ring, m) for m in _minimal(primes)]

@@ -26,19 +26,23 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .amalgam import (
-    AmalgamRing,
+    DuplicationCarrier,
     _check_duplication_order,
-    amalgamated_duplication,
     classify_zero_divisors,
     matches_idealization,
     structure_checks,
 )
 from .graphs import (
     DisconnectedGraphError,
+    GraphInvariants,
     ZDGraph,
     _boolean_product,
+    _class_bipartition,
+    _class_diameter,
+    _class_edge_count,
+    _class_girth,
+    _class_universal,
     build_graph,
-    complete_bipartition,
     diameter,
     girth,
     is_complete,
@@ -52,7 +56,6 @@ from .rings import (
     is_ideal,
     is_prime_ideal,
     is_reduced,
-    minimal_primes,
 )
 from .specs import parse_ring_spec
 
@@ -62,6 +65,7 @@ __all__ = [
     "PreconditionError",
     "VerificationOutcome",
     "RingFacts",
+    "DuplicationFacts",
     "Instance",
     "check",
     "run_all",
@@ -160,10 +164,10 @@ def _fmt_diam(d: int | None) -> str:
 class RingFacts:
     """What the checks read about one ring, each computed on first read.
 
-    One object serves every instance of a base ring, and each duplication
-    ring gets its own.  It holds the ring, and the ring holds nothing of
-    it, so the ring's tables and graph are freed with the last reference
-    to the facts, without waiting for the cyclic collector.
+    One object serves every instance of a base ring.  It holds the ring,
+    and the ring holds nothing of it, so the ring's tables and graph are
+    freed with the last reference to the facts, without waiting for the
+    cyclic collector.
     """
 
     def __init__(self, ring: FiniteRing) -> None:
@@ -172,6 +176,10 @@ class RingFacts:
     @cached_property
     def graph(self) -> ZDGraph:
         return build_graph(self.ring)
+
+    @property
+    def vertex_count(self) -> int:
+        return self.graph.vertex_count
 
     @cached_property
     def zero_divisors(self) -> frozenset[int]:
@@ -227,11 +235,180 @@ class RingFacts:
         zd = np.append(verts, zero)
         return bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
 
+    @cached_property
+    def annihilator_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ring's annihilator classes, read off the graph's pass:
+        ``cls[x]`` numbers the class of x, and ``rel[a, b]`` says that the
+        members of classes a and b multiply to zero.
+
+        Class 0 is {0} and class 1 the elements outside Z(R).  The nonzero
+        zero-divisors are grouped by their graph rows with the diagonal
+        set where x^2 = 0, that is by Ann(x) minus 0; ``rel`` is read off
+        one representative per class.  Both rest on x*y = 0 iff y*x = 0
+        over all of R and on 0 absorbing, which the graph's symmetry check
+        covers only on Z(R) minus 0; the rest is checked here, and a table
+        that breaks either raises ValueError.
+        """
+        ring, graph = self.ring, self.graph
+        mul, zero = ring.mul_table, ring.zero
+        verts = np.array(graph.vertices, dtype=np.intp)
+        regular = np.ones(ring.order, dtype=bool)
+        regular[verts] = False
+        regular[zero] = False
+        regular = np.flatnonzero(regular)
+        if (mul[zero] != zero).any() or (mul[:, zero] != zero).any():
+            raise ValueError(f"zero does not absorb every element of {ring.spec_name}")
+        killed = mul[np.ix_(verts, regular)] == zero
+        if killed.any():
+            x, u = np.argwhere(killed)[0]
+            raise ValueError(
+                f"zero products of {ring.spec_name} are not symmetric: "
+                f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
+                f"{ring.labels[regular[u]]} is not a zero-divisor"
+            )
+        packed = np.packbits(graph.adjacency, axis=1)
+        square_zero = np.flatnonzero(mul[verts, verts] == zero)
+        packed[square_zero, square_zero // 8] |= (0x80 >> (square_zero % 8)).astype(np.uint8)
+        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        cls = np.ones(ring.order, dtype=np.intp)
+        cls[zero] = 0
+        cls[verts] = 2 + inverse.ravel()
+        # An empty class 1 (no element outside Z(R)) keeps 0 as a stand-in.
+        reps = np.concatenate(([zero, regular[0] if regular.size else zero], verts[first]))
+        return cls, mul[np.ix_(reps, reps)] == zero
+
+
+class DuplicationFacts:
+    """What the checks read about the duplication of a base ring along an
+    ideal, read off the base ring's annihilator classes over the carrier,
+    with no table or graph of the duplication.
+
+    Under (r, i) -> (a, b) = (r, r+i) the product is componentwise, so
+    (a, b)(c, d) = 0 iff ac = 0 and bd = 0: an element's neighbourhood
+    depends only on its key (class of a, class of b).  Keys are related
+    when both coordinates' classes are.  A self-related key is a clique
+    class, whose members annihilate each other; any other key is an
+    independent class of false twins.  The zero key holds only 0, and a
+    key is on the graph when it is self-related or related to another
+    nonzero key.  The graph invariants come from the ``graphs._class_*``
+    functions on that class quotient.
+    """
+
+    def __init__(self, base: RingFacts, carrier: DuplicationCarrier) -> None:
+        if carrier.base is not base.ring:
+            raise ValueError("the carrier belongs to a different base ring")
+        self.base = base
+        self.carrier = carrier
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The graph's class quotient (q, sizes, clique) and each carrier
+        element's class, -1 off the graph.
+
+        Key a*c + b stands for the base classes (a, b) of an element's two
+        coordinates, out of c classes; the zero key is 0.  ``related``
+        joins the keys some element holds, its diagonal marking the
+        self-related ones.
+        """
+        cls, rel = self.base.annihilator_classes
+        first, second = self.carrier.coordinates
+        present, key_of = np.unique(cls[first] * len(rel) + cls[second], return_inverse=True)
+        a, b = np.divmod(present, len(rel))
+        related = rel[np.ix_(a, a)] & rel[np.ix_(b, b)]
+        nonzero = present != 0
+        on_graph = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
+        q = related[np.ix_(on_graph, on_graph)]
+        clique = q.diagonal().copy()
+        np.fill_diagonal(q, False)
+        sizes = np.bincount(key_of.ravel(), minlength=len(present))[on_graph]
+        position = np.full(len(present), -1, dtype=np.intp)
+        position[on_graph] = np.arange(len(on_graph))
+        return q, sizes, clique, position[key_of.ravel()]
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        """The graph's vertices, Z(R⋈I) minus 0, in ascending carrier order."""
+        return tuple(np.flatnonzero(self._classes[3] >= 0).tolist())
+
+    @property
+    def vertex_count(self) -> int:
+        return int(self._classes[1].sum())
+
+    def neighbour_mask(self, elems, order: int) -> np.ndarray:
+        """Boolean (len(elems), order): row t marks the neighbours of the
+        vertex ``elems[t]`` over the carrier, whose size ``order`` is."""
+        q, _, clique, class_of = self._classes
+        if order != self.carrier.order:
+            raise ValueError(f"the carrier has order {self.carrier.order}, not {order}")
+        elems = np.asarray(elems, dtype=np.intp)
+        if (class_of[elems] < 0).any():
+            raise ValueError("element index is not a vertex")
+        near = q | np.diag(clique)
+        rows = near[class_of[elems]][:, np.maximum(class_of, 0)] & (class_of >= 0)
+        rows[np.arange(len(elems)), elems] = False
+        return rows
+
+    @cached_property
+    def diameter(self) -> int | None:
+        q, sizes, clique, _ = self._classes
+        return _class_diameter(q, sizes, clique)
+
+    @cached_property
+    def girth(self) -> int | float:
+        q, sizes, clique, _ = self._classes
+        return _class_girth(q, sizes, clique)
+
+    @cached_property
+    def universal(self) -> tuple[int, ...]:
+        q, sizes, clique, class_of = self._classes
+        # One False past the last class, where class_of's -1 points.
+        universal = np.append(_class_universal(q, sizes, clique), False)
+        return tuple(np.flatnonzero(universal[class_of]).tolist())
+
+    @cached_property
+    def complete(self) -> bool:
+        return len(self.universal) == self.vertex_count
+
+    @cached_property
+    def bipartition(self) -> tuple[int, int] | None:
+        q, sizes, clique, _ = self._classes
+        return _class_bipartition(q, sizes, clique)
+
+    @cached_property
+    def square_zero(self) -> bool:
+        """Z(R⋈I)^2 = 0: the graph is complete and every vertex squares to
+        zero, each class being a clique.  0 kills every element, which
+        ``RingFacts.annihilator_classes`` checked on the base ring."""
+        return self.complete and bool(self._classes[2].all())
+
+    @cached_property
+    def is_reduced(self) -> bool:
+        """No nonzero element is nilpotent, read off the carrier."""
+        return int(self.carrier.nilpotents.sum()) == 1
+
+    @cached_property
+    def invariants(self) -> GraphInvariants:
+        q, sizes, clique, _ = self._classes
+        parts = self.bipartition
+        return GraphInvariants(
+            vertex_count=self.vertex_count,
+            edge_count=_class_edge_count(q, sizes, clique),
+            diameter=self.diameter,
+            girth=self.girth,
+            is_complete=self.complete,
+            is_complete_bipartite=parts is not None,
+            bipartition=parts,
+            is_star=parts is not None and parts[0] == 1,
+            universal_vertices=self.universal,
+        )
+
 
 class Instance:
     """One (ring, ideal) pair as the checks see it: the facts of the base
-    ring (``base``, which a caller may share between the ring's instances)
-    and of the duplication (``dup``), and what depends on the ideal."""
+    ring (``base``, which a caller may share between the ring's instances),
+    the duplication's carrier and its facts (``dup``), and what depends on
+    the ideal."""
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, base: RingFacts | None = None) -> None:
         if ideal.ring is not ring:
@@ -251,12 +428,12 @@ class Instance:
         return self.ideal.labels()
 
     @cached_property
-    def amalgam(self) -> AmalgamRing:
-        return amalgamated_duplication(self.ring, self.ideal)
+    def carrier(self) -> DuplicationCarrier:
+        return DuplicationCarrier(self.ring, self.ideal)
 
     @cached_property
-    def dup(self) -> RingFacts:
-        return RingFacts(self.amalgam.ring)
+    def dup(self) -> DuplicationFacts:
+        return DuplicationFacts(self.base, self.carrier)
 
     @cached_property
     def ideal_inside_zdivs(self) -> bool:
@@ -297,15 +474,13 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
     inst.require_nonzero_ideal()
     a = inst.base.is_domain
     b = inst.dup.girth == 4 or math.isinf(inst.dup.girth)
-    mins = minimal_primes(inst.amalgam.ring)
-    zero = inst.amalgam.ring.zero
+    mins = inst.carrier.minimal_primes
     c = (
         len(mins) == 2
-        and (mins[0].members & mins[1].members) == {zero}
-        and {m.members for m in mins}
-        == {inst.amalgam.o1.members, inst.amalgam.o2.members}
+        and (mins[0] & mins[1]) == {inst.carrier.zero}
+        and set(mins) == {inst.carrier.o1_members, inst.carrier.o2_members}
     )
-    d = complete_bipartition(inst.dup.graph) is not None
+    d = inst.dup.bipartition is not None
     ok = a == b == c == d
     note = (
         f"domain = {a}, girth in {{4, inf}} = {b}, "
@@ -507,7 +682,7 @@ def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
         )
     zdivs = inst.base.zero_divisors
     concl = inst.base.zdivs_form_ideal and is_prime_ideal(inst.ring, zdivs)
-    labels = inst.amalgam.ring.format_subset(inst.dup.universal)
+    labels = inst.carrier.format_subset(inst.dup.universal)
     note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
     return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
 
@@ -561,9 +736,11 @@ def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
 # Per-instance global invariants
 
 
-def _graph_invariant_violations(prefix: str, tag: str, facts: RingFacts) -> list[str]:
+def _graph_invariant_violations(
+    prefix: str, tag: str, facts: RingFacts | DuplicationFacts
+) -> list[str]:
     out = []
-    if facts.graph.vertex_count == 0:
+    if facts.vertex_count == 0:
         return out
     try:
         d = facts.diameter
@@ -587,8 +764,8 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
-    cls = classify_zero_divisors(inst.amalgam, inst.base.zero_divisors)
-    if cls.union() - {inst.amalgam.ring.zero} != frozenset(inst.dup.graph.vertices):
+    cls = classify_zero_divisors(inst.carrier, inst.base.zero_divisors)
+    if cls.union() - {inst.carrier.zero} != frozenset(inst.dup.vertices):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
     if inst.dup.is_reduced != inst.base.is_reduced:
@@ -598,13 +775,13 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     square_zero = bool(
         (inst.ring.mul_table[np.ix_(members, members)] == inst.ring.zero).all()
     )
-    if square_zero != matches_idealization(inst.amalgam):
+    if square_zero != matches_idealization(inst.carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
         )
 
     checks = structure_checks(
-        inst.amalgam, inst.base.zero_divisors, inst.base.graph, inst.dup.graph
+        inst.carrier, inst.base.zero_divisors, inst.base.graph, inst.dup
     )
     if not checks.vacuous and not checks.all_hold():
         failing = [

@@ -20,6 +20,7 @@ import pytest
 
 from amalgam_zdg import (
     DisconnectedGraphError,
+    Instance,
     RingFacts,
     ZDGraph,
     all_ideals,
@@ -28,12 +29,14 @@ from amalgam_zdg import (
     classify_zero_divisors,
     complete_bipartition,
     diameter,
+    edge_count,
     expand_family,
     girth,
     graph_invariants,
     ideal_from_generators,
     is_complete,
     is_prime_ideal,
+    is_reduced,
     make_zn,
     matches_idealization,
     minimal_primes,
@@ -467,6 +470,88 @@ def test_bipartite_pattern_and_embedding(family_instances):
             assert len(t1) == len(t2) == nonzero
             checked += 1
         assert checked == len(family_instances)
+
+
+# Rings whose duplications are compared with the materialized path: the
+# acceptance family, Z2..Z64 and the benchmark's five products.
+FACTORED_FAMILY = list(
+    dict.fromkeys(
+        FAMILY
+        + expand_family("Z2..Z64")
+        + ["Z4xZ8", "Z2xZ16", "Z6xZ6", "Z2xZ2xZ8", "Z5xZ7"]
+    )
+)
+
+
+def test_factored_duplication_matches_the_materialized_graph():
+    """Every fact the sweep reads about a duplication, from the base ring's
+    annihilator classes over the carrier, against the duplication's own
+    tables, graph and the graph and ring functions, and the structure
+    checks against their loop oracle on the materialized graph, on every
+    nonzero ideal of FACTORED_FAMILY."""
+    with criterion("oracles: factored duplication facts against its tables and graph"):
+        instances, cliques = 0, 0
+        for spec in FACTORED_FAMILY:
+            ring = parse_ring_spec(spec)
+            base = RingFacts(ring)
+            for ideal in all_ideals(ring):
+                if ideal.is_zero:
+                    continue
+                inst = Instance(ring, ideal, base)
+                facts, carrier = inst.dup, inst.carrier
+                dup = amalgamated_duplication(ring, ideal)
+                graph = build_graph(dup.ring)
+                name = dup.ring.spec_name
+                assert facts.vertices == graph.vertices, name
+                assert facts.vertex_count == graph.vertex_count, name
+                assert facts.diameter == diameter(graph), name
+                assert facts.girth == girth(graph), name
+                assert facts.complete == is_complete(graph), name
+                assert facts.universal == universal_vertices(graph), name
+                assert facts.bipartition == complete_bipartition(graph), name
+                assert facts.invariants.edge_count == edge_count(graph), name
+                materialized = RingFacts(dup.ring)
+                materialized.graph = graph
+                assert facts.square_zero == materialized.square_zero, name
+                assert facts.is_reduced == is_reduced(dup.ring), name
+                assert carrier.minimal_primes == [
+                    p.members for p in minimal_primes(dup.ring)
+                ], name
+                assert (carrier.o1_members, carrier.o2_members) == (
+                    dup.o1.members,
+                    dup.o2.members,
+                ), name
+                checks = structure_checks(carrier, base.zero_divisors, base.graph, facts)
+                assert checks == loop_structure_checks(dup, base.graph, graph), name
+                sample = list(graph.vertices[:: max(1, graph.vertex_count // 32)])
+                assert np.array_equal(
+                    facts.neighbour_mask(sample, carrier.order),
+                    graph.neighbour_mask(sample, carrier.order),
+                ), name
+                _, sizes, clique, _ = facts._classes
+                cliques += bool((clique & (sizes > 1)).any())
+                instances += 1
+        assert instances == 303 and cliques == 77
+
+
+@pytest.mark.parametrize(
+    "spec, ideal_spec, vertices, diam, complete, universal",
+    [("Z9", "gen(3)", 8, 1, True, 8), ("Z27", "gen(9)", 26, 2, False, 8)],
+)
+def test_clique_classes_are_not_false_twins(spec, ideal_spec, vertices, diam, complete, universal):
+    """Members of a key class that annihilate each other are adjacent, so
+    they are no one's false twins: Z9 along (3) is the complete graph K8,
+    and Z27 along (9) has eight universal vertices.  Merging such a class
+    as false twins reads diameter 2, not complete, and no universal
+    vertex."""
+    with criterion(f"clique classes: {spec} along {ideal_spec}"):
+        ring = parse_ring_spec(spec)
+        facts = Instance(ring, parse_ideal_spec(ring, ideal_spec)).dup
+        assert facts.vertex_count == vertices
+        assert facts.diameter == diam
+        assert facts.complete is complete
+        assert len(facts.universal) == universal
+        assert facts.girth == 3
 
 
 def test_sweep_report_bytes_are_pinned(sweep_report):

@@ -165,26 +165,29 @@ class TestIdealization:
 
     @pytest.mark.parametrize("step", [1, 3], ids=["one-coordinate", "ragged"])
     def test_comparator_reads_the_last_block(self, step, monkeypatch):
-        # Z8 along {0, 4} squares to zero, so the tables agree until one
-        # cell of first coordinate 7 is moved: (7,4)(7,4) = (1,0) becomes
-        # (1,4).  Three coordinates per block leave a last block of two.
+        # Z8 along {0, 4} squares to zero, so the generated tables agree
+        # until the duplication's filler moves one cell of first coordinate
+        # 7: (7,4)(7,4) = (1,0) becomes (1,4).  Three coordinates per block
+        # leave a last block of two.
         a = amalgamated_duplication(Z8, I8)
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", step * 8 * 2 * 2)
         assert amalgam.matches_idealization(a)
-        built = a.ring
-        mul = np.array(built.mul_table)
-        last = a.index_of(7, 4)
-        assert mul[last, last] == a.index_of(1, 0)
-        mul[last, last] = a.index_of(1, 4)
-        a.ring = FiniteRing(
-            built.order,
-            built.add_table,
-            mul,
-            built.zero,
-            built.one,
-            built.labels,
-            built.spec_name,
-        )
+        cell = a.index_of(7, 4)
+        filler = amalgam._mul_block_filler
+
+        def corrupted(base, members, sum_pos, prod_pos):
+            block, fill = filler(base, members, sum_pos, prod_pos)
+
+            def fill_moved(lo, hi, out, with_product_term):
+                fill(lo, hi, out, with_product_term)
+                if with_product_term and lo <= 7 < hi:
+                    row = out[7 - lo, 1].reshape(-1)
+                    assert row[cell] == a.index_of(1, 0)
+                    row[cell] = a.index_of(1, 4)
+
+            return block, fill_moved
+
+        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
         assert not amalgam.matches_idealization(a)
 
 

@@ -31,7 +31,7 @@ from amalgam_zdg import (
     universal_vertices,
     zero_divisors,
 )
-from amalgam_zdg import graphs
+from amalgam_zdg import graphs, theorems
 from oracles import (
     bfs_complete_bipartition,
     bfs_diameter,
@@ -387,12 +387,23 @@ class TestTwinQuotient:
         assert bfs_girth_calls == []
 
     def test_sweep_multiplies_only_quotient_sized_operands(self, monkeypatch):
+        # Every graph of the sweep, the base ring's and the duplications',
+        # reaches the products through a class routine; the base graphs'
+        # quotients are their distinct adjacency rows.
         shapes, counts = [], []
         quotient, product = graphs._twin_quotient, graphs._boolean_product
 
         def quotient_spy(graph):
-            counts.append((class_count(graph), graph.vertex_count))
-            return quotient(graph)
+            result = quotient(graph)
+            assert len(result[0]) == class_count(graph)
+            return result
+
+        def routine_spy(routine):
+            def spy(q, sizes, *args):
+                counts.append((len(q), int(sizes.sum())))
+                return routine(q, sizes, *args)
+
+            return spy
 
         def product_spy(left, right):
             shapes.append((left.shape, right.shape, counts[-1][0]))
@@ -400,6 +411,10 @@ class TestTwinQuotient:
 
         monkeypatch.setattr(graphs, "_twin_quotient", quotient_spy)
         monkeypatch.setattr(graphs, "_boolean_product", product_spy)
+        for name in ("_class_diameter", "_class_girth"):
+            spy = routine_spy(getattr(graphs, name))
+            for module in (graphs, theorems):
+                monkeypatch.setattr(module, name, spy)
         assert sweep(["Z32"], workers=1).succeeded
         assert shapes and any(c < n for c, n in counts)
         for left, right, c in shapes:

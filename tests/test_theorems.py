@@ -13,6 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amalgam_zdg import (
+    DuplicationCarrier,
+    DuplicationFacts,
     DuplicationTooLargeError,
     FiniteRing,
     Instance,
@@ -279,31 +281,60 @@ class TestInstanceInvariants:
         violations = _graph_invariant_violations("[p]", "base", facts)
         assert violations == [f"[p] base {expected}"]
 
-    def test_square_zero_table_identity_reads_the_last_slab(self):
+    def test_square_zero_table_identity_reads_the_last_slab(self, monkeypatch):
         ring, ideal = instance("Z4", "gen(2)")
-        inst = Instance(ring, ideal)
-        assert instance_invariant_violations(inst) == []
-        dup = inst.amalgam
-        built = dup.ring
-        mul = np.array(built.mul_table)
-        # (3,2)*(3,2) = (1,0): a cell of the last first-coordinate slab,
-        # moved to another unit so that no zero-divisor changes.
-        last = dup.index_of(3, 2)
-        assert last == built.order - 1
-        assert mul[last, last] == dup.index_of(1, 0)
-        mul[last, last] = dup.index_of(1, 2)
-        dup.ring = FiniteRing(
-            built.order,
-            built.add_table,
-            mul,
-            built.zero,
-            built.one,
-            built.labels,
-            built.spec_name,
-        )
-        assert instance_invariant_violations(inst) == [
+        assert instance_invariant_violations(Instance(ring, ideal)) == []
+        carrier = DuplicationCarrier(ring, ideal)
+        cell = carrier.index_of(3, 2)
+        assert cell == carrier.order - 1
+        filler = amalgam._mul_block_filler
+
+        def corrupted(base, members, sum_pos, prod_pos):
+            step, fill = filler(base, members, sum_pos, prod_pos)
+
+            def fill_moved(lo, hi, out, with_product_term):
+                fill(lo, hi, out, with_product_term)
+                # (3,2)*(3,2) = (1,0): a cell of the last first-coordinate
+                # block the duplication's filler generates, moved to
+                # another unit so that no zero-divisor changes.
+                if with_product_term and hi == base.order:
+                    row = out[3 - lo, 1].reshape(-1)
+                    assert row[cell] == carrier.index_of(1, 0)
+                    row[cell] = carrier.index_of(1, 2)
+
+            return step, fill_moved
+
+        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
+        assert instance_invariant_violations(Instance(ring, ideal)) == [
             "[Z4 | I={0,2}] P2.1b: square-zero ideal and table equality disagree"
         ]
+
+
+class TestDuplicationFacts:
+    @pytest.mark.parametrize(
+        "cell, value, message",
+        [
+            ((4, 3), 0, "zero products of Z8\\* are not symmetric"),
+            ((0, 3), 3, "zero does not absorb"),
+        ],
+        ids=["regular-column", "zero-row"],
+    )
+    def test_tables_without_symmetric_zero_products_are_refused(self, cell, value, message):
+        """In Z8 with 4*3 set to 0, 3 stays a non-zero-divisor (3*y = 0
+        only for y = 0), so the base graph over Z(R) minus 0 is symmetric;
+        the key relation, which assumes x*y = 0 iff y*x = 0 over all of R,
+        must refuse the table rather than answer.  With 0*3 set to 3, 0
+        no longer absorbs."""
+        z8 = parse_ring_spec("Z8")
+        mul = np.array(z8.mul_table)
+        mul[cell] = value
+        ring = FiniteRing(8, z8.add_table, mul, 0, 1, z8.labels, "Z8*")
+        assert RingFacts(ring).graph.vertices == (2, 4, 6)
+        ideal = parse_ideal_spec(ring, "full")
+        with pytest.raises(ValueError, match=message):
+            run_all(ring, ideal)
+        with pytest.raises(ValueError, match=message):
+            instance_invariant_violations(Instance(ring, ideal))
 
 
 class TestSweep:
@@ -372,6 +403,14 @@ class TestSweep:
         report = sweep(family, "nonzero", workers=1)
         assert report.succeeded and len(report.instances) == 21
 
+    def test_sweep_builds_no_duplication_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a duplication table was built")
+
+        monkeypatch.setattr(amalgam, "_pair_tables", refuse)
+        report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
+        assert report.succeeded and len(report.instances) == 87
+
     def test_oversized_ring_is_refused_before_any_instance(self, monkeypatch):
         # Z200's ideals of 2..50 elements give duplications within the
         # limit; the whole ring, of order 40000, is above it.
@@ -394,7 +433,8 @@ class TestSweep:
 class TestRingFacts:
     def test_one_zero_product_pass_per_graph(self, monkeypatch):
         # Z2..Z32 has 31 base rings and 87 duplications along a nonzero
-        # ideal; T4.8's square-zero clauses read the graphs' own pass.
+        # ideal; each base ring's graph is the only pass, and the
+        # duplications are read off its annihilator classes.
         passes = []
         adjacency = graphs._zero_product_adjacency
 
@@ -406,10 +446,10 @@ class TestRingFacts:
             monkeypatch.setattr(module, "_zero_product_adjacency", spy)
         report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
         assert report.succeeded and len(report.instances) == 87
-        assert len(passes) == len(set(passes)) == 118
+        assert len(passes) == len(set(passes)) == 31
 
     def test_one_zero_divisor_pass_per_graph(self, monkeypatch):
-        # The same 118 graphs of Z2..Z32: the base ring's Z(R), which the
+        # The same 31 graphs of Z2..Z32: the base ring's Z(R), which the
         # checks, the zero-divisor classification and the structure checks
         # read, comes from its graph's pass, not from a pass of its own.
         calls = []
@@ -425,11 +465,11 @@ class TestRingFacts:
                     monkeypatch.setattr(module, "zero_divisors", spy)
         report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
         assert report.succeeded and len(report.instances) == 87
-        assert len(calls) == len(set(calls)) == 118
+        assert len(calls) == len(set(calls)) == 31
 
     def test_swept_rings_are_freed_without_the_cyclic_collector(self, monkeypatch):
         refs = []
-        for cls in (FiniteRing, ZDGraph):
+        for cls in (FiniteRing, ZDGraph, DuplicationCarrier, DuplicationFacts):
 
             def recording(self, *args, _init=cls.__init__, **kwargs):
                 _init(self, *args, **kwargs)
@@ -452,7 +492,8 @@ class TestRingFacts:
                 tracemalloc.stop()
         finally:
             gc.enable()
-        # Z12 and its five duplications along a nonzero ideal, with graphs.
+        # Z12 and its graph, and the carrier and the facts of each of its
+        # five duplications along a nonzero ideal.
         assert len(refs) == 12
         assert alive == []
         # Z32 along itself alone has two 2 MiB tables.
