@@ -465,8 +465,8 @@ def structure_checks(
     """The structure checks of the duplication, given the base ring's
     zero-divisors ``base_zd`` (0 included), its graph, and the
     duplication's graph ``dup_graph``: anything with the carrier indices
-    of its ``vertices`` and a ``neighbour_mask(elems, order)``, such as a
-    ``ZDGraph`` or the sweep's factored duplication facts.
+    of its ``vertices`` and a ``neighbour_mask(elems)`` over them, such as
+    a ``ZDGraph`` or the sweep's factored duplication facts.
 
     The crossing and embedding products are computed from the definition
     of the multiplication over the base ring's tables, so they can fail
@@ -490,13 +490,12 @@ def structure_checks(
     # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
     # meet only the other kernel's nonzero elements.
     regular = [i for i in dup.ideal_elements if i not in base_zd]
-    rows1 = dup_graph.neighbour_mask([dup.index_of(zero, i) for i in regular], dup.order)
-    rows2 = dup_graph.neighbour_mask(
-        [dup.index_of(base.neg(i), i) for i in regular], dup.order
-    )
+    rows1 = dup_graph.neighbour_mask([dup.index_of(zero, i) for i in regular])
+    rows2 = dup_graph.neighbour_mask([dup.index_of(base.neg(i), i) for i in regular])
+    dup_vertices = np.array(dup_graph.vertices, dtype=np.intp)
     exclusive = not (
-        rows1[:, ~_carrier_mask(dup.order, t2_nonzero)].any()
-        or rows2[:, ~_carrier_mask(dup.order, t1_nonzero)].any()
+        rows1[:, ~_carrier_mask(dup.order, t2_nonzero)[dup_vertices]].any()
+        or rows2[:, ~_carrier_mask(dup.order, t1_nonzero)[dup_vertices]].any()
     )
 
     # x -> (x, 0) must land on vertices, and every base edge on a product zero.
@@ -504,7 +503,7 @@ def structure_checks(
     images = [dup.index_of(x, zero) for x in base_graph.vertices]
     products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
     embeds = bool(
-        _carrier_mask(dup.order, list(dup_graph.vertices))[images].all()
+        _carrier_mask(dup.order, dup_vertices)[images].all()
         and products[base_graph.adjacency].all()
     )
 

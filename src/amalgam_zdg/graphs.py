@@ -112,6 +112,21 @@ class ZDGraph:
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
 
     @cached_property
+    def _twins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The classes of false twins: each class's first position, each
+        vertex's class and the class sizes.  Equal rows are grouped by
+        sorting the bit-packed adjacency rows as one opaque byte string
+        each, so two classes are merged only when their rows agree byte
+        for byte."""
+        packed = np.packbits(self.adjacency, axis=1)
+        # One void item per row; the empty graph's zero-width rows take 1.
+        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
+        _, first, class_of, sizes = np.unique(
+            rows, return_index=True, return_inverse=True, return_counts=True
+        )
+        return first, class_of.ravel(), sizes
+
+    @cached_property
     def twin_quotient(self) -> tuple[np.ndarray, np.ndarray]:
         """The quotient by false twins, built on first read.
 
@@ -119,15 +134,9 @@ class ZDGraph:
         zero-divisor graph they are the annihilator classes, so there are
         few.  Returns the c x c class adjacency ``q`` (classes i and j
         adjacent when their members are; never on the diagonal, since a
-        vertex is not its own neighbour) and the class sizes.  Equal rows
-        are grouped by sorting the bit-packed adjacency rows as one opaque
-        byte string each, so two classes are merged only when their rows
-        agree byte for byte.
+        vertex is not its own neighbour) and the class sizes.
         """
-        packed = np.packbits(self.adjacency, axis=1)
-        # One void item per row; the empty graph's zero-width rows take 1.
-        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
-        _, first, sizes = np.unique(rows, return_index=True, return_counts=True)
+        first, _, sizes = self._twins
         return self.adjacency[np.ix_(first, first)], sizes
 
     @property
@@ -147,12 +156,10 @@ class ZDGraph:
                 if u < v:
                     yield u, v
 
-    def neighbour_mask(self, elems: Sequence[int], order: int) -> np.ndarray:
-        """Boolean (len(elems), order): row t marks the neighbours of the
-        vertex ``elems[t]`` among the element indices below ``order``."""
-        out = np.zeros((len(elems), order), dtype=bool)
-        out[:, list(self.vertices)] = self.adjacency[[self.position(e) for e in elems]]
-        return out
+    def neighbour_mask(self, elems: Sequence[int]) -> np.ndarray:
+        """Boolean (len(elems), vertex_count): row t marks the neighbours of
+        the vertex ``elems[t]`` among ``vertices``."""
+        return self.adjacency[[self.position(e) for e in elems]]
 
     def __repr__(self) -> str:
         name = self.ring.spec_name if self.ring is not None else "synthetic"
@@ -199,6 +206,13 @@ def _twin_quotient(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray]:
     """``graph.twin_quotient``, read through one module-level function so
     that a test can watch which quotients diameter and girth use."""
     return graph.twin_quotient
+
+
+def _false_twin_classes(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph as the ``_class_*`` functions take it: its false-twin
+    quotient, with no clique class."""
+    q, sizes = _twin_quotient(graph)
+    return q, sizes, np.zeros(len(q), dtype=bool)
 
 
 def _class_diameter(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> int | None:
@@ -258,8 +272,7 @@ def diameter(graph: ZDGraph) -> int | None:
     ``ZDGraph.twin_quotient``).  Raises DisconnectedGraphError on a
     disconnected graph.
     """
-    q, sizes = _twin_quotient(graph)
-    return _class_diameter(q, sizes, np.zeros(len(q), dtype=bool))
+    return _class_diameter(*_false_twin_classes(graph))
 
 
 def _class_girth(
@@ -304,8 +317,7 @@ def girth(graph: ZDGraph) -> int | float:
     """Length of a shortest cycle, or math.inf for acyclic graphs, by
     ``_class_girth`` on the false-twin quotient; its BFS, when the
     quotient's rules leave the girth open, runs on the graph itself."""
-    q, sizes = _twin_quotient(graph)
-    return _class_girth(q, sizes, np.zeros(len(q), dtype=bool), graph)
+    return _class_girth(*_false_twin_classes(graph), graph)
 
 
 def _two_core(adjacency: np.ndarray) -> np.ndarray:
@@ -358,15 +370,6 @@ def _bfs_girth(graph: ZDGraph) -> int | float:
     return best
 
 
-def is_complete(graph: ZDGraph) -> bool:
-    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1).
-
-    The diagonal is empty by construction, so that is n(n-1) set entries.
-    """
-    n = graph.vertex_count
-    return int(np.count_nonzero(graph.adjacency)) == n * (n - 1)
-
-
 def _class_bipartition(
     q: np.ndarray, sizes: np.ndarray, clique: np.ndarray
 ) -> tuple[int, int] | None:
@@ -399,8 +402,7 @@ def _class_bipartition(
 def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
     """Part sizes (m, n) if the graph is complete bipartite, else None, by
     ``_class_bipartition`` on the false-twin quotient."""
-    q, sizes = _twin_quotient(graph)
-    return _class_bipartition(q, sizes, np.zeros(len(q), dtype=bool))
+    return _class_bipartition(*_false_twin_classes(graph))
 
 
 def _class_universal(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> np.ndarray:
@@ -418,16 +420,26 @@ def _class_edge_count(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> i
     return int(s @ q @ s) // 2 + int((s * (s - 1))[clique].sum()) // 2
 
 
+def _class_members(mask: np.ndarray, class_of: np.ndarray) -> np.ndarray:
+    """Positions whose class is in ``mask``; a class of -1 is in none."""
+    return np.flatnonzero(np.append(mask, False)[class_of])
+
+
 def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
-    """Element indices of vertices adjacent to every other vertex."""
-    degrees = graph.adjacency.sum(axis=1)
-    return tuple(
-        graph.vertices[u] for u in np.flatnonzero(degrees == graph.vertex_count - 1)
-    )
+    """Element indices of vertices adjacent to every other vertex, by
+    ``_class_universal`` on the false-twin quotient."""
+    universal = _class_universal(*_false_twin_classes(graph))
+    return tuple(graph.vertices[u] for u in _class_members(universal, graph._twins[1]))
+
+
+def is_complete(graph: ZDGraph) -> bool:
+    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1):
+    every vertex is universal."""
+    return len(universal_vertices(graph)) == graph.vertex_count
 
 
 def edge_count(graph: ZDGraph) -> int:
-    return int(graph.adjacency.sum()) // 2
+    return _class_edge_count(*_false_twin_classes(graph))
 
 
 def export_dot(graph: ZDGraph) -> str:
@@ -454,16 +466,31 @@ class GraphInvariants:
     universal_vertices: tuple[int, ...]
 
 
-def graph_invariants(graph: ZDGraph) -> GraphInvariants:
-    parts = complete_bipartition(graph)
+def _class_invariants(
+    q: np.ndarray,
+    sizes: np.ndarray,
+    clique: np.ndarray,
+    universal: tuple[int, ...],
+    graph: ZDGraph | None = None,
+) -> GraphInvariants:
+    """The invariants of a graph given by its classes (see
+    ``_class_diameter``), whose universal vertices, named as the caller
+    names its vertices, are ``universal``; ``graph``, when given, is
+    where ``_class_girth`` runs its BFS."""
+    parts = _class_bipartition(q, sizes, clique)
+    vertex_count = int(sizes.sum())
     return GraphInvariants(
-        vertex_count=graph.vertex_count,
-        edge_count=edge_count(graph),
-        diameter=diameter(graph),
-        girth=girth(graph),
-        is_complete=is_complete(graph),
+        vertex_count=vertex_count,
+        edge_count=_class_edge_count(q, sizes, clique),
+        diameter=_class_diameter(q, sizes, clique),
+        girth=_class_girth(q, sizes, clique, graph),
+        is_complete=len(universal) == vertex_count,
         is_complete_bipartite=parts is not None,
         bipartition=parts,
         is_star=parts is not None and parts[0] == 1,
-        universal_vertices=universal_vertices(graph),
+        universal_vertices=universal,
     )
+
+
+def graph_invariants(graph: ZDGraph) -> GraphInvariants:
+    return _class_invariants(*_false_twin_classes(graph), universal_vertices(graph), graph)

@@ -39,8 +39,9 @@ from .graphs import (
     _boolean_product,
     _class_bipartition,
     _class_diameter,
-    _class_edge_count,
     _class_girth,
+    _class_invariants,
+    _class_members,
     _class_universal,
     build_graph,
     diameter,
@@ -327,26 +328,29 @@ class DuplicationFacts:
         return q, sizes, clique, position[key_of.ravel()]
 
     @cached_property
+    def _vertex_indices(self) -> np.ndarray:
+        return np.flatnonzero(self._classes[3] >= 0)
+
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
         """The graph's vertices, Z(R⋈I) minus 0, in ascending carrier order."""
-        return tuple(np.flatnonzero(self._classes[3] >= 0).tolist())
+        return tuple(self._vertex_indices.tolist())
 
     @property
     def vertex_count(self) -> int:
         return int(self._classes[1].sum())
 
-    def neighbour_mask(self, elems, order: int) -> np.ndarray:
-        """Boolean (len(elems), order): row t marks the neighbours of the
-        vertex ``elems[t]`` over the carrier, whose size ``order`` is."""
+    def neighbour_mask(self, elems) -> np.ndarray:
+        """Boolean (len(elems), vertex_count): row t marks the neighbours of
+        the vertex ``elems[t]`` among ``vertices``, as ``ZDGraph``'s does."""
         q, _, clique, class_of = self._classes
-        if order != self.carrier.order:
-            raise ValueError(f"the carrier has order {self.carrier.order}, not {order}")
         elems = np.asarray(elems, dtype=np.intp)
         if (class_of[elems] < 0).any():
             raise ValueError("element index is not a vertex")
+        vertices = self._vertex_indices
         near = q | np.diag(clique)
-        rows = near[class_of[elems]][:, np.maximum(class_of, 0)] & (class_of >= 0)
-        rows[np.arange(len(elems)), elems] = False
+        rows = near[class_of[elems]][:, class_of[vertices]]
+        rows[np.arange(len(elems)), np.searchsorted(vertices, elems)] = False
         return rows
 
     @cached_property
@@ -362,12 +366,11 @@ class DuplicationFacts:
     @cached_property
     def universal(self) -> tuple[int, ...]:
         q, sizes, clique, class_of = self._classes
-        # One False past the last class, where class_of's -1 points.
-        universal = np.append(_class_universal(q, sizes, clique), False)
-        return tuple(np.flatnonzero(universal[class_of]).tolist())
+        return tuple(_class_members(_class_universal(q, sizes, clique), class_of).tolist())
 
     @cached_property
     def complete(self) -> bool:
+        """Every vertex is universal, as ``graphs.is_complete`` reads it."""
         return len(self.universal) == self.vertex_count
 
     @cached_property
@@ -390,18 +393,7 @@ class DuplicationFacts:
     @cached_property
     def invariants(self) -> GraphInvariants:
         q, sizes, clique, _ = self._classes
-        parts = self.bipartition
-        return GraphInvariants(
-            vertex_count=self.vertex_count,
-            edge_count=_class_edge_count(q, sizes, clique),
-            diameter=self.diameter,
-            girth=self.girth,
-            is_complete=self.complete,
-            is_complete_bipartite=parts is not None,
-            bipartition=parts,
-            is_star=parts is not None and parts[0] == 1,
-            universal_vertices=self.universal,
-        )
+        return _class_invariants(q, sizes, clique, self.universal)
 
 
 class Instance:

@@ -507,9 +507,13 @@ def test_factored_duplication_matches_the_materialized_graph():
                 assert facts.diameter == diameter(graph), name
                 assert facts.girth == girth(graph), name
                 assert facts.complete == is_complete(graph), name
+                assert facts.complete == eye_mask_is_complete(graph), name
                 assert facts.universal == universal_vertices(graph), name
+                assert facts.universal == neighbor_count_universal_vertices(graph), name
                 assert facts.bipartition == complete_bipartition(graph), name
-                assert facts.invariants.edge_count == edge_count(graph), name
+                assert facts.invariants == graph_invariants(graph), name
+                edges = int(graph.adjacency.sum()) // 2
+                assert facts.invariants.edge_count == edge_count(graph) == edges, name
                 materialized = RingFacts(dup.ring)
                 materialized.graph = graph
                 assert facts.square_zero == materialized.square_zero, name
@@ -525,8 +529,7 @@ def test_factored_duplication_matches_the_materialized_graph():
                 assert checks == loop_structure_checks(dup, base.graph, graph), name
                 sample = list(graph.vertices[:: max(1, graph.vertex_count // 32)])
                 assert np.array_equal(
-                    facts.neighbour_mask(sample, carrier.order),
-                    graph.neighbour_mask(sample, carrier.order),
+                    facts.neighbour_mask(sample), graph.neighbour_mask(sample)
                 ), name
                 _, sizes, clique, _ = facts._classes
                 cliques += bool((clique & (sizes > 1)).any())

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -279,6 +280,18 @@ def class_count(graph):
     return len({row.tobytes() for row in graph.adjacency})
 
 
+def annihilator_key_count(dup, graph):
+    """Number of distinct pairs (Ann(r), Ann(r+i)) over the vertices (r, i)
+    of a duplication's materialized graph, counted without the library."""
+    base = dup.base
+    ann = [frozenset(np.flatnonzero(row == base.zero).tolist()) for row in base.mul_table]
+    keys = set()
+    for v in graph.vertices:
+        r, i = dup.pair_of(v)
+        keys.add((ann[r], ann[base.add_table[r, i]]))
+    return len(keys)
+
+
 @st.composite
 def twin_graphs(draw):
     """A random graph on a few vertices, each blown up into a class of
@@ -387,37 +400,55 @@ class TestTwinQuotient:
         assert bfs_girth_calls == []
 
     def test_sweep_multiplies_only_quotient_sized_operands(self, monkeypatch):
-        # Every graph of the sweep, the base ring's and the duplications',
-        # reaches the products through a class routine; the base graphs'
-        # quotients are their distinct adjacency rows.
-        shapes, counts = [], []
+        # Each boolean product runs on a class quotient whose size is
+        # counted without the library: a base graph's distinct adjacency
+        # rows, and a duplication's distinct annihilator pairs over the
+        # vertices of its materialized graph.
+        shapes, bounds, keyed = [], [], {}
         quotient, product = graphs._twin_quotient, graphs._boolean_product
+        classes = theorems.DuplicationFacts._classes.func
 
         def quotient_spy(graph):
-            result = quotient(graph)
-            assert len(result[0]) == class_count(graph)
+            bounds.append(("base", class_count(graph), graph.vertex_count))
+            return quotient(graph)
+
+        def classes_spy(facts):
+            result = classes(facts)
+            dup = amalgamated_duplication(facts.carrier.base, facts.carrier.ideal)
+            graph = build_graph(dup.ring)
+            keys = annihilator_key_count(dup, graph)
+            assert len(result[0]) == keys
+            # Keys can outnumber the twin classes (Z8 along (2) has 8 keys
+            # and 6 distinct rows), but on Z32 they never do.
+            assert keys <= class_count(graph)
+            keyed[id(result[0])] = (result[0], keys, graph.vertex_count)
             return result
 
         def routine_spy(routine):
-            def spy(q, sizes, *args):
-                counts.append((len(q), int(sizes.sum())))
-                return routine(q, sizes, *args)
+            def spy(q, *args):
+                kept, keys, n = keyed[id(q)]
+                assert kept is q
+                bounds.append(("duplication", keys, n))
+                return routine(q, *args)
 
             return spy
 
         def product_spy(left, right):
-            shapes.append((left.shape, right.shape, counts[-1][0]))
+            shapes.append((left.shape, right.shape, bounds[-1]))
             return product(left, right)
 
         monkeypatch.setattr(graphs, "_twin_quotient", quotient_spy)
         monkeypatch.setattr(graphs, "_boolean_product", product_spy)
+        spied = cached_property(classes_spy)
+        spied.__set_name__(theorems.DuplicationFacts, "_classes")
+        monkeypatch.setattr(theorems.DuplicationFacts, "_classes", spied)
         for name in ("_class_diameter", "_class_girth"):
-            spy = routine_spy(getattr(graphs, name))
-            for module in (graphs, theorems):
-                monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(theorems, name, routine_spy(getattr(graphs, name)))
         assert sweep(["Z32"], workers=1).succeeded
-        assert shapes and any(c < n for c, n in counts)
-        for left, right, c in shapes:
+        assert {kind for _, _, (kind, _, _) in shapes} == {"base", "duplication"}
+        for kind in ("base", "duplication"):
+            assert any(c < n for k, c, n in bounds if k == kind)
+        for left, right, (_, c, _) in shapes:
             assert max(left[1], *right) <= c
 
 
