@@ -28,6 +28,7 @@ from .rings import (
     TABLE_DTYPE,
     FiniteRing,
     Ideal,
+    _mask,
     _minimal,
     _nilpotent_mask,
     _primes_from_idempotents,
@@ -104,10 +105,14 @@ def _mul_block_filler(
     which both tables share, so a block is one gather of whole k-wide
     rows, driven by an index array of 1/k of its cells.  ``out`` is a
     TABLE_DTYPE array, and every carrier index fits in it.
+
+    The row table itself is one gather of whole rows of ``sum_pos`` by
+    ``prod_pos``, [u, j, b] = sum_pos[pos(u*m_j), b], and one transposing
+    copy to [u, b, j].
     """
     n, k = base.order, len(members)
-    rows = sum_pos.astype(TABLE_DTYPE)[prod_pos[:, None, :], np.arange(k)[:, None]]
-    rows = rows.reshape(n * k, k)
+    gathered = np.take(sum_pos.astype(TABLE_DTYPE), prod_pos, axis=0)
+    rows = np.ascontiguousarray(gathered.transpose(0, 2, 1)).reshape(n * k, k)
     u_dup = base.add_table[:, list(members)].astype(np.intp)
     u_ideal = np.arange(n)[:, None]
     cross = prod_pos.T
@@ -229,15 +234,23 @@ class DuplicationCarrier:
         return "{" + ", ".join(self.label(e) for e in sorted(elems)) + "}"
 
     @cached_property
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Carrier indices of (0, i) and of (-i, i) for every member i, in
+        the ideal's ascending order: r*k plus i's position."""
+        members = np.array(self.ideal_elements, dtype=np.intp)
+        k = len(members)
+        at = np.arange(k)
+        return self.base.zero * k + at, self.base._neg_table[members] * k + at
+
+    @cached_property
     def o1_members(self) -> frozenset[int]:
         """Kernel of the first coordinate projection: {(0, i)}."""
-        zero = self.base.zero
-        return frozenset(self.index_of(zero, i) for i in self.ideal_elements)
+        return frozenset(self._kernels[0].tolist())
 
     @cached_property
     def o2_members(self) -> frozenset[int]:
         """Kernel of the second projection of the product form: {(-i, i)}."""
-        return frozenset(self.index_of(self.base.neg(i), i) for i in self.ideal_elements)
+        return frozenset(self._kernels[1].tolist())
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -398,22 +411,21 @@ class ZDClassification:
         return self.t1 | self.t2 | self.t3 | self.t4
 
 
-def classify_zero_divisors(
+def _classification_masks(
     dup: DuplicationCarrier, base_zd: frozenset[int]
-) -> ZDClassification:
-    """The classification of the duplication's zero-divisors, given the
-    base ring's zero-divisors ``base_zd`` (0 included)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sets t1..t4 of ``ZDClassification`` as boolean masks over the
+    carrier, in carrier order, given the base ring's zero-divisors
+    ``base_zd`` (0 included)."""
     base = dup.base
     members = np.array(dup.ideal_elements, dtype=np.intp)
     n, k, zero = base.order, len(members), base.zero
-    zd_mask = np.zeros(n, dtype=bool)
-    zd_mask[list(base_zd)] = True
+    zd_mask = _mask(n, list(base_zd))
 
-    # Masks over the carrier in its (n, k) shape: [r, t] is (r, members[t]).
-    t1 = np.zeros((n, k), dtype=bool)
-    t1[zero] = True
-    t2 = np.zeros((n, k), dtype=bool)
-    t2[base._neg_table[members], np.arange(k)] = True
+    o1, o2 = dup._kernels
+    t1 = _mask(n * k, o1)
+    t2 = _mask(n * k, o2)
+    # [r, t] is (r, members[t]).
     t3 = np.zeros((n, k), dtype=bool)
     t3[zd_mask] = True
     t3[zero] = False
@@ -422,9 +434,16 @@ def classify_zero_divisors(
     killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
     sums = base.add_table[:, members]
     t4 = ~zd_mask[:, None] & (sums != zero) & killed[sums]
-    return ZDClassification(
-        *(frozenset(np.flatnonzero(mask).tolist()) for mask in (t1, t2, t3, t4))
-    )
+    return t1, t2, t3.ravel(), t4.ravel()
+
+
+def classify_zero_divisors(
+    dup: DuplicationCarrier, base_zd: frozenset[int]
+) -> ZDClassification:
+    """The classification of the duplication's zero-divisors, given the
+    base ring's zero-divisors ``base_zd`` (0 included)."""
+    masks = _classification_masks(dup, base_zd)
+    return ZDClassification(*(frozenset(np.flatnonzero(mask).tolist()) for mask in masks))
 
 
 @dataclass(frozen=True)
@@ -470,47 +489,47 @@ def structure_checks(
 
     The crossing and embedding products are computed from the definition
     of the multiplication over the base ring's tables, so they can fail
-    on tables that are not a ring's.
+    on tables that are not a ring's.  Every set of carrier elements is an
+    index array r*k + t or a boolean mask over the carrier.
     """
     base = dup.base
     members = np.array(dup.ideal_elements, dtype=np.intp)
-    if len(members) < 2:
+    k = len(members)
+    if k < 2:
         return StructureChecks(True, True, True, vacuous=True)
     zero = base.zero
-    nonzero = members[members != zero]
-    negated = base._neg_table[nonzero]
-    t1_nonzero = sorted(dup.index_of(zero, i) for i in nonzero.tolist())
-    t2_nonzero = sorted(dup.index_of(base.neg(i), i) for i in nonzero.tolist())
+    nonzero = members != zero
+    nonzero_members = members[nonzero]
+    negated = base._neg_table[nonzero_members]
+    o1, o2 = dup._kernels
 
     # (0, i)(-j, j) for every pair of nonzero members i, j.
     crossings = bool(
-        _products_vanish(base, zero, nonzero[:, None], negated[None, :], nonzero[None, :]).all()
+        _products_vanish(
+            base, zero, nonzero_members[:, None], negated[None, :], nonzero_members[None, :]
+        ).all()
     )
 
     # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
     # meet only the other kernel's nonzero elements.
-    regular = [i for i in dup.ideal_elements if i not in base_zd]
-    rows1 = dup_graph.neighbour_mask([dup.index_of(zero, i) for i in regular])
-    rows2 = dup_graph.neighbour_mask([dup.index_of(base.neg(i), i) for i in regular])
+    regular = ~_mask(base.order, list(base_zd))[members]
+    rows1 = dup_graph.neighbour_mask(o1[regular])
+    rows2 = dup_graph.neighbour_mask(o2[regular])
     dup_vertices = np.array(dup_graph.vertices, dtype=np.intp)
     exclusive = not (
-        rows1[:, ~_carrier_mask(dup.order, t2_nonzero)[dup_vertices]].any()
-        or rows2[:, ~_carrier_mask(dup.order, t1_nonzero)[dup_vertices]].any()
+        rows1[:, ~_mask(dup.order, o2[nonzero])[dup_vertices]].any()
+        or rows2[:, ~_mask(dup.order, o1[nonzero])[dup_vertices]].any()
     )
 
-    # x -> (x, 0) must land on vertices, and every base edge on a product zero.
+    # x -> (x, 0) must land on vertices, and every base edge on a product
+    # zero; (x, 0) is x*k plus the position of 0 among the members.
     verts = np.array(base_graph.vertices, dtype=np.intp)
-    images = [dup.index_of(x, zero) for x in base_graph.vertices]
+    images = verts * k + int(np.searchsorted(members, zero))
     products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
     embeds = bool(
-        _carrier_mask(dup.order, dup_vertices)[images].all()
+        _mask(dup.order, dup_vertices)[images].all()
         and products[base_graph.adjacency].all()
     )
 
     return StructureChecks(crossings, exclusive, embeds, vacuous=False)
 
-
-def _carrier_mask(order: int, elems: list[int]) -> np.ndarray:
-    mask = np.zeros(order, dtype=bool)
-    mask[elems] = True
-    return mask

@@ -440,9 +440,21 @@ def is_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     return not ideal_violations(ring, members)
 
 
+def _mask(order: int, elems: np.ndarray) -> np.ndarray:
+    """Boolean membership mask over the elements of the set ``elems``."""
+    mask = np.zeros(order, dtype=bool)
+    mask[elems] = True
+    return mask
+
+
+def _multiples(ring: FiniteRing, a: int) -> np.ndarray:
+    """{r*a : r in R} in ascending order."""
+    return np.flatnonzero(_mask(ring.order, ring.mul_table[:, a]))
+
+
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     """(a) = {r*a : r in R}."""
-    return Ideal(ring, frozenset(np.unique(ring.mul_table[:, a]).tolist()))
+    return Ideal(ring, frozenset(_multiples(ring, a).tolist()))
 
 
 def _ideal_order(members: frozenset[int]) -> tuple:
@@ -450,40 +462,68 @@ def _ideal_order(members: frozenset[int]) -> tuple:
     return len(members), tuple(sorted(members))
 
 
-def _sum_sets(ring: FiniteRing, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    block = ring.add_table[np.ix_(sorted(left), sorted(right))]
-    return frozenset(np.unique(block).tolist())
+def _sum_members(ring: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """{x + y : x in left, y in right} in ascending order, from index arrays."""
+    block = ring.add_table.take(left, axis=0).take(right, axis=1)
+    return np.flatnonzero(_mask(ring.order, block))
 
 
 def ideal_from_generators(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators (a sum of principal ideals)."""
-    members = frozenset({ring.zero})
+    members = np.array([ring.zero])
     for g in generators:
-        members = _sum_sets(ring, members, principal_ideal(ring, g).members)
-    return Ideal(ring, members)
+        members = _sum_members(ring, members, _multiples(ring, g))
+    return Ideal(ring, frozenset(members.tolist()))
+
+
+def _principal_ideals(ring: FiniteRing) -> list[np.ndarray]:
+    """The members of every distinct principal ideal (a) = {r*a}, each in
+    ascending order.
+
+    The multiples of a block of elements, columns of ``mul_table``, are
+    scattered into a membership matrix a block of about _BLOCK_CELLS cells
+    at a time and packed into one byte row per element; equal byte rows
+    are one ideal.
+    """
+    n = ring.order
+    multiples = ring.mul_table.T
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        block = multiples[lo : lo + step]
+        member = np.zeros((len(block), n), dtype=bool)
+        member[np.arange(len(block))[:, None], block] = True
+        packed[lo : lo + step] = np.packbits(member, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    distinct = np.unique(rows).view(np.uint8).reshape(-1, packed.shape[1])
+    member = np.unpackbits(distinct, axis=1, count=n).view(bool)
+    return [np.flatnonzero(row) for row in member]
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal of the ring, exactly once.
 
     Computed as the closure of the principal ideals under pairwise ideal
-    sum, then sorted by (size, member indices).  A brute-force subset scan
-    serves as the test oracle for small orders.
+    sum, then sorted by (size, member indices).  Each ideal is held as its
+    ascending member array, keyed by its bytes; a sum is one scatter of
+    the addition table's block into a membership mask.  The tests compare
+    it with a per-element, per-pair construction of the same closure, and
+    with a brute-force subset scan for small orders.
     """
-    ideals: set[frozenset[int]] = {
-        principal_ideal(ring, a).members for a in ring.elements()
-    }
-    frontier = list(ideals)
+    ideals = {m.tobytes(): m for m in _principal_ideals(ring)}
+    frontier = list(ideals.values())
     while frontier:
-        fresh: list[frozenset[int]] = []
+        fresh: list[np.ndarray] = []
         for left in frontier:
-            for right in list(ideals):
-                s = _sum_sets(ring, left, right)
-                if s not in ideals:
-                    ideals.add(s)
+            for right in list(ideals.values()):
+                s = _sum_members(ring, left, right)
+                key = s.tobytes()
+                if key not in ideals:
+                    ideals[key] = s
                     fresh.append(s)
         frontier = fresh
-    return [Ideal(ring, m) for m in sorted(ideals, key=_ideal_order)]
+    found = [frozenset(m.tolist()) for m in ideals.values()]
+    return [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
 
 
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 from .amalgam import (
     DuplicationCarrier,
     _check_duplication_order,
-    classify_zero_divisors,
+    _classification_masks,
     matches_idealization,
     structure_checks,
 )
@@ -328,8 +328,13 @@ class DuplicationFacts:
         return q, sizes, clique, position[key_of.ravel()]
 
     @cached_property
+    def _vertex_mask(self) -> np.ndarray:
+        """Boolean mask over the carrier, True on the graph's vertices."""
+        return self._classes[3] >= 0
+
+    @cached_property
     def _vertex_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._classes[3] >= 0)
+        return np.flatnonzero(self._vertex_mask)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -756,8 +761,11 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
-    cls = classify_zero_divisors(inst.carrier, inst.base.zero_divisors)
-    if cls.union() - {inst.carrier.zero} != frozenset(inst.dup.vertices):
+    classified = np.logical_or.reduce(
+        _classification_masks(inst.carrier, inst.base.zero_divisors)
+    )
+    classified[inst.carrier.zero] = False
+    if not np.array_equal(classified, inst.dup._vertex_mask):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
     if inst.dup.is_reduced != inst.base.is_reduced:

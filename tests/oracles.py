@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
-These deliberately avoid the code paths they validate: subsets instead of
-closure for ideals, a complement scan over the ideal lattice instead of
+These deliberately avoid the code paths they validate: subsets, and a
+closure of frozensets built with one ``np.unique`` per element and per
+pair of ideals, instead of the packed membership rows and mask scatters
+of the ideal lattice, a complement scan over the ideal lattice instead of
 primitive idempotents for primes, per-source BFS, Floyd-Warshall and
 reach products over the whole adjacency instead of reach products on the
 false-twin quotient for the diameter, a per-root BFS, exhaustive cycle
@@ -103,6 +105,29 @@ def subset_scan_ideals(ring: FiniteRing) -> list[frozenset[int]]:
             if _is_ideal_set(ring, s):
                 found.append(s)
     return sorted(found, key=lambda m: (len(m), tuple(sorted(m))))
+
+
+def unique_closure_ideals(ring: FiniteRing) -> list[frozenset[int]]:
+    """Every ideal as the closure of the principal ideals under pairwise
+    sum, with each principal ideal and each sum read through ``np.unique``
+    into a frozenset; sorted by (size, member indices)."""
+
+    def sum_sets(left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
+        block = ring.add_table[np.ix_(sorted(left), sorted(right))]
+        return frozenset(np.unique(block).tolist())
+
+    ideals = {frozenset(np.unique(ring.mul_table[:, a]).tolist()) for a in ring.elements()}
+    frontier = list(ideals)
+    while frontier:
+        fresh = []
+        for left in frontier:
+            for right in list(ideals):
+                s = sum_sets(left, right)
+                if s not in ideals:
+                    ideals.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    return sorted(ideals, key=lambda m: (len(m), tuple(sorted(m))))
 
 
 def _is_ideal_set(ring: FiniteRing, s: frozenset[int]) -> bool:

@@ -89,6 +89,16 @@ REPORT_SHA256 = {
     "csv": "610da669bd9e5ac7558fa61c5ec66bff3e02980e08c5dd60a1ff223614ea55e3",
 }
 
+# The same pin over larger rings: the fields Z37, Z41 and Z43 along
+# themselves, the other Z_n up to 48, and non-local products.
+WIDE_FAMILY = expand_family("Z17..Z48") + [
+    "Z4xZ8", "Z2xZ16", "Z6xZ6", "Z2xZ2xZ8", "Z5xZ7", "Z8xZ9"
+]
+WIDE_REPORT_SHA256 = {
+    "json": "0f1e07d63145a907559277288e276721ecfae87a38889187b3ae2ae7cb03579c",
+    "csv": "0a7059c245bbb397f214911ef6fbb97cd923ac8441baba04c82cf4575b74703d",
+}
+
 
 @contextmanager
 def criterion(name: str):
@@ -565,6 +575,14 @@ def test_sweep_report_bytes_are_pinned(sweep_report):
         ):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == REPORT_SHA256[fmt], fmt
+
+
+def test_wide_sweep_report_bytes_are_pinned():
+    with criterion("pinned: Z17..Z48 and product-ring JSON and CSV report digests"):
+        report = sweep(WIDE_FAMILY, "nonzero", workers=1)
+        for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == WIDE_REPORT_SHA256[fmt], fmt
 
 
 def test_sweep_determinism(sweep_report):

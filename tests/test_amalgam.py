@@ -191,6 +191,38 @@ class TestIdealization:
         assert not amalgam.matches_idealization(a)
 
 
+    @pytest.mark.parametrize(
+        "spec, ideal_spec, square_zero",
+        [("Z43", "full", False), ("Z8", "gen(2)", False), ("Z8", "gen(4)", True)],
+    )
+    def test_comparator_stops_at_a_differing_block(
+        self, spec, ideal_spec, square_zero, monkeypatch
+    ):
+        # One first coordinate per block.  When I*I != 0 the first block
+        # (r = 0, which holds the i*j terms) already differs, so one block
+        # of each table is generated; when I*I = 0 every block is.
+        ring = parse_ring_spec(spec)
+        carrier = amalgam.DuplicationCarrier(ring, parse_ideal_spec(ring, ideal_spec))
+        n, k = ring.order, len(carrier.ideal_elements)
+        monkeypatch.setattr(amalgam, "_BLOCK_CELLS", n * k * k)
+        calls = []
+        filler = amalgam._mul_block_filler
+
+        def spied(base, members, sum_pos, prod_pos):
+            step, fill = filler(base, members, sum_pos, prod_pos)
+
+            def fill_logged(lo, hi, out, with_product_term):
+                calls.append((lo, hi, with_product_term))
+                fill(lo, hi, out, with_product_term)
+
+            return step, fill_logged
+
+        monkeypatch.setattr(amalgam, "_mul_block_filler", spied)
+        assert amalgam.matches_idealization(carrier) is square_zero
+        firsts = range(n) if square_zero else range(1)
+        assert calls == [(lo, lo + 1, term) for lo in firsts for term in (True, False)]
+
+
 class TestProductEmbedding:
     def test_known_images(self):
         a = amalgamated_duplication(Z8, I8)

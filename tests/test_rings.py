@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amalgam_zdg import (
     FiniteRing,
+    expand_family,
     Ideal,
     RingFacts,
     all_ideals,
@@ -23,6 +24,7 @@ from amalgam_zdg import (
     make_zn,
     minimal_primes,
     prime_ideals,
+    parse_ring_spec,
     principal_ideal,
     product_ring,
     verify_ring_axioms,
@@ -30,7 +32,12 @@ from amalgam_zdg import (
 )
 from amalgam_zdg import rings
 from amalgam_zdg.rings import MAX_TABLE_ORDER
-from oracles import annihilator_pair, brute_zero_divisors, subset_scan_ideals
+from oracles import (
+    annihilator_pair,
+    brute_zero_divisors,
+    subset_scan_ideals,
+    unique_closure_ideals,
+)
 
 
 def members(ideal):
@@ -269,6 +276,41 @@ class TestIdeals:
         for ring in (make_zn(4), make_zn(6), product_ring([make_zn(2), make_zn(2)])):
             got = [i.members for i in all_ideals(ring)]
             assert got == subset_scan_ideals(ring)
+
+    def test_all_ideals_agree_with_unique_closure(self):
+        """The lattice from packed principal rows and mask-scattered sums
+        holds the same member sets, in the same order, as the closure
+        built with ``np.unique`` per element and per pair; each principal
+        ideal is the ``np.unique`` of its column."""
+        specs = expand_family("Z2..Z64") + [
+            "Z4xZ8", "Z2xZ16", "Z6xZ6", "Z2xZ2xZ8", "Z5xZ7", "Z4xZ4", "Z8xZ9"
+        ]
+        for spec in specs:
+            ring = parse_ring_spec(spec)
+            got = [i.members for i in all_ideals(ring)]
+            assert got == unique_closure_ideals(ring), spec
+            for a in ring.elements():
+                column = np.unique(ring.mul_table[:, a]).tolist()
+                assert principal_ideal(ring, a).members == frozenset(column), (spec, a)
+
+    def test_closure_reaches_a_non_principal_ideal(self):
+        # F2[x,y]/(x,y)^2, element a + b*x + c*y at index 4a + 2b + c: every
+        # ideal of Z_n and of their products is principal, but here the
+        # maximal ideal (x, y) is only the sum of (x) and (y).
+        idx = np.arange(8)
+        a, b, c = idx >> 2, (idx >> 1) & 1, idx & 1
+        add = idx[:, None] ^ idx[None, :]
+        mul = (
+            4 * (a[:, None] & a[None, :])
+            + 2 * ((a[:, None] & b[None, :]) ^ (b[:, None] & a[None, :]))
+            + ((a[:, None] & c[None, :]) ^ (c[:, None] & a[None, :]))
+        )
+        ring = FiniteRing(8, add, mul, 0, 4, [str(e) for e in range(8)], "F2[x,y]/(x,y)^2")
+        assert verify_ring_axioms(ring) == []
+        got = [i.members for i in all_ideals(ring)]
+        assert got == subset_scan_ideals(ring) == unique_closure_ideals(ring)
+        assert frozenset({0, 1, 2, 3}) in got
+        assert all(principal_ideal(ring, e).members != {0, 1, 2, 3} for e in range(8))
 
     def test_klein_ring_has_four_ideals(self):
         # {0}, the two coordinate lines, and the whole ring; the diagonal
