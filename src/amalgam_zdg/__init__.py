@@ -15,6 +15,7 @@ from .amalgam import (
     verify_product_embedding,
 )
 from .graphs import (
+    ClassGraph,
     DisconnectedGraphError,
     GraphInvariants,
     ZDGraph,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import ZDGraph
+from .graphs import ClassGraph, ZDGraph
 from .rings import (
     _BLOCK_CELLS,
     TABLE_DTYPE,
@@ -479,13 +479,12 @@ def structure_checks(
     dup: DuplicationCarrier,
     base_zd: frozenset[int],
     base_graph: ZDGraph,
-    dup_graph,
+    dup_classes: ClassGraph,
 ) -> StructureChecks:
     """The structure checks of the duplication, given the base ring's
     zero-divisors ``base_zd`` (0 included), its graph, and the
-    duplication's graph ``dup_graph``: anything with the carrier indices
-    of its ``vertices`` and a ``neighbour_mask(elems)`` over them, such as
-    a ``ZDGraph`` or the sweep's factored duplication facts.
+    duplication's graph as classes over the carrier indices: the sweep's
+    key classes, or a materialized graph's ``ZDGraph.classes``.
 
     The crossing and embedding products are computed from the definition
     of the multiplication over the base ring's tables, so they can fail
@@ -513,9 +512,9 @@ def structure_checks(
     # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
     # meet only the other kernel's nonzero elements.
     regular = ~_mask(base.order, list(base_zd))[members]
-    rows1 = dup_graph.neighbour_mask(o1[regular])
-    rows2 = dup_graph.neighbour_mask(o2[regular])
-    dup_vertices = np.array(dup_graph.vertices, dtype=np.intp)
+    rows1 = dup_classes.neighbour_mask(o1[regular])
+    rows2 = dup_classes.neighbour_mask(o2[regular])
+    dup_vertices = dup_classes.vertices
     exclusive = not (
         rows1[:, ~_mask(dup.order, o2[nonzero])[dup_vertices]].any()
         or rows2[:, ~_mask(dup.order, o1[nonzero])[dup_vertices]].any()

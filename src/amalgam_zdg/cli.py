@@ -22,7 +22,7 @@ from .amalgam import (
     amalgamated_duplication,
     classify_zero_divisors,
 )
-from .graphs import GraphInvariants, build_graph, export_dot, graph_invariants
+from .graphs import ClassGraph, build_graph, export_dot
 from .rings import FiniteRing, Ideal, is_field
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
 from .theorems import Instance, RingFacts, Status, run_all, sweep
@@ -42,9 +42,10 @@ def _girth_json(g: int | float) -> int | str:
     return "inf" if math.isinf(g) else int(g)
 
 
-def _graph_summary(inv: GraphInvariants, universal: list[str]) -> dict:
-    """The graph part of the ``analyze`` report, given the invariants and
-    the labels of the universal vertices."""
+def _graph_summary(classes: ClassGraph, label) -> dict:
+    """The graph part of the ``analyze`` report, with ``label`` naming a
+    vertex by its index."""
+    inv = classes.invariants
     return {
         "vertices": inv.vertex_count,
         "edges": inv.edge_count,
@@ -54,7 +55,7 @@ def _graph_summary(inv: GraphInvariants, universal: list[str]) -> dict:
         "complete_bipartite": inv.is_complete_bipartite,
         "parts": list(inv.bipartition) if inv.bipartition else None,
         "star": inv.is_star,
-        "universal": universal,
+        "universal": [label(v) for v in inv.universal_vertices],
     }
 
 
@@ -84,7 +85,6 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
     ``RingFacts``, and the duplication through the sweep's table-free
     ``DuplicationFacts``."""
     base = RingFacts(ring)
-    inv = graph_invariants(base.graph)
     data: dict = {
         "ring": {
             "spec": ring.spec_name,
@@ -94,7 +94,7 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
             "domain": base.is_domain,
             "reduced": base.is_reduced,
             "field": is_field(ring),
-            "graph": _graph_summary(inv, [ring.labels[v] for v in inv.universal_vertices]),
+            "graph": _graph_summary(base.classes, ring.label),
         }
     }
     if ideal is not None:
@@ -112,15 +112,15 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
                 "t3": len(cls.t3),
                 "t4": len(cls.t4),
             },
-            "nonzero_zero_divisors": [carrier.label(v) for v in facts.vertices],
+            "nonzero_zero_divisors": [
+                carrier.label(v) for v in facts.classes.vertices.tolist()
+            ],
             "o1": [carrier.label(m) for m in sorted(carrier.o1_members)],
             "o2": [carrier.label(m) for m in sorted(carrier.o2_members)],
             "minimal_primes": [
                 [carrier.label(m) for m in sorted(p)] for p in carrier.minimal_primes
             ],
-            "graph": _graph_summary(
-                facts.invariants, [carrier.label(v) for v in facts.universal]
-            ),
+            "graph": _graph_summary(facts.classes, carrier.label),
         }
     return data
 
@@ -182,15 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = {
             "ring": ring.spec_name,
             "ideal": list(ideal.labels()),
-            "outcomes": [
-                {
-                    "theorem": o.theorem.value,
-                    "status": o.status.value,
-                    **({"witness": o.witness} if o.witness else {}),
-                    **({"note": o.note} if o.note else {}),
-                }
-                for o in outcomes
-            ],
+            "outcomes": [o.to_json_dict() for o in outcomes],
             "counterexamples": counterexamples,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

@@ -5,15 +5,15 @@ between distinct u and v exactly when u*v = 0.  Such graphs are always
 connected with diameter at most 3 and girth 3, 4, or infinite; those facts
 are treated as hard invariants and checked by the verification sweep.
 
-The diameter and girth are computed on a quotient of the vertices into
-classes of twins, by rules that hold for every graph, so a graph that
-breaks those invariants is reported as it is.  A class is either
-independent (false twins: the same open neighbourhood, never adjacent to
-each other) or a clique (true twins: the same closed neighbourhood, all
-adjacent to each other).  A ``ZDGraph`` is quotiented by its false twins;
-a graph known only by its classes, such as a duplication's, is handed to
-the ``_class_*`` functions as the class adjacency, the class sizes and
-the clique flags.
+Every invariant is computed by a ``ClassGraph``: the graph as a quotient
+of its vertices into classes of twins, read by rules that hold for every
+graph, so a graph that breaks those invariants is reported as it is.  A
+class is either independent (false twins: the same open neighbourhood,
+never adjacent to each other) or a clique (true twins: the same closed
+neighbourhood, all adjacent to each other).  A materialized ``ZDGraph``
+gives its twin classes (``ZDGraph.classes``): a ring's graph its
+annihilator classes, a graph with no ring its false twins.  The sweep
+builds a duplication's key classes without a graph.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .rings import _BLOCK_CELLS, FiniteRing, _zero_product_adjacency
 
 __all__ = [
     "DisconnectedGraphError",
+    "ClassGraph",
     "ZDGraph",
     "build_graph",
     "diameter",
@@ -75,6 +76,7 @@ def _symmetric_hollow(adj: np.ndarray) -> bool:
 class ZDGraph:
     """Immutable undirected graph with dense adjacency and labeled vertices.
 
+    Vertices are distinct element indices, which ``classes`` indexes by.
     The adjacency is stored as a read-only C-ordered boolean array.
     ``build_graph`` hands over fresh tuples and a fresh array (``_owned``),
     which are kept as they are; a caller's are converted and copied.  Either
@@ -95,6 +97,9 @@ class ZDGraph:
             self.vertices, self.labels, adj = vertices, labels, adjacency
         else:
             self.vertices = tuple(int(v) for v in vertices)
+            distinct = len(set(self.vertices)) == len(self.vertices)
+            if not distinct or min(self.vertices, default=0) < 0:
+                raise ValueError("vertices must be distinct nonnegative element indices")
             self.labels = tuple(str(x) for x in labels)
             adj = np.array(adjacency, dtype=bool, order="C")
         if adj.shape != (len(self.vertices), len(self.vertices)):
@@ -112,32 +117,34 @@ class ZDGraph:
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
 
     @cached_property
-    def _twins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The classes of false twins: each class's first position, each
-        vertex's class and the class sizes.  Equal rows are grouped by
-        sorting the bit-packed adjacency rows as one opaque byte string
-        each, so two classes are merged only when their rows agree byte
-        for byte."""
+    def classes(self) -> ClassGraph:
+        """The quotient by twins, built on first read.
+
+        Vertices are grouped by their adjacency rows with the diagonal set
+        where a vertex is marked, compared byte for byte.  A ring's graph
+        marks x where x^2 = 0, so its classes are the annihilator classes
+        (Ann(x) minus 0); a graph with no ring marks none, so its classes
+        are its false twins.  Under any marking, since the adjacency is
+        symmetric, a marked class is a clique of true twins and an
+        unmarked one independent false twins.  ``class_of`` runs over the
+        element indices up to the largest vertex.
+        """
         packed = np.packbits(self.adjacency, axis=1)
+        marked = np.zeros(self.vertex_count, dtype=bool)
+        if self.ring is not None:
+            verts = np.array(self.vertices, dtype=np.intp)
+            marked = self.ring.mul_table[verts, verts] == self.ring.zero
+            at = np.flatnonzero(marked)
+            packed[at, at // 8] |= (0x80 >> (at % 8)).astype(np.uint8)
         # One void item per row; the empty graph's zero-width rows take 1.
         rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
-        _, first, class_of, sizes = np.unique(
+        _, first, inverse, sizes = np.unique(
             rows, return_index=True, return_inverse=True, return_counts=True
         )
-        return first, class_of.ravel(), sizes
-
-    @cached_property
-    def twin_quotient(self) -> tuple[np.ndarray, np.ndarray]:
-        """The quotient by false twins, built on first read.
-
-        False twins are vertices with the same open neighbourhood; for a
-        zero-divisor graph they are the annihilator classes, so there are
-        few.  Returns the c x c class adjacency ``q`` (classes i and j
-        adjacent when their members are; never on the diagonal, since a
-        vertex is not its own neighbour) and the class sizes.
-        """
-        first, _, sizes = self._twins
-        return self.adjacency[np.ix_(first, first)], sizes
+        class_of = np.full(max(self.vertices, default=-1) + 1, -1, dtype=np.intp)
+        class_of[np.array(self.vertices, dtype=np.intp)] = inverse.ravel()
+        q = self.adjacency[np.ix_(first, first)]
+        return ClassGraph(q, sizes, marked[first], class_of)
 
     @property
     def vertex_count(self) -> int:
@@ -155,11 +162,6 @@ class ZDGraph:
             for v in self.neighbors[u]:
                 if u < v:
                     yield u, v
-
-    def neighbour_mask(self, elems: Sequence[int]) -> np.ndarray:
-        """Boolean (len(elems), vertex_count): row t marks the neighbours of
-        the vertex ``elems[t]`` among ``vertices``."""
-        return self.adjacency[[self.position(e) for e in elems]]
 
     def __repr__(self) -> str:
         name = self.ring.spec_name if self.ring is not None else "synthetic"
@@ -202,124 +204,6 @@ def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.unpackbits(out, axis=1, count=right.shape[1]).view(bool)
 
 
-def _twin_quotient(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray]:
-    """``graph.twin_quotient``, read through one module-level function so
-    that a test can watch which quotients diameter and girth use."""
-    return graph.twin_quotient
-
-
-def _false_twin_classes(graph: ZDGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The graph as the ``_class_*`` functions take it: its false-twin
-    quotient, with no clique class."""
-    q, sizes = _twin_quotient(graph)
-    return q, sizes, np.zeros(len(q), dtype=bool)
-
-
-def _class_diameter(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> int | None:
-    """Largest eccentricity of a graph given by its classes: ``q`` the
-    c x c adjacency between distinct classes (empty diagonal), ``sizes``
-    the member counts, and ``clique`` the classes whose members are
-    adjacent to each other.  None for the empty graph, 0 for one vertex.
-
-    A path between different classes maps to a walk in the quotient Q and
-    back, so their distance is their distance in Q; two members of one
-    class are at distance 1 in a clique class and 2, through any common
-    neighbour, in an independent one.  Hence diam G = max(diam Q, 2 if
-    some independent class has two or more members, 1 if some clique
-    class has).  diam Q comes from the boolean reach sets "within d steps"
-    of every class, grown by one boolean matrix product per step on the
-    rows not yet full until every row is full; the number of steps is the
-    diameter.  No bound on the step count is assumed, so a diameter above
-    3 is reported as it is.  Raises DisconnectedGraphError on a
-    disconnected graph rather than returning a value, since that would
-    falsify the connectivity invariant: there a class has no neighbour
-    (and is not a lone clique), or some row stops growing before it is
-    full.
-    """
-    n = int(sizes.sum())
-    if n == 0:
-        return None
-    if n == 1:
-        return 0
-    if len(q) == 1 and clique[0]:
-        return 1
-    if not q.any(axis=1).all():
-        raise DisconnectedGraphError(
-            "zero-divisor graph has an isolated vertex; connectivity invariant violated"
-        )
-    reach = q | np.eye(len(q), dtype=bool)
-    steps = 1
-    open_rows = np.flatnonzero(~reach.all(axis=1))
-    while open_rows.size:
-        before = reach[open_rows]
-        grown = before | _boolean_product(before, q)
-        if (grown == before).all(axis=1).any():
-            raise DisconnectedGraphError(
-                "zero-divisor graph is disconnected; connectivity invariant violated"
-            )
-        reach[open_rows] = grown
-        steps += 1
-        open_rows = open_rows[~grown.all(axis=1)]
-    if ((sizes > 1) & ~clique).any():
-        steps = max(steps, 2)
-    return steps
-
-
-def diameter(graph: ZDGraph) -> int | None:
-    """Largest eccentricity; None for the empty graph, 0 for one vertex.
-
-    Computed by ``_class_diameter`` on the false-twin quotient (see
-    ``ZDGraph.twin_quotient``).  Raises DisconnectedGraphError on a
-    disconnected graph.
-    """
-    return _class_diameter(*_false_twin_classes(graph))
-
-
-def _class_girth(
-    q: np.ndarray, sizes: np.ndarray, clique: np.ndarray, graph: ZDGraph | None = None
-) -> int | float:
-    """Length of a shortest cycle of a graph given by its classes (see
-    ``_class_diameter``), or math.inf for an acyclic one.
-
-    Members of an independent class are never adjacent, so a triangle has
-    two members in one clique class (which then has a third member or a
-    neighbour), or lies across three classes: an edge of Q whose ends
-    have a common neighbour.  Without one, a clique class has one member,
-    or two and no neighbour, and a 4-cycle of G either crosses four
-    classes, a 4-cycle of Q (two classes with two common neighbours), or
-    has two opposite vertices in one class, which happens iff some class
-    of two or more members has degree at least 2 in G.
-    Both tests on Q read the boolean product Q @ Q, on one thread and
-    exact: some pair of distinct classes has two common neighbours iff the
-    paths of length 2 between distinct classes, sum of deg*(deg-1)/2,
-    outnumber the pairs they join.  When neither holds, no class of two or
-    more members lies on a cycle, so G and Q have the same cycles, and a
-    BFS decides a girth of at least 5 or infinity: on ``graph`` when it is
-    given, else on Q itself.
-    """
-    if (clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))).any():
-        return 3
-    joined = _boolean_product(q, q)
-    if (joined & q).any():
-        return 3
-    degrees = q.sum(axis=1)
-    paths = int((degrees * (degrees - 1)).sum()) // 2
-    pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
-    twin_corner = (sizes > 1) & (q @ sizes >= 2)
-    if paths > pairs or twin_corner.any():
-        return 4
-    if graph is None:
-        graph = ZDGraph(range(len(q)), [str(c) for c in range(len(q))], q)
-    return _bfs_girth(graph)
-
-
-def girth(graph: ZDGraph) -> int | float:
-    """Length of a shortest cycle, or math.inf for acyclic graphs, by
-    ``_class_girth`` on the false-twin quotient; its BFS, when the
-    quotient's rules leave the girth open, runs on the graph itself."""
-    return _class_girth(*_false_twin_classes(graph), graph)
-
-
 def _two_core(adjacency: np.ndarray) -> np.ndarray:
     """Positions of the 2-core: vertices left after repeatedly removing
     those of degree at most 1, none of which lies on a cycle."""
@@ -333,8 +217,9 @@ def _two_core(adjacency: np.ndarray) -> np.ndarray:
         degrees -= adjacency[drop].sum(axis=0)
 
 
-def _bfs_girth(graph: ZDGraph) -> int | float:
-    """Per-root BFS, for graphs already known to have no 3- or 4-cycle.
+def _bfs_girth(adjacency: np.ndarray) -> int | float:
+    """Per-root BFS on a boolean adjacency, for graphs already known to
+    have no 3- or 4-cycle.
 
     Every cycle lies in the 2-core, so the search runs there, and an
     empty core means an acyclic graph without any search.  A non-tree edge
@@ -343,10 +228,8 @@ def _bfs_girth(graph: ZDGraph) -> int | float:
     over all roots is exact.  Girth 5 is the least left, so finding it
     ends the search.
     """
-    core = _two_core(graph.adjacency)
-    neighbors = [
-        np.flatnonzero(row).tolist() for row in graph.adjacency[np.ix_(core, core)]
-    ]
+    core = _two_core(adjacency)
+    neighbors = [np.flatnonzero(row).tolist() for row in adjacency[np.ix_(core, core)]]
     best: int | float = math.inf
     n = len(core)
     for root in range(n):
@@ -370,89 +253,6 @@ def _bfs_girth(graph: ZDGraph) -> int | float:
     return best
 
 
-def _class_bipartition(
-    q: np.ndarray, sizes: np.ndarray, clique: np.ndarray
-) -> tuple[int, int] | None:
-    """Part sizes (m, n) if a graph given by its classes (see
-    ``_class_diameter``) is complete bipartite, else None.
-
-    In a complete bipartite graph the parts are the neighbourhood of any
-    vertex and the rest, so class 0's neighbourhood and non-neighbourhood
-    are tested: both nonempty, no edge inside either, every cross pair an
-    edge.  Two members of a clique class are adjacent with the same closed
-    neighbourhood, which in a complete bipartite graph happens only in
-    K_{1,1}.  A single vertex is not bipartite here.
-    """
-    n = int(sizes.sum())
-    if n <= 1:
-        return None
-    if (clique & (sizes > 1)).any():
-        return (1, 1) if n == 2 else None
-    near = q[0]
-    far = ~near
-    if not near.any():
-        return None
-    if q[np.ix_(near, near)].any() or q[np.ix_(far, far)].any():
-        return None
-    if not q[np.ix_(far, near)].all():
-        return None
-    return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
-
-
-def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
-    """Part sizes (m, n) if the graph is complete bipartite, else None, by
-    ``_class_bipartition`` on the false-twin quotient."""
-    return _class_bipartition(*_false_twin_classes(graph))
-
-
-def _class_universal(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> np.ndarray:
-    """Mask of the classes (see ``_class_diameter``) whose members are
-    adjacent to every other vertex: the class meets every other class, and
-    its members meet each other, being one or a clique."""
-    return (q | np.eye(len(q), dtype=bool)).all(axis=1) & (clique | (sizes == 1))
-
-
-def _class_edge_count(q: np.ndarray, sizes: np.ndarray, clique: np.ndarray) -> int:
-    """Edges of a graph given by its classes (see ``_class_diameter``):
-    |A|*|B| for each adjacent pair of classes, |A|(|A|-1)/2 inside each
-    clique class A."""
-    s = sizes.astype(np.int64)
-    return int(s @ q @ s) // 2 + int((s * (s - 1))[clique].sum()) // 2
-
-
-def _class_members(mask: np.ndarray, class_of: np.ndarray) -> np.ndarray:
-    """Positions whose class is in ``mask``; a class of -1 is in none."""
-    return np.flatnonzero(np.append(mask, False)[class_of])
-
-
-def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
-    """Element indices of vertices adjacent to every other vertex, by
-    ``_class_universal`` on the false-twin quotient."""
-    universal = _class_universal(*_false_twin_classes(graph))
-    return tuple(graph.vertices[u] for u in _class_members(universal, graph._twins[1]))
-
-
-def is_complete(graph: ZDGraph) -> bool:
-    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1):
-    every vertex is universal."""
-    return len(universal_vertices(graph)) == graph.vertex_count
-
-
-def edge_count(graph: ZDGraph) -> int:
-    return _class_edge_count(*_false_twin_classes(graph))
-
-
-def export_dot(graph: ZDGraph) -> str:
-    """Deterministic DOT text: nodes in carrier order, each edge once."""
-    lines = ["graph {"]
-    for label in graph.labels:
-        lines.append(f'  "{label}";')
-    for u, v in graph.edge_positions():
-        lines.append(f'  "{graph.labels[u]}" -- "{graph.labels[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class GraphInvariants:
     vertex_count: int
@@ -466,31 +266,239 @@ class GraphInvariants:
     universal_vertices: tuple[int, ...]
 
 
-def _class_invariants(
-    q: np.ndarray,
-    sizes: np.ndarray,
-    clique: np.ndarray,
-    universal: tuple[int, ...],
-    graph: ZDGraph | None = None,
-) -> GraphInvariants:
-    """The invariants of a graph given by its classes (see
-    ``_class_diameter``), whose universal vertices, named as the caller
-    names its vertices, are ``universal``; ``graph``, when given, is
-    where ``_class_girth`` runs its BFS."""
-    parts = _class_bipartition(q, sizes, clique)
-    vertex_count = int(sizes.sum())
-    return GraphInvariants(
-        vertex_count=vertex_count,
-        edge_count=_class_edge_count(q, sizes, clique),
-        diameter=_class_diameter(q, sizes, clique),
-        girth=_class_girth(q, sizes, clique, graph),
-        is_complete=len(universal) == vertex_count,
-        is_complete_bipartite=parts is not None,
-        bipartition=parts,
-        is_star=parts is not None and parts[0] == 1,
-        universal_vertices=universal,
-    )
+class ClassGraph:
+    """A graph given by its classes of twins, with every invariant the
+    harness reads computed on first read.
+
+    ``q`` is the c x c adjacency between distinct classes (empty
+    diagonal), ``sizes`` the member counts, ``clique`` the classes whose
+    members are adjacent to each other, and ``class_of`` each element's
+    class, -1 off the graph.  Elements are named by their element or
+    carrier indices, and the vertices are those with a class, in
+    ascending order.
+    """
+
+    def __init__(
+        self, q: np.ndarray, sizes: np.ndarray, clique: np.ndarray, class_of: np.ndarray
+    ) -> None:
+        self.q, self.sizes, self.clique, self.class_of = q, sizes, clique, class_of
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return np.flatnonzero(self.class_of >= 0)
+
+    @cached_property
+    def vertex_count(self) -> int:
+        return int(self.sizes.sum())
+
+    @cached_property
+    def _neighbour_rows(self) -> np.ndarray:
+        """(c, vertex_count): row a marks the vertices adjacent to the
+        members of class a, the members themselves when a is a clique."""
+        near = self.q | np.diag(self.clique)
+        return near[:, self.class_of[self.vertices]]
+
+    def neighbour_mask(self, elems) -> np.ndarray:
+        """Boolean (len(elems), vertex_count): row t marks the neighbours of
+        the vertex ``elems[t]`` among ``vertices``."""
+        elems = np.asarray(elems, dtype=np.intp)
+        classes = self.class_of[elems]
+        if (classes < 0).any():
+            raise ValueError("element index is not a vertex")
+        rows = self._neighbour_rows[classes]
+        rows[np.arange(len(elems)), np.searchsorted(self.vertices, elems)] = False
+        return rows
+
+    @cached_property
+    def diameter(self) -> int | None:
+        """Largest eccentricity; None for the empty graph, 0 for one vertex.
+
+        A path between different classes maps to a walk in the quotient Q
+        and back, so their distance is their distance in Q; two members of
+        one class are at distance 1 in a clique class and 2, through any
+        common neighbour, in an independent one.  Hence diam G = max(diam
+        Q, 2 if some independent class has two or more members, 1 if some
+        clique class has).  diam Q comes from the boolean reach sets
+        "within d steps" of every class, grown by one boolean matrix
+        product per step on the rows not yet full until every row is full;
+        the number of steps is the diameter.  No bound on the step count is
+        assumed, so a diameter above 3 is reported as it is.  Raises
+        DisconnectedGraphError on a disconnected graph rather than
+        returning a value, since that would falsify the connectivity
+        invariant: there a class has no neighbour (and is not a lone
+        clique), or some row stops growing before it is full.
+        """
+        q, sizes, clique = self.q, self.sizes, self.clique
+        n = self.vertex_count
+        if n == 0:
+            return None
+        if n == 1:
+            return 0
+        if len(q) == 1 and clique[0]:
+            return 1
+        if not q.any(axis=1).all():
+            raise DisconnectedGraphError(
+                "zero-divisor graph has an isolated vertex; connectivity invariant violated"
+            )
+        reach = q | np.eye(len(q), dtype=bool)
+        steps = 1
+        open_rows = np.flatnonzero(~reach.all(axis=1))
+        while open_rows.size:
+            before = reach[open_rows]
+            grown = before | _boolean_product(before, q)
+            if (grown == before).all(axis=1).any():
+                raise DisconnectedGraphError(
+                    "zero-divisor graph is disconnected; connectivity invariant violated"
+                )
+            reach[open_rows] = grown
+            steps += 1
+            open_rows = open_rows[~grown.all(axis=1)]
+        if ((sizes > 1) & ~clique).any():
+            steps = max(steps, 2)
+        return steps
+
+    @cached_property
+    def girth(self) -> int | float:
+        """Length of a shortest cycle, or math.inf for an acyclic graph.
+
+        Members of an independent class are never adjacent, so a triangle
+        has two members in one clique class (which then has a third member
+        or a neighbour), or lies across three classes: an edge of Q whose
+        ends have a common neighbour.  Without one, a clique class has one
+        member, or two and no neighbour, and a 4-cycle of G either crosses
+        four classes, a 4-cycle of Q (two classes with two common
+        neighbours), or has two opposite vertices in one class, which
+        happens iff some class of two or more members has degree at least
+        2 in G.  Both tests on Q read the boolean product Q @ Q, on one
+        thread and exact: some pair of distinct classes has two common
+        neighbours iff the paths of length 2 between distinct classes, sum
+        of deg*(deg-1)/2, outnumber the pairs they join.  When neither
+        holds, no class of two or more members lies on a cycle, so G and Q
+        have the same cycles, and a BFS on Q decides a girth of at least 5
+        or infinity.
+        """
+        q, sizes, clique = self.q, self.sizes, self.clique
+        if (clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))).any():
+            return 3
+        joined = _boolean_product(q, q)
+        if (joined & q).any():
+            return 3
+        degrees = q.sum(axis=1)
+        paths = int((degrees * (degrees - 1)).sum()) // 2
+        pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
+        twin_corner = (sizes > 1) & (q @ sizes >= 2)
+        if paths > pairs or twin_corner.any():
+            return 4
+        return _bfs_girth(q)
+
+    @cached_property
+    def bipartition(self) -> tuple[int, int] | None:
+        """Part sizes (m, n) if the graph is complete bipartite, else None.
+
+        In a complete bipartite graph the parts are the neighbourhood of
+        any vertex and the rest, so class 0's neighbourhood and
+        non-neighbourhood are tested: both nonempty, no edge inside
+        either, every cross pair an edge.  Two members of a clique class
+        are adjacent with the same closed neighbourhood, which in a
+        complete bipartite graph happens only in K_{1,1}.  A single vertex
+        is not bipartite here.
+        """
+        q, sizes, clique = self.q, self.sizes, self.clique
+        n = self.vertex_count
+        if n <= 1:
+            return None
+        if (clique & (sizes > 1)).any():
+            return (1, 1) if n == 2 else None
+        near = q[0]
+        far = ~near
+        if not near.any():
+            return None
+        if q[np.ix_(near, near)].any() or q[np.ix_(far, far)].any():
+            return None
+        if not q[np.ix_(far, near)].all():
+            return None
+        return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
+
+    @cached_property
+    def universal(self) -> tuple[int, ...]:
+        """Vertices adjacent to every other vertex: their class meets every
+        other class, and its members meet each other, being one or a
+        clique."""
+        q = self.q
+        meets_all = (q | np.eye(len(q), dtype=bool)).all(axis=1)
+        mask = meets_all & (self.clique | (self.sizes == 1))
+        # A class of -1 is in none.
+        return tuple(np.flatnonzero(np.append(mask, False)[self.class_of]).tolist())
+
+    @property
+    def complete(self) -> bool:
+        """All distinct vertex pairs are adjacent (vacuous for <= 1): every
+        vertex is universal."""
+        return len(self.universal) == self.vertex_count
+
+    @cached_property
+    def edge_count(self) -> int:
+        """|A|*|B| for each adjacent pair of classes, |A|(|A|-1)/2 inside
+        each clique class A."""
+        s = self.sizes.astype(np.int64)
+        return int(s @ self.q @ s) // 2 + int((s * (s - 1))[self.clique].sum()) // 2
+
+    @cached_property
+    def invariants(self) -> GraphInvariants:
+        parts = self.bipartition
+        return GraphInvariants(
+            vertex_count=self.vertex_count,
+            edge_count=self.edge_count,
+            diameter=self.diameter,
+            girth=self.girth,
+            is_complete=self.complete,
+            is_complete_bipartite=parts is not None,
+            bipartition=parts,
+            is_star=parts is not None and parts[0] == 1,
+            universal_vertices=self.universal,
+        )
+
+
+def diameter(graph: ZDGraph) -> int | None:
+    """Largest eccentricity; None for the empty graph, 0 for one vertex.
+    Raises DisconnectedGraphError on a disconnected graph."""
+    return graph.classes.diameter
+
+
+def girth(graph: ZDGraph) -> int | float:
+    """Length of a shortest cycle, or math.inf for acyclic graphs."""
+    return graph.classes.girth
+
+
+def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
+    """Part sizes (m, n) if the graph is complete bipartite, else None."""
+    return graph.classes.bipartition
+
+
+def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
+    """Element indices of vertices adjacent to every other vertex."""
+    return graph.classes.universal
+
+
+def is_complete(graph: ZDGraph) -> bool:
+    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1)."""
+    return graph.classes.complete
+
+
+def edge_count(graph: ZDGraph) -> int:
+    return graph.classes.edge_count
 
 
 def graph_invariants(graph: ZDGraph) -> GraphInvariants:
-    return _class_invariants(*_false_twin_classes(graph), universal_vertices(graph), graph)
+    return graph.classes.invariants
+
+
+def export_dot(graph: ZDGraph) -> str:
+    """Deterministic DOT text: nodes in carrier order, each edge once."""
+    lines = ["graph {"]
+    for label in graph.labels:
+        lines.append(f'  "{label}";')
+    for u, v in graph.edge_positions():
+        lines.append(f'  "{graph.labels[u]}" -- "{graph.labels[v]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -33,20 +33,12 @@ from .amalgam import (
     structure_checks,
 )
 from .graphs import (
+    ClassGraph,
     DisconnectedGraphError,
-    GraphInvariants,
     ZDGraph,
     _boolean_product,
-    _class_bipartition,
-    _class_diameter,
-    _class_girth,
-    _class_invariants,
-    _class_members,
-    _class_universal,
     build_graph,
     diameter,
-    girth,
-    is_complete,
     universal_vertices,
 )
 from .rings import (
@@ -125,6 +117,16 @@ class VerificationOutcome:
     witness: str | None = None
     note: str | None = None
 
+    def to_json_dict(self) -> dict:
+        """The outcome's entry in a JSON report: theorem and status, and
+        the witness and note when present."""
+        entry: dict = {"theorem": self.theorem.value, "status": self.status.value}
+        if self.witness is not None:
+            entry["witness"] = self.witness
+        if self.note is not None:
+            entry["note"] = self.note
+        return entry
+
 
 def _outcome(
     theorem: TheoremId,
@@ -162,7 +164,52 @@ def _fmt_diam(d: int | None) -> str:
     return "empty" if d is None else str(d)
 
 
-class RingFacts:
+def _key_classes(
+    cls: np.ndarray, rel: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> ClassGraph:
+    """The zero-divisor graph of the elements whose two coordinates are the
+    base ring's elements ``first[e]`` and ``second[e]``, as key classes.
+
+    ``cls`` and ``rel`` are the base ring's annihilator classes (see
+    ``RingFacts.annihilator_classes``).  Products are componentwise, so
+    e*f = 0 iff both coordinates' products are 0, and an element's
+    neighbourhood depends only on its key (class of its first coordinate,
+    class of its second).  Key a*c + b stands for the classes (a, b) out
+    of c; the zero key is 0 and holds only 0.  Keys are related when both
+    coordinates' classes are.  A self-related key is a clique class, whose
+    members annihilate each other; any other key is an independent class
+    of false twins.  A key is on the graph when it is self-related or
+    related to another nonzero key.
+    """
+    present, key_of = np.unique(cls[first] * len(rel) + cls[second], return_inverse=True)
+    a, b = np.divmod(present, len(rel))
+    related = rel[np.ix_(a, a)] & rel[np.ix_(b, b)]
+    nonzero = present != 0
+    on_graph = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
+    q = related[np.ix_(on_graph, on_graph)]
+    clique = q.diagonal().copy()
+    np.fill_diagonal(q, False)
+    sizes = np.bincount(key_of.ravel(), minlength=len(present))[on_graph]
+    position = np.full(len(present), -1, dtype=np.intp)
+    position[on_graph] = np.arange(len(on_graph))
+    return ClassGraph(q, sizes, clique, position[key_of.ravel()])
+
+
+class _KeyClassFacts:
+    """What a ring's key classes, ``classes``, tell beyond its graph."""
+
+    classes: ClassGraph
+
+    @cached_property
+    def square_zero(self) -> bool:
+        """The zero-divisors square to zero: the graph is complete and
+        every class is a clique, so every vertex squares to zero too.  0
+        kills every element, which ``RingFacts.annihilator_classes``
+        checked on the base ring."""
+        return self.classes.complete and bool(self.classes.clique.all())
+
+
+class RingFacts(_KeyClassFacts):
     """What the checks read about one ring, each computed on first read.
 
     One object serves every instance of a base ring.  It holds the ring,
@@ -177,10 +224,6 @@ class RingFacts:
     @cached_property
     def graph(self) -> ZDGraph:
         return build_graph(self.ring)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.graph.vertex_count
 
     @cached_property
     def zero_divisors(self) -> frozenset[int]:
@@ -205,48 +248,23 @@ class RingFacts:
     def is_reduced(self) -> bool:
         return is_reduced(self.ring)
 
-    @cached_property
-    def diameter(self) -> int | None:
-        return diameter(self.graph)
-
-    @cached_property
-    def girth(self) -> int | float:
-        return girth(self.graph)
-
-    @cached_property
-    def universal(self) -> tuple[int, ...]:
-        return universal_vertices(self.graph)
-
-    @cached_property
-    def complete(self) -> bool:
-        return is_complete(self.graph)
-
-    @cached_property
-    def square_zero(self) -> bool:
-        """Z(R)^2 = 0, read off the graph with no second pass over the
-        table: the graph is complete, every vertex squares to zero, and when
-        0 is a zero-divisor its row and column over Z(R) are zero.  No ring
-        axiom is assumed."""
-        mul, zero = self.ring.mul_table, self.ring.zero
-        verts = np.array(self.graph.vertices, dtype=np.intp)
-        if not self.complete or (mul[verts, verts] != zero).any():
-            return False
-        if zero not in self.zero_divisors:
-            return True
-        zd = np.append(verts, zero)
-        return bool((mul[zero, zd] == zero).all() and (mul[zd, zero] == zero).all())
+    @property
+    def classes(self) -> ClassGraph:
+        """The graph's classes: its annihilator classes.  R is R⋈{0}, whose
+        element r has both coordinates r, so these are also its key
+        classes (see ``_key_classes``)."""
+        return self.graph.classes
 
     @cached_property
     def annihilator_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ring's annihilator classes, read off the graph's pass:
+        """The ring's annihilator classes, read off the graph's classes:
         ``cls[x]`` numbers the class of x, and ``rel[a, b]`` says that the
         members of classes a and b multiply to zero.
 
-        Class 0 is {0} and class 1 the elements outside Z(R).  The nonzero
-        zero-divisors are grouped by their graph rows with the diagonal
-        set where x^2 = 0, that is by Ann(x) minus 0; ``rel`` is read off
-        one representative per class.  Both rest on x*y = 0 iff y*x = 0
-        over all of R and on 0 absorbing, which the graph's symmetry check
+        Class 0 is {0}, class 1 the elements outside Z(R), and class 2 + c
+        the graph's class c (Ann(x) minus 0); ``rel`` is read off one
+        representative per class.  Both rest on x*y = 0 iff y*x = 0 over
+        all of R and on 0 absorbing, which the graph's symmetry check
         covers only on Z(R) minus 0; the rest is checked here, and a table
         that breaks either raises ValueError.
         """
@@ -267,33 +285,24 @@ class RingFacts:
                 f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
                 f"{ring.labels[regular[u]]} is not a zero-divisor"
             )
-        packed = np.packbits(graph.adjacency, axis=1)
-        square_zero = np.flatnonzero(mul[verts, verts] == zero)
-        packed[square_zero, square_zero // 8] |= (0x80 >> (square_zero % 8)).astype(np.uint8)
-        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        class_of = graph.classes.class_of[verts]
         cls = np.ones(ring.order, dtype=np.intp)
         cls[zero] = 0
-        cls[verts] = 2 + inverse.ravel()
+        cls[verts] = 2 + class_of
+        members = np.empty(len(graph.classes.q), dtype=np.intp)
+        members[class_of] = verts
         # An empty class 1 (no element outside Z(R)) keeps 0 as a stand-in.
-        reps = np.concatenate(([zero, regular[0] if regular.size else zero], verts[first]))
+        reps = np.concatenate(([zero, regular[0] if regular.size else zero], members))
         return cls, mul[np.ix_(reps, reps)] == zero
 
 
-class DuplicationFacts:
+class DuplicationFacts(_KeyClassFacts):
     """What the checks read about the duplication of a base ring along an
     ideal, read off the base ring's annihilator classes over the carrier,
     with no table or graph of the duplication.
 
     Under (r, i) -> (a, b) = (r, r+i) the product is componentwise, so
-    (a, b)(c, d) = 0 iff ac = 0 and bd = 0: an element's neighbourhood
-    depends only on its key (class of a, class of b).  Keys are related
-    when both coordinates' classes are.  A self-related key is a clique
-    class, whose members annihilate each other; any other key is an
-    independent class of false twins.  The zero key holds only 0, and a
-    key is on the graph when it is self-related or related to another
-    nonzero key.  The graph invariants come from the ``graphs._class_*``
-    functions on that class quotient.
+    the graph is ``_key_classes`` of the carrier's two coordinates.
     """
 
     def __init__(self, base: RingFacts, carrier: DuplicationCarrier) -> None:
@@ -303,102 +312,14 @@ class DuplicationFacts:
         self.carrier = carrier
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The graph's class quotient (q, sizes, clique) and each carrier
-        element's class, -1 off the graph.
-
-        Key a*c + b stands for the base classes (a, b) of an element's two
-        coordinates, out of c classes; the zero key is 0.  ``related``
-        joins the keys some element holds, its diagonal marking the
-        self-related ones.
-        """
+    def classes(self) -> ClassGraph:
         cls, rel = self.base.annihilator_classes
-        first, second = self.carrier.coordinates
-        present, key_of = np.unique(cls[first] * len(rel) + cls[second], return_inverse=True)
-        a, b = np.divmod(present, len(rel))
-        related = rel[np.ix_(a, a)] & rel[np.ix_(b, b)]
-        nonzero = present != 0
-        on_graph = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
-        q = related[np.ix_(on_graph, on_graph)]
-        clique = q.diagonal().copy()
-        np.fill_diagonal(q, False)
-        sizes = np.bincount(key_of.ravel(), minlength=len(present))[on_graph]
-        position = np.full(len(present), -1, dtype=np.intp)
-        position[on_graph] = np.arange(len(on_graph))
-        return q, sizes, clique, position[key_of.ravel()]
-
-    @cached_property
-    def _vertex_mask(self) -> np.ndarray:
-        """Boolean mask over the carrier, True on the graph's vertices."""
-        return self._classes[3] >= 0
-
-    @cached_property
-    def _vertex_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._vertex_mask)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        """The graph's vertices, Z(R⋈I) minus 0, in ascending carrier order."""
-        return tuple(self._vertex_indices.tolist())
-
-    @property
-    def vertex_count(self) -> int:
-        return int(self._classes[1].sum())
-
-    def neighbour_mask(self, elems) -> np.ndarray:
-        """Boolean (len(elems), vertex_count): row t marks the neighbours of
-        the vertex ``elems[t]`` among ``vertices``, as ``ZDGraph``'s does."""
-        q, _, clique, class_of = self._classes
-        elems = np.asarray(elems, dtype=np.intp)
-        if (class_of[elems] < 0).any():
-            raise ValueError("element index is not a vertex")
-        vertices = self._vertex_indices
-        near = q | np.diag(clique)
-        rows = near[class_of[elems]][:, class_of[vertices]]
-        rows[np.arange(len(elems)), np.searchsorted(vertices, elems)] = False
-        return rows
-
-    @cached_property
-    def diameter(self) -> int | None:
-        q, sizes, clique, _ = self._classes
-        return _class_diameter(q, sizes, clique)
-
-    @cached_property
-    def girth(self) -> int | float:
-        q, sizes, clique, _ = self._classes
-        return _class_girth(q, sizes, clique)
-
-    @cached_property
-    def universal(self) -> tuple[int, ...]:
-        q, sizes, clique, class_of = self._classes
-        return tuple(_class_members(_class_universal(q, sizes, clique), class_of).tolist())
-
-    @cached_property
-    def complete(self) -> bool:
-        """Every vertex is universal, as ``graphs.is_complete`` reads it."""
-        return len(self.universal) == self.vertex_count
-
-    @cached_property
-    def bipartition(self) -> tuple[int, int] | None:
-        q, sizes, clique, _ = self._classes
-        return _class_bipartition(q, sizes, clique)
-
-    @cached_property
-    def square_zero(self) -> bool:
-        """Z(R⋈I)^2 = 0: the graph is complete and every vertex squares to
-        zero, each class being a clique.  0 kills every element, which
-        ``RingFacts.annihilator_classes`` checked on the base ring."""
-        return self.complete and bool(self._classes[2].all())
+        return _key_classes(cls, rel, *self.carrier.coordinates)
 
     @cached_property
     def is_reduced(self) -> bool:
         """No nonzero element is nilpotent, read off the carrier."""
         return int(self.carrier.nilpotents.sum()) == 1
-
-    @cached_property
-    def invariants(self) -> GraphInvariants:
-        q, sizes, clique, _ = self._classes
-        return _class_invariants(q, sizes, clique, self.universal)
 
 
 class Instance:
@@ -450,7 +371,7 @@ def _girth_classification(inst: Instance) -> VerificationOutcome:
     zero-divisors, 4 iff the base is a domain with |I| >= 3, and infinite
     iff I is the whole two-element field."""
     inst.require_nonzero_ideal()
-    g = inst.dup.girth
+    g = inst.dup.classes.girth
     dom = inst.base.is_domain
     k = len(inst.ideal)
     clauses = (
@@ -470,14 +391,14 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
     the duplication graph is complete bipartite."""
     inst.require_nonzero_ideal()
     a = inst.base.is_domain
-    b = inst.dup.girth == 4 or math.isinf(inst.dup.girth)
+    b = inst.dup.classes.girth == 4 or math.isinf(inst.dup.classes.girth)
     mins = inst.carrier.minimal_primes
     c = (
         len(mins) == 2
         and (mins[0] & mins[1]) == {inst.carrier.zero}
         and set(mins) == {inst.carrier.o1_members, inst.carrier.o2_members}
     )
-    d = inst.dup.bipartition is not None
+    d = inst.dup.classes.bipartition is not None
     ok = a == b == c == d
     note = (
         f"domain = {a}, girth in {{4, inf}} = {b}, "
@@ -508,7 +429,7 @@ def _completeness_equivalence(inst: Instance) -> VerificationOutcome:
                 "clauses fail"
             ),
         )
-    a = inst.dup.complete
+    a = inst.dup.classes.complete
     b = inst.base.square_zero and inst.ideal_inside_zdivs
     c = inst.dup.square_zero
     ok = a == b == c
@@ -531,8 +452,8 @@ def _ideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
         return _outcome(
             TheoremId.L4_9, inst, False, False, note=_diam3_vacuous_reason(inst)
         )
-    concl = inst.dup.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
+    concl = inst.dup.classes.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
     return _outcome(TheoremId.L4_9, inst, True, concl, witness=note, note=note)
 
 
@@ -550,7 +471,8 @@ def _diam3_vacuous_reason(inst: Instance) -> str:
 def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
     """If the ideal escapes Z(R) and the base graph has a universal vertex,
     the duplication graph has diameter 3."""
-    hyp = not inst.ideal_inside_zdivs and bool(inst.base.universal)
+    universal = universal_vertices(inst.base.graph)
+    hyp = not inst.ideal_inside_zdivs and bool(universal)
     if not hyp:
         why = (
             "I lies inside Z(R)"
@@ -558,27 +480,27 @@ def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
             else "base graph has no universal vertex"
         )
         return _outcome(TheoremId.C4_10, inst, False, False, note=why)
-    concl = inst.dup.diameter == 3
+    concl = inst.dup.classes.diameter == 3
     note = (
-        f"universal base vertices {inst.ring.format_subset(inst.base.universal)}; "
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
+        f"universal base vertices {inst.ring.format_subset(universal)}; "
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
     )
     return _outcome(TheoremId.C4_10, inst, True, concl, witness=note, note=note)
 
 
 def _diam_three_persists(inst: Instance) -> VerificationOutcome:
     """Diameter 3 of the base graph forces diameter 3 of the duplication."""
-    hyp = inst.base.diameter == 3
+    hyp = diameter(inst.base.graph) == 3
     if not hyp:
         return _outcome(
             TheoremId.P4_11,
             inst,
             False,
             False,
-            note=f"diameter(base graph) = {_fmt_diam(inst.base.diameter)}",
+            note=f"diameter(base graph) = {_fmt_diam(diameter(inst.base.graph))}",
         )
-    concl = inst.dup.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
+    concl = inst.dup.classes.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
     return _outcome(TheoremId.P4_11, inst, True, concl, witness=note, note=note)
 
 
@@ -590,8 +512,8 @@ def _nonideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
         return _outcome(
             TheoremId.T4_12, inst, False, False, note="Z(R) is an ideal"
         )
-    concl = inst.dup.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
+    concl = inst.dup.classes.diameter == 3
+    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
     return _outcome(TheoremId.T4_12, inst, True, concl, witness=note, note=note)
 
 
@@ -602,7 +524,7 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
     core = (
         inst.base.zdivs_form_ideal
         and inst.ideal_inside_zdivs
-        and inst.base.diameter == 2
+        and diameter(inst.base.graph) == 2
     )
     pair_hyp = core and _edges_share_annihilator(inst.ring, inst.base.graph)
     variant_hyp = core and not inst.base.is_reduced
@@ -620,9 +542,10 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
         return _outcome(
             TheoremId.P4_13, inst, False, False, note=f"{why}; {variant_text}"
         )
-    concl = inst.dup.diameter == 2
+    concl = inst.dup.classes.diameter == 2
     note = (
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}; {variant_text}"
+        f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}; "
+        f"{variant_text}"
     )
     return _outcome(TheoremId.P4_13, inst, True, concl, witness=note, note=note)
 
@@ -641,12 +564,12 @@ def _edges_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
 def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
     """If the ideal escapes Z(R) and the duplication graph has diameter 2,
     every nonzero zero-divisor of the base has an annihilator meeting I."""
-    hyp = not inst.ideal_inside_zdivs and inst.dup.diameter == 2
+    hyp = not inst.ideal_inside_zdivs and inst.dup.classes.diameter == 2
     if not hyp:
         why = (
             "I lies inside Z(R)"
             if inst.ideal_inside_zdivs
-            else f"diameter(duplication graph) = {_fmt_diam(inst.dup.diameter)}"
+            else f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
         )
         return _outcome(TheoremId.L4_15, inst, False, False, note=why)
     zero = inst.ring.zero
@@ -668,7 +591,7 @@ def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
 def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    hyp = bool(inst.dup.universal)
+    hyp = bool(inst.dup.classes.universal)
     if not hyp:
         return _outcome(
             TheoremId.P4_16,
@@ -679,7 +602,7 @@ def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
         )
     zdivs = inst.base.zero_divisors
     concl = inst.base.zdivs_form_ideal and is_prime_ideal(inst.ring, zdivs)
-    labels = inst.carrier.format_subset(inst.dup.universal)
+    labels = inst.carrier.format_subset(inst.dup.classes.universal)
     note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
     return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
 
@@ -733,20 +656,18 @@ def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
 # Per-instance global invariants
 
 
-def _graph_invariant_violations(
-    prefix: str, tag: str, facts: RingFacts | DuplicationFacts
-) -> list[str]:
+def _graph_invariant_violations(prefix: str, tag: str, classes: ClassGraph) -> list[str]:
     out = []
-    if facts.vertex_count == 0:
+    if classes.vertex_count == 0:
         return out
     try:
-        d = facts.diameter
+        d = classes.diameter
     except DisconnectedGraphError:
         out.append(f"{prefix} {tag} graph is disconnected")
         return out
     if d is not None and d > 3:
         out.append(f"{prefix} {tag} graph has diameter {d} > 3")
-    g = facts.girth
+    g = classes.girth
     if not math.isinf(g) and g not in (3, 4):
         out.append(f"{prefix} {tag} graph has girth {_fmt_girth(g)} outside {{3, 4, inf}}")
     return out
@@ -757,15 +678,15 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     prefix = f"[{inst.ring_spec} | I={{{','.join(inst.ideal_labels)}}}]"
     out: list[str] = []
 
-    out.extend(_graph_invariant_violations(prefix, "base", inst.base))
-    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
+    out.extend(_graph_invariant_violations(prefix, "base", inst.base.classes))
+    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup.classes))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
     classified = np.logical_or.reduce(
         _classification_masks(inst.carrier, inst.base.zero_divisors)
     )
     classified[inst.carrier.zero] = False
-    if not np.array_equal(classified, inst.dup._vertex_mask):
+    if not np.array_equal(classified, inst.dup.classes.class_of >= 0):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
     if inst.dup.is_reduced != inst.base.is_reduced:
@@ -781,7 +702,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
         )
 
     checks = structure_checks(
-        inst.carrier, inst.base.zero_divisors, inst.base.graph, inst.dup
+        inst.carrier, inst.base.zero_divisors, inst.base.graph, inst.dup.classes
     )
     if not checks.vacuous and not checks.all_hold():
         failing = [
@@ -897,14 +818,7 @@ class SweepReport:
     def to_json_dict(self) -> dict:
         instances = []
         for record in self.instances:
-            outcomes = []
-            for o in record.outcomes:
-                entry: dict = {"theorem": o.theorem.value, "status": o.status.value}
-                if o.witness is not None:
-                    entry["witness"] = o.witness
-                if o.note is not None:
-                    entry["note"] = o.note
-                outcomes.append(entry)
+            outcomes = [o.to_json_dict() for o in record.outcomes]
             instances.append(
                 {"ring": record.ring, "ideal": list(record.ideal), "outcomes": outcomes}
             )

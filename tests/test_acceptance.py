@@ -50,7 +50,7 @@ from amalgam_zdg import (
 )
 from amalgam_zdg import amalgam, graphs, rings
 from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
-from amalgam_zdg.theorems import _edges_share_annihilator
+from amalgam_zdg.theorems import _edges_share_annihilator, _key_classes
 from oracles import (
     bfs_complete_bipartition,
     bfs_diameter,
@@ -349,7 +349,8 @@ def test_whole_array_graph_checks_match_loops(family_instances):
                     got = complete_bipartition(graph)
                     assert got == bfs_complete_bipartition(graph), graph
                     parts.add(got is None)
-                checks = structure_checks(dup, zero_divisors(ring), *pair)
+                base, graph = pair
+                checks = structure_checks(dup, zero_divisors(ring), base, graph.classes)
                 assert checks == loop_structure_checks(dup, *pair), dup.ring.spec_name
                 exclusive.add(checks.regular_members_exclusive)
                 embeds.add(checks.embeds_base)
@@ -467,7 +468,7 @@ def test_bipartite_pattern_and_embedding(family_instances):
                 continue
             dup = amalgamated_duplication(ring, ideal)
             checks = structure_checks(
-                dup, zero_divisors(ring), build_graph(ring), build_graph(dup.ring)
+                dup, zero_divisors(ring), build_graph(ring), build_graph(dup.ring).classes
             )
             assert not checks.vacuous
             assert checks.crossings_complete, dup.ring.spec_name
@@ -493,6 +494,72 @@ FACTORED_FAMILY = list(
 )
 
 
+def assert_neighbour_rows(classes, graph):
+    """``classes.neighbour_mask`` on about 32 vertices against the rows of
+    the materialized graph's adjacency."""
+    sample = list(graph.vertices[:: max(1, graph.vertex_count // 32)])
+    rows = graph.adjacency[[graph.position(v) for v in sample]]
+    assert np.array_equal(classes.neighbour_mask(sample), rows), graph
+
+
+def test_base_ring_classes_are_its_key_classes():
+    """R is R⋈{0}: a ring's graph classes (its adjacency rows grouped with
+    the diagonal set where x^2 = 0) are ``_key_classes`` of its elements
+    read with both coordinates r, and every graph fact read off them
+    matches the false-twin classes of the same adjacency with no ring and
+    the whole-graph oracles, on every ring of FACTORED_FAMILY."""
+    with criterion("oracles: base-ring classes against key classes and false twins"):
+        rings, smaller = 0, 0
+        for spec in FACTORED_FAMILY:
+            ring = parse_ring_spec(spec)
+            facts = RingFacts(ring)
+            classes, graph = facts.classes, facts.graph
+            index = np.arange(ring.order)
+            keyed = _key_classes(*facts.annihilator_classes, index, index)
+            verts = classes.vertices
+            assert verts.tolist() == keyed.vertices.tolist() == list(graph.vertices), spec
+            for part in ("q", "sizes", "clique"):
+                assert np.array_equal(getattr(keyed, part), getattr(classes, part)), spec
+            assert np.array_equal(keyed.class_of[verts], classes.class_of[verts]), spec
+            twins = ZDGraph(graph.vertices, graph.labels, graph.adjacency).classes
+            assert classes.invariants == twins.invariants, spec
+            assert classes.diameter == reach_product_diameter(graph), spec
+            assert classes.girth == square_girth(graph), spec
+            assert classes.bipartition == bfs_complete_bipartition(graph), spec
+            assert classes.universal == neighbor_count_universal_vertices(graph), spec
+            assert classes.complete == eye_mask_is_complete(graph), spec
+            assert classes.edge_count == int(graph.adjacency.sum()) // 2, spec
+            assert facts.square_zero == gather_zset_square_zero(ring), spec
+            assert_neighbour_rows(classes, graph)
+            assert len(classes.q) <= len(twins.q), spec
+            smaller += len(classes.q) < len(twins.q)
+            rings += 1
+        # On 15 rings (Z9, Z16, ..., Z2xZ16) a clique class holds true twins,
+        # so the annihilator classes are fewer than the false twins.
+        assert rings == len(FACTORED_FAMILY) == 75 and smaller == 15
+
+
+def test_zero_ideal_duplication_is_the_base_ring():
+    """R⋈{0} is R, with carrier index r for element r: along the zero ideal
+    the duplication's key classes are the base ring's graph classes, on
+    every ring of FACTORED_FAMILY."""
+    with criterion("R⋈{0}: the zero-ideal duplication's classes are the base ring's"):
+        for spec in FACTORED_FAMILY:
+            ring = parse_ring_spec(spec)
+            inst = Instance(ring, next(i for i in all_ideals(ring) if i.is_zero))
+            base, dup = inst.base.classes, inst.dup.classes
+            assert [inst.carrier.index_of(r, ring.zero) for r in ring.elements()] == list(
+                ring.elements()
+            ), spec
+            assert dup.vertices.tolist() == base.vertices.tolist(), spec
+            for part in ("q", "sizes", "clique"):
+                assert np.array_equal(getattr(dup, part), getattr(base, part)), spec
+            verts = base.vertices
+            assert np.array_equal(dup.class_of[verts], base.class_of[verts]), spec
+            assert dup.invariants == base.invariants, spec
+            assert inst.dup.square_zero == inst.base.square_zero, spec
+
+
 def test_factored_duplication_matches_the_materialized_graph():
     """Every fact the sweep reads about a duplication, from the base ring's
     annihilator classes over the carrier, against the duplication's own
@@ -512,21 +579,23 @@ def test_factored_duplication_matches_the_materialized_graph():
                 dup = amalgamated_duplication(ring, ideal)
                 graph = build_graph(dup.ring)
                 name = dup.ring.spec_name
-                assert facts.vertices == graph.vertices, name
-                assert facts.vertex_count == graph.vertex_count, name
-                assert facts.diameter == diameter(graph), name
-                assert facts.girth == girth(graph), name
-                assert facts.complete == is_complete(graph), name
-                assert facts.complete == eye_mask_is_complete(graph), name
-                assert facts.universal == universal_vertices(graph), name
-                assert facts.universal == neighbor_count_universal_vertices(graph), name
-                assert facts.bipartition == complete_bipartition(graph), name
-                assert facts.invariants == graph_invariants(graph), name
+                classes = facts.classes
+                assert classes.vertices.tolist() == list(graph.vertices), name
+                assert classes.vertex_count == graph.vertex_count, name
+                assert classes.diameter == diameter(graph), name
+                assert classes.girth == girth(graph), name
+                assert classes.complete == is_complete(graph), name
+                assert classes.complete == eye_mask_is_complete(graph), name
+                assert classes.universal == universal_vertices(graph), name
+                assert classes.universal == neighbor_count_universal_vertices(graph), name
+                assert classes.bipartition == complete_bipartition(graph), name
+                assert classes.invariants == graph_invariants(graph), name
                 edges = int(graph.adjacency.sum()) // 2
-                assert facts.invariants.edge_count == edge_count(graph) == edges, name
+                assert classes.invariants.edge_count == edge_count(graph) == edges, name
                 materialized = RingFacts(dup.ring)
                 materialized.graph = graph
                 assert facts.square_zero == materialized.square_zero, name
+                assert facts.square_zero == gather_zset_square_zero(dup.ring), name
                 assert facts.is_reduced == is_reduced(dup.ring), name
                 assert carrier.minimal_primes == [
                     p.members for p in minimal_primes(dup.ring)
@@ -535,14 +604,10 @@ def test_factored_duplication_matches_the_materialized_graph():
                     dup.o1.members,
                     dup.o2.members,
                 ), name
-                checks = structure_checks(carrier, base.zero_divisors, base.graph, facts)
+                checks = structure_checks(carrier, base.zero_divisors, base.graph, classes)
                 assert checks == loop_structure_checks(dup, base.graph, graph), name
-                sample = list(graph.vertices[:: max(1, graph.vertex_count // 32)])
-                assert np.array_equal(
-                    facts.neighbour_mask(sample), graph.neighbour_mask(sample)
-                ), name
-                _, sizes, clique, _ = facts._classes
-                cliques += bool((clique & (sizes > 1)).any())
+                assert_neighbour_rows(classes, graph)
+                cliques += bool((classes.clique & (classes.sizes > 1)).any())
                 instances += 1
         assert instances == 303 and cliques == 77
 
@@ -560,11 +625,11 @@ def test_clique_classes_are_not_false_twins(spec, ideal_spec, vertices, diam, co
     with criterion(f"clique classes: {spec} along {ideal_spec}"):
         ring = parse_ring_spec(spec)
         facts = Instance(ring, parse_ideal_spec(ring, ideal_spec)).dup
-        assert facts.vertex_count == vertices
-        assert facts.diameter == diam
-        assert facts.complete is complete
-        assert len(facts.universal) == universal
-        assert facts.girth == 3
+        assert facts.classes.vertex_count == vertices
+        assert facts.classes.diameter == diam
+        assert facts.classes.complete is complete
+        assert len(facts.classes.universal) == universal
+        assert facts.classes.girth == 3
 
 
 def test_sweep_report_bytes_are_pinned(sweep_report):

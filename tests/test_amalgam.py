@@ -42,8 +42,10 @@ def full_dup(ring):
 
 def checks_of(a):
     """``structure_checks`` of a duplication with its base ring's Z(R) and
-    the two rings' graphs."""
-    return structure_checks(a, zero_divisors(a.base), build_graph(a.base), build_graph(a.ring))
+    graph and the classes of the duplication's graph."""
+    return structure_checks(
+        a, zero_divisors(a.base), build_graph(a.base), build_graph(a.ring).classes
+    )
 
 
 class TestConstruction:
@@ -335,7 +337,7 @@ class TestStructure:
             [full.labels[p] for p in keep],
             full.adjacency[np.ix_(keep, keep)],
         )
-        checks = structure_checks(a, zero_divisors(a.base), base_graph, graph)
+        checks = structure_checks(a, zero_divisors(a.base), base_graph, graph.classes)
         assert not checks.embeds_base
         assert checks == loop_structure_checks(a, base_graph, graph)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from amalgam_zdg import (
     DisconnectedGraphError,
     FiniteRing,
+    Ideal,
     RingFacts,
     ZDGraph,
     amalgamated_duplication,
@@ -40,6 +41,7 @@ from oracles import (
     enumerate_cycles_girth,
     floyd_warshall_diameter,
     floyd_warshall_distance,
+    product_rep,
     reach_product_diameter,
     square_girth,
 )
@@ -104,9 +106,9 @@ def bfs_girth_calls(monkeypatch):
     calls = []
     fallback = graphs._bfs_girth
 
-    def spy(graph):
-        calls.append(graph)
-        return fallback(graph)
+    def spy(adjacency):
+        calls.append(adjacency)
+        return fallback(adjacency)
 
     monkeypatch.setattr(graphs, "_bfs_girth", spy)
     return calls
@@ -176,6 +178,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
             ZDGraph(range(n), [str(x) for x in range(n)], adj)
 
+    @pytest.mark.parametrize(
+        "vertices", [[-1, 0, 1], [0, 2, 2]], ids=["negative", "repeated"]
+    )
+    def test_vertices_are_distinct_element_indices(self, vertices):
+        """``classes`` indexes each element's class by its index, so a
+        negative or repeated vertex would be read as another one."""
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+        with pytest.raises(ValueError, match="distinct nonnegative element indices"):
+            ZDGraph(vertices, list("abc"), adj)
+
     def test_non_commutative_caller_table_is_refused(self):
         """In Z8 with 4*6 set to 4, both 4 and 6 stay zero-divisors (4*2
         and 6*4 are still 0), so the graph has an edge one way only."""
@@ -203,7 +216,7 @@ class TestZeroProductPass:
             graph = facts.graph
             facts.zero_divisors
             facts.square_zero
-            facts.complete
+            facts.classes.complete
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,15 +293,16 @@ def class_count(graph):
     return len({row.tobytes() for row in graph.adjacency})
 
 
-def annihilator_key_count(dup, graph):
-    """Number of distinct pairs (Ann(r), Ann(r+i)) over the vertices (r, i)
-    of a duplication's materialized graph, counted without the library."""
-    base = dup.base
+def annihilator_key_count(base, graph, pair_of):
+    """Number of distinct pairs (Ann(a), Ann(b)) over the vertices of a
+    materialized graph whose vertex v has the base ring's elements (a, b)
+    = pair_of(v) as coordinates, (r, r+i) for (r, i) in a duplication,
+    counted without the library."""
     ann = [frozenset(np.flatnonzero(row == base.zero).tolist()) for row in base.mul_table]
     keys = set()
     for v in graph.vertices:
-        r, i = dup.pair_of(v)
-        keys.add((ann[r], ann[base.add_table[r, i]]))
+        a, b = pair_of(v)
+        keys.add((ann[a], ann[b]))
     return len(keys)
 
 
@@ -352,11 +366,15 @@ class TestTwinQuotient:
     @settings(max_examples=100, deadline=None)
     @given(twin_graphs())
     def test_classes_are_the_distinct_rows(self, g):
-        q, sizes = graphs._twin_quotient(g)
+        classes = g.classes
+        q, sizes = classes.q, classes.sizes
         assert len(q) == len(sizes) == class_count(g)
         assert sizes.sum() == g.vertex_count
         assert not q.diagonal().any() and np.array_equal(q, q.T)
-        assert graphs._twin_quotient(g) is graphs._twin_quotient(g)
+        assert not classes.clique.any()
+        of = classes.class_of[list(g.vertices)]
+        assert np.array_equal(q[np.ix_(of, of)], g.adjacency)
+        assert g.classes is g.classes
 
     @pytest.mark.parametrize(
         "build, diam, length, classes",
@@ -401,49 +419,61 @@ class TestTwinQuotient:
 
     def test_sweep_multiplies_only_quotient_sized_operands(self, monkeypatch):
         # Each boolean product runs on a class quotient whose size is
-        # counted without the library: a base graph's distinct adjacency
-        # rows, and a duplication's distinct annihilator pairs over the
-        # vertices of its materialized graph.
+        # counted without the library: a base graph's annihilator classes,
+        # the distinct annihilators over its vertices, and a duplication's
+        # key classes from ``_key_classes``, the distinct annihilator pairs
+        # over the vertices of its materialized graph.  No base graph is
+        # grouped as bare false twins.
+        ring = parse_ring_spec("Z32")
         shapes, bounds, keyed = [], [], {}
-        quotient, product = graphs._twin_quotient, graphs._boolean_product
-        classes = theorems.DuplicationFacts._classes.func
+        twin_classes = ZDGraph.classes.func
+        key_classes, product = theorems._key_classes, graphs._boolean_product
 
-        def quotient_spy(graph):
-            bounds.append(("base", class_count(graph), graph.vertex_count))
-            return quotient(graph)
+        def record(result, kind, keys, graph):
+            assert result.vertices.tolist() == list(graph.vertices)
+            assert len(result.q) == keys
+            keyed[id(result)] = (result, kind, keys, graph.vertex_count)
+            return result
 
-        def classes_spy(facts):
-            result = classes(facts)
-            dup = amalgamated_duplication(facts.carrier.base, facts.carrier.ideal)
+        def twin_spy(graph):
+            assert graph.ring is not None, "a base graph was grouped as false twins"
+            keys = annihilator_key_count(graph.ring, graph, lambda v: (v, v))
+            return record(twin_classes(graph), "base", keys, graph)
+
+        def key_spy(cls, rel, first, second):
+            pairs = zip(first.tolist(), second.tolist())
+            ideal = frozenset(ring.sub(b, a) for a, b in pairs)
+            dup = amalgamated_duplication(ring, Ideal(ring, ideal))
             graph = build_graph(dup.ring)
-            keys = annihilator_key_count(dup, graph)
-            assert len(result[0]) == keys
+            keys = annihilator_key_count(ring, graph, lambda v: product_rep(dup, v))
             # Keys can outnumber the twin classes (Z8 along (2) has 8 keys
             # and 6 distinct rows), but on Z32 they never do.
             assert keys <= class_count(graph)
-            keyed[id(result[0])] = (result[0], keys, graph.vertex_count)
-            return result
+            return record(key_classes(cls, rel, first, second), "duplication", keys, graph)
 
-        def routine_spy(routine):
-            def spy(q, *args):
-                kept, keys, n = keyed[id(q)]
-                assert kept is q
-                bounds.append(("duplication", keys, n))
-                return routine(q, *args)
+        def routine_spy(name):
+            routine = getattr(graphs.ClassGraph, name).func
 
-            return spy
+            def spy(classes):
+                _, kind, keys, n = keyed[id(classes)]
+                bounds.append((kind, keys, n))
+                return routine(classes)
+
+            spied = cached_property(spy)
+            spied.__set_name__(graphs.ClassGraph, name)
+            return spied
 
         def product_spy(left, right):
             shapes.append((left.shape, right.shape, bounds[-1]))
             return product(left, right)
 
-        monkeypatch.setattr(graphs, "_twin_quotient", quotient_spy)
+        spied = cached_property(twin_spy)
+        spied.__set_name__(ZDGraph, "classes")
+        monkeypatch.setattr(ZDGraph, "classes", spied)
+        monkeypatch.setattr(theorems, "_key_classes", key_spy)
         monkeypatch.setattr(graphs, "_boolean_product", product_spy)
-        spied = cached_property(classes_spy)
-        spied.__set_name__(theorems.DuplicationFacts, "_classes")
-        monkeypatch.setattr(theorems.DuplicationFacts, "_classes", spied)
-        for name in ("_class_diameter", "_class_girth"):
-            monkeypatch.setattr(theorems, name, routine_spy(getattr(graphs, name)))
+        for name in ("diameter", "girth"):
+            monkeypatch.setattr(graphs.ClassGraph, name, routine_spy(name))
         assert sweep(["Z32"], workers=1).succeeded
         assert {kind for _, _, (kind, _, _) in shapes} == {"base", "duplication"}
         for kind in ("base", "duplication"):
@@ -516,14 +546,20 @@ class TestGirth:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_long_cycles_go_through_the_bfs_fallback(self, n, bfs_girth_calls):
+        # No two vertices of a long cycle are twins: the BFS runs once, on
+        # a quotient of all n vertices.
         g = cycle(n)
         assert girth(g) == n == bfs_girth(g)
-        assert bfs_girth_calls == [g]
+        [searched] = bfs_girth_calls
+        assert searched is g.classes.q and len(searched) == n
 
     def test_star_is_acyclic_through_the_bfs_fallback(self, bfs_girth_calls):
+        # The leaves are one class: the BFS runs once, on the single edge
+        # between the centre and that class.
         g = star()
         assert math.isinf(girth(g))
-        assert bfs_girth_calls == [g]
+        [searched] = bfs_girth_calls
+        assert searched is g.classes.q and len(searched) == 2
 
     def test_star_of_z4078_is_acyclic_within_a_second(self):
         # Z4078 = Z2 x Z2039 has the star K_{1,2038} as its graph: no

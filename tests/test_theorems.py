@@ -276,9 +276,8 @@ class TestInstanceInvariants:
         adj = np.zeros((5, 5), dtype=bool)
         for u, v in edges:
             adj[u, v] = adj[v, u] = True
-        facts = RingFacts(None)  # a synthetic graph belongs to no ring
-        facts.graph = ZDGraph(range(5), list("abcde"), adj)
-        violations = _graph_invariant_violations("[p]", "base", facts)
+        classes = ZDGraph(range(5), list("abcde"), adj).classes
+        violations = _graph_invariant_violations("[p]", "base", classes)
         assert violations == [f"[p] base {expected}"]
 
     def test_square_zero_table_identity_reads_the_last_slab(self, monkeypatch):
