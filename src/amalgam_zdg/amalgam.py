@@ -30,7 +30,6 @@ from .rings import (
     Ideal,
     _mask,
     _minimal,
-    _nilpotent_mask,
     _primes_from_idempotents,
     ideal_violations,
 )
@@ -265,7 +264,7 @@ class DuplicationCarrier:
     def nilpotents(self) -> np.ndarray:
         """Mask of the nilpotent elements: (a, b) is nilpotent iff a and b
         both are."""
-        nil = _nilpotent_mask(self.base)
+        nil = self.base._nilpotent_mask
         first, second = self.coordinates
         return nil[first] & nil[second]
 
@@ -273,24 +272,9 @@ class DuplicationCarrier:
     def minimal_primes(self) -> list[frozenset[int]]:
         """Members of the minimal prime ideals, sorted by (size, member
         indices), by the primitive-idempotent rule of ``prime_ideals``
-        applied to the carrier: (a, b) is idempotent iff a and b both
-        are, and products are taken componentwise in R x R."""
-        base = self.base
-        mul = base.mul_table
-        k = len(self.ideal_elements)
-        first, second = self.coordinates
-        square_fixed = np.diagonal(mul) == np.arange(base.order)
-        idem = np.flatnonzero(square_fixed[first] & square_fixed[second])
-        idem = idem[idem != self.zero]
-        pos = _member_positions(base, self.ideal_elements)
-
-        def times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            # (a, b) is the carrier element (a, b-a).
-            a = mul[first[x], first[y]].astype(np.intp)
-            b = mul[second[x], second[y]]
-            return a * k + pos[base.add_table[b, base._neg_table[a]]]
-
-        return _minimal(_primes_from_idempotents(idem, times, self.nilpotents))
+        applied to the product-form coordinates: every fact it reads holds
+        iff it holds in both coordinates of R x R."""
+        return _minimal(_primes_from_idempotents(self.base, self.coordinates, self.zero))
 
 
 class AmalgamRing(DuplicationCarrier):
@@ -321,19 +305,41 @@ def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
     return AmalgamRing(base, ideal)
 
 
+def _origin_products(
+    base: FiniteRing, members: tuple[int, ...], with_product_term: bool
+) -> np.ndarray:
+    """The k x k second coordinates of (0, i)(0, j) over the members i, j,
+    as base-ring elements: (0+i)j + 0*i in the duplication's table (with
+    the product term) and 0*j + 0*i in the idealization's.  These are the
+    cells r = s = 0 of ``_mul_block_filler``'s blocks, in the same order
+    of operations, less their common first coordinate 0*0.  In a ring they
+    are i*j and 0, so the two differ exactly when I*I != 0."""
+    m = np.array(members, dtype=np.intp)
+    add, mul, zero = base.add_table, base.mul_table, base.zero
+    u = add[zero, m] if with_product_term else np.full(len(m), zero)
+    return add[mul[u[:, None], m[None, :]], mul[zero, m][:, None]]
+
+
 def matches_idealization(dup: DuplicationCarrier) -> bool:
     """True iff the duplication's multiplication table equals the
     idealization's on the same carrier.
 
-    Both tables are generated one block of first coordinates at a time
-    by one ``_mul_block_filler``, with u = r+i for the duplication and
-    u = r for the idealization, and compared block by block; the first block that
-    differs ends the scan.  Neither table is stored, and a stored table of
-    ``dup`` is never read.  When I*I != 0 the first block already differs
-    (at r = s = 0 it holds the i*j terms).
+    The cells r = s = 0, which hold the i*j terms, are compared first,
+    from the base tables alone (``_origin_products``); when they differ,
+    nothing of the carrier's size is built.  Otherwise both whole tables
+    are generated one block of first coordinates at a time by one
+    ``_mul_block_filler``, with u = r+i for the duplication and u = r for
+    the idealization, and compared block by block; the first block that
+    differs ends the scan.  So a table that matches has had every cell
+    compared, and the answer is never read off I*I itself.  Neither table
+    is stored, and a stored table of ``dup`` is never read.
     """
     base = dup.base
     members = dup.ideal_elements
+    if not np.array_equal(
+        _origin_products(base, members, True), _origin_products(base, members, False)
+    ):
+        return False
     n, k = base.order, len(members)
     sum_pos, prod_pos = _ideal_positions(base, members)
     step, fill = _mul_block_filler(base, members, sum_pos, prod_pos)
@@ -475,6 +481,26 @@ def _products_vanish(base: FiniteRing, r, i, s, j) -> np.ndarray:
     return (mul[r, s] == zero) & (second == zero)
 
 
+def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarray) -> bool:
+    """True iff every neighbour of every vertex in ``elems`` is in
+    ``allowed``, both arrays of distinct element indices, read on the
+    classes: the neighbours of a vertex v of class a are the members of
+    the classes adjacent to a, and the other members of a when a is a
+    clique.  With out[b] the members of class b outside ``allowed``, v has
+    q[a] @ out neighbours outside it in other classes, and in a clique
+    class out[a] less one if v itself is outside.  Raises ValueError when
+    an element of ``elems`` is not a vertex."""
+    class_of = classes.class_of
+    at = class_of[elems]
+    if (at < 0).any():
+        raise ValueError("element index is not a vertex")
+    inside = _mask(len(class_of), allowed[allowed < len(class_of)])
+    kept = class_of[inside]
+    out = classes.sizes - np.bincount(kept[kept >= 0], minlength=len(classes.q))
+    own = out[at] - ~inside[elems]
+    return not ((classes.q[at] @ out).any() or (classes.clique[at] & (own > 0)).any())
+
+
 def structure_checks(
     dup: DuplicationCarrier,
     base_zd: frozenset[int],
@@ -509,16 +535,12 @@ def structure_checks(
         ).all()
     )
 
-    # The rows of (0, i) and (-i, i) for each member i outside Z(R) may
-    # meet only the other kernel's nonzero elements.
+    # The neighbours of (0, i) and (-i, i) for each member i outside Z(R)
+    # may be only the other kernel's nonzero elements.
     regular = ~_mask(base.order, list(base_zd))[members]
-    rows1 = dup_classes.neighbour_mask(o1[regular])
-    rows2 = dup_classes.neighbour_mask(o2[regular])
-    dup_vertices = dup_classes.vertices
-    exclusive = not (
-        rows1[:, ~_mask(dup.order, o2[nonzero])[dup_vertices]].any()
-        or rows2[:, ~_mask(dup.order, o1[nonzero])[dup_vertices]].any()
-    )
+    first = _neighbours_inside(dup_classes, o1[regular], o2[nonzero])
+    second = _neighbours_inside(dup_classes, o2[regular], o1[nonzero])
+    exclusive = first and second
 
     # x -> (x, 0) must land on vertices, and every base edge on a product
     # zero; (x, 0) is x*k plus the position of 0 among the members.
@@ -526,7 +548,7 @@ def structure_checks(
     images = verts * k + int(np.searchsorted(members, zero))
     products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
     embeds = bool(
-        _mask(dup.order, dup_vertices)[images].all()
+        _mask(dup.order, dup_classes.vertices)[images].all()
         and products[base_graph.adjacency].all()
     )
 

@@ -176,19 +176,32 @@ def build_graph(ring: FiniteRing) -> ZDGraph:
     return ZDGraph(vertices, labels, adj, ring, _owned=True)
 
 
-def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(left @ right) > 0 for boolean matrices, without BLAS.
+# Boolean products whose inner dimension is at most this many classes run
+# as numpy's boolean matmul; wider ones by the method of the four Russians.
+_MATMUL_WIDTH = 64
 
-    Method of the four Russians on bit-packed rows: the columns of ``left``
-    are taken eight at a time, the ORs of all 256 subsets of the matching
-    eight rows of ``right`` form a table, and each result row ORs in the
-    entry its eight bits select.  The cost is about n*m*(256 + r)/64 byte
-    operations for an r x n by n x m product in n/8 vectorized steps,
-    whatever the density, on one thread.  A float32 BLAS matmul runs on
-    the library's thread pool, whose synchronisation can cost more than
-    the product: 16 ms against under 1 ms on one thread for 150 to 400
-    vertices, on a 2-vCPU virtual machine.
+
+def _boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left @ right) > 0 for boolean matrices, exact and on one thread.
+
+    Up to _MATMUL_WIDTH columns of ``left``, this is ``left @ right`` on
+    the boolean arrays: numpy's own OR of ANDs, which calls no BLAS and
+    cannot overflow.  Its cost grows with r*n*m, so it loses to the
+    method below from about 64 columns on; below that the method's fixed
+    cost of eight numpy calls per group of eight columns dominates (for a
+    square product at 30 % density on a 2-vCPU virtual machine, 2 against
+    40 µs at 4 columns, 152 against 153 µs at 62, 619 against 316 µs at
+    128).
+
+    Wider products use the method of the four Russians on bit-packed
+    rows: the columns of ``left`` are taken eight at a time, the ORs of
+    all 256 subsets of the matching eight rows of ``right`` form a table,
+    and each result row ORs in the entry its eight bits select.  The cost
+    is about n*m*(256 + r)/64 byte operations for an r x n by n x m
+    product in n/8 vectorized steps, whatever the density.
     """
+    if left.shape[1] <= _MATMUL_WIDTH:
+        return left @ right
     groups = -(-left.shape[1] // 8)
     keys = np.packbits(left, axis=1, bitorder="little")
     packed = np.packbits(right, axis=1)
@@ -290,24 +303,6 @@ class ClassGraph:
     @cached_property
     def vertex_count(self) -> int:
         return int(self.sizes.sum())
-
-    @cached_property
-    def _neighbour_rows(self) -> np.ndarray:
-        """(c, vertex_count): row a marks the vertices adjacent to the
-        members of class a, the members themselves when a is a clique."""
-        near = self.q | np.diag(self.clique)
-        return near[:, self.class_of[self.vertices]]
-
-    def neighbour_mask(self, elems) -> np.ndarray:
-        """Boolean (len(elems), vertex_count): row t marks the neighbours of
-        the vertex ``elems[t]`` among ``vertices``."""
-        elems = np.asarray(elems, dtype=np.intp)
-        classes = self.class_of[elems]
-        if (classes < 0).any():
-            raise ValueError("element index is not a vertex")
-        rows = self._neighbour_rows[classes]
-        rows[np.arange(len(elems)), np.searchsorted(self.vertices, elems)] = False
-        return rows
 
     @cached_property
     def diameter(self) -> int | None:
@@ -413,9 +408,9 @@ class ClassGraph:
         far = ~near
         if not near.any():
             return None
-        if q[np.ix_(near, near)].any() or q[np.ix_(far, far)].any():
+        if q[near][:, near].any() or q[far][:, far].any():
             return None
-        if not q[np.ix_(far, near)].all():
+        if not q[far][:, near].all():
             return None
         return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,21 @@ class FiniteRing:
         neg[rows] = cols
         neg.setflags(write=False)
         return neg
+
+    @cached_property
+    def _nilpotent_mask(self) -> np.ndarray:
+        """Read-only boolean mask over the elements, True exactly on the
+        nilpotents.
+
+        In a finite ring the nilpotency index of any element is at most the
+        order, so it suffices to square the power table ceil(log2 n) times.
+        """
+        powers = np.arange(self.order)
+        for _ in range(max(1, (self.order - 1).bit_length())):
+            powers = self.mul_table[powers, powers]
+        nil = powers == self.zero
+        nil.setflags(write=False)
+        return nil
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -374,24 +389,10 @@ def annihilator(ring: FiniteRing, a: int) -> Ideal:
     return Ideal(ring, frozenset(members.tolist()))
 
 
-def _nilpotent_mask(ring: FiniteRing) -> np.ndarray:
-    """Boolean mask over the elements, True exactly on the nilpotents.
-
-    In a finite ring the nilpotency index of any element is at most the
-    order, so it suffices to square the power table ceil(log2 n) times.
-    """
-    n = ring.order
-    powers = np.arange(n)
-    for _ in range(max(1, (n - 1).bit_length())):
-        powers = ring.mul_table[powers, powers]
-    return powers == ring.zero
-
-
 def is_reduced(ring: FiniteRing) -> bool:
     """True iff the ring has no nonzero nilpotents."""
-    nil = _nilpotent_mask(ring)
-    nil[ring.zero] = False
-    return not nil.any()
+    nil = ring._nilpotent_mask
+    return int(nil.sum()) == int(nil[ring.zero])
 
 
 def is_field(ring: FiniteRing) -> bool:
@@ -414,10 +415,9 @@ def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
         out.append("does not contain zero")
     if not s:
         return out
-    elems = sorted(s)
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[elems] = True
-    sums = ring.add_table[np.ix_(elems, elems)]
+    elems = np.array(sorted(s), dtype=np.intp)
+    mask = _mask(ring.order, elems)
+    sums = ring.add_table[elems[:, None], elems]
     bad = ~mask[sums]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -462,23 +462,17 @@ def _ideal_order(members: frozenset[int]) -> tuple:
     return len(members), tuple(sorted(members))
 
 
-def _sum_members(ring: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """{x + y : x in left, y in right} in ascending order, from index arrays."""
-    block = ring.add_table.take(left, axis=0).take(right, axis=1)
-    return np.flatnonzero(_mask(ring.order, block))
-
-
 def ideal_from_generators(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators (a sum of principal ideals)."""
     members = np.array([ring.zero])
     for g in generators:
-        members = _sum_members(ring, members, _multiples(ring, g))
+        members = np.flatnonzero(_sums_with(ring, members, [_multiples(ring, g)])[0])
     return Ideal(ring, frozenset(members.tolist()))
 
 
-def _principal_ideals(ring: FiniteRing) -> list[np.ndarray]:
-    """The members of every distinct principal ideal (a) = {r*a}, each in
-    ascending order.
+def _principal_ideals(ring: FiniteRing) -> np.ndarray:
+    """Boolean (p, order): the membership masks of the p distinct
+    principal ideals (a) = {r*a}.
 
     The multiples of a block of elements, columns of ``mul_table``, are
     scattered into a membership matrix a block of about _BLOCK_CELLS cells
@@ -496,8 +490,28 @@ def _principal_ideals(ring: FiniteRing) -> list[np.ndarray]:
         packed[lo : lo + step] = np.packbits(member, axis=1)
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     distinct = np.unique(rows).view(np.uint8).reshape(-1, packed.shape[1])
-    member = np.unpackbits(distinct, axis=1, count=n).view(bool)
-    return [np.flatnonzero(row) for row in member]
+    return np.unpackbits(distinct, axis=1, count=n).view(bool)
+
+
+def _sums_with(ring: FiniteRing, left: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
+    """Boolean (len(known), order): row t marks the sum of the ideals
+    ``left`` and ``known[t]``, {x + y : x in left, y in known[t]}, all
+    given as member arrays.
+
+    The members of every ideal of ``known`` are laid side by side, and the
+    addition table's block of ``left`` against them is scattered into the
+    rows at once, a block of rows of ``left`` of about _BLOCK_CELLS cells
+    at a time.
+    """
+    n = ring.order
+    rights = np.concatenate(known)
+    offsets = np.repeat(np.arange(len(known)) * n, [len(m) for m in known])
+    sums = np.zeros((len(known), n), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(n, len(rights)))
+    for lo in range(0, len(left), step):
+        block = ring.add_table.take(left[lo : lo + step], axis=0).take(rights, axis=1)
+        sums.reshape(-1)[block + offsets] = True
+    return sums
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -505,22 +519,23 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
     Computed as the closure of the principal ideals under pairwise ideal
     sum, then sorted by (size, member indices).  Each ideal is held as its
-    ascending member array, keyed by its bytes; a sum is one scatter of
-    the addition table's block into a membership mask.  The tests compare
-    it with a per-element, per-pair construction of the same closure, and
-    with a brute-force subset scan for small orders.
+    ascending member array, keyed by the bytes of its membership mask; the
+    sums of one ideal with every ideal known so far are one scatter
+    (``_sums_with``).  No ring axiom is assumed, so a sum that gives an
+    ideal already known is still taken.  The tests compare it with a
+    per-element, per-pair construction of the same closure, and with a
+    brute-force subset scan for small orders.
     """
-    ideals = {m.tobytes(): m for m in _principal_ideals(ring)}
+    ideals = {row.tobytes(): np.flatnonzero(row) for row in _principal_ideals(ring)}
     frontier = list(ideals.values())
     while frontier:
         fresh: list[np.ndarray] = []
         for left in frontier:
-            for right in list(ideals.values()):
-                s = _sum_members(ring, left, right)
-                key = s.tobytes()
+            for row in _sums_with(ring, left, list(ideals.values())):
+                key = row.tobytes()
                 if key not in ideals:
-                    ideals[key] = s
-                    fresh.append(s)
+                    ideals[key] = np.flatnonzero(row)
+                    fresh.append(ideals[key])
         frontier = fresh
     found = [frozenset(m.tolist()) for m in ideals.values()]
     return [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
@@ -533,26 +548,38 @@ def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
 
 
 def _primes_from_idempotents(
-    idem: np.ndarray,
-    times: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    nil: np.ndarray,
+    ring: FiniteRing, coords: Sequence[np.ndarray], zero: int
 ) -> list[frozenset[int]]:
-    """Members of every prime ideal of a finite commutative ring, sorted by
-    (size, member indices), given its nonzero idempotents ``idem``, its
-    multiplication as ``times(x, y)`` on broadcast index arrays, and the
-    mask ``nil`` of its nilpotents over all of its elements.
+    """Members of every prime ideal of a finite commutative ring S, sorted
+    by (size, member indices), where S sits in a power of ``ring`` with
+    componentwise operations: element x of S has the coordinates c[x] for
+    c in ``coords``, index arrays over ``ring``, and ``zero`` is its zero.
+    ``ring`` itself is one coordinate, the identity; a duplication's
+    carrier is two.
 
     A finite commutative ring is the product of local rings, one for each
     primitive idempotent e, so its primes are exactly the ideals
     M_e = {x : x*e nilpotent}.  A nonzero idempotent is primitive when no
-    other nonzero idempotent f satisfies e*f = f.  No ideal lattice is
-    needed.
+    other nonzero idempotent f satisfies e*f = f.  Idempotency, e*f = f
+    and nilpotency of x*e all hold iff they hold in every coordinate, so
+    each is read off ``ring``'s table and nilpotent mask, one coordinate
+    at a time.  No ideal lattice is needed.
     """
+    mul, nil = ring.mul_table, ring._nilpotent_mask
+    square_fixed = np.diagonal(mul) == np.arange(ring.order)
+    idem = np.flatnonzero(np.logical_and.reduce([square_fixed[c] for c in coords]))
+    idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
-    below = times(idem[:, None], idem[None, :]) == idem[None, :]
+    below = np.ones((len(idem), len(idem)), dtype=bool)
+    for c in coords:
+        e = c[idem]
+        below &= mul[e[:, None], e[None, :]] == e[None, :]
     primitive = idem[below.sum(axis=1) == 1]
-    every = np.arange(len(nil))
-    found = [frozenset(np.flatnonzero(nil[times(every, e)]).tolist()) for e in primitive]
+    # masks[t, x]: x * primitive[t] is nilpotent.
+    masks = np.ones((len(primitive), len(coords[0])), dtype=bool)
+    for c in coords:
+        masks &= nil[mul[:, c[primitive]]].T[:, c]
+    found = [frozenset(np.flatnonzero(row).tolist()) for row in masks]
     return sorted(found, key=_ideal_order)
 
 
@@ -565,10 +592,7 @@ def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every prime ideal, sorted by (size, member indices), from the
     ring's primitive idempotents (``_primes_from_idempotents``); the tests
     compare against a complement scan over the ideal lattice."""
-    mul = ring.mul_table
-    idem = np.nonzero(np.diagonal(mul) == np.arange(ring.order))[0]
-    idem = idem[idem != ring.zero]
-    found = _primes_from_idempotents(idem, lambda x, y: mul[x, y], _nilpotent_mask(ring))
+    found = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
     return [Ideal(ring, m) for m in found]
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "MAX_DUPLICATION_ORDER",
     "SpecError",
     "parse_ring_spec",
+    "ring_spec_name",
     "expand_family",
     "parse_ideal_spec",
 ]
@@ -53,6 +54,22 @@ class SpecError(ValueError):
 
 def parse_ring_spec(text: str) -> FiniteRing:
     """Build the ring named by a spec string, or raise SpecError."""
+    factors = [make_zn(n) for n in _ring_moduli(text)]
+    if len(factors) == 1:
+        return factors[0]
+    return product_ring(factors)
+
+
+def ring_spec_name(text: str) -> str:
+    """The canonical name of the ring a spec string names, which is the
+    ``spec_name`` of ``parse_ring_spec(text)``, without building it; raises
+    SpecError as that does."""
+    return "x".join(f"Z{n}" for n in _ring_moduli(text))
+
+
+def _ring_moduli(text: str) -> list[int]:
+    """The moduli of a ring spec's factors, once the spec is known to be
+    well formed and within MAX_RING_ORDER."""
     spec = text.strip()
     if not spec:
         raise SpecError("empty ring spec")
@@ -71,10 +88,7 @@ def parse_ring_spec(text: str) -> FiniteRing:
             raise SpecError(f"modulus in '{part}' must be at least 2")
         moduli.append(n)
     _check_order(math.prod(moduli), text)
-    factors = [make_zn(n) for n in moduli]
-    if len(factors) == 1:
-        return factors[0]
-    return product_ring(factors)
+    return moduli
 
 
 def _modulus(digits: str) -> int:
@@ -117,7 +131,7 @@ def expand_family(text: str) -> list[str]:
             _check_order(hi, f"Z{hi}")
             out.extend(f"Z{n}" for n in range(lo, hi + 1))
         else:
-            out.append(parse_ring_spec(item).spec_name)
+            out.append(ring_spec_name(item))
     return out
 
 

@@ -36,7 +36,6 @@ from .graphs import (
     ClassGraph,
     DisconnectedGraphError,
     ZDGraph,
-    _boolean_product,
     build_graph,
     diameter,
     universal_vertices,
@@ -50,7 +49,7 @@ from .rings import (
     is_prime_ideal,
     is_reduced,
 )
-from .specs import parse_ring_spec
+from .specs import parse_ring_spec, ring_spec_name
 
 __all__ = [
     "TheoremId",
@@ -175,24 +174,28 @@ def _key_classes(
     e*f = 0 iff both coordinates' products are 0, and an element's
     neighbourhood depends only on its key (class of its first coordinate,
     class of its second).  Key a*c + b stands for the classes (a, b) out
-    of c; the zero key is 0 and holds only 0.  Keys are related when both
+    of c, and the keys present are counted over all c*c of them; the zero
+    key is 0 and holds only 0.  Keys are related when both
     coordinates' classes are.  A self-related key is a clique class, whose
     members annihilate each other; any other key is an independent class
     of false twins.  A key is on the graph when it is self-related or
     related to another nonzero key.
     """
-    present, key_of = np.unique(cls[first] * len(rel) + cls[second], return_inverse=True)
-    a, b = np.divmod(present, len(rel))
-    related = rel[np.ix_(a, a)] & rel[np.ix_(b, b)]
+    c = len(rel)
+    keys = cls[first] * c + cls[second]
+    counts = np.bincount(keys, minlength=c * c)
+    present = np.flatnonzero(counts)
+    a, b = np.divmod(present, c)
+    related = rel[a[:, None], a] & rel[b[:, None], b]
     nonzero = present != 0
-    on_graph = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
-    q = related[np.ix_(on_graph, on_graph)]
+    at = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
+    on_graph = present[at]
+    q = related[at[:, None], at]
     clique = q.diagonal().copy()
     np.fill_diagonal(q, False)
-    sizes = np.bincount(key_of.ravel(), minlength=len(present))[on_graph]
-    position = np.full(len(present), -1, dtype=np.intp)
+    position = np.full(c * c, -1, dtype=np.intp)
     position[on_graph] = np.arange(len(on_graph))
-    return ClassGraph(q, sizes, clique, position[key_of.ravel()])
+    return ClassGraph(q, counts[on_graph], clique, position[keys])
 
 
 class _KeyClassFacts:
@@ -245,8 +248,27 @@ class RingFacts(_KeyClassFacts):
         return self.zero_divisors == {self.ring.zero}
 
     @cached_property
+    def zdivs_prime(self) -> bool:
+        """Z(R) is a prime ideal."""
+        return self.zdivs_form_ideal and is_prime_ideal(self.ring, self.zero_divisors)
+
+    @cached_property
     def is_reduced(self) -> bool:
         return is_reduced(self.ring)
+
+    @cached_property
+    def edges_share_annihilator(self) -> bool:
+        """Both ends of every edge are killed by one nonzero element:
+        Ann(a) ∩ Ann(b) != 0 for each edge {a, b}, read on the annihilator
+        classes.  Two classes have such a common annihilator when some
+        class X of nonzero elements is related to both, which one boolean
+        product of ``rel`` over those X marks, so it must mark every pair
+        of classes adjacent in the quotient.  The other edges join two
+        members of one clique class, and either of them kills both."""
+        cls, rel = self.annihilator_classes
+        killers = rel[np.flatnonzero(np.bincount(cls, minlength=len(rel))[1:]) + 1]
+        shared = (killers.T @ killers)[2:, 2:]
+        return bool(shared[self.classes.q].all())
 
     @property
     def classes(self) -> ClassGraph:
@@ -526,7 +548,7 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
         and inst.ideal_inside_zdivs
         and diameter(inst.base.graph) == 2
     )
-    pair_hyp = core and _edges_share_annihilator(inst.ring, inst.base.graph)
+    pair_hyp = core and inst.base.edges_share_annihilator
     variant_hyp = core and not inst.base.is_reduced
     hyp = pair_hyp or variant_hyp
     variant_text = (
@@ -548,17 +570,6 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
         f"{variant_text}"
     )
     return _outcome(TheoremId.P4_13, inst, True, concl, witness=note, note=note)
-
-
-def _edges_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
-    """True iff both ends of every edge are killed by one nonzero element:
-    Ann(a) ∩ Ann(b) != 0 for each edge {a, b}.  The boolean product of
-    the "x*v = 0" mask (nonzero x by vertex v) with itself marks every
-    vertex pair with such a common annihilator."""
-    nonzero = [x for x in ring.elements() if x != ring.zero]
-    kills = ring.mul_table[np.ix_(nonzero, graph.vertices)] == ring.zero
-    shared = _boolean_product(kills.T, kills)
-    return bool(shared[graph.adjacency].all())
 
 
 def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
@@ -600,8 +611,7 @@ def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
             False,
             note="duplication graph has no universal vertex",
         )
-    zdivs = inst.base.zero_divisors
-    concl = inst.base.zdivs_form_ideal and is_prime_ideal(inst.ring, zdivs)
+    concl = inst.base.zdivs_prime
     labels = inst.carrier.format_subset(inst.dup.classes.universal)
     note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
     return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
@@ -692,10 +702,8 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     if inst.dup.is_reduced != inst.base.is_reduced:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
-    members = inst.ideal.sorted_members
-    square_zero = bool(
-        (inst.ring.mul_table[np.ix_(members, members)] == inst.ring.zero).all()
-    )
+    members = np.array(inst.ideal.sorted_members, dtype=np.intp)
+    square_zero = bool((inst.ring.mul_table[members[:, None], members] == inst.ring.zero).all())
     if square_zero != matches_idealization(inst.carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
@@ -866,7 +874,7 @@ def sweep(
     The report is assembled in family order regardless of worker count, so
     identical inputs produce byte-identical serializations.
     """
-    specs = [parse_ring_spec(spec).spec_name for spec in family]
+    specs = [ring_spec_name(spec) for spec in family]
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, int(workers))

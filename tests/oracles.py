@@ -17,7 +17,10 @@ vertices, a BFS two-colouring and neighbour-set loops instead of
 adjacency blocks for the complete bipartition and the duplication's
 structure checks, and a whole-table mask, ``np.ix_`` gathers and an
 off-diagonal ``eye`` mask instead of the one blocked zero-product pass for
-Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.
+Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.  A boolean
+product is an OR of ANDs cell by cell instead of numpy's boolean matmul or
+the four Russians, and a duplication's key classes come from ``np.unique``
+over its keys instead of a count over the whole key space.
 
 The library builds no idealization ring, measures no distance between two
 vertices, and has no joint annihilator or product-form image of one
@@ -456,3 +459,30 @@ def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
                 break
 
     return StructureChecks(crossings, exclusive, embeds, vacuous=False)
+
+
+def brute_boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left @ right) > 0 for boolean matrices, one OR of ANDs per cell."""
+    out = np.zeros((left.shape[0], right.shape[1]), dtype=bool)
+    for i in range(left.shape[0]):
+        for j in range(right.shape[1]):
+            out[i, j] = any(bool(a and b) for a, b in zip(left[i], right[:, j]))
+    return out
+
+
+def unique_key_classes(cls, rel, first, second):
+    """``theorems._key_classes`` as (q, sizes, clique, class_of), with the
+    keys present numbered by ``np.unique``."""
+    present, key_of = np.unique(cls[first] * len(rel) + cls[second], return_inverse=True)
+    key_of = key_of.ravel()
+    a, b = np.divmod(present, len(rel))
+    related = rel[np.ix_(a, a)] & rel[np.ix_(b, b)]
+    nonzero = present != 0
+    on_graph = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
+    q = related[np.ix_(on_graph, on_graph)]
+    clique = q.diagonal().copy()
+    np.fill_diagonal(q, False)
+    sizes = np.bincount(key_of, minlength=len(present))[on_graph]
+    position = np.full(len(present), -1, dtype=np.intp)
+    position[on_graph] = np.arange(len(on_graph))
+    return q, sizes, clique, position[key_of]

@@ -50,7 +50,7 @@ from amalgam_zdg import (
 )
 from amalgam_zdg import amalgam, graphs, rings
 from amalgam_zdg.specs import MAX_DUPLICATION_ORDER
-from amalgam_zdg.theorems import _edges_share_annihilator, _key_classes
+from amalgam_zdg.theorems import _key_classes
 from oracles import (
     bfs_complete_bipartition,
     bfs_diameter,
@@ -74,6 +74,7 @@ from oracles import (
     reach_product_diameter,
     square_girth,
     subset_scan_ideals,
+    unique_key_classes,
 )
 
 FAMILY = (
@@ -307,7 +308,7 @@ def test_vectorized_checks_match_loops(family_instances):
         "oracles: zero-divisor classification, joint annihilators, "
         "universal vertices"
     ):
-        seen_rings = set()
+        seen_rings, shares = set(), set()
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
             cls = classify_zero_divisors(dup, zero_divisors(ring))
@@ -319,13 +320,13 @@ def test_vectorized_checks_match_loops(family_instances):
                 seen_rings.add(ring.spec_name)
                 pairs.append((ring, build_graph(ring)))
             for owner, graph in pairs:
-                assert _edges_share_annihilator(
-                    owner, graph
-                ) == edge_loop_share_annihilator(owner, graph), owner.spec_name
+                shared = RingFacts(owner).edges_share_annihilator
+                assert shared == edge_loop_share_annihilator(owner, graph), owner.spec_name
+                shares.add(shared)
                 assert universal_vertices(
                     graph
                 ) == neighbor_count_universal_vertices(graph), owner.spec_name
-        assert len(seen_rings) == len(FAMILY)
+        assert len(seen_rings) == len(FAMILY) and shares == {True, False}
 
 
 def _complement(graph: ZDGraph) -> ZDGraph:
@@ -495,11 +496,16 @@ FACTORED_FAMILY = list(
 
 
 def assert_neighbour_rows(classes, graph):
-    """``classes.neighbour_mask`` on about 32 vertices against the rows of
-    the materialized graph's adjacency."""
-    sample = list(graph.vertices[:: max(1, graph.vertex_count // 32)])
-    rows = graph.adjacency[[graph.position(v) for v in sample]]
-    assert np.array_equal(classes.neighbour_mask(sample), rows), graph
+    """The neighbour rows the classes give, on about 32 vertices, against
+    the rows of the materialized graph's adjacency: a vertex's neighbours
+    are the members of the classes adjacent to its own, and of its own
+    class when that is a clique, less the vertex itself."""
+    sample = np.array(graph.vertices[:: max(1, graph.vertex_count // 32)], dtype=np.intp)
+    near = classes.q | np.diag(classes.clique)
+    rows = near[classes.class_of[sample]][:, classes.class_of[classes.vertices]]
+    rows[np.arange(len(sample)), np.searchsorted(classes.vertices, sample)] = False
+    expected = graph.adjacency[[graph.position(v) for v in sample]]
+    assert np.array_equal(rows, expected), graph
 
 
 def test_base_ring_classes_are_its_key_classes():
@@ -558,6 +564,27 @@ def test_zero_ideal_duplication_is_the_base_ring():
             assert np.array_equal(dup.class_of[verts], base.class_of[verts]), spec
             assert dup.invariants == base.invariants, spec
             assert inst.dup.square_zero == inst.base.square_zero, spec
+
+
+def test_key_classes_match_the_unique_reference():
+    """``_key_classes`` counts the keys over the whole key space; the
+    reference numbers the keys present with ``np.unique``.  Both give the
+    same classes on every ideal, {0} included, of FACTORED_FAMILY."""
+    with criterion("oracles: key classes against np.unique over the keys"):
+        instances = 0
+        for spec in FACTORED_FAMILY:
+            ring = parse_ring_spec(spec)
+            base = RingFacts(ring)
+            for ideal in all_ideals(ring):
+                inst = Instance(ring, ideal, base)
+                args = (*base.annihilator_classes, *inst.carrier.coordinates)
+                classes = _key_classes(*args)
+                reference = unique_key_classes(*args)
+                got = (classes.q, classes.sizes, classes.clique, classes.class_of)
+                for part, want in zip(got, reference):
+                    assert np.array_equal(part, want), inst.carrier.spec_name
+                instances += 1
+        assert instances == 378
 
 
 def test_factored_duplication_matches_the_materialized_graph():

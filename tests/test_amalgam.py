@@ -25,7 +25,7 @@ from amalgam_zdg import (
     verify_ring_axioms,
     zero_divisors,
 )
-from amalgam_zdg import amalgam
+from amalgam_zdg import amalgam, graphs
 from oracles import gather_idealization, loop_structure_checks, product_rep
 
 Z8 = make_zn(8)
@@ -200,15 +200,20 @@ class TestIdealization:
     def test_comparator_stops_at_a_differing_block(
         self, spec, ideal_spec, square_zero, monkeypatch
     ):
-        # One first coordinate per block.  When I*I != 0 the first block
-        # (r = 0, which holds the i*j terms) already differs, so one block
-        # of each table is generated; when I*I = 0 every block is.
+        # One first coordinate per block.  The cells r = s = 0, which hold
+        # the i*j terms, are compared first, once per table.  When I*I != 0
+        # they already differ, so no block of either table is generated;
+        # when I*I = 0 every block of both is.
         ring = parse_ring_spec(spec)
         carrier = amalgam.DuplicationCarrier(ring, parse_ideal_spec(ring, ideal_spec))
         n, k = ring.order, len(carrier.ideal_elements)
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", n * k * k)
         calls = []
-        filler = amalgam._mul_block_filler
+        origin, filler = amalgam._origin_products, amalgam._mul_block_filler
+
+        def origin_logged(base, members, with_product_term):
+            calls.append(("origin", with_product_term))
+            return origin(base, members, with_product_term)
 
         def spied(base, members, sum_pos, prod_pos):
             step, fill = filler(base, members, sum_pos, prod_pos)
@@ -219,10 +224,83 @@ class TestIdealization:
 
             return step, fill_logged
 
+        monkeypatch.setattr(amalgam, "_origin_products", origin_logged)
         monkeypatch.setattr(amalgam, "_mul_block_filler", spied)
         assert amalgam.matches_idealization(carrier) is square_zero
-        firsts = range(n) if square_zero else range(1)
-        assert calls == [(lo, lo + 1, term) for lo in firsts for term in (True, False)]
+        firsts = range(n) if square_zero else range(0)
+        blocks = [(lo, lo + 1, term) for lo in firsts for term in (True, False)]
+        assert calls == [("origin", True), ("origin", False)] + blocks
+
+    @pytest.mark.parametrize("place", ["origin", "first-block", "last-block"])
+    def test_comparator_reports_a_planted_cell(self, place, monkeypatch):
+        # Z8 along {0, 4} squares to zero, so both tables agree until one
+        # cell of the duplication's is moved to another carrier element:
+        # in the cells r = s = 0, (4)(4) = 0 becomes 4; in the block of
+        # r = 0, (0,4)(3,4) = (0,4) becomes (0,0); in the block of r = 7,
+        # (7,4)(7,4) = (1,0) becomes (1,4).  One first coordinate per
+        # block; the scan stops at the block that differs.
+        a = amalgamated_duplication(Z8, I8)
+        monkeypatch.setattr(amalgam, "_BLOCK_CELLS", 8 * 2 * 2)
+        assert amalgam.matches_idealization(a)
+        origin, filler = amalgam._origin_products, amalgam._mul_block_filler
+        calls = []
+
+        def origin_moved(base, members, with_product_term):
+            out = origin(base, members, with_product_term)
+            if with_product_term and place == "origin":
+                assert out[1, 1] == 0
+                out[1, 1] = 4
+            return out
+
+        r, s = (0, 3) if place == "first-block" else (7, 7)
+        cell = a.index_of(s, 4)
+
+        def corrupted(base, members, sum_pos, prod_pos):
+            step, fill = filler(base, members, sum_pos, prod_pos)
+
+            def fill_moved(lo, hi, out, with_product_term):
+                calls.append((lo, with_product_term))
+                fill(lo, hi, out, with_product_term)
+                if with_product_term and place != "origin" and lo <= r < hi:
+                    row = out[r - lo, 1].reshape(-1)
+                    assert row[cell] == a.index_of(r * s % 8, ((r + 4) * 4 + s * 4) % 8)
+                    row[cell] ^= 1
+
+            return step, fill_moved
+
+        monkeypatch.setattr(amalgam, "_origin_products", origin_moved)
+        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
+        assert not amalgam.matches_idealization(a)
+        read = {"origin": 0, "first-block": 1, "last-block": 8}[place]
+        assert calls == [(lo, term) for lo in range(read) for term in (True, False)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exclusivity_on_classes_matches_the_lifted_graph(seed):
+    """``_neighbours_inside`` on random class graphs, clique classes
+    included, against the neighbour sets of the graph they lift to.  The
+    vertices a duplication checks are never in a clique class, so the
+    sweep's instances leave that case to this test."""
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(1, 6))
+    q = np.triu(rng.random((c, c)) < 0.5, 1)
+    q |= q.T
+    sizes = rng.integers(1, 4, size=c)
+    clique = rng.random(c) < 0.5
+    order = int(sizes.sum()) + 3
+    class_of = np.full(order, -1, dtype=np.intp)
+    class_of[rng.permutation(order)[: sizes.sum()]] = np.repeat(np.arange(c), sizes)
+    classes = graphs.ClassGraph(q, sizes, clique, class_of)
+    verts = classes.vertices
+    elems = rng.choice(verts, size=int(rng.integers(0, len(verts) + 1)), replace=False)
+    allowed = rng.choice(order, size=int(rng.integers(0, order + 1)), replace=False)
+    lifted = (q | np.diag(clique))[class_of[verts]][:, class_of[verts]]
+    np.fill_diagonal(lifted, False)
+    at = {v: t for t, v in enumerate(verts.tolist())}
+    expected = all(
+        set(verts[lifted[at[v]]].tolist()) <= set(allowed.tolist()) for v in elems.tolist()
+    )
+    assert amalgam._neighbours_inside(classes, elems, allowed) is expected
 
 
 class TestProductEmbedding:

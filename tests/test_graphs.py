@@ -36,6 +36,7 @@ from amalgam_zdg import (
 from amalgam_zdg import graphs, theorems
 from oracles import (
     bfs_complete_bipartition,
+    brute_boolean_product,
     bfs_diameter,
     bfs_girth,
     enumerate_cycles_girth,
@@ -273,6 +274,20 @@ class TestBooleanProduct:
         right = rng.random((n, m)) < density
         expected = (left.astype(np.int64) @ right.astype(np.int64)) > 0
         assert np.array_equal(graphs._boolean_product(left, right), expected)
+
+
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_brute_or_of_ands(self, width, seed):
+        # Inner dimensions up to 64 take numpy's boolean matmul, wider ones
+        # the four Russians; the densities are drawn per seed.
+        rng = np.random.default_rng(seed)
+        density = rng.random()
+        left = rng.random((9, width)) < density
+        right = rng.random((width, 11)) < density
+        got = graphs._boolean_product(left, right)
+        assert got.dtype == bool and got.shape == (9, 11)
+        assert np.array_equal(got, brute_boolean_product(left, right))
 
 
 class TestNeighbors:

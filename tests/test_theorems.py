@@ -6,6 +6,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -465,6 +466,53 @@ class TestRingFacts:
         report = sweep([f"Z{n}" for n in range(2, 33)], workers=1)
         assert report.succeeded and len(report.instances) == 87
         assert len(calls) == len(set(calls)) == 31
+
+    def test_ring_only_facts_once_per_ring(self, monkeypatch):
+        # Z30 has seven nonzero ideals and Z16 four.  What depends only on
+        # the base ring is computed once per ring, however many of its
+        # instances read it: the ring itself, its nilpotents, P4.13's joint
+        # annihilators and P4.16's "Z(R) is a prime ideal".  Z(R) of Z30 is
+        # not an ideal, so neither of the last two is read there.
+        computed = []
+
+        def spy_property(cls, name):
+            compute = getattr(cls, name).func
+
+            def spy(obj):
+                ring = obj if isinstance(obj, FiniteRing) else obj.ring
+                computed.append((name, ring.spec_name))
+                return compute(obj)
+
+            spied = cached_property(spy)
+            spied.__set_name__(cls, name)
+            monkeypatch.setattr(cls, name, spied)
+
+        def spy_function(name):
+            compute = getattr(theorems, name)
+
+            def spy(*args):
+                computed.append((name, getattr(args[0], "spec_name", args[0])))
+                return compute(*args)
+
+            monkeypatch.setattr(theorems, name, spy)
+
+        spy_property(FiniteRing, "_nilpotent_mask")
+        for name in ("edges_share_annihilator", "zdivs_prime"):
+            spy_property(RingFacts, name)
+        for name in ("parse_ring_spec", "is_prime_ideal"):
+            spy_function(name)
+        report = sweep(["Z30", "Z16"], workers=1)
+        assert report.succeeded and len(report.instances) == 11
+        per_ring = [
+            ("parse_ring_spec", "Z30"),
+            ("parse_ring_spec", "Z16"),
+            ("_nilpotent_mask", "Z30"),
+            ("_nilpotent_mask", "Z16"),
+            ("edges_share_annihilator", "Z16"),
+            ("zdivs_prime", "Z16"),
+            ("is_prime_ideal", "Z16"),
+        ]
+        assert sorted(computed) == sorted(per_ring)
 
     def test_swept_rings_are_freed_without_the_cyclic_collector(self, monkeypatch):
         refs = []
