@@ -41,7 +41,6 @@ from .rings import (
     is_prime_ideal,
     is_reduced,
     make_zn,
-    minimal_primes,
     prime_ideals,
     principal_ideal,
     product_ring,

@@ -29,8 +29,9 @@ from .rings import (
     FiniteRing,
     Ideal,
     _mask,
-    _minimal,
+    _minimal_rows,
     _primes_from_idempotents,
+    _sorted_sets,
     ideal_violations,
 )
 from .specs import MAX_DUPLICATION_ORDER
@@ -204,7 +205,10 @@ class DuplicationCarrier:
         self._pos = {elem: t for t, elem in enumerate(members)}
         self.zero = self.index_of(base.zero, base.zero)
         self.one = self.index_of(base.one, base.zero)
-        self.spec_name = f"{base.spec_name} join {base.format_subset(members)}"
+
+    @cached_property
+    def spec_name(self) -> str:
+        return f"{self.base.spec_name} join {self.base.format_subset(self.ideal_elements)}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_name!r})"
@@ -242,14 +246,14 @@ class DuplicationCarrier:
         return self.base.zero * k + at, self.base._neg_table[members] * k + at
 
     @cached_property
-    def o1_members(self) -> frozenset[int]:
-        """Kernel of the first coordinate projection: {(0, i)}."""
-        return frozenset(self._kernels[0].tolist())
-
-    @cached_property
-    def o2_members(self) -> frozenset[int]:
-        """Kernel of the second projection of the product form: {(-i, i)}."""
-        return frozenset(self._kernels[1].tolist())
+    def kernel_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only masks over the carrier of the kernels of the first
+        coordinate projection, {(0, i)}, and of the product form's second
+        projection, {(-i, i)}."""
+        masks = tuple(_mask(self.order, kernel) for kernel in self._kernels)
+        for mask in masks:
+            mask.setflags(write=False)
+        return masks
 
     @cached_property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +273,18 @@ class DuplicationCarrier:
         return nil[first] & nil[second]
 
     @cached_property
+    def minimal_prime_masks(self) -> np.ndarray:
+        """Boolean (minimal primes, carrier): the membership masks of the
+        minimal prime ideals, by the primitive-idempotent rule of
+        ``prime_ideals`` applied to the product-form coordinates: every
+        fact it reads holds iff it holds in both coordinates of R x R."""
+        return _minimal_rows(_primes_from_idempotents(self.base, self.coordinates, self.zero))
+
+    @property
     def minimal_primes(self) -> list[frozenset[int]]:
         """Members of the minimal prime ideals, sorted by (size, member
-        indices), by the primitive-idempotent rule of ``prime_ideals``
-        applied to the product-form coordinates: every fact it reads holds
-        iff it holds in both coordinates of R x R."""
-        return _minimal(_primes_from_idempotents(self.base, self.coordinates, self.zero))
+        indices)."""
+        return _sorted_sets(self.minimal_prime_masks)
 
 
 class AmalgamRing(DuplicationCarrier):
@@ -288,16 +298,6 @@ class AmalgamRing(DuplicationCarrier):
         self.ring = FiniteRing(
             self.order, add, mul, self.zero, self.one, labels, self.spec_name, _owned=True
         )
-
-    @cached_property
-    def o1(self) -> Ideal:
-        """Kernel of the first coordinate projection: {(0, i)}."""
-        return Ideal(self.ring, self.o1_members)
-
-    @cached_property
-    def o2(self) -> Ideal:
-        """Kernel of the second projection of the product form: {(-i, i)}."""
-        return Ideal(self.ring, self.o2_members)
 
 
 def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
@@ -418,19 +418,17 @@ class ZDClassification:
 
 
 def _classification_masks(
-    dup: DuplicationCarrier, base_zd: frozenset[int]
+    dup: DuplicationCarrier, zd_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sets t1..t4 of ``ZDClassification`` as boolean masks over the
-    carrier, in carrier order, given the base ring's zero-divisors
-    ``base_zd`` (0 included)."""
+    carrier, in carrier order, given the mask ``zd_mask`` of the base
+    ring's zero-divisors (0 included).  t1 and t2 are the carrier's
+    read-only kernel masks."""
     base = dup.base
     members = np.array(dup.ideal_elements, dtype=np.intp)
     n, k, zero = base.order, len(members), base.zero
-    zd_mask = _mask(n, list(base_zd))
 
-    o1, o2 = dup._kernels
-    t1 = _mask(n * k, o1)
-    t2 = _mask(n * k, o2)
+    t1, t2 = dup.kernel_masks
     # [r, t] is (r, members[t]).
     t3 = np.zeros((n, k), dtype=bool)
     t3[zd_mask] = True
@@ -443,12 +441,10 @@ def _classification_masks(
     return t1, t2, t3.ravel(), t4.ravel()
 
 
-def classify_zero_divisors(
-    dup: DuplicationCarrier, base_zd: frozenset[int]
-) -> ZDClassification:
+def classify_zero_divisors(dup: DuplicationCarrier, zd_mask: np.ndarray) -> ZDClassification:
     """The classification of the duplication's zero-divisors, given the
-    base ring's zero-divisors ``base_zd`` (0 included)."""
-    masks = _classification_masks(dup, base_zd)
+    mask ``zd_mask`` of the base ring's zero-divisors (0 included)."""
+    masks = _classification_masks(dup, zd_mask)
     return ZDClassification(*(frozenset(np.flatnonzero(mask).tolist()) for mask in masks))
 
 
@@ -501,20 +497,35 @@ def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarr
     return not ((classes.q[at] @ out).any() or (classes.clique[at] & (own > 0)).any())
 
 
+def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:
+    """R2.3's ring-only half: every edge {x, y} of the base graph ``graph``
+    maps under x -> (x, 0) to a zero product (x, 0)(y, 0), computed from
+    the definition of the multiplication over the base ring's tables, so
+    it can fail on tables that are not a ring's.  0 is a member of every
+    ideal, so this holds for every duplication of ``base`` or for none."""
+    verts = np.array(graph.vertices, dtype=np.intp)
+    zero = base.zero
+    products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
+    return bool(products[graph.adjacency].all())
+
+
 def structure_checks(
     dup: DuplicationCarrier,
-    base_zd: frozenset[int],
+    zd_mask: np.ndarray,
     base_graph: ZDGraph,
     dup_classes: ClassGraph,
+    edge_images_vanish: bool,
 ) -> StructureChecks:
-    """The structure checks of the duplication, given the base ring's
-    zero-divisors ``base_zd`` (0 included), its graph, and the
-    duplication's graph as classes over the carrier indices: the sweep's
-    key classes, or a materialized graph's ``ZDGraph.classes``.
+    """The structure checks of the duplication, given the mask
+    ``zd_mask`` of the base ring's zero-divisors (0 included), its graph,
+    the duplication's graph as classes over the carrier indices (the
+    sweep's key classes, or a materialized graph's ``ZDGraph.classes``),
+    and ``_edge_images_vanish`` of the base ring, which holds for all of
+    its duplications or for none.
 
-    The crossing and embedding products are computed from the definition
-    of the multiplication over the base ring's tables, so they can fail
-    on tables that are not a ring's.  Every set of carrier elements is an
+    The crossing products are computed from the definition of the
+    multiplication over the base ring's tables, so they can fail on
+    tables that are not a ring's.  Every set of carrier elements is an
     index array r*k + t or a boolean mask over the carrier.
     """
     base = dup.base
@@ -536,21 +547,21 @@ def structure_checks(
     )
 
     # The neighbours of (0, i) and (-i, i) for each member i outside Z(R)
-    # may be only the other kernel's nonzero elements.
-    regular = ~_mask(base.order, list(base_zd))[members]
-    first = _neighbours_inside(dup_classes, o1[regular], o2[nonzero])
-    second = _neighbours_inside(dup_classes, o2[regular], o1[nonzero])
-    exclusive = first and second
+    # may be only the other kernel's nonzero elements; with no such member
+    # there is nothing to check.
+    regular = ~zd_mask[members]
+    exclusive = True
+    if regular.any():
+        first = _neighbours_inside(dup_classes, o1[regular], o2[nonzero])
+        second = _neighbours_inside(dup_classes, o2[regular], o1[nonzero])
+        exclusive = first and second
 
-    # x -> (x, 0) must land on vertices, and every base edge on a product
-    # zero; (x, 0) is x*k plus the position of 0 among the members.
-    verts = np.array(base_graph.vertices, dtype=np.intp)
-    images = verts * k + int(np.searchsorted(members, zero))
-    products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
-    embeds = bool(
-        _mask(dup.order, dup_classes.vertices)[images].all()
-        and products[base_graph.adjacency].all()
-    )
+    # x -> (x, 0) must land on vertices; (x, 0) is x*k plus the position
+    # of 0 among the members.  A class_of that stops short of an image
+    # (a materialized graph's) leaves it off the graph.
+    class_of = dup_classes.class_of
+    images = np.array(base_graph.vertices, dtype=np.intp) * k + int(np.searchsorted(members, zero))
+    on_graph = bool((images < len(class_of)).all()) and bool((class_of[images] >= 0).all())
+    embeds = edge_images_vanish and on_graph
 
     return StructureChecks(crossings, exclusive, embeds, vacuous=False)
-

@@ -100,8 +100,9 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
     if ideal is not None:
         inst = Instance(ring, ideal, base)
         carrier, facts = inst.carrier, inst.dup
-        cls = classify_zero_divisors(carrier, base.zero_divisors)
+        cls = classify_zero_divisors(carrier, base.zero_divisor_mask)
         zero = carrier.zero
+        o1, o2 = (mask.nonzero()[0].tolist() for mask in carrier.kernel_masks)
         data["ideal"] = {"members": list(ideal.labels()), "size": len(ideal)}
         data["duplication"] = {
             "spec": carrier.spec_name,
@@ -115,8 +116,8 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
             "nonzero_zero_divisors": [
                 carrier.label(v) for v in facts.classes.vertices.tolist()
             ],
-            "o1": [carrier.label(m) for m in sorted(carrier.o1_members)],
-            "o2": [carrier.label(m) for m in sorted(carrier.o2_members)],
+            "o1": [carrier.label(m) for m in o1],
+            "o2": [carrier.label(m) for m in o2],
             "minimal_primes": [
                 [carrier.label(m) for m in sorted(p)] for p in carrier.minimal_primes
             ],

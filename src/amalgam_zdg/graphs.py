@@ -415,21 +415,27 @@ class ClassGraph:
         return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
 
     @cached_property
-    def universal(self) -> tuple[int, ...]:
-        """Vertices adjacent to every other vertex: their class meets every
-        other class, and its members meet each other, being one or a
-        clique."""
+    def universal_classes(self) -> np.ndarray:
+        """Mask of the classes whose members are adjacent to every other
+        vertex: the class meets every other class, and its members meet
+        each other, being one or a clique."""
         q = self.q
         meets_all = (q | np.eye(len(q), dtype=bool)).all(axis=1)
-        mask = meets_all & (self.clique | (self.sizes == 1))
+        return meets_all & (self.clique | (self.sizes == 1))
+
+    @cached_property
+    def universal(self) -> tuple[int, ...]:
+        """Vertices adjacent to every other vertex: the members of the
+        universal classes."""
         # A class of -1 is in none.
-        return tuple(np.flatnonzero(np.append(mask, False)[self.class_of]).tolist())
+        in_universal = np.append(self.universal_classes, False)[self.class_of]
+        return tuple(np.flatnonzero(in_universal).tolist())
 
     @property
     def complete(self) -> bool:
         """All distinct vertex pairs are adjacent (vacuous for <= 1): every
-        vertex is universal."""
-        return len(self.universal) == self.vertex_count
+        class is universal."""
+        return bool(self.universal_classes.all())
 
     @cached_property
     def edge_count(self) -> int:

@@ -32,7 +32,6 @@ __all__ = [
     "is_reduced",
     "is_field",
     "prime_ideals",
-    "minimal_primes",
 ]
 
 # Every operation table holds element indices as two-byte unsigned integers,
@@ -549,11 +548,12 @@ def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
 
 def _primes_from_idempotents(
     ring: FiniteRing, coords: Sequence[np.ndarray], zero: int
-) -> list[frozenset[int]]:
-    """Members of every prime ideal of a finite commutative ring S, sorted
-    by (size, member indices), where S sits in a power of ``ring`` with
-    componentwise operations: element x of S has the coordinates c[x] for
-    c in ``coords``, index arrays over ``ring``, and ``zero`` is its zero.
+) -> np.ndarray:
+    """Boolean (primes, elements): the membership masks of every prime
+    ideal of a finite commutative ring S, one row per primitive
+    idempotent, where S sits in a power of ``ring`` with componentwise
+    operations: element x of S has the coordinates c[x] for c in
+    ``coords``, index arrays over ``ring``, and ``zero`` is its zero.
     ``ring`` itself is one coordinate, the identity; a duplication's
     carrier is two.
 
@@ -579,24 +579,28 @@ def _primes_from_idempotents(
     masks = np.ones((len(primitive), len(coords[0])), dtype=bool)
     for c in coords:
         masks &= nil[mul[:, c[primitive]]].T[:, c]
-    found = [frozenset(np.flatnonzero(row).tolist()) for row in masks]
-    return sorted(found, key=_ideal_order)
+    return masks
 
 
-def _minimal(primes: list[frozenset[int]]) -> list[frozenset[int]]:
-    """The member sets that contain no other one of the list."""
-    return [p for p in primes if not any(q < p for q in primes)]
+def _minimal_rows(masks: np.ndarray) -> np.ndarray:
+    """The rows of a boolean (sets, elements) matrix whose set contains no
+    other one strictly, read off the containment counts: row b lies
+    inside row a when their common count is b's size."""
+    sizes = masks.sum(axis=1)
+    common = masks.astype(np.intp) @ masks.T
+    inside = (common == sizes[None, :]) & (sizes[None, :] < sizes[:, None])
+    return masks[~inside.any(axis=1)]
+
+
+def _sorted_sets(masks: np.ndarray) -> list[frozenset[int]]:
+    """The member sets of a boolean (sets, elements) matrix's rows, sorted
+    by (size, member indices)."""
+    return sorted((frozenset(np.flatnonzero(row).tolist()) for row in masks), key=_ideal_order)
 
 
 def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every prime ideal, sorted by (size, member indices), from the
     ring's primitive idempotents (``_primes_from_idempotents``); the tests
     compare against a complement scan over the ideal lattice."""
-    found = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
-    return [Ideal(ring, m) for m in found]
-
-
-def minimal_primes(ring: FiniteRing) -> list[Ideal]:
-    """Prime ideals that are minimal under inclusion."""
-    primes = [p.members for p in prime_ideals(ring)]
-    return [Ideal(ring, m) for m in _minimal(primes)]
+    masks = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    return [Ideal(ring, m) for m in _sorted_sets(masks)]

@@ -29,6 +29,7 @@ from .amalgam import (
     DuplicationCarrier,
     _check_duplication_order,
     _classification_masks,
+    _edge_images_vanish,
     matches_idealization,
     structure_checks,
 )
@@ -43,6 +44,7 @@ from .graphs import (
 from .rings import (
     FiniteRing,
     Ideal,
+    _mask,
     all_ideals,
     annihilator,
     is_ideal,
@@ -240,6 +242,13 @@ class RingFacts(_KeyClassFacts):
         return vertices | {zero} if kills.any() else vertices
 
     @cached_property
+    def zero_divisor_mask(self) -> np.ndarray:
+        """Z(R) as a read-only boolean mask over the elements."""
+        mask = _mask(self.ring.order, list(self.zero_divisors))
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def zdivs_form_ideal(self) -> bool:
         return is_ideal(self.ring, self.zero_divisors)
 
@@ -255,6 +264,12 @@ class RingFacts(_KeyClassFacts):
     @cached_property
     def is_reduced(self) -> bool:
         return is_reduced(self.ring)
+
+    @cached_property
+    def edge_images_vanish(self) -> bool:
+        """R2.3's ring-only half: x -> (x, 0) takes every edge of the graph
+        to a zero product in every duplication (``_edge_images_vanish``)."""
+        return _edge_images_vanish(self.ring, self.graph)
 
     @cached_property
     def edges_share_annihilator(self) -> bool:
@@ -414,11 +429,16 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
     inst.require_nonzero_ideal()
     a = inst.base.is_domain
     b = inst.dup.classes.girth == 4 or math.isinf(inst.dup.classes.girth)
-    mins = inst.carrier.minimal_primes
+    mins = inst.carrier.minimal_prime_masks
+    k1, k2 = inst.carrier.kernel_masks
+    same = np.array_equal
     c = (
         len(mins) == 2
-        and (mins[0] & mins[1]) == {inst.carrier.zero}
-        and set(mins) == {inst.carrier.o1_members, inst.carrier.o2_members}
+        and np.flatnonzero(mins[0] & mins[1]).tolist() == [inst.carrier.zero]
+        and (
+            (same(mins[0], k1) and same(mins[1], k2))
+            or (same(mins[0], k2) and same(mins[1], k1))
+        )
     )
     d = inst.dup.classes.bipartition is not None
     ok = a == b == c == d
@@ -574,7 +594,14 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
 
 def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
     """If the ideal escapes Z(R) and the duplication graph has diameter 2,
-    every nonzero zero-divisor of the base has an annihilator meeting I."""
+    every nonzero zero-divisor of the base has an annihilator meeting I.
+
+    On a finite ring this cannot fail.  Multiplication by an x outside
+    Z(R) is injective on the finite set R, hence onto, so x*y = 1 for
+    some y: x is a unit.  An I that escapes Z(R) thus holds a unit and is
+    R, and then Ann(y) ∩ I = Ann(y), which is nonzero for every
+    zero-divisor y by definition.  The offender branch is reached only
+    through planted facts."""
     hyp = not inst.ideal_inside_zdivs and inst.dup.classes.diameter == 2
     if not hyp:
         why = (
@@ -602,7 +629,7 @@ def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
 def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    hyp = bool(inst.dup.classes.universal)
+    hyp = bool(inst.dup.classes.universal_classes.any())
     if not hyp:
         return _outcome(
             TheoremId.P4_16,
@@ -693,7 +720,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
     classified = np.logical_or.reduce(
-        _classification_masks(inst.carrier, inst.base.zero_divisors)
+        _classification_masks(inst.carrier, inst.base.zero_divisor_mask)
     )
     classified[inst.carrier.zero] = False
     if not np.array_equal(classified, inst.dup.classes.class_of >= 0):
@@ -710,7 +737,11 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
         )
 
     checks = structure_checks(
-        inst.carrier, inst.base.zero_divisors, inst.base.graph, inst.dup.classes
+        inst.carrier,
+        inst.base.zero_divisor_mask,
+        inst.base.graph,
+        inst.dup.classes,
+        inst.base.edge_images_vanish,
     )
     if not checks.vacuous and not checks.all_hold():
         failing = [
@@ -798,6 +829,20 @@ def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
                 os.environ[name] = value
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _json_block(items: list[str], pad: int, brackets: str = "[]") -> str:
+    """Encoded array ``items``, or with ``brackets`` "{}" encoded object
+    members ``"key": value`` in key order, in the layout of ``json.dumps``
+    with ``indent=2``: one item a line, indented by ``pad`` spaces, and
+    the bare brackets when there is none."""
+    if not items:
+        return brackets
+    inner = ",\n" + " " * pad
+    return brackets[0] + inner[1:] + inner.join(items) + "\n" + " " * (pad - 2) + brackets[1]
+
+
 @dataclass(frozen=True)
 class SweepReport:
     family: tuple[str, ...]
@@ -823,26 +868,47 @@ class SweepReport:
     def succeeded(self) -> bool:
         return self.counterexample_count == 0 and not self.invariant_violations
 
-    def to_json_dict(self) -> dict:
+    def to_json(self, generated_at: str | None = None) -> str:
+        """The JSON report: the bytes of ``json.dumps(report, indent=2,
+        sort_keys=True)`` plus a newline, written in that fixed layout
+        directly, with every string escaped by the C function
+        ``json.dumps`` itself uses.  (``json.dumps`` with an indent runs
+        its pure-Python encoder.)"""
         instances = []
         for record in self.instances:
-            outcomes = [o.to_json_dict() for o in record.outcomes]
-            instances.append(
-                {"ring": record.ring, "ideal": list(record.ideal), "outcomes": outcomes}
-            )
-        return {
-            "family": list(self.family),
-            "ideal_filter": self.ideal_filter,
-            "instances": instances,
-            "totals": self.totals,
-            "invariant_violations": list(self.invariant_violations),
-        }
-
-    def to_json(self, generated_at: str | None = None) -> str:
-        data = self.to_json_dict()
+            outcomes = []
+            for o in record.outcomes:
+                members = []
+                if o.note is not None:
+                    members.append('"note": ' + _encode(o.note))
+                members.append(f'"status": "{o.status.value}"')
+                members.append(f'"theorem": "{o.theorem.value}"')
+                if o.witness is not None:
+                    members.append('"witness": ' + _encode(o.witness))
+                outcomes.append(_json_block(members, 10, "{}"))
+            ideal = _json_block([_encode(label) for label in record.ideal], 8)
+            members = [
+                f'"ideal": {ideal}',
+                f'"outcomes": {_json_block(outcomes, 8)}',
+                f'"ring": {_encode(record.ring)}',
+            ]
+            instances.append(_json_block(members, 6, "{}"))
+        totals = [
+            f'"{theorem}": '
+            + _json_block([f'"{s}": {n}' for s, n in sorted(counts.items())], 6, "{}")
+            for theorem, counts in sorted(self.totals.items())
+        ]
+        violations = [_encode(v) for v in self.invariant_violations]
+        members = [f'"family": {_json_block([_encode(s) for s in self.family], 4)}']
         if generated_at is not None:
-            data["generated_at"] = generated_at
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+            members.append(f'"generated_at": {_encode(generated_at)}')
+        members += [
+            f'"ideal_filter": {_encode(self.ideal_filter)}',
+            f'"instances": {_json_block(instances, 4)}',
+            f'"invariant_violations": {_json_block(violations, 4)}',
+            f'"totals": {_json_block(totals, 4, "{}")}',
+        ]
+        return _json_block(members, 2, "{}") + "\n"
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

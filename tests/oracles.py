@@ -20,7 +20,12 @@ off-diagonal ``eye`` mask instead of the one blocked zero-product pass for
 Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.  A boolean
 product is an OR of ANDs cell by cell instead of numpy's boolean matmul or
 the four Russians, and a duplication's key classes come from ``np.unique``
-over its keys instead of a count over the whole key space.
+over its keys instead of a count over the whole key space.  Minimal
+primes are the primes that strictly contain no other member set, instead
+of containment counts over mask rows; the projection kernels are built
+with one ``index_of`` per member instead of index arithmetic; and a sweep
+report's JSON is ``json.dumps`` of the report as a dict instead of the
+report's own writer.
 
 The library builds no idealization ring, measures no distance between two
 vertices, and has no joint annihilator or product-form image of one
@@ -32,6 +37,7 @@ as two ``annihilator`` calls intersected, and (r, i) -> (r, r+i) from
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from itertools import combinations
@@ -48,6 +54,7 @@ from amalgam_zdg import (
     all_ideals,
     annihilator,
     is_ideal,
+    prime_ideals,
     zero_divisors,
 )
 from amalgam_zdg.graphs import _boolean_product
@@ -64,11 +71,17 @@ def brute_zero_divisors(ring: FiniteRing) -> frozenset[int]:
     return frozenset(out)
 
 
-def full_mask_zero_divisors(ring: FiniteRing) -> frozenset[int]:
-    """Z(R) read off the whole order x order mask of x*y == 0."""
+def full_zero_divisor_mask(ring: FiniteRing) -> np.ndarray:
+    """Z(R) as a boolean mask, read off the whole order x order mask of
+    x*y == 0."""
     mask = ring.mul_table == ring.zero
     mask[:, ring.zero] = False
-    return frozenset(np.nonzero(mask.any(axis=1))[0].tolist())
+    return mask.any(axis=1)
+
+
+def full_mask_zero_divisors(ring: FiniteRing) -> frozenset[int]:
+    """Z(R) read off the whole order x order mask of x*y == 0."""
+    return frozenset(np.flatnonzero(full_zero_divisor_mask(ring)).tolist())
 
 
 def gather_adjacency(ring: FiniteRing) -> tuple[list[int], np.ndarray]:
@@ -165,6 +178,13 @@ def complement_scan_primes(ring: FiniteRing) -> list[frozenset[int]]:
         for ideal in all_ideals(ring)
         if complement_scan_is_prime(ring, ideal.members)
     ]
+
+
+def minimal_primes(ring: FiniteRing) -> list[Ideal]:
+    """Prime ideals that are minimal under inclusion: ``prime_ideals``
+    with every member set that strictly contains another one dropped."""
+    primes = [p.members for p in prime_ideals(ring)]
+    return [Ideal(ring, m) for m in primes if not any(q < m for q in primes)]
 
 
 def floyd_warshall_distances(graph: ZDGraph) -> np.ndarray:
@@ -324,6 +344,15 @@ def gather_idealization(base: FiniteRing, ideal) -> FiniteRing:
     one = base.one * k + members.index(base.zero)
     name = f"{base.spec_name} idealization {base.format_subset(members)}"
     return FiniteRing(base.order * k, add, mul, zero, one, labels, name)
+
+
+def kernel_ideals(amalgam) -> tuple[Ideal, Ideal]:
+    """The projection kernels O1 = {(0, i)} and O2 = {(-i, i)} as ideals
+    of the duplication ring, one ``index_of`` per member."""
+    base = amalgam.base
+    o1 = frozenset(amalgam.index_of(base.zero, i) for i in amalgam.ideal_elements)
+    o2 = frozenset(amalgam.index_of(base.neg(i), i) for i in amalgam.ideal_elements)
+    return Ideal(amalgam.ring, o1), Ideal(amalgam.ring, o2)
 
 
 def product_rep(amalgam, e: int) -> tuple[int, int]:
@@ -486,3 +515,27 @@ def unique_key_classes(cls, rel, first, second):
     position = np.full(len(present), -1, dtype=np.intp)
     position[on_graph] = np.arange(len(on_graph))
     return q, sizes, clique, position[key_of]
+
+
+def report_json_dict(report, generated_at: str | None = None) -> dict:
+    """A sweep report as the dict its JSON encodes."""
+    instances = []
+    for record in report.instances:
+        outcomes = [o.to_json_dict() for o in record.outcomes]
+        instances.append({"ring": record.ring, "ideal": list(record.ideal), "outcomes": outcomes})
+    data = {
+        "family": list(report.family),
+        "ideal_filter": report.ideal_filter,
+        "instances": instances,
+        "totals": report.totals,
+        "invariant_violations": list(report.invariant_violations),
+    }
+    if generated_at is not None:
+        data["generated_at"] = generated_at
+    return data
+
+
+def dumps_report(report, generated_at: str | None = None) -> str:
+    """A sweep report's JSON text from ``json.dumps`` with sorted keys and
+    an indent of 2, through its pure-Python encoder."""
+    return json.dumps(report_json_dict(report, generated_at), indent=2, sort_keys=True) + "\n"

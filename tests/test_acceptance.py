@@ -39,7 +39,6 @@ from amalgam_zdg import (
     is_reduced,
     make_zn,
     matches_idealization,
-    minimal_primes,
     parse_ideal_spec,
     parse_ring_spec,
     prime_ideals,
@@ -57,18 +56,22 @@ from oracles import (
     bfs_girth,
     complement_scan_is_prime,
     complement_scan_primes,
+    dumps_report,
     edge_loop_share_annihilator,
     enumerate_cycles_girth,
     eye_mask_is_complete,
     floyd_warshall_diameter,
     floyd_warshall_distance,
     full_mask_zero_divisors,
+    full_zero_divisor_mask,
     gather_adjacency,
     gather_idealization,
     gather_pair_tables,
     gather_zset_square_zero,
+    kernel_ideals,
     loop_classify_zero_divisors,
     loop_structure_checks,
+    minimal_primes,
     neighbor_count_universal_vertices,
     product_rep,
     reach_product_diameter,
@@ -217,7 +220,8 @@ def _assert_primes_match_oracle(ring, rng: random.Random) -> None:
     oracle = complement_scan_primes(ring)
     assert [p.members for p in prime_ideals(ring)] == oracle, ring.spec_name
     minimal = [p for p in oracle if not any(q < p for q in oracle)]
-    assert [p.members for p in minimal_primes(ring)] == minimal, ring.spec_name
+    masks = rings._primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    assert rings._sorted_sets(rings._minimal_rows(masks)) == minimal, ring.spec_name
     candidates = [i.members for i in all_ideals(ring)] + [zero_divisors(ring)]
     for _ in range(3):
         picked = rng.sample(range(ring.order), rng.randint(1, ring.order))
@@ -311,7 +315,7 @@ def test_vectorized_checks_match_loops(family_instances):
         seen_rings, shares = set(), set()
         for ring, ideal in family_instances:
             dup = amalgamated_duplication(ring, ideal)
-            cls = classify_zero_divisors(dup, zero_divisors(ring))
+            cls = classify_zero_divisors(dup, full_zero_divisor_mask(ring))
             assert (cls.t1, cls.t2, cls.t3, cls.t4) == loop_classify_zero_divisors(
                 dup
             ), dup.ring.spec_name
@@ -345,13 +349,15 @@ def test_whole_array_graph_checks_match_loops(family_instances):
             dup = amalgamated_duplication(ring, ideal)
             base_graph, dup_graph = build_graph(ring), build_graph(dup.ring)
             complements = (_complement(base_graph), _complement(dup_graph))
+            zd_mask = full_zero_divisor_mask(ring)
             for pair in ((base_graph, dup_graph), complements):
                 for graph in pair:
                     got = complete_bipartition(graph)
                     assert got == bfs_complete_bipartition(graph), graph
                     parts.add(got is None)
                 base, graph = pair
-                checks = structure_checks(dup, zero_divisors(ring), base, graph.classes)
+                vanish = amalgam._edge_images_vanish(ring, base)
+                checks = structure_checks(dup, zd_mask, base, graph.classes, vanish)
                 assert checks == loop_structure_checks(dup, *pair), dup.ring.spec_name
                 exclusive.add(checks.regular_members_exclusive)
                 embeds.add(checks.embeds_base)
@@ -386,6 +392,9 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
                 assert facts.square_zero == square_zero, owner.spec_name
                 assert zero_divisors(owner) == full_mask_zero_divisors(owner)
                 assert facts.zero_divisors == full_mask_zero_divisors(owner)
+                assert np.array_equal(facts.zero_divisor_mask, full_zero_divisor_mask(owner))
+                zd_mask = set(np.flatnonzero(facts.zero_divisor_mask).tolist())
+                assert zd_mask == zero_divisors(owner), owner.spec_name
                 verts, adj = gather_adjacency(owner)
                 assert graph.vertices == tuple(verts), owner.spec_name
                 assert np.array_equal(graph.adjacency, adj), owner.spec_name
@@ -468,8 +477,13 @@ def test_bipartite_pattern_and_embedding(family_instances):
             if len(ideal) < 2:
                 continue
             dup = amalgamated_duplication(ring, ideal)
+            base = RingFacts(ring)
             checks = structure_checks(
-                dup, zero_divisors(ring), build_graph(ring), build_graph(dup.ring).classes
+                dup,
+                base.zero_divisor_mask,
+                base.graph,
+                build_graph(dup.ring).classes,
+                base.edge_images_vanish,
             )
             assert not checks.vacuous
             assert checks.crossings_complete, dup.ring.spec_name
@@ -627,11 +641,15 @@ def test_factored_duplication_matches_the_materialized_graph():
                 assert carrier.minimal_primes == [
                     p.members for p in minimal_primes(dup.ring)
                 ], name
-                assert (carrier.o1_members, carrier.o2_members) == (
-                    dup.o1.members,
-                    dup.o2.members,
-                ), name
-                checks = structure_checks(carrier, base.zero_divisors, base.graph, classes)
+                for mask, kernel in zip(carrier.kernel_masks, kernel_ideals(dup)):
+                    assert set(np.flatnonzero(mask).tolist()) == kernel.members, name
+                checks = structure_checks(
+                    carrier,
+                    base.zero_divisor_mask,
+                    base.graph,
+                    classes,
+                    base.edge_images_vanish,
+                )
                 assert checks == loop_structure_checks(dup, base.graph, graph), name
                 assert_neighbour_rows(classes, graph)
                 cliques += bool((classes.clique & (classes.sizes > 1)).any())
@@ -667,6 +685,11 @@ def test_sweep_report_bytes_are_pinned(sweep_report):
         ):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == REPORT_SHA256[fmt], fmt
+
+
+def test_report_writer_matches_json_dumps(sweep_report):
+    with criterion("oracles: acceptance-family JSON writer against json.dumps"):
+        assert sweep_report.to_json() == dumps_report(sweep_report)
 
 
 def test_wide_sweep_report_bytes_are_pinned():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    DuplicationCarrier,
     DuplicationTooLargeError,
     FiniteRing,
     Ideal,
@@ -17,7 +18,6 @@ from amalgam_zdg import (
     ideal_from_generators,
     is_ideal,
     make_zn,
-    minimal_primes,
     parse_ideal_spec,
     parse_ring_spec,
     structure_checks,
@@ -25,8 +25,15 @@ from amalgam_zdg import (
     verify_ring_axioms,
     zero_divisors,
 )
-from amalgam_zdg import amalgam, graphs
-from oracles import gather_idealization, loop_structure_checks, product_rep
+from amalgam_zdg import RingFacts, amalgam, graphs
+from oracles import (
+    full_zero_divisor_mask,
+    gather_idealization,
+    kernel_ideals,
+    loop_structure_checks,
+    minimal_primes,
+    product_rep,
+)
 
 Z8 = make_zn(8)
 I8 = ideal_from_generators(Z8, [4])
@@ -40,15 +47,23 @@ def full_dup(ring):
     return amalgamated_duplication(ring, Ideal(ring, frozenset(ring.elements())))
 
 
-def checks_of(a):
-    """``structure_checks`` of a duplication with its base ring's Z(R) and
-    graph and the classes of the duplication's graph."""
+def checks_of(a, graph=None):
+    """``structure_checks`` of a duplication with its base ring's facts
+    and the classes of the duplication's graph, by default its own."""
+    base = RingFacts(a.base)
+    graph = build_graph(a.ring) if graph is None else graph
     return structure_checks(
-        a, zero_divisors(a.base), build_graph(a.base), build_graph(a.ring).classes
+        a, base.zero_divisor_mask, base.graph, graph.classes, base.edge_images_vanish
     )
 
 
 class TestConstruction:
+    def test_carrier_name_is_formatted_on_first_read(self):
+        carrier = DuplicationCarrier(Z8, I8)
+        assert "spec_name" not in vars(carrier)
+        assert carrier.spec_name == "Z8 join {0, 4}"
+        assert repr(carrier) == "DuplicationCarrier('Z8 join {0, 4}')"
+
     def test_order_and_identities(self):
         a = amalgamated_duplication(Z8, I8)
         assert a.ring.order == 16
@@ -321,26 +336,32 @@ class TestProductEmbedding:
 class TestProjectionKernels:
     def test_kernels_of_z6(self):
         a = dup(make_zn(6), [3])
-        assert {a.ring.labels[m] for m in a.o1} == {"(0,0)", "(0,3)"}
-        assert {a.ring.labels[m] for m in a.o2} == {"(0,0)", "(3,3)"}
+        o1, o2 = kernel_ideals(a)
+        assert {a.ring.labels[m] for m in o1} == {"(0,0)", "(0,3)"}
+        assert {a.ring.labels[m] for m in o2} == {"(0,0)", "(3,3)"}
 
     def test_kernels_are_ideals_of_matching_size(self):
         a = amalgamated_duplication(Z8, I8)
-        assert len(a.o1) == len(a.o2) == len(a.ideal)
-        assert is_ideal(a.ring, a.o1.members)
-        assert is_ideal(a.ring, a.o2.members)
-        assert a.o1.members & a.o2.members == {a.ring.zero}
+        o1, o2 = kernel_ideals(a)
+        assert len(o1) == len(o2) == len(a.ideal)
+        assert is_ideal(a.ring, o1.members)
+        assert is_ideal(a.ring, o2.members)
+        assert o1.members & o2.members == {a.ring.zero}
+        for kernel, mask in zip((o1, o2), a.kernel_masks):
+            assert frozenset(np.flatnonzero(mask).tolist()) == kernel.members
+            assert not mask.flags.writeable
 
     def test_domain_duplication_minimal_primes_are_the_kernels(self):
         a = full_dup(make_zn(3))
         got = {p.members for p in minimal_primes(a.ring)}
-        assert got == {a.o1.members, a.o2.members}
+        assert got == {kernel.members for kernel in kernel_ideals(a)}
+        assert set(a.minimal_primes) == got
 
 
 class TestClassification:
     def test_z8_classes(self):
         a = amalgamated_duplication(Z8, I8)
-        cls = classify_zero_divisors(a, zero_divisors(a.base))
+        cls = classify_zero_divisors(a, full_zero_divisor_mask(a.base))
         zero = a.ring.zero
         lab = a.ring.labels
         assert {lab[v] for v in cls.t1 - {zero}} == {"(0,4)"}
@@ -352,7 +373,7 @@ class TestClassification:
 
     def test_domain_case_has_only_kernel_classes(self):
         a = full_dup(make_zn(3))
-        cls = classify_zero_divisors(a, zero_divisors(a.base))
+        cls = classify_zero_divisors(a, full_zero_divisor_mask(a.base))
         zero = a.ring.zero
         assert cls.t3 == cls.t4 == frozenset()
         vertices = frozenset(build_graph(a.ring).vertices)
@@ -360,14 +381,14 @@ class TestClassification:
 
     def test_zero_ideal_classes_collapse(self):
         a = dup(make_zn(6), [0])
-        cls = classify_zero_divisors(a, zero_divisors(a.base))
+        cls = classify_zero_divisors(a, full_zero_divisor_mask(a.base))
         zero = a.ring.zero
         assert cls.t1 == cls.t2 == frozenset({zero})
         assert cls.t4 == frozenset()
 
     def test_t4_disjoint_from_earlier_classes(self):
         a = full_dup(make_zn(4))
-        cls = classify_zero_divisors(a, zero_divisors(a.base))
+        cls = classify_zero_divisors(a, full_zero_divisor_mask(a.base))
         assert cls.t4
         assert not cls.t4 & (cls.t1 | cls.t2 | cls.t3)
         base_zd = zero_divisors(a.base)
@@ -388,7 +409,7 @@ class TestClassification:
     def test_union_matches_brute_force(self, spec, ideal_spec):
         ring = parse_ring_spec(spec)
         a = amalgamated_duplication(ring, parse_ideal_spec(ring, ideal_spec))
-        cls = classify_zero_divisors(a, zero_divisors(a.base))
+        cls = classify_zero_divisors(a, full_zero_divisor_mask(a.base))
         zero = a.ring.zero
         assert cls.union() - {zero} == zero_divisors(a.ring) - {zero}
 
@@ -415,7 +436,7 @@ class TestStructure:
             [full.labels[p] for p in keep],
             full.adjacency[np.ix_(keep, keep)],
         )
-        checks = structure_checks(a, zero_divisors(a.base), base_graph, graph.classes)
+        checks = checks_of(a, graph)
         assert not checks.embeds_base
         assert checks == loop_structure_checks(a, base_graph, graph)
 

@@ -22,7 +22,6 @@ from amalgam_zdg import (
     is_prime_ideal,
     is_reduced,
     make_zn,
-    minimal_primes,
     prime_ideals,
     parse_ring_spec,
     principal_ideal,
@@ -35,6 +34,7 @@ from amalgam_zdg.rings import MAX_TABLE_ORDER
 from oracles import (
     annihilator_pair,
     brute_zero_divisors,
+    minimal_primes,
     subset_scan_ideals,
     unique_closure_ideals,
 )
@@ -375,6 +375,18 @@ class TestPrimes:
     def test_z4_has_one_minimal_prime(self):
         got = [set(p.members) for p in minimal_primes(make_zn(4))]
         assert got == [{0, 2}]
+
+    def test_minimal_rows_drop_strict_supersets_only(self):
+        # Every prime of a finite ring is minimal, so the rings never
+        # exercise the filter; these sets do: {0,1,2} strictly contains
+        # {0,1}, which appears twice and is kept twice.
+        sets = [{0, 1, 2}, {0, 1}, {0, 3}, {0, 1}, {0, 2, 3, 4}]
+        masks = np.zeros((len(sets), 5), dtype=bool)
+        for row, members in zip(masks, sets):
+            row[sorted(members)] = True
+        got = [set(np.flatnonzero(row).tolist()) for row in rings._minimal_rows(masks)]
+        assert got == [s for s in sets if not any(t < s for t in sets)]
+        assert got == [{0, 1}, {0, 3}, {0, 1}]
 
     def test_is_prime_ideal_direct(self):
         r = make_zn(8)

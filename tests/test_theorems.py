@@ -23,8 +23,12 @@ from amalgam_zdg import (
     RingFacts,
     Status,
     TheoremId,
+    InstanceRecord,
+    SweepReport,
+    VerificationOutcome,
     ZDGraph,
     check,
+    expand_family,
     instance_invariant_violations,
     parse_ideal_spec,
     parse_ring_spec,
@@ -38,6 +42,7 @@ from amalgam_zdg.theorems import (
     _outcome,
     _worker_pool,
 )
+from oracles import dumps_report, report_json_dict
 
 EXPECTED_ORDER = [
     TheoremId.C3_3,
@@ -367,7 +372,45 @@ class TestSweep:
     def test_json_round_trip(self):
         report = sweep(["Z4", "Z6"], "nonzero", workers=1)
         text = report.to_json()
-        assert json.loads(text) == report.to_json_dict()
+        assert json.loads(text) == report_json_dict(report)
+
+    @pytest.mark.parametrize(
+        "family, ideal_filter, generated_at",
+        [
+            (["Z4", "Z6"], "nonzero", None),
+            ([], "nonzero", None),
+            ([], "proper", "2026-10-19T09:30:00+00:00"),
+            (["Z2xZ2", "Z8"], "nonzero", "2026-10-19T09:30:00+00:00"),
+            (["Z6"], "all", None),
+        ],
+        ids=["two-rings", "empty", "empty-stamped", "stamped", "Z6-all"],
+    )
+    def test_json_writer_matches_json_dumps(self, family, ideal_filter, generated_at):
+        report = sweep(family, ideal_filter, workers=1)
+        assert report.to_json(generated_at) == dumps_report(report, generated_at)
+        if ideal_filter == "all":
+            # R⋈{0} = R for Z6: P4.16's honest counterexample has a witness.
+            assert any(o.witness for r in report.instances for o in r.outcomes)
+
+    def test_json_writer_escapes_like_json_dumps(self):
+        text = 'q"uote \\back\\slash \x00\x1f\t\n\x7f ⋈ é'
+        flagged = VerificationOutcome(
+            TheoremId.P4_16, text, (), True, False, Status.COUNTEREXAMPLE, text, text
+        )
+        bare = VerificationOutcome(TheoremId.C3_3, text, (), False, False, Status.VACUOUS)
+        report = SweepReport(
+            family=(text, "Z2"),
+            ideal_filter=text,
+            instances=(
+                InstanceRecord(text, (), (flagged, bare)),
+                InstanceRecord("Z2", (text, "é"), ()),
+            ),
+            invariant_violations=(text, "[Z2 | I={0}] R2.3: base embedding failed"),
+        )
+        for generated_at in (None, text):
+            written = report.to_json(generated_at)
+            assert written == dumps_report(report, generated_at)
+            assert written.isascii()
 
     def test_csv_has_a_row_per_check(self):
         report = sweep(["Z4", "Z6"], "nonzero", workers=1)
@@ -391,6 +434,25 @@ class TestSweep:
             counts = [f.result(timeout=120) for f in futures]
         assert counts == [1, 1]
         assert blas_env() == before
+
+    def test_exclusivity_reads_the_classes_only_for_members_outside_zdivs(
+        self, monkeypatch
+    ):
+        # A finite ring's ideal escapes Z(R) only when it is R, so on
+        # Z2..Z32 R2.3's exclusivity reads the classes on 31 of the 87
+        # instances, twice each; on the other 56 it holds with nothing to
+        # check.
+        calls = []
+        inside = amalgam._neighbours_inside
+
+        def spy(*args):
+            calls.append(args)
+            return inside(*args)
+
+        monkeypatch.setattr(amalgam, "_neighbours_inside", spy)
+        report = sweep(expand_family("Z2..Z32"), workers=1)
+        assert report.succeeded and len(report.instances) == 87
+        assert len(calls) == 2 * 31
 
     def test_sweep_reads_no_neighbour_tuples(self, monkeypatch):
         # Every graph of this family is empty or has girth 3 or 4, so the
@@ -497,7 +559,12 @@ class TestRingFacts:
             monkeypatch.setattr(theorems, name, spy)
 
         spy_property(FiniteRing, "_nilpotent_mask")
-        for name in ("edges_share_annihilator", "zdivs_prime"):
+        for name in (
+            "edges_share_annihilator",
+            "zdivs_prime",
+            "zero_divisor_mask",
+            "edge_images_vanish",
+        ):
             spy_property(RingFacts, name)
         for name in ("parse_ring_spec", "is_prime_ideal"):
             spy_function(name)
@@ -508,6 +575,10 @@ class TestRingFacts:
             ("parse_ring_spec", "Z16"),
             ("_nilpotent_mask", "Z30"),
             ("_nilpotent_mask", "Z16"),
+            ("zero_divisor_mask", "Z30"),
+            ("zero_divisor_mask", "Z16"),
+            ("edge_images_vanish", "Z30"),
+            ("edge_images_vanish", "Z16"),
             ("edges_share_annihilator", "Z16"),
             ("zdivs_prime", "Z16"),
             ("is_prime_ideal", "Z16"),
