@@ -103,6 +103,14 @@ WIDE_REPORT_SHA256 = {
     "csv": "0a7059c245bbb397f214911ef6fbb97cd923ac8441baba04c82cf4575b74703d",
 }
 
+# The same pin for the acceptance family along every ideal, {0} included:
+# the precondition notes, T4.8's exclusion, and P4.16's honest
+# counterexamples on R⋈{0} = R for Z6, Z10 and Z14, with their witnesses.
+ALL_IDEALS_REPORT_SHA256 = {
+    "json": "dbd184a82fe40fee3354c1f5540d972894e491665df062edaa23bf8464b31257",
+    "csv": "d196e5924a4a11fabf61eff968a334a080fb6ed026e6a5f39416d4dd53f3d1e8",
+}
+
 
 @contextmanager
 def criterion(name: str):
@@ -698,6 +706,14 @@ def test_wide_sweep_report_bytes_are_pinned():
         for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == WIDE_REPORT_SHA256[fmt], fmt
+
+
+def test_all_ideals_sweep_report_bytes_are_pinned():
+    with criterion("pinned: acceptance-family JSON and CSV report digests along every ideal"):
+        report = sweep(FAMILY, "all", workers=1)
+        for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == ALL_IDEALS_REPORT_SHA256[fmt], fmt
 
 
 def test_sweep_determinism(sweep_report):

@@ -5,6 +5,8 @@ falsify a statement is shown to be reachable."""
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ from amalgam_zdg import amalgam, theorems
 def _instance(spec: str, ideal_spec: str) -> Instance:
     ring = parse_ring_spec(spec)
     return Instance(ring, parse_ideal_spec(ring, ideal_spec))
+
+
+def _run(theorem: TheoremId, inst: Instance) -> theorems.VerificationOutcome:
+    """The outcome of one registered check on ``inst``."""
+    return theorems._REGISTRY[theorem](inst)
 
 
 def _plant_third_row(mins: np.ndarray) -> np.ndarray:
@@ -81,3 +88,82 @@ def test_planted_nonzero_base_edge_product_fails_r2_3_embedding():
     assert instance_invariant_violations(inst) == [
         "[Z6 | I={0,3}] R2.3: base embedding failed"
     ]
+
+
+# (statement, ring, ideal, planted fact as (owner, attribute, value), witness,
+# note).  Each instance satisfies the statement's hypotheses and verifies
+# it as built; the planted fact is one the conclusion reads.
+PLANTED_FACTS = [
+    (
+        TheoremId.C3_3, "Z6", "gen(3)", ("dup.classes", "girth", 4),
+        "girth = 4, domain = False, |I| = 2",
+        "girth = 4, domain = False, |I| = 2",
+    ),
+    (
+        TheoremId.T4_8, "Z4", "gen(2)", ("dup", "square_zero", False),
+        "complete = True, base square-zero with I inside Z(R) = True, "
+        "duplication square-zero = False",
+        "complete = True, base square-zero with I inside Z(R) = True, "
+        "duplication square-zero = False",
+    ),
+    (
+        TheoremId.L4_9, "Z4", "full", ("dup.classes", "diameter", 2),
+        "diameter(duplication graph) = 2",
+        "diameter(duplication graph) = 2",
+    ),
+    (
+        TheoremId.C4_10, "Z4", "full", ("dup.classes", "diameter", 2),
+        "universal base vertices {2}; diameter(duplication graph) = 2",
+        "universal base vertices {2}; diameter(duplication graph) = 2",
+    ),
+    (
+        TheoremId.P4_11, "Z2xZ4", "full", ("dup.classes", "diameter", 2),
+        "diameter(duplication graph) = 2",
+        "diameter(duplication graph) = 2",
+    ),
+    (
+        TheoremId.T4_12, "Z6", "gen(3)", ("dup.classes", "diameter", 2),
+        "diameter(duplication graph) = 2",
+        "diameter(duplication graph) = 2",
+    ),
+    (
+        TheoremId.P4_13, "Z8", "gen(4)", ("dup.classes", "diameter", 3),
+        "diameter(duplication graph) = 3; non-reduced variant: hypotheses hold",
+        "diameter(duplication graph) = 3; non-reduced variant: hypotheses hold",
+    ),
+    (
+        TheoremId.L4_15, "Z3", "full", ("base", "zero_divisors", frozenset({0, 1})),
+        "Ann(1) meets the ideal only in zero",
+        "checked 1 nonzero zero-divisors",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, spec, ideal_spec, plant, witness, note",
+    PLANTED_FACTS,
+    ids=[row[0].value for row in PLANTED_FACTS],
+)
+def test_planted_fact_makes_a_counterexample(theorem, spec, ideal_spec, plant, witness, note):
+    """The check verifies the instance as built.  With one fact that its
+    conclusion reads planted, it reports the counterexample, with the
+    planted value in its witness and note."""
+    inst = _instance(spec, ideal_spec)
+    assert _run(theorem, inst).status is Status.VERIFIED
+    owner, name, value = plant
+    setattr(attrgetter(owner)(inst), name, value)
+    after = _run(theorem, inst)
+    assert after.theorem is theorem
+    assert after.status is Status.COUNTEREXAMPLE
+    assert after.witness == witness
+    assert after.note == note
+
+
+def test_zero_ideal_makes_p4_16_an_honest_counterexample():
+    """Z6 along {0} is Z6, whose graph 2 - 3 - 4 has the universal vertex 3,
+    while Z(Z6) = {0, 2, 3, 4} is not an ideal, so not prime: P4.16 fails
+    with no planted fact."""
+    after = _run(TheoremId.P4_16, _instance("Z6", "zero"))
+    assert after.status is Status.COUNTEREXAMPLE
+    assert after.witness == "universal vertices {(3,0)}; Z(R) prime ideal = False"
+    assert after.note == "universal vertices {(3,0)}; Z(R) prime ideal = False"
