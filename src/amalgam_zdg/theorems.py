@@ -103,17 +103,13 @@ class PreconditionError(Exception):
 class VerificationOutcome:
     """Result of one check on one (ring, ideal) instance.
 
-    ``status`` is derived: counterexample iff the hypotheses hold and the
-    conclusion fails, vacuous iff the hypotheses fail.  ``witness`` names
-    counterexample evidence by element labels; ``note`` carries measured
-    values or the reason a check was vacuous.
+    ``status`` is derived by ``_evaluate``: counterexample iff the
+    hypotheses hold and the conclusion fails, vacuous iff the hypotheses
+    fail.  ``witness`` names counterexample evidence by element labels;
+    ``note`` carries measured values or the reason a check was vacuous.
     """
 
     theorem: TheoremId
-    ring_spec: str
-    ideal_members: tuple[str, ...]
-    hypotheses_hold: bool
-    conclusion_holds: bool
     status: Status
     witness: str | None = None
     note: str | None = None
@@ -127,34 +123,6 @@ class VerificationOutcome:
         if self.note is not None:
             entry["note"] = self.note
         return entry
-
-
-def _outcome(
-    theorem: TheoremId,
-    inst: "Instance",
-    hypotheses: bool,
-    conclusion: bool,
-    witness: str | None = None,
-    note: str | None = None,
-) -> VerificationOutcome:
-    if not hypotheses:
-        status = Status.VACUOUS
-    elif conclusion:
-        status = Status.VERIFIED
-    else:
-        status = Status.COUNTEREXAMPLE
-    if status is not Status.COUNTEREXAMPLE:
-        witness = None
-    return VerificationOutcome(
-        theorem=theorem,
-        ring_spec=inst.ring_spec,
-        ideal_members=inst.ideal_labels,
-        hypotheses_hold=hypotheses,
-        conclusion_holds=conclusion,
-        status=status,
-        witness=witness,
-        note=note,
-    )
 
 
 def _fmt_girth(g: int | float) -> str:
@@ -394,20 +362,29 @@ class Instance:
     def ideal_inside_zdivs(self) -> bool:
         return self.ideal.members <= self.base.zero_divisors
 
-    def require_nonzero_ideal(self) -> None:
-        if len(self.ideal) == 1:
-            raise PreconditionError("the ideal is {0}; a nonzero ideal is required")
-
 
 # ---------------------------------------------------------------------------
 # Individual checks
+#
+# A check returns (holds, note): whether the conclusion holds, and the note
+# the report carries.  A check whose witness is not its note returns
+# (holds, note, witness).  When its hypotheses fail, a check raises
+# _Vacuous with the note that says why.  ``_evaluate`` derives the status.
 
 
-def _girth_classification(inst: Instance) -> VerificationOutcome:
+class _Vacuous(Exception):
+    """The check's hypotheses fail; the one argument is the note."""
+
+
+def _dup_diameter_is(inst: Instance, d: int) -> tuple[bool, str]:
+    diam = inst.dup.classes.diameter
+    return diam == d, f"diameter(duplication graph) = {_fmt_diam(diam)}"
+
+
+def _girth_classification(inst: Instance) -> tuple[bool, str]:
     """Girth of the duplication graph is 3 iff the base ring has nonzero
     zero-divisors, 4 iff the base is a domain with |I| >= 3, and infinite
     iff I is the whole two-element field."""
-    inst.require_nonzero_ideal()
     g = inst.dup.classes.girth
     dom = inst.base.is_domain
     k = len(inst.ideal)
@@ -416,17 +393,14 @@ def _girth_classification(inst: Instance) -> VerificationOutcome:
         (g == 4) == (dom and k >= 3),
         math.isinf(g) == (k == inst.ring.order == 2),
     )
-    ok = all(clauses)
-    note = f"girth = {_fmt_girth(g)}, domain = {dom}, |I| = {k}"
-    return _outcome(TheoremId.C3_3, inst, True, ok, witness=note, note=note)
+    return all(clauses), f"girth = {_fmt_girth(g)}, domain = {dom}, |I| = {k}"
 
 
-def _domain_equivalences(inst: Instance) -> VerificationOutcome:
+def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
     """Four statements agree on every instance: the base is a domain; the
     duplication graph has girth 4 or infinity; the duplication ring has
     exactly the two projection kernels as minimal primes, meeting in zero;
     the duplication graph is complete bipartite."""
-    inst.require_nonzero_ideal()
     a = inst.base.is_domain
     b = inst.dup.classes.girth == 4 or math.isinf(inst.dup.classes.girth)
     mins = inst.carrier.minimal_prime_masks
@@ -441,15 +415,14 @@ def _domain_equivalences(inst: Instance) -> VerificationOutcome:
         )
     )
     d = inst.dup.classes.bipartition is not None
-    ok = a == b == c == d
     note = (
         f"domain = {a}, girth in {{4, inf}} = {b}, "
         f"kernel minimal primes = {c}, complete bipartite = {d}"
     )
-    return _outcome(TheoremId.C3_4, inst, True, ok, witness=note, note=note)
+    return a == b == c == d, note
 
 
-def _completeness_equivalence(inst: Instance) -> VerificationOutcome:
+def _completeness_equivalence(inst: Instance) -> tuple[bool, str]:
     """Three statements agree: the duplication graph is complete; the base
     zero-divisors square to zero and the ideal sits inside them; the
     duplication zero-divisors square to zero.
@@ -458,108 +431,67 @@ def _completeness_equivalence(inst: Instance) -> VerificationOutcome:
     graph is a single edge (complete) while both square-zero clauses fail,
     so the equivalence holds only away from that instance.
     """
-    inst.require_nonzero_ideal()
     if inst.ring.order == 2 and len(inst.ideal) == 2:
-        return _outcome(
-            TheoremId.T4_8,
-            inst,
-            False,
-            False,
-            note=(
-                "excluded instance: duplication of the two-element field along "
-                "itself has a complete single-edge graph while both square-zero "
-                "clauses fail"
-            ),
+        raise _Vacuous(
+            "excluded instance: duplication of the two-element field along "
+            "itself has a complete single-edge graph while both square-zero "
+            "clauses fail"
         )
     a = inst.dup.classes.complete
     b = inst.base.square_zero and inst.ideal_inside_zdivs
     c = inst.dup.square_zero
-    ok = a == b == c
     note = (
         f"complete = {a}, base square-zero with I inside Z(R) = {b}, "
         f"duplication square-zero = {c}"
     )
-    return _outcome(TheoremId.T4_8, inst, True, ok, witness=note, note=note)
+    return a == b == c, note
 
 
-def _ideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
+def _ideal_zdivs_diam_three(inst: Instance) -> tuple[bool, str]:
     """If the base has nonzero zero-divisors forming an ideal and the ideal
     escapes them, the duplication graph has diameter 3."""
-    hyp = (
-        not inst.base.is_domain
-        and not inst.ideal_inside_zdivs
-        and inst.base.zdivs_form_ideal
-    )
-    if not hyp:
-        return _outcome(
-            TheoremId.L4_9, inst, False, False, note=_diam3_vacuous_reason(inst)
+    reasons = [
+        reason
+        for reason, failed in (
+            ("base ring is a domain", inst.base.is_domain),
+            ("I lies inside Z(R)", inst.ideal_inside_zdivs),
+            ("Z(R) is not an ideal", not inst.base.zdivs_form_ideal),
         )
-    concl = inst.dup.classes.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
-    return _outcome(TheoremId.L4_9, inst, True, concl, witness=note, note=note)
+        if failed
+    ]
+    if reasons:
+        raise _Vacuous("; ".join(reasons))
+    return _dup_diameter_is(inst, 3)
 
 
-def _diam3_vacuous_reason(inst: Instance) -> str:
-    reasons = []
-    if inst.base.is_domain:
-        reasons.append("base ring is a domain")
-    if inst.ideal_inside_zdivs:
-        reasons.append("I lies inside Z(R)")
-    if not inst.base.zdivs_form_ideal:
-        reasons.append("Z(R) is not an ideal")
-    return "; ".join(reasons) if reasons else "hypotheses not met"
-
-
-def _universal_vertex_diam_three(inst: Instance) -> VerificationOutcome:
+def _universal_vertex_diam_three(inst: Instance) -> tuple[bool, str]:
     """If the ideal escapes Z(R) and the base graph has a universal vertex,
     the duplication graph has diameter 3."""
     universal = universal_vertices(inst.base.graph)
-    hyp = not inst.ideal_inside_zdivs and bool(universal)
-    if not hyp:
-        why = (
-            "I lies inside Z(R)"
-            if inst.ideal_inside_zdivs
-            else "base graph has no universal vertex"
-        )
-        return _outcome(TheoremId.C4_10, inst, False, False, note=why)
-    concl = inst.dup.classes.diameter == 3
-    note = (
-        f"universal base vertices {inst.ring.format_subset(universal)}; "
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
-    )
-    return _outcome(TheoremId.C4_10, inst, True, concl, witness=note, note=note)
+    if inst.ideal_inside_zdivs:
+        raise _Vacuous("I lies inside Z(R)")
+    if not universal:
+        raise _Vacuous("base graph has no universal vertex")
+    holds, note = _dup_diameter_is(inst, 3)
+    return holds, f"universal base vertices {inst.ring.format_subset(universal)}; {note}"
 
 
-def _diam_three_persists(inst: Instance) -> VerificationOutcome:
+def _diam_three_persists(inst: Instance) -> tuple[bool, str]:
     """Diameter 3 of the base graph forces diameter 3 of the duplication."""
-    hyp = diameter(inst.base.graph) == 3
-    if not hyp:
-        return _outcome(
-            TheoremId.P4_11,
-            inst,
-            False,
-            False,
-            note=f"diameter(base graph) = {_fmt_diam(diameter(inst.base.graph))}",
-        )
-    concl = inst.dup.classes.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
-    return _outcome(TheoremId.P4_11, inst, True, concl, witness=note, note=note)
+    base_diameter = diameter(inst.base.graph)
+    if base_diameter != 3:
+        raise _Vacuous(f"diameter(base graph) = {_fmt_diam(base_diameter)}")
+    return _dup_diameter_is(inst, 3)
 
 
-def _nonideal_zdivs_diam_three(inst: Instance) -> VerificationOutcome:
+def _nonideal_zdivs_diam_three(inst: Instance) -> tuple[bool, str]:
     """If Z(R) is not an ideal, the duplication graph has diameter 3."""
-    inst.require_nonzero_ideal()
-    hyp = not inst.base.zdivs_form_ideal
-    if not hyp:
-        return _outcome(
-            TheoremId.T4_12, inst, False, False, note="Z(R) is an ideal"
-        )
-    concl = inst.dup.classes.diameter == 3
-    note = f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
-    return _outcome(TheoremId.T4_12, inst, True, concl, witness=note, note=note)
+    if inst.base.zdivs_form_ideal:
+        raise _Vacuous("Z(R) is an ideal")
+    return _dup_diameter_is(inst, 3)
 
 
-def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
+def _diam_two_preserved(inst: Instance) -> tuple[bool, str]:
     """Diameter 2 carries over to the duplication when Z(R) is an ideal
     containing I and either every adjacent base pair has a nonzero joint
     annihilator, or (variant) the base ring is non-reduced."""
@@ -570,29 +502,18 @@ def _diam_two_preserved(inst: Instance) -> VerificationOutcome:
     )
     pair_hyp = core and inst.base.edges_share_annihilator
     variant_hyp = core and not inst.base.is_reduced
-    hyp = pair_hyp or variant_hyp
-    variant_text = (
-        "non-reduced variant: hypotheses hold"
-        if variant_hyp
-        else "non-reduced variant: vacuous"
-    )
-    if not hyp:
-        if not core:
-            why = "Z(R) not an ideal, I escapes Z(R), or base diameter is not 2"
-        else:
-            why = "an adjacent base pair has zero joint annihilator"
-        return _outcome(
-            TheoremId.P4_13, inst, False, False, note=f"{why}; {variant_text}"
-        )
-    concl = inst.dup.classes.diameter == 2
-    note = (
-        f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}; "
-        f"{variant_text}"
-    )
-    return _outcome(TheoremId.P4_13, inst, True, concl, witness=note, note=note)
+    variant = "hypotheses hold" if variant_hyp else "vacuous"
+    variant_text = f"non-reduced variant: {variant}"
+    if not core:
+        why = "Z(R) not an ideal, I escapes Z(R), or base diameter is not 2"
+        raise _Vacuous(f"{why}; {variant_text}")
+    if not (pair_hyp or variant_hyp):
+        raise _Vacuous(f"an adjacent base pair has zero joint annihilator; {variant_text}")
+    holds, note = _dup_diameter_is(inst, 2)
+    return holds, f"{note}; {variant_text}"
 
 
-def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
+def _annihilators_meet_ideal(inst: Instance) -> tuple[bool, str] | tuple[bool, str, str]:
     """If the ideal escapes Z(R) and the duplication graph has diameter 2,
     every nonzero zero-divisor of the base has an annihilator meeting I.
 
@@ -602,49 +523,30 @@ def _annihilators_meet_ideal(inst: Instance) -> VerificationOutcome:
     R, and then Ann(y) ∩ I = Ann(y), which is nonzero for every
     zero-divisor y by definition.  The offender branch is reached only
     through planted facts."""
-    hyp = not inst.ideal_inside_zdivs and inst.dup.classes.diameter == 2
-    if not hyp:
-        why = (
-            "I lies inside Z(R)"
-            if inst.ideal_inside_zdivs
-            else f"diameter(duplication graph) = {_fmt_diam(inst.dup.classes.diameter)}"
-        )
-        return _outcome(TheoremId.L4_15, inst, False, False, note=why)
+    if inst.ideal_inside_zdivs:
+        raise _Vacuous("I lies inside Z(R)")
+    diameter_two, why = _dup_diameter_is(inst, 2)
+    if not diameter_two:
+        raise _Vacuous(why)
     zero = inst.ring.zero
-    offender = None
+    note = f"checked {len(inst.base.zero_divisors) - 1} nonzero zero-divisors"
     for y in sorted(inst.base.zero_divisors - {zero}):
         if annihilator(inst.ring, y).members & inst.ideal.members == {zero}:
-            offender = y
-            break
-    concl = offender is None
-    witness = (
-        None
-        if concl
-        else f"Ann({inst.ring.labels[offender]}) meets the ideal only in zero"
-    )
-    note = f"checked {len(inst.base.zero_divisors) - 1} nonzero zero-divisors"
-    return _outcome(TheoremId.L4_15, inst, True, concl, witness=witness, note=note)
+            return False, note, f"Ann({inst.ring.labels[y]}) meets the ideal only in zero"
+    return True, note
 
 
-def _universal_vertex_prime_zdivs(inst: Instance) -> VerificationOutcome:
+def _universal_vertex_prime_zdivs(inst: Instance) -> tuple[bool, str]:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    hyp = bool(inst.dup.classes.universal_classes.any())
-    if not hyp:
-        return _outcome(
-            TheoremId.P4_16,
-            inst,
-            False,
-            False,
-            note="duplication graph has no universal vertex",
-        )
-    concl = inst.base.zdivs_prime
+    if not inst.dup.classes.universal_classes.any():
+        raise _Vacuous("duplication graph has no universal vertex")
+    holds = inst.base.zdivs_prime
     labels = inst.carrier.format_subset(inst.dup.classes.universal)
-    note = f"universal vertices {labels}; Z(R) prime ideal = {concl}"
-    return _outcome(TheoremId.P4_16, inst, True, concl, witness=note, note=note)
+    return holds, f"universal vertices {labels}; Z(R) prime ideal = {holds}"
 
 
-_REGISTRY: dict[TheoremId, Callable[[Instance], VerificationOutcome]] = {
+_REGISTRY: dict[TheoremId, Callable[[Instance], tuple]] = {
     TheoremId.C3_3: _girth_classification,
     TheoremId.C3_4: _domain_equivalences,
     TheoremId.T4_8: _completeness_equivalence,
@@ -657,6 +559,30 @@ _REGISTRY: dict[TheoremId, Callable[[Instance], VerificationOutcome]] = {
     TheoremId.P4_16: _universal_vertex_prime_zdivs,
 }
 
+# The checks whose statements assume a nonzero ideal.
+_NONZERO_IDEAL_CHECKS = frozenset(
+    {TheoremId.C3_3, TheoremId.C3_4, TheoremId.T4_8, TheoremId.T4_12}
+)
+_ZERO_IDEAL = "the ideal is {0}; a nonzero ideal is required"
+
+
+def _evaluate(theorem: TheoremId, inst: Instance) -> VerificationOutcome:
+    """Run the registered check for ``theorem`` on ``inst``: the one place
+    a status is derived.  A check that assumes a nonzero ideal is vacuous
+    on {0}, with a precondition note; otherwise it is vacuous when it
+    raises ``_Vacuous``, a counterexample when its conclusion fails, and
+    verified when it holds.  Only a counterexample carries a witness: the
+    check's own, or else its note."""
+    try:
+        if theorem in _NONZERO_IDEAL_CHECKS and inst.ideal.is_zero:
+            raise _Vacuous(f"precondition not met: {_ZERO_IDEAL}")
+        holds, note, *named = _REGISTRY[theorem](inst)
+    except _Vacuous as exc:
+        return VerificationOutcome(theorem, Status.VACUOUS, None, exc.args[0])
+    if holds:
+        return VerificationOutcome(theorem, Status.VERIFIED, None, note)
+    return VerificationOutcome(theorem, Status.COUNTEREXAMPLE, named[0] if named else note, note)
+
 
 def check(theorem: TheoremId, ring: FiniteRing, ideal: Ideal) -> VerificationOutcome:
     """Apply the registered check for ``theorem`` to one (ring, ideal).
@@ -665,19 +591,10 @@ def check(theorem: TheoremId, ring: FiniteRing, ideal: Ideal) -> VerificationOut
     preconditions, and KeyError for a statement that is not a registered
     check (P2.1a, P2.1b, P2.2 and R2.3 are sweep invariants).
     """
-    return _REGISTRY[theorem](Instance(ring, ideal))
-
-
-def _registry_outcomes(inst: Instance) -> list[VerificationOutcome]:
-    out = []
-    for theorem, run in _REGISTRY.items():
-        try:
-            out.append(run(inst))
-        except PreconditionError as exc:
-            out.append(
-                _outcome(theorem, inst, False, False, note=f"precondition not met: {exc}")
-            )
-    return out
+    inst = Instance(ring, ideal)
+    if theorem in _NONZERO_IDEAL_CHECKS and ideal.is_zero:
+        raise PreconditionError(_ZERO_IDEAL)
+    return _evaluate(theorem, inst)
 
 
 def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
@@ -686,7 +603,8 @@ def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
     Checks whose preconditions fail are reported as vacuous with a note,
     never skipped silently.
     """
-    return _registry_outcomes(Instance(ring, ideal))
+    inst = Instance(ring, ideal)
+    return [_evaluate(theorem, inst) for theorem in _REGISTRY]
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +710,7 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
     violations: list[str] = []
     for ideal in ideals:
         inst = Instance(ring, ideal, base)
-        outcomes = tuple(_registry_outcomes(inst))
+        outcomes = tuple(_evaluate(theorem, inst) for theorem in _REGISTRY)
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
     return records, violations

@@ -30,7 +30,7 @@ def _instance(spec: str, ideal_spec: str) -> Instance:
 
 def _run(theorem: TheoremId, inst: Instance) -> theorems.VerificationOutcome:
     """The outcome of one registered check on ``inst``."""
-    return theorems._REGISTRY[theorem](inst)
+    return theorems._evaluate(theorem, inst)
 
 
 def _plant_third_row(mins: np.ndarray) -> np.ndarray:
@@ -57,11 +57,11 @@ def test_planted_minimal_prime_rows_make_c3_4_a_counterexample(plant):
     prime, dropping one, or making the two meet beyond 0 breaks the
     kernel clause alone, and the equivalence fails."""
     inst = _instance("Z5", "full")
-    before = theorems._domain_equivalences(inst)
+    before = theorems._evaluate(TheoremId.C3_4, inst)
     assert before.status is Status.VERIFIED
     assert "kernel minimal primes = True" in before.note
     inst.carrier.minimal_prime_masks = plant(inst.carrier.minimal_prime_masks)
-    after = theorems._domain_equivalences(inst)
+    after = theorems._evaluate(TheoremId.C3_4, inst)
     assert after.theorem is TheoremId.C3_4
     assert after.status is Status.COUNTEREXAMPLE
     assert after.witness == (
