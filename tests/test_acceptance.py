@@ -111,6 +111,11 @@ ALL_IDEALS_REPORT_SHA256 = {
     "csv": "d196e5924a4a11fabf61eff968a334a080fb6ed026e6a5f39416d4dd53f3d1e8",
 }
 
+# The JSON pin over Z65..Z128, whose full duplications have carriers of
+# 4225 to 16384 elements, at the duplication order limit.
+LARGE_FAMILY = expand_family("Z65..Z128")
+LARGE_REPORT_SHA256 = "186b59f97125b53163ae5314ac1be068d62baf36956340690554b2ed8e1c848f"
+
 
 @contextmanager
 def criterion(name: str):
@@ -714,6 +719,12 @@ def test_all_ideals_sweep_report_bytes_are_pinned():
         for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == ALL_IDEALS_REPORT_SHA256[fmt], fmt
+
+
+def test_large_sweep_report_bytes_are_pinned():
+    with criterion("pinned: Z65..Z128 JSON report digest"):
+        text = sweep(LARGE_FAMILY, "nonzero", workers=1).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LARGE_REPORT_SHA256
 
 
 def test_sweep_determinism(sweep_report):

@@ -618,6 +618,30 @@ class TestRingFacts:
         # Z32 along itself alone has two 2 MiB tables.
         assert held - start < 2**18
 
+    def test_largest_ring_holds_no_widened_order_squared_index(self):
+        """Z4096 along gen(2048): the ring-level facts, the ten checks and
+        the invariant pass, traced from the built ring on.  The largest
+        intermediates are order x |Z(R)| gathers of the uint16 tables, 16
+        MiB each; this bound fails when one of them is widened to an intp
+        index (64 MiB), as ``ndarray.take`` does with a uint16 index."""
+        ring = parse_ring_spec("Z4096")
+        ideal = parse_ideal_spec(ring, "gen(2048)")
+        tracemalloc.start()
+        try:
+            base = RingFacts(ring)
+            base.annihilator_classes
+            base.zdivs_form_ideal
+            base.edge_images_vanish
+            inst = Instance(ring, ideal, base)
+            outcomes = [_evaluate(theorem, inst) for theorem in EXPECTED_ORDER]
+            violations = instance_invariant_violations(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert violations == []
+        assert Status.COUNTEREXAMPLE not in {o.status for o in outcomes}
+        assert peak < 44 * 2**20
+
 
 def _blas_thread_probe() -> int:
     """Threads of this worker after a matmul large enough for BLAS to use
