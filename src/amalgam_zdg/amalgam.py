@@ -77,8 +77,8 @@ def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
     """
     m = np.array(members, dtype=np.intp)
     pos = _member_positions(base, members)
-    sum_pos = pos[base.add_table[m[:, None], m[None, :]]]
-    prod_pos = pos[base.mul_table[:, m]]
+    sum_pos = pos.take(base.add_table.take(m, axis=0).take(m, axis=1))
+    prod_pos = pos.take(base.mul_table.take(m, axis=1))
     if (sum_pos < 0).any() or (prod_pos < 0).any():
         raise NotAnIdealError("second coordinates escape the ideal carrier")
     return sum_pos, prod_pos
@@ -113,9 +113,10 @@ def _mul_block_filler(
     n, k = base.order, len(members)
     gathered = np.take(sum_pos.astype(TABLE_DTYPE), prod_pos, axis=0)
     rows = np.ascontiguousarray(gathered.transpose(0, 2, 1)).reshape(n * k, k)
-    u_dup = base.add_table[:, list(members)].astype(np.intp)
+    u_dup = base.add_table.take(members, axis=1).astype(np.intp)
     u_ideal = np.arange(n)[:, None]
-    cross = prod_pos.T
+    # Every block reads cross along the base ring, so it is held row-major.
+    cross = np.ascontiguousarray(prod_pos.T)
     mul_t = base.mul_table
     step = max(1, min(n, _BLOCK_CELLS // (n * k * k)))
 
@@ -261,7 +262,7 @@ class DuplicationCarrier:
         over the base ring in carrier order."""
         n, k = self.base.order, len(self.ideal_elements)
         first = np.repeat(np.arange(n), k)
-        second = self.base.add_table[:, list(self.ideal_elements)].ravel().astype(np.intp)
+        second = self.base.add_table.take(self.ideal_elements, axis=1).ravel().astype(np.intp)
         return first, second
 
     @cached_property
@@ -270,7 +271,7 @@ class DuplicationCarrier:
         both are."""
         nil = self.base._nilpotent_mask
         first, second = self.coordinates
-        return nil[first] & nil[second]
+        return nil.take(first) & nil.take(second)
 
     @cached_property
     def minimal_prime_masks(self) -> np.ndarray:
@@ -315,9 +316,11 @@ def _origin_products(
     of operations, less their common first coordinate 0*0.  In a ring they
     are i*j and 0, so the two differ exactly when I*I != 0."""
     m = np.array(members, dtype=np.intp)
-    add, mul, zero = base.add_table, base.mul_table, base.zero
-    u = add[zero, m] if with_product_term else np.full(len(m), zero)
-    return add[mul[u[:, None], m[None, :]], mul[zero, m][:, None]]
+    add, mul, zero, n = base.add_table, base.mul_table, base.zero, base.order
+    u = add[zero].take(m) if with_product_term else np.full(len(m), zero)
+    uj = mul.take(u, axis=0).take(m, axis=1).astype(np.intp)
+    # add[uj, si] as one gather from the flat table, row uj and column si.
+    return add.take(uj * n + mul[zero].take(m)[:, None])
 
 
 def matches_idealization(dup: DuplicationCarrier) -> bool:
@@ -435,8 +438,9 @@ def _classification_masks(
     t3[zero] = False
 
     nonzero_members = members[members != zero]
-    killed = (base.mul_table[nonzero_members] == zero).any(axis=0)
-    sums = base.add_table[:, members]
+    killed = (base.mul_table.take(nonzero_members, axis=0) == zero).any(axis=0)
+    sums = base.add_table.take(members, axis=1)
+    # killed[...] by the uint16 table, which take would widen to intp.
     t4 = ~zd_mask[:, None] & (sums != zero) & killed[sums]
     return t1, t2, t3.ravel(), t4.ravel()
 
@@ -445,7 +449,7 @@ def classify_zero_divisors(dup: DuplicationCarrier, zd_mask: np.ndarray) -> ZDCl
     """The classification of the duplication's zero-divisors, given the
     mask ``zd_mask`` of the base ring's zero-divisors (0 included)."""
     masks = _classification_masks(dup, zd_mask)
-    return ZDClassification(*(frozenset(np.flatnonzero(mask).tolist()) for mask in masks))
+    return ZDClassification(*(frozenset(mask.nonzero()[0].tolist()) for mask in masks))
 
 
 @dataclass(frozen=True)
@@ -487,14 +491,16 @@ def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarr
     class out[a] less one if v itself is outside.  Raises ValueError when
     an element of ``elems`` is not a vertex."""
     class_of = classes.class_of
-    at = class_of[elems]
+    at = class_of.take(elems)
     if (at < 0).any():
         raise ValueError("element index is not a vertex")
     inside = _mask(len(class_of), allowed[allowed < len(class_of)])
     kept = class_of[inside]
     out = classes.sizes - np.bincount(kept[kept >= 0], minlength=len(classes.q))
-    own = out[at] - ~inside[elems]
-    return not ((classes.q[at] @ out).any() or (classes.clique[at] & (own > 0)).any())
+    own = out.take(at) - ~inside.take(elems)
+    return not (
+        (classes.q.take(at, axis=0) @ out).any() or (classes.clique.take(at) & (own > 0)).any()
+    )
 
 
 def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:

@@ -114,14 +114,15 @@ class ZDGraph:
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour positions of every vertex, built on first read."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+        return tuple(tuple(row.nonzero()[0].tolist()) for row in self.adjacency)
 
     @cached_property
     def classes(self) -> ClassGraph:
         """The quotient by twins, built on first read.
 
         Vertices are grouped by their adjacency rows with the diagonal set
-        where a vertex is marked, compared byte for byte.  A ring's graph
+        where a vertex is marked, compared byte for byte, and the classes
+        numbered in the order of their first vertex.  A ring's graph
         marks x where x^2 = 0, so its classes are the annihilator classes
         (Ann(x) minus 0); a graph with no ring marks none, so its classes
         are its false twins.  Under any marking, since the adjacency is
@@ -133,18 +134,21 @@ class ZDGraph:
         marked = np.zeros(self.vertex_count, dtype=bool)
         if self.ring is not None:
             verts = np.array(self.vertices, dtype=np.intp)
-            marked = self.ring.mul_table[verts, verts] == self.ring.zero
-            at = np.flatnonzero(marked)
+            marked = np.diagonal(self.ring.mul_table).take(verts) == self.ring.zero
+            at = marked.nonzero()[0]
             packed[at, at // 8] |= (0x80 >> (at % 8)).astype(np.uint8)
-        # One void item per row; the empty graph's zero-width rows take 1.
-        rows = packed.view(np.dtype((np.void, max(packed.shape[1], 1)))).ravel()
-        _, first, inverse, sizes = np.unique(
-            rows, return_index=True, return_inverse=True, return_counts=True
+        number: dict[bytes, int] = {}
+        inverse = np.array(
+            [number.setdefault(row.tobytes(), len(number)) for row in packed], dtype=np.intp
         )
+        sizes = np.bincount(inverse, minlength=len(number))
+        # Numbered in order of appearance, the classes' running maximum
+        # steps up exactly at each class's first vertex.
+        first = np.diff(np.maximum.accumulate(inverse), prepend=-1).nonzero()[0]
         class_of = np.full(max(self.vertices, default=-1) + 1, -1, dtype=np.intp)
-        class_of[np.array(self.vertices, dtype=np.intp)] = inverse.ravel()
-        q = self.adjacency[np.ix_(first, first)]
-        return ClassGraph(q, sizes, marked[first], class_of)
+        class_of[np.array(self.vertices, dtype=np.intp)] = inverse
+        q = self.adjacency.take(first, axis=0).take(first, axis=1)
+        return ClassGraph(q, sizes, marked.take(first), class_of)
 
     @property
     def vertex_count(self) -> int:
@@ -225,7 +229,7 @@ def _two_core(adjacency: np.ndarray) -> np.ndarray:
     while True:
         drop = alive & (degrees <= 1)
         if not drop.any():
-            return np.flatnonzero(alive)
+            return alive.nonzero()[0]
         alive &= ~drop
         degrees -= adjacency[drop].sum(axis=0)
 
@@ -242,7 +246,9 @@ def _bfs_girth(adjacency: np.ndarray) -> int | float:
     ends the search.
     """
     core = _two_core(adjacency)
-    neighbors = [np.flatnonzero(row).tolist() for row in adjacency[np.ix_(core, core)]]
+    neighbors = [
+        row.nonzero()[0].tolist() for row in adjacency.take(core, axis=0).take(core, axis=1)
+    ]
     best: int | float = math.inf
     n = len(core)
     for root in range(n):
@@ -298,7 +304,7 @@ class ClassGraph:
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.class_of >= 0)
+        return (self.class_of >= 0).nonzero()[0]
 
     @cached_property
     def vertex_count(self) -> int:
@@ -337,9 +343,9 @@ class ClassGraph:
             )
         reach = q | np.eye(len(q), dtype=bool)
         steps = 1
-        open_rows = np.flatnonzero(~reach.all(axis=1))
+        open_rows = (~reach.all(axis=1)).nonzero()[0]
         while open_rows.size:
-            before = reach[open_rows]
+            before = reach.take(open_rows, axis=0)
             grown = before | _boolean_product(before, q)
             if (grown == before).all(axis=1).any():
                 raise DisconnectedGraphError(
@@ -408,9 +414,12 @@ class ClassGraph:
         far = ~near
         if not near.any():
             return None
-        if q[near][:, near].any() or q[far][:, far].any():
+        # The rows of each part, read against the part's own columns.
+        near_rows = q.take(near.nonzero()[0], axis=0)
+        far_rows = q.take(far.nonzero()[0], axis=0)
+        if (near_rows & near).any() or (far_rows & far).any():
             return None
-        if not q[far][:, near].all():
+        if not (far_rows | far).all():
             return None
         return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
 
@@ -428,8 +437,8 @@ class ClassGraph:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
         # A class of -1 is in none.
-        in_universal = np.append(self.universal_classes, False)[self.class_of]
-        return tuple(np.flatnonzero(in_universal).tolist())
+        in_universal = np.append(self.universal_classes, False).take(self.class_of)
+        return tuple(in_universal.nonzero()[0].tolist())
 
     @property
     def complete(self) -> bool:

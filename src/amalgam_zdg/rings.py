@@ -359,7 +359,7 @@ def zero_divisors(ring: FiniteRing) -> frozenset[int]:
         block = mul[lo : lo + step] == ring.zero
         block[:, ring.zero] = False
         block.any(axis=1, out=mask[lo : lo + step])
-    return frozenset(np.flatnonzero(mask).tolist())
+    return frozenset(mask.nonzero()[0].tolist())
 
 
 def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -416,7 +416,9 @@ def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
         return out
     elems = np.array(sorted(s), dtype=np.intp)
     mask = _mask(ring.order, elems)
-    sums = ring.add_table[elems[:, None], elems]
+    sums = ring.add_table.take(elems, axis=0).take(elems, axis=1)
+    # mask[...] by the uint16 tables, not mask.take: take would first widen
+    # each order x |s| table into an intp copy four times its size.
     bad = ~mask[sums]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -424,7 +426,7 @@ def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
             f"not closed under addition: {lab[elems[int(i)]]} + {lab[elems[int(j)]]}"
             f" = {lab[int(sums[i, j])]} is outside"
         )
-    prods = ring.mul_table[:, elems]
+    prods = ring.mul_table.take(elems, axis=1)
     bad = ~mask[prods]
     if bad.any():
         r, j = np.argwhere(bad)[0]
@@ -448,7 +450,7 @@ def _mask(order: int, elems: np.ndarray) -> np.ndarray:
 
 def _multiples(ring: FiniteRing, a: int) -> np.ndarray:
     """{r*a : r in R} in ascending order."""
-    return np.flatnonzero(_mask(ring.order, ring.mul_table[:, a]))
+    return _mask(ring.order, ring.mul_table[:, a]).nonzero()[0]
 
 
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
@@ -465,7 +467,7 @@ def ideal_from_generators(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
     """Smallest ideal containing the generators (a sum of principal ideals)."""
     members = np.array([ring.zero])
     for g in generators:
-        members = np.flatnonzero(_sums_with(ring, members, [_multiples(ring, g)])[0])
+        members = _sums_with(ring, [members], [_multiples(ring, g)])[0].nonzero()[0]
     return Ideal(ring, frozenset(members.tolist()))
 
 
@@ -476,7 +478,7 @@ def _principal_ideals(ring: FiniteRing) -> np.ndarray:
     The multiples of a block of elements, columns of ``mul_table``, are
     scattered into a membership matrix a block of about _BLOCK_CELLS cells
     at a time and packed into one byte row per element; equal byte rows
-    are one ideal.
+    are one ideal, in the order of their first element.
     """
     n = ring.order
     multiples = ring.mul_table.T
@@ -487,29 +489,35 @@ def _principal_ideals(ring: FiniteRing) -> np.ndarray:
         member = np.zeros((len(block), n), dtype=bool)
         member[np.arange(len(block))[:, None], block] = True
         packed[lo : lo + step] = np.packbits(member, axis=1)
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    distinct = np.unique(rows).view(np.uint8).reshape(-1, packed.shape[1])
-    return np.unpackbits(distinct, axis=1, count=n).view(bool)
+    distinct = b"".join(dict.fromkeys(row.tobytes() for row in packed))
+    rows = np.frombuffer(distinct, dtype=np.uint8).reshape(-1, packed.shape[1])
+    return np.unpackbits(rows, axis=1, count=n).view(bool)
 
 
-def _sums_with(ring: FiniteRing, left: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
-    """Boolean (len(known), order): row t marks the sum of the ideals
-    ``left`` and ``known[t]``, {x + y : x in left, y in known[t]}, all
-    given as member arrays.
+def _sums_with(
+    ring: FiniteRing, lefts: list[np.ndarray], known: list[np.ndarray]
+) -> np.ndarray:
+    """Boolean (len(lefts) * len(known), order): row a*K + t, with K =
+    len(known), marks the sum of the ideals ``lefts[a]`` and ``known[t]``,
+    {x + y : x in lefts[a], y in known[t]}, all given as member arrays.
 
-    The members of every ideal of ``known`` are laid side by side, and the
-    addition table's block of ``left`` against them is scattered into the
-    rows at once, a block of rows of ``left`` of about _BLOCK_CELLS cells
-    at a time.
+    The members of every ideal of ``lefts`` are stacked, those of every
+    ideal of ``known`` laid side by side, and the addition table's block of
+    the one against the other is scattered into the rows at once, a block
+    of stacked left members of about _BLOCK_CELLS cells at a time.
     """
-    n = ring.order
+    n, width = ring.order, len(known)
+    stacked = np.concatenate(lefts)
     rights = np.concatenate(known)
-    offsets = np.repeat(np.arange(len(known)) * n, [len(m) for m in known])
-    sums = np.zeros((len(known), n), dtype=bool)
+    row_of = np.repeat(np.arange(len(lefts)) * (width * n), [len(m) for m in lefts])
+    offsets = np.repeat(np.arange(width) * n, [len(m) for m in known])
+    sums = np.zeros((len(lefts) * width, n), dtype=bool)
     step = max(1, _BLOCK_CELLS // max(n, len(rights)))
-    for lo in range(0, len(left), step):
-        block = ring.add_table.take(left[lo : lo + step], axis=0).take(rights, axis=1)
-        sums.reshape(-1)[block + offsets] = True
+    for lo in range(0, len(stacked), step):
+        block = ring.add_table.take(stacked[lo : lo + step], axis=0).take(rights, axis=1)
+        at = block + offsets
+        at += row_of[lo : lo + step, None]
+        sums.reshape(-1)[at] = True
     return sums
 
 
@@ -518,22 +526,28 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
     Computed as the closure of the principal ideals under pairwise ideal
     sum, then sorted by (size, member indices).  Each ideal is held as its
-    ascending member array, keyed by the bytes of its membership mask; the
-    sums of one ideal with every ideal known so far are one scatter
-    (``_sums_with``).  No ring axiom is assumed, so a sum that gives an
-    ideal already known is still taken.  The tests compare it with a
-    per-element, per-pair construction of the same closure, and with a
-    brute-force subset scan for small orders.
+    ascending member array, keyed by the bytes of its membership mask.  A
+    round sums every ideal of its frontier with every ideal known at its
+    start, and the sums not known yet are the next round's frontier, so
+    every pair of ideals is summed in at least one order.  The frontier's
+    sums are one scatter (``_sums_with``) for each group of frontier
+    ideals whose rows of sums hold about _BLOCK_CELLS cells.  No ring
+    axiom is assumed, so a sum that gives an ideal already known is still
+    taken.  The tests compare it with a per-element, per-pair construction
+    of the same closure, and with a brute-force subset scan for small
+    orders.
     """
-    ideals = {row.tobytes(): np.flatnonzero(row) for row in _principal_ideals(ring)}
+    ideals = {row.tobytes(): row.nonzero()[0] for row in _principal_ideals(ring)}
     frontier = list(ideals.values())
     while frontier:
+        known = list(ideals.values())
+        step = max(1, _BLOCK_CELLS // (len(known) * ring.order))
         fresh: list[np.ndarray] = []
-        for left in frontier:
-            for row in _sums_with(ring, left, list(ideals.values())):
+        for lo in range(0, len(frontier), step):
+            for row in _sums_with(ring, frontier[lo : lo + step], known):
                 key = row.tobytes()
                 if key not in ideals:
-                    ideals[key] = np.flatnonzero(row)
+                    ideals[key] = row.nonzero()[0]
                     fresh.append(ideals[key])
         frontier = fresh
     found = [frozenset(m.tolist()) for m in ideals.values()]
@@ -541,9 +555,13 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
-    """True iff the set is one of the ring's prime ideals."""
-    s = frozenset(members)
-    return any(p.members == s for p in prime_ideals(ring))
+    """True iff the set is one of the ring's prime ideals: its membership
+    mask is a row of ``_primes_from_idempotents``."""
+    elems = np.fromiter(members, dtype=np.intp)
+    if ((elems < 0) | (elems >= ring.order)).any():
+        return False
+    masks = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    return bool((masks == _mask(ring.order, elems)).all(axis=1).any())
 
 
 def _primes_from_idempotents(
@@ -567,18 +585,20 @@ def _primes_from_idempotents(
     """
     mul, nil = ring.mul_table, ring._nilpotent_mask
     square_fixed = np.diagonal(mul) == np.arange(ring.order)
-    idem = np.flatnonzero(np.logical_and.reduce([square_fixed[c] for c in coords]))
+    idem = np.logical_and.reduce([square_fixed.take(c) for c in coords]).nonzero()[0]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
     below = np.ones((len(idem), len(idem)), dtype=bool)
     for c in coords:
-        e = c[idem]
-        below &= mul[e[:, None], e[None, :]] == e[None, :]
+        e = c.take(idem)
+        below &= mul.take(e, axis=0).take(e, axis=1) == e
     primitive = idem[below.sum(axis=1) == 1]
-    # masks[t, x]: x * primitive[t] is nilpotent.
+    # masks[t, x]: x * primitive[t] is nilpotent; row t of the base ring's
+    # is one contiguous gather, read at each element's coordinate.
     masks = np.ones((len(primitive), len(coords[0])), dtype=bool)
     for c in coords:
-        masks &= nil[mul[:, c[primitive]]].T[:, c]
+        nilpotent = nil.take(mul.take(c.take(primitive), axis=1).T)
+        masks &= nilpotent.take(c, axis=1)
     return masks
 
 
@@ -595,7 +615,7 @@ def _minimal_rows(masks: np.ndarray) -> np.ndarray:
 def _sorted_sets(masks: np.ndarray) -> list[frozenset[int]]:
     """The member sets of a boolean (sets, elements) matrix's rows, sorted
     by (size, member indices)."""
-    return sorted((frozenset(np.flatnonzero(row).tolist()) for row in masks), key=_ideal_order)
+    return sorted((frozenset(row.nonzero()[0].tolist()) for row in masks), key=_ideal_order)
 
 
 def prime_ideals(ring: FiniteRing) -> list[Ideal]:

@@ -152,20 +152,22 @@ def _key_classes(
     related to another nonzero key.
     """
     c = len(rel)
-    keys = cls[first] * c + cls[second]
+    keys = cls.take(first)
+    keys *= c
+    keys += cls.take(second)
     counts = np.bincount(keys, minlength=c * c)
-    present = np.flatnonzero(counts)
+    present = counts.nonzero()[0]
     a, b = np.divmod(present, c)
-    related = rel[a[:, None], a] & rel[b[:, None], b]
+    related = rel.take(a, axis=0).take(a, axis=1) & rel.take(b, axis=0).take(b, axis=1)
     nonzero = present != 0
-    at = np.flatnonzero(nonzero & related[:, nonzero].any(axis=1))
-    on_graph = present[at]
-    q = related[at[:, None], at]
+    at = (nonzero & (related & nonzero).any(axis=1)).nonzero()[0]
+    on_graph = present.take(at)
+    q = related.take(at, axis=0).take(at, axis=1)
     clique = q.diagonal().copy()
     np.fill_diagonal(q, False)
     position = np.full(c * c, -1, dtype=np.intp)
     position[on_graph] = np.arange(len(on_graph))
-    return ClassGraph(q, counts[on_graph], clique, position[keys])
+    return ClassGraph(q, counts.take(on_graph), clique, position.take(keys))
 
 
 class _KeyClassFacts:
@@ -249,7 +251,7 @@ class RingFacts(_KeyClassFacts):
         of classes adjacent in the quotient.  The other edges join two
         members of one clique class, and either of them kills both."""
         cls, rel = self.annihilator_classes
-        killers = rel[np.flatnonzero(np.bincount(cls, minlength=len(rel))[1:]) + 1]
+        killers = rel.take(np.bincount(cls, minlength=len(rel))[1:].nonzero()[0] + 1, axis=0)
         shared = (killers.T @ killers)[2:, 2:]
         return bool(shared[self.classes.q].all())
 
@@ -279,9 +281,10 @@ class RingFacts(_KeyClassFacts):
         regular = np.ones(ring.order, dtype=bool)
         regular[verts] = False
         regular[zero] = False
-        regular = np.flatnonzero(regular)
+        regular = regular.nonzero()[0]
         if (mul[zero] != zero).any() or (mul[:, zero] != zero).any():
             raise ValueError(f"zero does not absorb every element of {ring.spec_name}")
+        # One 2-D gather: a row gather first would copy |Z(R)| whole rows.
         killed = mul[np.ix_(verts, regular)] == zero
         if killed.any():
             x, u = np.argwhere(killed)[0]
@@ -290,7 +293,7 @@ class RingFacts(_KeyClassFacts):
                 f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
                 f"{ring.labels[regular[u]]} is not a zero-divisor"
             )
-        class_of = graph.classes.class_of[verts]
+        class_of = graph.classes.class_of.take(verts)
         cls = np.ones(ring.order, dtype=np.intp)
         cls[zero] = 0
         cls[verts] = 2 + class_of
@@ -298,7 +301,7 @@ class RingFacts(_KeyClassFacts):
         members[class_of] = verts
         # An empty class 1 (no element outside Z(R)) keeps 0 as a stand-in.
         reps = np.concatenate(([zero, regular[0] if regular.size else zero], members))
-        return cls, mul[np.ix_(reps, reps)] == zero
+        return cls, mul.take(reps, axis=0).take(reps, axis=1) == zero
 
 
 class DuplicationFacts(_KeyClassFacts):
@@ -408,7 +411,7 @@ def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
     same = np.array_equal
     c = (
         len(mins) == 2
-        and np.flatnonzero(mins[0] & mins[1]).tolist() == [inst.carrier.zero]
+        and (mins[0] & mins[1]).nonzero()[0].tolist() == [inst.carrier.zero]
         and (
             (same(mins[0], k1) and same(mins[1], k2))
             or (same(mins[0], k2) and same(mins[1], k1))
@@ -648,7 +651,8 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
     members = np.array(inst.ideal.sorted_members, dtype=np.intp)
-    square_zero = bool((inst.ring.mul_table[members[:, None], members] == inst.ring.zero).all())
+    products = inst.ring.mul_table.take(members, axis=0).take(members, axis=1)
+    square_zero = bool((products == inst.ring.zero).all())
     if square_zero != matches_idealization(inst.carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"

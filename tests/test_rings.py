@@ -293,6 +293,18 @@ class TestIdeals:
                 column = np.unique(ring.mul_table[:, a]).tolist()
                 assert principal_ideal(ring, a).members == frozenset(column), (spec, a)
 
+    @pytest.mark.parametrize("cells", [1, 2048], ids=["one-ideal", "ragged"])
+    def test_closure_rounds_in_groups_give_the_same_lattice(self, cells, monkeypatch):
+        """At the default block size each round of the closure over these
+        rings is one scatter; "one-ideal" sums one frontier ideal, one
+        member at a time, and "ragged" groups of frontier ideals that do
+        not divide the frontier."""
+        monkeypatch.setattr(rings, "_BLOCK_CELLS", cells)
+        for spec in ["Z48", "Z64", "Z4xZ8", "Z6xZ6", "Z2xZ2xZ8", "Z8xZ9"]:
+            ring = parse_ring_spec(spec)
+            got = [i.members for i in all_ideals(ring)]
+            assert got == unique_closure_ideals(ring), spec
+
     def test_closure_reaches_a_non_principal_ideal(self):
         # F2[x,y]/(x,y)^2, element a + b*x + c*y at index 4a + 2b + c: every
         # ideal of Z_n and of their products is principal, but here the
@@ -393,6 +405,8 @@ class TestPrimes:
         assert is_prime_ideal(r, {0, 2, 4, 6})
         assert not is_prime_ideal(r, {0, 4})
         assert not is_prime_ideal(r, set(range(8)))
+        assert not is_prime_ideal(r, {0, 2, 4, 6, 8})
+        assert not is_prime_ideal(r, {-1, 0, 2, 4, 6})
 
     def test_complement_of_primes_multiplicatively_closed(self):
         for spec_ring in (make_zn(12), product_ring([make_zn(2), make_zn(3)])):
