@@ -271,7 +271,7 @@ class DuplicationCarrier:
         both are."""
         nil = self.base._nilpotent_mask
         first, second = self.coordinates
-        return nil.take(first) & nil.take(second)
+        return nil[first] & nil[second]
 
     @cached_property
     def minimal_prime_masks(self) -> np.ndarray:
@@ -317,10 +317,10 @@ def _origin_products(
     are i*j and 0, so the two differ exactly when I*I != 0."""
     m = np.array(members, dtype=np.intp)
     add, mul, zero, n = base.add_table, base.mul_table, base.zero, base.order
-    u = add[zero].take(m) if with_product_term else np.full(len(m), zero)
+    u = add[zero][m] if with_product_term else np.full(len(m), zero)
     uj = mul.take(u, axis=0).take(m, axis=1).astype(np.intp)
     # add[uj, si] as one gather from the flat table, row uj and column si.
-    return add.take(uj * n + mul[zero].take(m)[:, None])
+    return add.take(uj * n + mul[zero][m][:, None])
 
 
 def matches_idealization(dup: DuplicationCarrier) -> bool:
@@ -491,16 +491,14 @@ def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarr
     class out[a] less one if v itself is outside.  Raises ValueError when
     an element of ``elems`` is not a vertex."""
     class_of = classes.class_of
-    at = class_of.take(elems)
+    at = class_of[elems]
     if (at < 0).any():
         raise ValueError("element index is not a vertex")
     inside = _mask(len(class_of), allowed[allowed < len(class_of)])
     kept = class_of[inside]
     out = classes.sizes - np.bincount(kept[kept >= 0], minlength=len(classes.q))
-    own = out.take(at) - ~inside.take(elems)
-    return not (
-        (classes.q.take(at, axis=0) @ out).any() or (classes.clique.take(at) & (own > 0)).any()
-    )
+    own = out[at] - ~inside[elems]
+    return not ((classes.q.take(at, axis=0) @ out).any() or (classes.clique[at] & (own > 0)).any())
 
 
 def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:

@@ -134,7 +134,7 @@ class ZDGraph:
         marked = np.zeros(self.vertex_count, dtype=bool)
         if self.ring is not None:
             verts = np.array(self.vertices, dtype=np.intp)
-            marked = np.diagonal(self.ring.mul_table).take(verts) == self.ring.zero
+            marked = np.diagonal(self.ring.mul_table)[verts] == self.ring.zero
             at = marked.nonzero()[0]
             packed[at, at // 8] |= (0x80 >> (at % 8)).astype(np.uint8)
         number: dict[bytes, int] = {}
@@ -148,7 +148,7 @@ class ZDGraph:
         class_of = np.full(max(self.vertices, default=-1) + 1, -1, dtype=np.intp)
         class_of[np.array(self.vertices, dtype=np.intp)] = inverse
         q = self.adjacency.take(first, axis=0).take(first, axis=1)
-        return ClassGraph(q, sizes, marked.take(first), class_of)
+        return ClassGraph(q, sizes, marked[first], class_of)
 
     @property
     def vertex_count(self) -> int:
@@ -437,7 +437,7 @@ class ClassGraph:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
         # A class of -1 is in none.
-        in_universal = np.append(self.universal_classes, False).take(self.class_of)
+        in_universal = np.append(self.universal_classes, False)[self.class_of]
         return tuple(in_universal.nonzero()[0].tolist())
 
     @property

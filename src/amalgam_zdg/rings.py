@@ -585,19 +585,19 @@ def _primes_from_idempotents(
     """
     mul, nil = ring.mul_table, ring._nilpotent_mask
     square_fixed = np.diagonal(mul) == np.arange(ring.order)
-    idem = np.logical_and.reduce([square_fixed.take(c) for c in coords]).nonzero()[0]
+    idem = np.logical_and.reduce([square_fixed[c] for c in coords]).nonzero()[0]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
     below = np.ones((len(idem), len(idem)), dtype=bool)
     for c in coords:
-        e = c.take(idem)
+        e = c[idem]
         below &= mul.take(e, axis=0).take(e, axis=1) == e
     primitive = idem[below.sum(axis=1) == 1]
     # masks[t, x]: x * primitive[t] is nilpotent; row t of the base ring's
     # is one contiguous gather, read at each element's coordinate.
     masks = np.ones((len(primitive), len(coords[0])), dtype=bool)
     for c in coords:
-        nilpotent = nil.take(mul.take(c.take(primitive), axis=1).T)
+        nilpotent = nil.take(mul.take(c[primitive], axis=1).T)
         masks &= nilpotent.take(c, axis=1)
     return masks
 

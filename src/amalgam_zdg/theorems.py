@@ -152,22 +152,22 @@ def _key_classes(
     related to another nonzero key.
     """
     c = len(rel)
-    keys = cls.take(first)
+    keys = cls[first]
     keys *= c
-    keys += cls.take(second)
+    keys += cls[second]
     counts = np.bincount(keys, minlength=c * c)
     present = counts.nonzero()[0]
     a, b = np.divmod(present, c)
     related = rel.take(a, axis=0).take(a, axis=1) & rel.take(b, axis=0).take(b, axis=1)
     nonzero = present != 0
     at = (nonzero & (related & nonzero).any(axis=1)).nonzero()[0]
-    on_graph = present.take(at)
+    on_graph = present[at]
     q = related.take(at, axis=0).take(at, axis=1)
     clique = q.diagonal().copy()
     np.fill_diagonal(q, False)
     position = np.full(c * c, -1, dtype=np.intp)
     position[on_graph] = np.arange(len(on_graph))
-    return ClassGraph(q, counts.take(on_graph), clique, position.take(keys))
+    return ClassGraph(q, counts[on_graph], clique, position[keys])
 
 
 class _KeyClassFacts:
@@ -293,7 +293,7 @@ class RingFacts(_KeyClassFacts):
                 f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
                 f"{ring.labels[regular[u]]} is not a zero-divisor"
             )
-        class_of = graph.classes.class_of.take(verts)
+        class_of = graph.classes.class_of[verts]
         cls = np.ones(ring.order, dtype=np.intp)
         cls[zero] = 0
         cls[verts] = 2 + class_of
