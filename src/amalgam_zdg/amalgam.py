@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -84,52 +83,6 @@ def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
     return sum_pos, prod_pos
 
 
-def _mul_block_filler(
-    base: FiniteRing,
-    members: tuple[int, ...],
-    sum_pos: np.ndarray,
-    prod_pos: np.ndarray,
-) -> tuple[int, Callable[[int, int, np.ndarray, bool], None]]:
-    """``(step, fill)``: ``fill(lo, hi, out, with_product_term)`` writes
-    the multiplication table's rows of first coordinates lo..hi-1, shape
-    (hi-lo, k, n, k) in carrier order, into ``out``: the duplication's
-    with the product term, the idealization's without; a block of
-    ``step`` first coordinates holds about _BLOCK_CELLS cells, and never
-    less than one coordinate.
-
-    Entry [r, i, s, j] is the carrier index of (r, i)(s, j): r*s times k
-    plus the position of u*j + s*i, where u = r+i for the duplication
-    (rj+si+ij = (r+i)j + si) and u = r for the idealization, with i and j
-    given by position in the ideal.  Over j those k positions are row
-    u*k + pos(s*i) of one small table ``rows[u*k + b, j] = pos(u*j + m_b)``,
-    which both tables share, so a block is one gather of whole k-wide
-    rows, driven by an index array of 1/k of its cells.  ``out`` is a
-    TABLE_DTYPE array, and every carrier index fits in it.
-
-    The row table itself is one gather of whole rows of ``sum_pos`` by
-    ``prod_pos``, [u, j, b] = sum_pos[pos(u*m_j), b], and one transposing
-    copy to [u, b, j].
-    """
-    n, k = base.order, len(members)
-    gathered = np.take(sum_pos.astype(TABLE_DTYPE), prod_pos, axis=0)
-    rows = np.ascontiguousarray(gathered.transpose(0, 2, 1)).reshape(n * k, k)
-    u_dup = base.add_table.take(members, axis=1).astype(np.intp)
-    u_ideal = np.arange(n)[:, None]
-    # Every block reads cross along the base ring, so it is held row-major.
-    cross = np.ascontiguousarray(prod_pos.T)
-    mul_t = base.mul_table
-    step = max(1, min(n, _BLOCK_CELLS // (n * k * k)))
-
-    def fill(lo: int, hi: int, out: np.ndarray, with_product_term: bool) -> None:
-        u = u_dup if with_product_term else u_ideal
-        # Every row index u*k + pos(s*i) is below n*k by construction;
-        # "raise" mode would gather into a scratch block and copy it over.
-        np.take(rows, u[lo:hi, :, None] * k + cross, axis=0, out=out, mode="clip")
-        out += (mul_t[lo:hi] * k)[:, None, :, None]
-
-    return step, fill
-
-
 def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
     """The duplication's addition/multiplication tables over the carrier
     base x members, built in the shape (n, k, n, k) from the two position
@@ -137,15 +90,36 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
     first coordinates at a time.  Both are written as TABLE_DTYPE from the
     start: the caller's order check keeps every carrier index r*k + t
     below MAX_DUPLICATION_ORDER, so the arithmetic on base-table entries
-    cannot wrap."""
+    cannot wrap.
+
+    Entry [r, i, s, j] of the multiplication is the carrier index of
+    (r, i)(s, j): r*s times k plus the position of u*j + s*i with u = r+i
+    (rj+si+ij = (r+i)j + si), with i and j given by position in the
+    ideal.  Over j those k positions are row u*k + pos(s*i) of one small
+    table ``rows[u*k + b, j] = pos(u*j + m_b)``, so a block is one gather
+    of whole k-wide rows, driven by an index array of 1/k of its cells; a
+    block of ``step`` first coordinates holds about _BLOCK_CELLS cells,
+    and never less than one coordinate.  The row table itself is one
+    gather of whole rows of ``sum_pos`` by ``prod_pos``,
+    [u, j, b] = sum_pos[pos(u*m_j), b], and one transposing copy to
+    [u, b, j]."""
     n, k = base.order, len(members)
     sum_pos, prod_pos = _ideal_positions(base, members)
     sums = sum_pos.astype(TABLE_DTYPE)
     add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
-    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos)
+    gathered = np.take(sums, prod_pos, axis=0)
+    rows = np.ascontiguousarray(gathered.transpose(0, 2, 1)).reshape(n * k, k)
+    u = base.add_table.take(members, axis=1).astype(np.intp)
+    # Every block reads cross along the base ring, so it is held row-major.
+    cross = np.ascontiguousarray(prod_pos.T)
     mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
+    step = max(1, min(n, _BLOCK_CELLS // (n * k * k)))
     for lo in range(0, n, step):
-        fill(lo, min(lo + step, n), mul[lo : lo + step], True)
+        block = mul[lo : lo + step]
+        # Every row index u*k + pos(s*i) is below n*k by construction;
+        # "raise" mode would gather into a scratch block and copy it over.
+        np.take(rows, u[lo : lo + step, :, None] * k + cross, axis=0, out=block, mode="clip")
+        block += (base.mul_table[lo : lo + step] * k)[:, None, :, None]
     size = n * k
     return add.reshape(size, size), mul.reshape(size, size)
 
@@ -306,54 +280,39 @@ def amalgamated_duplication(base: FiniteRing, ideal: Ideal) -> AmalgamRing:
     return AmalgamRing(base, ideal)
 
 
-def _origin_products(
-    base: FiniteRing, members: tuple[int, ...], with_product_term: bool
-) -> np.ndarray:
-    """The k x k second coordinates of (0, i)(0, j) over the members i, j,
-    as base-ring elements: (0+i)j + 0*i in the duplication's table (with
-    the product term) and 0*j + 0*i in the idealization's.  These are the
-    cells r = s = 0 of ``_mul_block_filler``'s blocks, in the same order
-    of operations, less their common first coordinate 0*0.  In a ring they
-    are i*j and 0, so the two differ exactly when I*I != 0."""
-    m = np.array(members, dtype=np.intp)
-    add, mul, zero, n = base.add_table, base.mul_table, base.zero, base.order
-    u = add[zero][m] if with_product_term else np.full(len(m), zero)
-    uj = mul.take(u, axis=0).take(m, axis=1).astype(np.intp)
-    # add[uj, si] as one gather from the flat table, row uj and column si.
-    return add.take(uj * n + mul[zero][m][:, None])
-
-
 def matches_idealization(dup: DuplicationCarrier) -> bool:
     """True iff the duplication's multiplication table equals the
-    idealization's on the same carrier.
+    idealization's on the same carrier, read off the base tables.
 
-    The cells r = s = 0, which hold the i*j terms, are compared first,
-    from the base tables alone (``_origin_products``); when they differ,
-    nothing of the carrier's size is built.  Otherwise both whole tables
-    are generated one block of first coordinates at a time by one
-    ``_mul_block_filler``, with u = r+i for the duplication and u = r for
-    the idealization, and compared block by block; the first block that
-    differs ends the scan.  So a table that matches has had every cell
-    compared, and the answer is never read off I*I itself.  Neither table
-    is stored, and a stored table of ``dup`` is never read.
+    Both tables hold (rs, w + s*i) in cell (r, i)(s, j), with w = (r+i)*j
+    in the duplication's (rj+si+ij = (r+i)j + si) and w = r*j in the
+    idealization's.  Where the two w are equal, both cells are the same
+    lookup; where they differ, the cells differ exactly where the sums
+    w + s*i do.  The w are compared for every r, i and j, first
+    coordinate 0 on its own first (in a ring its w are i*j and 0), then
+    all of them a block of first coordinates at a time, a block covering
+    about _BLOCK_CELLS cells of either table; at each w that differs the
+    sums over every s are compared, and the first difference ends the
+    scan (in a ring, at the first w that differs).  So every cell is
+    compared, no ring axiom is assumed, and the answer is never read off
+    I*I itself; no block of either table is built.
     """
     base = dup.base
     members = dup.ideal_elements
-    if not np.array_equal(
-        _origin_products(base, members, True), _origin_products(base, members, False)
-    ):
-        return False
     n, k = base.order, len(members)
-    sum_pos, prod_pos = _ideal_positions(base, members)
-    step, fill = _mul_block_filler(base, members, sum_pos, prod_pos)
-    dup_block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
-    ideal_block = np.empty((step, k, n, k), dtype=TABLE_DTYPE)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        fill(lo, hi, dup_block[: hi - lo], True)
-        fill(lo, hi, ideal_block[: hi - lo], False)
-        if not np.array_equal(dup_block[: hi - lo], ideal_block[: hi - lo]):
-            return False
+    add = base.add_table
+    times = base.mul_table.take(members, axis=1)
+    plus = add.take(members, axis=1)
+    step = max(1, _BLOCK_CELLS // (n * k * k))
+    zero = slice(base.zero, base.zero + 1)
+    for rows in [zero, *(slice(lo, lo + step) for lo in range(0, n, step))]:
+        # [h, i, j]: (r+i)*j and r*j for the block's h-th first coordinate r.
+        w_dup = times.take(plus[rows], axis=0)
+        w_ideal = times[rows, None, :]
+        for h, i, j in zip(*np.nonzero(w_dup != w_ideal)):
+            si = times[:, i]
+            if (add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)).any():
+                return False
     return True
 
 

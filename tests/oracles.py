@@ -309,12 +309,15 @@ def square_girth(graph: ZDGraph) -> int | float:
     return bfs_girth(graph)
 
 
-def gather_pair_tables(
-    base: FiniteRing, members, with_product_term: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Addition and multiplication tables over the carrier base x members,
-    (r, i) at index r*k + t for i = members[t], by gathering every pair's
-    coordinates from the base tables element by element."""
+def gather_pair_tables(base: FiniteRing, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The addition table and the duplication's and the idealization's
+    multiplication tables over the carrier base x members, (r, i) at index
+    r*k + t for i = members[t], by gathering every pair's coordinates from
+    the base tables element by element.  The second coordinate of
+    (r, i)(s, j) is (r+i)j + si in the duplication and rj + si in the
+    idealization, the order of operations the library's tables use, so on
+    a table that is not a ring's these are the two tables P2.1b compares;
+    in a ring (r+i)j + si = rj + si + ij."""
     n, k = base.order, len(members)
     rv = np.repeat(np.arange(n), k)
     iv = np.tile(np.array(sorted(members), dtype=np.intp), n)
@@ -324,13 +327,17 @@ def gather_pair_tables(
     add_first = add_t[rv[:, None], rv[None, :]].astype(np.intp)
     add_second = add_t[iv[:, None], iv[None, :]]
     mul_first = mul_t[rv[:, None], rv[None, :]].astype(np.intp)
-    cross = add_t[mul_t[rv[:, None], iv[None, :]], mul_t[iv[:, None], rv[None, :]]]
-    if with_product_term:
-        mul_second = add_t[cross, mul_t[iv[:, None], iv[None, :]]]
-    else:
-        mul_second = cross
-    assert (pos[add_second] >= 0).all() and (pos[mul_second] >= 0).all()
-    return add_first * k + pos[add_second], mul_first * k + pos[mul_second]
+    # Row (r, i), column (s, j): s*i, (r+i)*j and r*j.
+    si = mul_t[rv[None, :], iv[:, None]]
+    dup_second = add_t[mul_t[add_t[rv, iv][:, None], iv[None, :]], si]
+    ideal_second = add_t[mul_t[rv[:, None], iv[None, :]], si]
+    for second in (add_second, dup_second, ideal_second):
+        assert (pos[second] >= 0).all()
+    return (
+        add_first * k + pos[add_second],
+        mul_first * k + pos[dup_second],
+        mul_first * k + pos[ideal_second],
+    )
 
 
 def gather_idealization(base: FiniteRing, ideal) -> FiniteRing:
@@ -338,7 +345,7 @@ def gather_idealization(base: FiniteRing, ideal) -> FiniteRing:
     duplication's carrier, as a ring on the gathered tables."""
     members = sorted(ideal.members)
     k = len(members)
-    add, mul = gather_pair_tables(base, members, with_product_term=False)
+    add, _, mul = gather_pair_tables(base, members)
     labels = [f"({base.labels[r]},{base.labels[i]})" for r in base.elements() for i in members]
     zero = base.zero * k + members.index(base.zero)
     one = base.one * k + members.index(base.zero)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from amalgam_zdg import RingFacts, amalgam, graphs
 from oracles import (
     full_zero_divisor_mask,
     gather_idealization,
+    gather_pair_tables,
     kernel_ideals,
     loop_structure_checks,
     minimal_primes,
@@ -182,112 +184,102 @@ class TestIdealization:
 
     @pytest.mark.parametrize("step", [1, 3], ids=["one-coordinate", "ragged"])
     def test_comparator_reads_the_last_block(self, step, monkeypatch):
-        # Z8 along {0, 4} squares to zero, so the generated tables agree
-        # until the duplication's filler moves one cell of first coordinate
-        # 7: (7,4)(7,4) = (1,0) becomes (1,4).  Three coordinates per block
-        # leave a last block of two.
-        a = amalgamated_duplication(Z8, I8)
+        # Z8 along {0, 4} squares to zero.  With 7 + 4 set to 6, (7+4)*4 is
+        # 6*4 = 0 where 7*4 = 4, a difference read at first coordinate 7
+        # alone.  Three coordinates per block leave a last block of two.
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", step * 8 * 2 * 2)
-        assert amalgam.matches_idealization(a)
-        cell = a.index_of(7, 4)
-        filler = amalgam._mul_block_filler
-
-        def corrupted(base, members, sum_pos, prod_pos):
-            block, fill = filler(base, members, sum_pos, prod_pos)
-
-            def fill_moved(lo, hi, out, with_product_term):
-                fill(lo, hi, out, with_product_term)
-                if with_product_term and lo <= 7 < hi:
-                    row = out[7 - lo, 1].reshape(-1)
-                    assert row[cell] == a.index_of(1, 0)
-                    row[cell] = a.index_of(1, 4)
-
-            return block, fill_moved
-
-        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
-        assert not amalgam.matches_idealization(a)
-
+        assert amalgam.matches_idealization(DuplicationCarrier(Z8, I8))
+        ring, ideal = _planted("Z8", "gen(4)", ("add", 7, 4, 6))
+        assert _differing_firsts(ring, ideal) == [7]
+        assert not amalgam.matches_idealization(DuplicationCarrier(ring, ideal))
 
     @pytest.mark.parametrize(
         "spec, ideal_spec, square_zero",
         [("Z43", "full", False), ("Z8", "gen(2)", False), ("Z8", "gen(4)", True)],
     )
-    def test_comparator_stops_at_a_differing_block(
+    def test_comparator_answers_in_one_coordinate_blocks(
         self, spec, ideal_spec, square_zero, monkeypatch
     ):
-        # One first coordinate per block.  The cells r = s = 0, which hold
-        # the i*j terms, are compared first, once per table.  When I*I != 0
-        # they already differ, so no block of either table is generated;
-        # when I*I = 0 every block of both is.
+        # One first coordinate per block: when I*I != 0 the i*j terms of
+        # first coordinate 0 differ; when I*I = 0 every block is compared.
         ring = parse_ring_spec(spec)
-        carrier = amalgam.DuplicationCarrier(ring, parse_ideal_spec(ring, ideal_spec))
+        carrier = DuplicationCarrier(ring, parse_ideal_spec(ring, ideal_spec))
         n, k = ring.order, len(carrier.ideal_elements)
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", n * k * k)
-        calls = []
-        origin, filler = amalgam._origin_products, amalgam._mul_block_filler
-
-        def origin_logged(base, members, with_product_term):
-            calls.append(("origin", with_product_term))
-            return origin(base, members, with_product_term)
-
-        def spied(base, members, sum_pos, prod_pos):
-            step, fill = filler(base, members, sum_pos, prod_pos)
-
-            def fill_logged(lo, hi, out, with_product_term):
-                calls.append((lo, hi, with_product_term))
-                fill(lo, hi, out, with_product_term)
-
-            return step, fill_logged
-
-        monkeypatch.setattr(amalgam, "_origin_products", origin_logged)
-        monkeypatch.setattr(amalgam, "_mul_block_filler", spied)
         assert amalgam.matches_idealization(carrier) is square_zero
-        firsts = range(n) if square_zero else range(0)
-        blocks = [(lo, lo + 1, term) for lo in firsts for term in (True, False)]
-        assert calls == [("origin", True), ("origin", False)] + blocks
 
-    @pytest.mark.parametrize("place", ["origin", "first-block", "last-block"])
-    def test_comparator_reports_a_planted_cell(self, place, monkeypatch):
+    @pytest.mark.parametrize(
+        "table, x, y, value, firsts",
+        [("mul", 4, 4, 4, [0, 4]), ("mul", 4, 5, 0, [1, 5]), ("add", 7, 4, 6, [7])],
+        ids=["origin", "first-block", "last-block"],
+    )
+    def test_comparator_reports_a_planted_cell(self, table, x, y, value, firsts, monkeypatch):
         # Z8 along {0, 4} squares to zero, so both tables agree until one
-        # cell of the duplication's is moved to another carrier element:
-        # in the cells r = s = 0, (4)(4) = 0 becomes 4; in the block of
-        # r = 0, (0,4)(3,4) = (0,4) becomes (0,0); in the block of r = 7,
-        # (7,4)(7,4) = (1,0) becomes (1,4).  One first coordinate per
-        # block; the scan stops at the block that differs.
-        a = amalgamated_duplication(Z8, I8)
+        # symmetric pair of base-table cells is planted: 4*4 := 4 puts an
+        # i*j term in first coordinate 0, 4*5 := 0 is first read at first
+        # coordinate 1, and 7 + 4 := 6 only at 7.  One first coordinate
+        # per block.
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", 8 * 2 * 2)
-        assert amalgam.matches_idealization(a)
-        origin, filler = amalgam._origin_products, amalgam._mul_block_filler
-        calls = []
+        ring, ideal = _planted("Z8", "gen(4)", (table, x, y, value))
+        assert _differing_firsts(ring, ideal) == firsts
+        assert not amalgam.matches_idealization(DuplicationCarrier(ring, ideal))
 
-        def origin_moved(base, members, with_product_term):
-            out = origin(base, members, with_product_term)
-            if with_product_term and place == "origin":
-                assert out[1, 1] == 0
-                out[1, 1] = 4
-            return out
+    @pytest.mark.parametrize(
+        "member, matches", [(0, True), (4, False)], ids=["sums-agree", "sums-differ"]
+    )
+    def test_comparator_compares_the_sums_where_products_differ(self, member, matches):
+        # With 0 + 0 set to 4, rows 0 and 4 of Z8's addition table agree on
+        # column 0 and differ on column 4.  Then 1 + i := 0 makes (1+i)*4 =
+        # 0 where 1*4 = 4, and the cells (1, i)(s, 4) hold 0 + s*i and
+        # 4 + s*i: for i = 0, s*i is 0 for every s and the tables agree; for
+        # i = 4 they differ at every odd s.
+        ring, ideal = _planted("Z8", "gen(4)", ("add", 0, 0, 4), ("add", 1, member, 0))
+        assert _differing_firsts(ring, ideal) == ([] if matches else [1])
+        assert amalgam.matches_idealization(DuplicationCarrier(ring, ideal)) is matches
 
-        r, s = (0, 3) if place == "first-block" else (7, 7)
-        cell = a.index_of(s, 4)
+    def test_comparator_matches_whole_tables_on_every_planted_cell(self):
+        # Every single-cell edit of Z8's tables that keeps {0, 4} an ideal,
+        # commutative or not: the comparator against whole-table equality
+        # of the element-by-element gathers.
+        outcomes = []
+        for table, x, y, value in itertools.product(("add", "mul"), range(8), range(8), range(8)):
+            tables = {"add": np.array(Z8.add_table), "mul": np.array(Z8.mul_table)}
+            if tables[table][x, y] == value:
+                continue
+            tables[table][x, y] = value
+            ring = FiniteRing(8, tables["add"], tables["mul"], 0, 1, Z8.labels, "Z8*")
+            if not is_ideal(ring, I8.members):
+                continue
+            _, mul, ideal_mul = gather_pair_tables(ring, I8.members)
+            whole = np.array_equal(mul, ideal_mul)
+            carrier = DuplicationCarrier(ring, Ideal(ring, I8.members))
+            assert amalgam.matches_idealization(carrier) == whole, (table, x, y, value)
+            outcomes.append(whole)
+        assert len(outcomes) == 776 and sum(outcomes) == 712
 
-        def corrupted(base, members, sum_pos, prod_pos):
-            step, fill = filler(base, members, sum_pos, prod_pos)
 
-            def fill_moved(lo, hi, out, with_product_term):
-                calls.append((lo, with_product_term))
-                fill(lo, hi, out, with_product_term)
-                if with_product_term and place != "origin" and lo <= r < hi:
-                    row = out[r - lo, 1].reshape(-1)
-                    assert row[cell] == a.index_of(r * s % 8, ((r + 4) * 4 + s * 4) % 8)
-                    row[cell] ^= 1
+def _planted(spec, ideal_spec, *plants):
+    """``spec``'s ring with x op y and y op x set to ``value`` in its
+    addition or multiplication table for each plant (table, x, y, value),
+    and the members of its ideal ``ideal_spec``, which still form one."""
+    base = parse_ring_spec(spec)
+    tables = {"add": np.array(base.add_table), "mul": np.array(base.mul_table)}
+    for table, x, y, value in plants:
+        tables[table][x, y] = tables[table][y, x] = value
+    ring = FiniteRing(
+        base.order, tables["add"], tables["mul"], base.zero, base.one, base.labels, spec + "*"
+    )
+    members = parse_ideal_spec(base, ideal_spec).members
+    assert is_ideal(ring, members)
+    return ring, Ideal(ring, members)
 
-            return step, fill_moved
 
-        monkeypatch.setattr(amalgam, "_origin_products", origin_moved)
-        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
-        assert not amalgam.matches_idealization(a)
-        read = {"origin": 0, "first-block": 1, "last-block": 8}[place]
-        assert calls == [(lo, term) for lo in range(read) for term in (True, False)]
+def _differing_firsts(ring, ideal):
+    """The first coordinates r whose cells (r, i)(s, j) differ between the
+    gathered duplication and idealization tables."""
+    _, mul, ideal_mul = gather_pair_tables(ring, ideal.members)
+    rows = np.flatnonzero((mul != ideal_mul).any(axis=1))
+    return np.unique(rows // len(ideal)).tolist()
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -167,3 +167,48 @@ def test_zero_ideal_makes_p4_16_an_honest_counterexample():
     assert after.status is Status.COUNTEREXAMPLE
     assert after.witness == "universal vertices {(3,0)}; Z(R) prime ideal = False"
     assert after.note == "universal vertices {(3,0)}; Z(R) prime ideal = False"
+
+
+def test_planted_nilpotent_makes_p2_1a_fail():
+    """Z6 is reduced, and so is its duplication along {0, 3}.  With one
+    more carrier element marked nilpotent, the duplication reads as not
+    reduced, and reducedness no longer transfers."""
+    inst = _instance("Z6", "gen(3)")
+    nilpotents = inst.carrier.nilpotents.copy()
+    assert nilpotents.sum() == 1
+    nilpotents[inst.carrier.index_of(1, 0)] = True
+    inst.carrier.nilpotents = nilpotents
+    assert instance_invariant_violations(inst) == [
+        "[Z6 | I={0,3}] P2.1a: reducedness does not transfer"
+    ]
+
+
+def test_planted_product_makes_p2_1b_disagree():
+    """Z4 along {0, 2} squares to zero.  With 2*3 and 3*2 set to 0, the
+    ideal still squares to zero, but (1+2)*2 = 0 where 1*2 = 2, so the
+    duplication's table differs from the idealization's: P2.1b reports
+    the disagreement, and no other invariant fails."""
+    z4 = parse_ring_spec("Z4")
+    mul = np.array(z4.mul_table)
+    assert mul[2, 3] == mul[3, 2] == 2
+    mul[2, 3] = mul[3, 2] = 0
+    planted = FiniteRing(4, z4.add_table, mul, 0, 1, z4.labels, "Z4*")
+    inst = Instance(planted, parse_ideal_spec(planted, "gen(2)"))
+    assert instance_invariant_violations(inst) == [
+        "[Z4* | I={0,2}] P2.1b: square-zero ideal and table equality disagree"
+    ]
+
+
+def test_planted_kernel_member_makes_p2_2_miss():
+    """In Z8 along {0, 4}, (1, 0) is a unit.  Planted into the first
+    projection kernel, it joins the classification's T1, whose union then
+    holds an element off the zero-divisor graph."""
+    inst = _instance("Z8", "gen(4)")
+    assert instance_invariant_violations(inst) == []
+    first, second = inst.carrier.kernel_masks
+    first = first.copy()
+    first[inst.carrier.index_of(1, 0)] = True
+    inst.carrier.kernel_masks = (first, second)
+    assert instance_invariant_violations(inst) == [
+        "[Z8 | I={0,4}] P2.2: classification misses the zero-divisor set"
+    ]

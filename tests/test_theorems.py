@@ -289,32 +289,19 @@ class TestInstanceInvariants:
         violations = _graph_invariant_violations("[p]", "base", classes)
         assert violations == [f"[p] base {expected}"]
 
-    def test_square_zero_table_identity_reads_the_last_slab(self, monkeypatch):
-        ring, ideal = instance("Z4", "gen(2)")
+    def test_square_zero_table_identity_reads_the_last_slab(self):
+        # Z8 along {0, 4} squares to zero.  With 7 + 4 set to 6 (both
+        # orders), (7+4)*4 is 6*4 = 0 where 7*4 = 4, so the tables differ
+        # only at the last first coordinate, 7; no zero-divisor changes.
+        ring, ideal = instance("Z8", "gen(4)")
         assert instance_invariant_violations(Instance(ring, ideal)) == []
-        carrier = DuplicationCarrier(ring, ideal)
-        cell = carrier.index_of(3, 2)
-        assert cell == carrier.order - 1
-        filler = amalgam._mul_block_filler
-
-        def corrupted(base, members, sum_pos, prod_pos):
-            step, fill = filler(base, members, sum_pos, prod_pos)
-
-            def fill_moved(lo, hi, out, with_product_term):
-                fill(lo, hi, out, with_product_term)
-                # (3,2)*(3,2) = (1,0): a cell of the last first-coordinate
-                # block the duplication's filler generates, moved to
-                # another unit so that no zero-divisor changes.
-                if with_product_term and hi == base.order:
-                    row = out[3 - lo, 1].reshape(-1)
-                    assert row[cell] == carrier.index_of(1, 0)
-                    row[cell] = carrier.index_of(1, 2)
-
-            return step, fill_moved
-
-        monkeypatch.setattr(amalgam, "_mul_block_filler", corrupted)
-        assert instance_invariant_violations(Instance(ring, ideal)) == [
-            "[Z4 | I={0,2}] P2.1b: square-zero ideal and table equality disagree"
+        add = np.array(ring.add_table)
+        assert add[7, 4] == add[4, 7] == 3
+        add[7, 4] = add[4, 7] = 6
+        planted = FiniteRing(8, add, ring.mul_table, 0, 1, ring.labels, "Z8*")
+        ideal = parse_ideal_spec(planted, "gen(4)")
+        assert instance_invariant_violations(Instance(planted, ideal)) == [
+            "[Z8* | I={0,4}] P2.1b: square-zero ideal and table equality disagree"
         ]
 
 
