@@ -212,3 +212,41 @@ def test_planted_kernel_member_makes_p2_2_miss():
     assert instance_invariant_violations(inst) == [
         "[Z8 | I={0,4}] P2.2: classification misses the zero-divisor set"
     ]
+
+
+def _planted_ring(spec: str, table: str, cell: tuple[int, int], value: int) -> FiniteRing:
+    """The ring ``spec`` with one symmetric pair of cells of its addition
+    or multiplication table set to ``value``."""
+    ring = parse_ring_spec(spec)
+    tables = {"add": np.array(ring.add_table), "mul": np.array(ring.mul_table)}
+    a, b = cell
+    tables[table][a, b] = tables[table][b, a] = value
+    return FiniteRing(
+        ring.order, tables["add"], tables["mul"], ring.zero, ring.one, ring.labels, f"{spec}*"
+    )
+
+
+def test_planted_product_fails_r2_3_crossings():
+    """With 1*2 := 3 in Z4 (and 2*1), no zero product appears or goes, so
+    the graphs of Z4 and of its duplication along itself are unchanged.
+    But (0, 1)(-2, 2) has second coordinate (0+1)*2 + 2*1 = 3 + 3 = 2, so
+    one crossing of the two kernels is not an edge: R2.3 reports the
+    crossings as failed, and nothing else fails."""
+    planted = _planted_ring("Z4", "mul", (1, 2), 3)
+    inst = Instance(planted, parse_ideal_spec(planted, "full"))
+    assert instance_invariant_violations(inst) == [
+        "[Z4* | I={0,1,2,3}] R2.3: crossings failed"
+    ]
+
+
+def test_planted_sum_fails_r2_3_exclusive_neighbors():
+    """With 2 + 2 := 0 in Z6, the element (2, 2) of Z6 along itself has
+    the product form (2, 0), so (0, 1)(2, 2) = (0, 2 + 2) = (0, 0): the
+    regular member 1 gives (0, 1) a neighbour that is not of the form
+    (-j, j), since -2 = 4.  R2.3 reports the exclusive neighbours as
+    failed, and nothing else fails."""
+    planted = _planted_ring("Z6", "add", (2, 2), 0)
+    inst = Instance(planted, parse_ideal_spec(planted, "full"))
+    assert instance_invariant_violations(inst) == [
+        "[Z6* | I={0,1,2,3,4,5}] R2.3: exclusive neighbors failed"
+    ]
