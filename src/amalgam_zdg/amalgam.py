@@ -17,7 +17,6 @@ base ring's tables, and builds no table of the duplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .rings import (
     _minimal_rows,
     _primes_from_idempotents,
     _sorted_sets,
+    cached_fact,
     ideal_violations,
 )
 from .specs import MAX_DUPLICATION_ORDER
@@ -144,20 +144,30 @@ def _check_duplication_order(base: FiniteRing, ideal: Ideal) -> None:
         )
 
 
-def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[int, ...]:
-    """The ideal's sorted members, once they are known to form an ideal of
-    ``base`` whose duplication is within MAX_DUPLICATION_ORDER; nothing of
-    the carrier's size has been allocated when either check fails."""
+def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ideal's sorted members as an index array, and the base tables'
+    columns at them, r + i and r*i (see ``DuplicationCarrier``), once the
+    member set is known to be an ideal of ``base`` whose duplication is
+    within MAX_DUPLICATION_ORDER.  The order is checked first, so nothing
+    of the carrier's size has been allocated when it fails.  The ideal
+    test reads the two columns: 0 is a member, i + j (rows of ``plus`` at
+    the members) and r*j (``times``) are members; when it fails, the
+    message gives ``ideal_violations``.
+    """
     if ideal.ring is not base:
         raise NotAnIdealError("ideal belongs to a different ring")
     _check_duplication_order(base, ideal)
-    violations = ideal_violations(base, ideal.members)
-    if violations:
+    members = np.array(ideal.sorted_members, dtype=np.intp)
+    plus = base.add_table.take(members, axis=1)
+    times = base.mul_table.take(members, axis=1)
+    inside = _mask(base.order, members)
+    # inside[...] by the uint16 columns, which take would widen to intp.
+    if not (inside[base.zero] and inside[plus.take(members, axis=0)].all() and inside[times].all()):
         raise NotAnIdealError(
             f"member set is not an ideal of {base.spec_name}: "
-            + "; ".join(violations)
+            + "; ".join(ideal_violations(base, ideal.members))
         )
-    return ideal.sorted_members
+    return members, plus, times
 
 
 class DuplicationCarrier:
@@ -169,19 +179,28 @@ class DuplicationCarrier:
     element's product-form image (a, b) = (r, r+i) in R x R, where the
     multiplication is componentwise.  The ideal and the order limit are
     checked at construction, before anything of the carrier's size exists.
+
+    ``members`` is the ideal as an index array, and ``plus`` and ``times``
+    are the base tables' columns at its members, n x k: [r, t] holds r + i
+    and r*i for i = members[t].  Every reader of the carrier gathers from
+    these three, so they are read-only, as are the masks and coordinates
+    built from them.
     """
 
     def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
-        members = _checked_ideal(base, ideal)
+        self.members, self.plus, self.times = _checked_ideal(base, ideal)
+        for shared in (self.members, self.plus, self.times):
+            shared.setflags(write=False)
+        elements = ideal.sorted_members
         self.base = base
         self.ideal = ideal
-        self.ideal_elements = members
-        self.order = base.order * len(members)
-        self._pos = {elem: t for t, elem in enumerate(members)}
+        self.ideal_elements = elements
+        self.order = base.order * len(elements)
+        self._pos = dict(zip(elements, range(len(elements))))
         self.zero = self.index_of(base.zero, base.zero)
         self.one = self.index_of(base.one, base.zero)
 
-    @cached_property
+    @cached_fact
     def spec_name(self) -> str:
         return f"{self.base.spec_name} join {self.base.format_subset(self.ideal_elements)}"
 
@@ -211,35 +230,35 @@ class DuplicationCarrier:
         """Render a set of carrier elements as ``{(r,i), ...}`` in index order."""
         return "{" + ", ".join(self.label(e) for e in sorted(elems)) + "}"
 
-    @cached_property
+    @cached_fact
     def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
         """Carrier indices of (0, i) and of (-i, i) for every member i, in
         the ideal's ascending order: r*k plus i's position."""
-        members = np.array(self.ideal_elements, dtype=np.intp)
-        k = len(members)
+        k = len(self.members)
         at = np.arange(k)
-        return self.base.zero * k + at, self.base._neg_table[members] * k + at
+        return self.base.zero * k + at, self.base._neg_table.take(self.members) * k + at
 
-    @cached_property
+    @cached_fact
     def kernel_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only masks over the carrier of the kernels of the first
         coordinate projection, {(0, i)}, and of the product form's second
         projection, {(-i, i)}."""
-        masks = tuple(_mask(self.order, kernel) for kernel in self._kernels)
+        masks = [_mask(self.order, kernel) for kernel in self._kernels]
         for mask in masks:
             mask.setflags(write=False)
-        return masks
+        return tuple(masks)
 
-    @cached_property
+    @cached_fact
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every element's product-form image (r, r+i), as two index arrays
-        over the base ring in carrier order."""
-        n, k = self.base.order, len(self.ideal_elements)
-        first = np.repeat(np.arange(n), k)
-        second = self.base.add_table.take(self.ideal_elements, axis=1).ravel().astype(np.intp)
+        """Every element's product-form image (r, r+i), as two read-only
+        index arrays over the base ring in carrier order."""
+        first = np.repeat(np.arange(self.base.order), len(self.members))
+        second = self.plus.ravel().astype(np.intp)
+        first.setflags(write=False)
+        second.setflags(write=False)
         return first, second
 
-    @cached_property
+    @cached_fact
     def nilpotents(self) -> np.ndarray:
         """Mask of the nilpotent elements: (a, b) is nilpotent iff a and b
         both are."""
@@ -247,7 +266,7 @@ class DuplicationCarrier:
         first, second = self.coordinates
         return nil[first] & nil[second]
 
-    @cached_property
+    @cached_fact
     def minimal_prime_masks(self) -> np.ndarray:
         """Boolean (minimal primes, carrier): the membership masks of the
         minimal prime ideals, by the primitive-idempotent rule of
@@ -297,15 +316,12 @@ def matches_idealization(dup: DuplicationCarrier) -> bool:
     compared, no ring axiom is assumed, and the answer is never read off
     I*I itself; no block of either table is built.
     """
-    base = dup.base
-    members = dup.ideal_elements
-    n, k = base.order, len(members)
+    base, times, plus = dup.base, dup.times, dup.plus
+    n, k = times.shape
     add = base.add_table
-    times = base.mul_table.take(members, axis=1)
-    plus = add.take(members, axis=1)
     step = max(1, _BLOCK_CELLS // (n * k * k))
     zero = slice(base.zero, base.zero + 1)
-    for rows in [zero, *(slice(lo, lo + step) for lo in range(0, n, step))]:
+    for rows in [zero, *[slice(lo, lo + step) for lo in range(0, n, step)]]:
         # [h, i, j]: (r+i)*j and r*j for the block's h-th first coordinate r.
         w_dup = times.take(plus[rows], axis=0)
         w_ideal = times[rows, None, :]
@@ -386,8 +402,7 @@ def _classification_masks(
     carrier, in carrier order, given the mask ``zd_mask`` of the base
     ring's zero-divisors (0 included).  t1 and t2 are the carrier's
     read-only kernel masks."""
-    base = dup.base
-    members = np.array(dup.ideal_elements, dtype=np.intp)
+    base, members = dup.base, dup.members
     n, k, zero = base.order, len(members), base.zero
 
     t1, t2 = dup.kernel_masks
@@ -398,7 +413,7 @@ def _classification_masks(
 
     nonzero_members = members[members != zero]
     killed = (base.mul_table.take(nonzero_members, axis=0) == zero).any(axis=0)
-    sums = base.add_table.take(members, axis=1)
+    sums = dup.plus
     # killed[...] by the uint16 table, which take would widen to intp.
     t4 = ~zd_mask[:, None] & (sums != zero) & killed[sums]
     return t1, t2, t3.ravel(), t4.ravel()
@@ -491,8 +506,7 @@ def structure_checks(
     tables that are not a ring's.  Every set of carrier elements is an
     index array r*k + t or a boolean mask over the carrier.
     """
-    base = dup.base
-    members = np.array(dup.ideal_elements, dtype=np.intp)
+    base, members = dup.base, dup.members
     k = len(members)
     if k < 2:
         return StructureChecks(True, True, True, vacuous=True)

@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .rings import _BLOCK_CELLS, FiniteRing, _zero_product_adjacency
+from .rings import _BLOCK_CELLS, FiniteRing, _zero_product_adjacency, cached_fact
 
 __all__ = [
     "DisconnectedGraphError",
@@ -111,12 +110,12 @@ class ZDGraph:
         self.ring = ring
         self._pos = {v: k for k, v in enumerate(self.vertices)}
 
-    @cached_property
+    @cached_fact
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour positions of every vertex, built on first read."""
         return tuple(tuple(row.nonzero()[0].tolist()) for row in self.adjacency)
 
-    @cached_property
+    @cached_fact
     def classes(self) -> ClassGraph:
         """The quotient by twins, built on first read.
 
@@ -294,7 +293,8 @@ class ClassGraph:
     members are adjacent to each other, and ``class_of`` each element's
     class, -1 off the graph.  Elements are named by their element or
     carrier indices, and the vertices are those with a class, in
-    ascending order.
+    ascending order.  ``Q + I`` and ``Q @ Q`` are computed once, for the
+    facts that read them.
     """
 
     def __init__(
@@ -302,15 +302,25 @@ class ClassGraph:
     ) -> None:
         self.q, self.sizes, self.clique, self.class_of = q, sizes, clique, class_of
 
-    @cached_property
+    @cached_fact
+    def _closed(self) -> np.ndarray:
+        """Q + I: the adjacency with every class joined to itself."""
+        return self.q | np.eye(len(self.q), dtype=bool)
+
+    @cached_fact
+    def _joined(self) -> np.ndarray:
+        """Q @ Q: the pairs of classes joined by a path of length 2."""
+        return _boolean_product(self.q, self.q)
+
+    @cached_fact
     def vertices(self) -> np.ndarray:
         return (self.class_of >= 0).nonzero()[0]
 
-    @cached_property
+    @cached_fact
     def vertex_count(self) -> int:
         return int(self.sizes.sum())
 
-    @cached_property
+    @cached_fact
     def diameter(self) -> int | None:
         """Largest eccentricity; None for the empty graph, 0 for one vertex.
 
@@ -322,7 +332,8 @@ class ClassGraph:
         clique class has).  diam Q comes from the boolean reach sets
         "within d steps" of every class, grown by one boolean matrix
         product per step on the rows not yet full until every row is full;
-        the number of steps is the diameter.  No bound on the step count is
+        the number of steps is the diameter.  The first step's product,
+        (Q + I) @ Q, is Q @ Q + Q, and Q is in the reach already.  No bound on the step count is
         assumed, so a diameter above 3 is reported as it is.  Raises
         DisconnectedGraphError on a disconnected graph rather than
         returning a value, since that would falsify the connectivity
@@ -341,24 +352,25 @@ class ClassGraph:
             raise DisconnectedGraphError(
                 "zero-divisor graph has an isolated vertex; connectivity invariant violated"
             )
-        reach = q | np.eye(len(q), dtype=bool)
+        reach = self._closed
+        open_rows = ~reach.all(axis=1)
+        before, product = reach[open_rows], self._joined[open_rows]
         steps = 1
-        open_rows = (~reach.all(axis=1)).nonzero()[0]
-        while open_rows.size:
-            before = reach.take(open_rows, axis=0)
-            grown = before | _boolean_product(before, q)
+        while len(before):
+            grown = before | product
             if (grown == before).all(axis=1).any():
                 raise DisconnectedGraphError(
                     "zero-divisor graph is disconnected; connectivity invariant violated"
                 )
-            reach[open_rows] = grown
             steps += 1
-            open_rows = open_rows[~grown.all(axis=1)]
+            before = grown[~grown.all(axis=1)]
+            if len(before):
+                product = _boolean_product(before, q)
         if ((sizes > 1) & ~clique).any():
             steps = max(steps, 2)
         return steps
 
-    @cached_property
+    @cached_fact
     def girth(self) -> int | float:
         """Length of a shortest cycle, or math.inf for an acyclic graph.
 
@@ -381,7 +393,7 @@ class ClassGraph:
         q, sizes, clique = self.q, self.sizes, self.clique
         if (clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))).any():
             return 3
-        joined = _boolean_product(q, q)
+        joined = self._joined
         if (joined & q).any():
             return 3
         degrees = q.sum(axis=1)
@@ -392,7 +404,7 @@ class ClassGraph:
             return 4
         return _bfs_girth(q)
 
-    @cached_property
+    @cached_fact
     def bipartition(self) -> tuple[int, int] | None:
         """Part sizes (m, n) if the graph is complete bipartite, else None.
 
@@ -423,16 +435,15 @@ class ClassGraph:
             return None
         return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
 
-    @cached_property
+    @cached_fact
     def universal_classes(self) -> np.ndarray:
         """Mask of the classes whose members are adjacent to every other
         vertex: the class meets every other class, and its members meet
         each other, being one or a clique."""
-        q = self.q
-        meets_all = (q | np.eye(len(q), dtype=bool)).all(axis=1)
+        meets_all = self._closed.all(axis=1)
         return meets_all & (self.clique | (self.sizes == 1))
 
-    @cached_property
+    @cached_fact
     def universal(self) -> tuple[int, ...]:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
@@ -446,14 +457,14 @@ class ClassGraph:
         class is universal."""
         return bool(self.universal_classes.all())
 
-    @cached_property
+    @cached_fact
     def edge_count(self) -> int:
         """|A|*|B| for each adjacent pair of classes, |A|(|A|-1)/2 inside
         each clique class A."""
         s = self.sizes.astype(np.int64)
         return int(s @ self.q @ s) // 2 + int((s * (s - 1))[self.clique].sum()) // 2
 
-    @cached_property
+    @cached_fact
     def invariants(self) -> GraphInvariants:
         parts = self.bipartition
         return GraphInvariants(

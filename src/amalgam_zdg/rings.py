@@ -8,7 +8,6 @@ worker processes.  Elements are plain integer indices into the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +37,27 @@ __all__ = [
 # so a ring's order is at most the number of values they can hold.
 TABLE_DTYPE = np.uint16
 MAX_TABLE_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1
+
+
+class cached_fact:
+    """A read-only attribute computed on first read and kept in the
+    instance ``__dict__``, where later reads find it without calling the
+    descriptor; assigning to the attribute plants a value.  This is
+    ``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on every first read: the facts are read on one thread."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _check_table_order(order: int) -> None:
@@ -122,7 +142,7 @@ class FiniteRing:
     def sub(self, a: int, b: int) -> int:
         return int(self.add_table[a, self._neg_table[b]])
 
-    @cached_property
+    @cached_fact
     def _neg_table(self) -> np.ndarray:
         rows, cols = np.nonzero(self.add_table == self.zero)
         neg = np.empty(self.order, dtype=np.intp)
@@ -130,7 +150,7 @@ class FiniteRing:
         neg.setflags(write=False)
         return neg
 
-    @cached_property
+    @cached_fact
     def _nilpotent_mask(self) -> np.ndarray:
         """Read-only boolean mask over the elements, True exactly on the
         nilpotents.
@@ -145,6 +165,14 @@ class FiniteRing:
         nil.setflags(write=False)
         return nil
 
+    @cached_fact
+    def _idempotent_mask(self) -> np.ndarray:
+        """Read-only boolean mask over the elements, True exactly where
+        x*x = x."""
+        idem = np.diagonal(self.mul_table) == np.arange(self.order)
+        idem.setflags(write=False)
+        return idem
+
     def label(self, a: int) -> str:
         return self.labels[a]
 
@@ -152,7 +180,7 @@ class FiniteRing:
         """Render a set of elements as ``{l1, l2, ...}`` in index order."""
         return "{" + ", ".join(self.labels[e] for e in sorted(elems)) + "}"
 
-    @cached_property
+    @cached_fact
     def _label_index(self) -> dict[str, int]:
         return {lbl: idx for idx, lbl in enumerate(self.labels)}
 
@@ -179,7 +207,7 @@ class Ideal:
         ):
             raise ValueError("ideal members out of range for the ring carrier")
 
-    @cached_property
+    @cached_fact
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -583,8 +611,7 @@ def _primes_from_idempotents(
     each is read off ``ring``'s table and nilpotent mask, one coordinate
     at a time.  No ideal lattice is needed.
     """
-    mul, nil = ring.mul_table, ring._nilpotent_mask
-    square_fixed = np.diagonal(mul) == np.arange(ring.order)
+    mul, nil, square_fixed = ring.mul_table, ring._nilpotent_mask, ring._idempotent_mask
     idem = np.logical_and.reduce([square_fixed[c] for c in coords]).nonzero()[0]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.

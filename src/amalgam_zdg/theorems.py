@@ -20,7 +20,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -47,11 +46,12 @@ from .rings import (
     _mask,
     all_ideals,
     annihilator,
+    cached_fact,
     is_ideal,
     is_prime_ideal,
     is_reduced,
 )
-from .specs import parse_ring_spec, ring_spec_name
+from .specs import _ring_moduli, parse_ring_spec, ring_spec_name
 
 __all__ = [
     "TheoremId",
@@ -71,7 +71,9 @@ __all__ = [
 
 
 class TheoremId(enum.Enum):
-    """Closed enumeration of the statements tracked by this harness."""
+    """Closed enumeration of the statements tracked by this harness.
+    ``text`` is the value as a plain attribute, which the report reads
+    without the two Python calls of the ``value`` property."""
 
     P2_1A = "P2.1a"
     P2_1B = "P2.1b"
@@ -88,11 +90,19 @@ class TheoremId(enum.Enum):
     L4_15 = "L4.15"
     P4_16 = "P4.16"
 
+    def __init__(self, text: str) -> None:
+        self.text = text
+
 
 class Status(enum.Enum):
+    """A check's verdict on one instance; ``text`` is as in ``TheoremId``."""
+
     VERIFIED = "verified"
     VACUOUS = "vacuous"
     COUNTEREXAMPLE = "counterexample"
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 class PreconditionError(Exception):
@@ -117,7 +127,7 @@ class VerificationOutcome:
     def to_json_dict(self) -> dict:
         """The outcome's entry in a JSON report: theorem and status, and
         the witness and note when present."""
-        entry: dict = {"theorem": self.theorem.value, "status": self.status.value}
+        entry: dict = {"theorem": self.theorem.text, "status": self.status.text}
         if self.witness is not None:
             entry["witness"] = self.witness
         if self.note is not None:
@@ -175,7 +185,7 @@ class _KeyClassFacts:
 
     classes: ClassGraph
 
-    @cached_property
+    @cached_fact
     def square_zero(self) -> bool:
         """The zero-divisors square to zero: the graph is complete and
         every class is a clique, so every vertex squares to zero too.  0
@@ -196,11 +206,11 @@ class RingFacts(_KeyClassFacts):
     def __init__(self, ring: FiniteRing) -> None:
         self.ring = ring
 
-    @cached_property
+    @cached_fact
     def graph(self) -> ZDGraph:
         return build_graph(self.ring)
 
-    @cached_property
+    @cached_fact
     def zero_divisors(self) -> frozenset[int]:
         """Z(R), read off the graph's pass: its vertices, and 0 when 0*y = 0
         for some y != 0.  That is the definition ``rings.zero_divisors``
@@ -211,37 +221,37 @@ class RingFacts(_KeyClassFacts):
         vertices = frozenset(self.graph.vertices)
         return vertices | {zero} if kills.any() else vertices
 
-    @cached_property
+    @cached_fact
     def zero_divisor_mask(self) -> np.ndarray:
         """Z(R) as a read-only boolean mask over the elements."""
         mask = _mask(self.ring.order, list(self.zero_divisors))
         mask.setflags(write=False)
         return mask
 
-    @cached_property
+    @cached_fact
     def zdivs_form_ideal(self) -> bool:
         return is_ideal(self.ring, self.zero_divisors)
 
-    @cached_property
+    @cached_fact
     def is_domain(self) -> bool:
         return self.zero_divisors == {self.ring.zero}
 
-    @cached_property
+    @cached_fact
     def zdivs_prime(self) -> bool:
         """Z(R) is a prime ideal."""
         return self.zdivs_form_ideal and is_prime_ideal(self.ring, self.zero_divisors)
 
-    @cached_property
+    @cached_fact
     def is_reduced(self) -> bool:
         return is_reduced(self.ring)
 
-    @cached_property
+    @cached_fact
     def edge_images_vanish(self) -> bool:
         """R2.3's ring-only half: x -> (x, 0) takes every edge of the graph
         to a zero product in every duplication (``_edge_images_vanish``)."""
         return _edge_images_vanish(self.ring, self.graph)
 
-    @cached_property
+    @cached_fact
     def edges_share_annihilator(self) -> bool:
         """Both ends of every edge are killed by one nonzero element:
         Ann(a) ∩ Ann(b) != 0 for each edge {a, b}, read on the annihilator
@@ -262,7 +272,7 @@ class RingFacts(_KeyClassFacts):
         classes (see ``_key_classes``)."""
         return self.graph.classes
 
-    @cached_property
+    @cached_fact
     def annihilator_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The ring's annihilator classes, read off the graph's classes:
         ``cls[x]`` numbers the class of x, and ``rel[a, b]`` says that the
@@ -319,12 +329,12 @@ class DuplicationFacts(_KeyClassFacts):
         self.base = base
         self.carrier = carrier
 
-    @cached_property
+    @cached_fact
     def classes(self) -> ClassGraph:
         cls, rel = self.base.annihilator_classes
         return _key_classes(cls, rel, *self.carrier.coordinates)
 
-    @cached_property
+    @cached_fact
     def is_reduced(self) -> bool:
         """No nonzero element is nilpotent, read off the carrier."""
         return int(self.carrier.nilpotents.sum()) == 1
@@ -349,19 +359,19 @@ class Instance:
     def ring_spec(self) -> str:
         return self.ring.spec_name
 
-    @cached_property
+    @cached_fact
     def ideal_labels(self) -> tuple[str, ...]:
         return self.ideal.labels()
 
-    @cached_property
+    @cached_fact
     def carrier(self) -> DuplicationCarrier:
         return DuplicationCarrier(self.ring, self.ideal)
 
-    @cached_property
+    @cached_fact
     def dup(self) -> DuplicationFacts:
         return DuplicationFacts(self.base, self.carrier)
 
-    @cached_property
+    @cached_fact
     def ideal_inside_zdivs(self) -> bool:
         return self.ideal.members <= self.base.zero_divisors
 
@@ -568,20 +578,40 @@ _NONZERO_IDEAL_CHECKS = frozenset(
 )
 _ZERO_IDEAL = "the ideal is {0}; a nonzero ideal is required"
 
+# The sweep's walk over the registry: each check with its statement and
+# whether it assumes a nonzero ideal.
+_CHECKS = tuple(
+    (theorem, run, theorem in _NONZERO_IDEAL_CHECKS) for theorem, run in _REGISTRY.items()
+)
+
 
 def _evaluate(theorem: TheoremId, inst: Instance) -> VerificationOutcome:
-    """Run the registered check for ``theorem`` on ``inst``: the one place
-    a status is derived.  A check that assumes a nonzero ideal is vacuous
-    on {0}, with a precondition note; otherwise it is vacuous when it
-    raises ``_Vacuous``, a counterexample when its conclusion fails, and
-    verified when it holds.  Only a counterexample carries a witness: the
+    """Run the registered check for ``theorem`` on ``inst`` (see
+    ``_outcome``)."""
+    needs_nonzero = theorem in _NONZERO_IDEAL_CHECKS
+    return _outcome(theorem, _REGISTRY[theorem], needs_nonzero and inst.ideal.is_zero, inst)
+
+
+def _outcome(
+    theorem: TheoremId, run: Callable[[Instance], tuple], zero_ideal_refused: bool, inst: Instance
+) -> VerificationOutcome:
+    """The outcome of the check ``run`` for ``theorem`` on ``inst``: the
+    one place a status is derived.  A check that assumes a nonzero ideal
+    is vacuous on {0} (``zero_ideal_refused``), with a precondition note;
+    otherwise it is vacuous when it raises ``_Vacuous``, a counterexample
+    when its conclusion fails, and verified when it holds.  A graph found
+    disconnected falsifies the connectivity invariant that the check
+    reads through, so the check is a counterexample with the error as
+    its witness and note.  Only a counterexample carries a witness: the
     check's own, or else its note."""
     try:
-        if theorem in _NONZERO_IDEAL_CHECKS and inst.ideal.is_zero:
+        if zero_ideal_refused:
             raise _Vacuous(f"precondition not met: {_ZERO_IDEAL}")
-        holds, note, *named = _REGISTRY[theorem](inst)
+        holds, note, *named = run(inst)
     except _Vacuous as exc:
         return VerificationOutcome(theorem, Status.VACUOUS, None, exc.args[0])
+    except DisconnectedGraphError as exc:
+        return VerificationOutcome(theorem, Status.COUNTEREXAMPLE, str(exc), str(exc))
     if holds:
         return VerificationOutcome(theorem, Status.VERIFIED, None, note)
     return VerificationOutcome(theorem, Status.COUNTEREXAMPLE, named[0] if named else note, note)
@@ -640,26 +670,24 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup.classes))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
-    classified = np.logical_or.reduce(
-        _classification_masks(inst.carrier, inst.base.zero_divisor_mask)
-    )
+    t1, t2, t3, t4 = _classification_masks(inst.carrier, inst.base.zero_divisor_mask)
+    classified = t1 | t2 | t3 | t4
     classified[inst.carrier.zero] = False
-    if not np.array_equal(classified, inst.dup.classes.class_of >= 0):
+    if (classified != (inst.dup.classes.class_of >= 0)).any():
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
     if inst.dup.is_reduced != inst.base.is_reduced:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
-    members = np.array(inst.ideal.sorted_members, dtype=np.intp)
-    products = inst.ring.mul_table.take(members, axis=0).take(members, axis=1)
-    square_zero = bool((products == inst.ring.zero).all())
-    if square_zero != matches_idealization(inst.carrier):
+    carrier = inst.carrier
+    square_zero = bool((carrier.times.take(carrier.members, axis=0) == inst.ring.zero).all())
+    if square_zero != matches_idealization(carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
         )
 
     checks = structure_checks(
-        inst.carrier,
+        carrier,
         inst.base.zero_divisor_mask,
         inst.base.graph,
         inst.dup.classes,
@@ -714,7 +742,10 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
     violations: list[str] = []
     for ideal in ideals:
         inst = Instance(ring, ideal, base)
-        outcomes = tuple(_evaluate(theorem, inst) for theorem in _REGISTRY)
+        zero = ideal.is_zero
+        outcomes = tuple(
+            [_outcome(theorem, run, needs_nonzero and zero, inst) for theorem, run, needs_nonzero in _CHECKS]
+        )
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
     return records, violations
@@ -752,6 +783,7 @@ def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
 
 
 _encode = json.encoder.encode_basestring_ascii
+_STATUS_TEXTS = tuple(status.text for status in Status)
 
 
 def _json_block(items: list[str], pad: int, brackets: str = "[]") -> str:
@@ -772,19 +804,17 @@ class SweepReport:
     instances: tuple[InstanceRecord, ...]
     invariant_violations: tuple[str, ...]
 
-    @cached_property
+    @cached_fact
     def totals(self) -> dict[str, dict[str, int]]:
-        counts = {
-            theorem.value: {s.value: 0 for s in Status} for theorem in _REGISTRY
-        }
+        counts = {theorem.text: dict.fromkeys(_STATUS_TEXTS, 0) for theorem in _REGISTRY}
         for record in self.instances:
             for outcome in record.outcomes:
-                counts[outcome.theorem.value][outcome.status.value] += 1
+                counts[outcome.theorem.text][outcome.status.text] += 1
         return counts
 
     @property
     def counterexample_count(self) -> int:
-        return sum(t[Status.COUNTEREXAMPLE.value] for t in self.totals.values())
+        return sum(t[Status.COUNTEREXAMPLE.text] for t in self.totals.values())
 
     @property
     def succeeded(self) -> bool:
@@ -803,8 +833,8 @@ class SweepReport:
                 members = []
                 if o.note is not None:
                     members.append('"note": ' + _encode(o.note))
-                members.append(f'"status": "{o.status.value}"')
-                members.append(f'"theorem": "{o.theorem.value}"')
+                members.append(f'"status": "{o.status.text}"')
+                members.append(f'"theorem": "{o.theorem.text}"')
                 if o.witness is not None:
                     members.append('"witness": ' + _encode(o.witness))
                 outcomes.append(_json_block(members, 10, "{}"))
@@ -843,8 +873,8 @@ class SweepReport:
                     [
                         record.ring,
                         ideal_text,
-                        o.theorem.value,
-                        o.status.value,
+                        o.theorem.text,
+                        o.status.text,
                         o.witness or "",
                         o.note or "",
                     ]
@@ -859,8 +889,11 @@ def sweep(
 ) -> SweepReport:
     """Run every registered check over every (ring, ideal) of a family.
 
-    The report is assembled in family order regardless of worker count, so
-    identical inputs produce byte-identical serializations.
+    A pool of workers is handed the rings largest first, by the order
+    read off each spec's moduli (ties in family order), so that no large
+    ring starts last.  The report is assembled in family order regardless
+    of worker count, so identical inputs produce byte-identical
+    serializations.
     """
     specs = [ring_spec_name(spec) for spec in family]
     if workers is None:
@@ -870,8 +903,10 @@ def sweep(
     if workers == 1 or len(tasks) <= 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
+        start = sorted(range(len(tasks)), key=lambda t: -math.prod(_ring_moduli(specs[t])))
         with _worker_pool(min(workers, len(tasks))) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
+            done = dict(zip(start, pool.map(_sweep_worker, [tasks[t] for t in start])))
+        results = [done[t] for t in range(len(tasks))]
     records: list[InstanceRecord] = []
     violations: list[str] = []
     for recs, viols in results:

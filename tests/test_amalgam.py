@@ -66,6 +66,26 @@ class TestConstruction:
         assert carrier.spec_name == "Z8 join {0, 4}"
         assert repr(carrier) == "DuplicationCarrier('Z8 join {0, 4}')"
 
+    def test_shared_carrier_arrays_are_read_only(self):
+        """Every fact of an instance reads these arrays, so a write
+        through any of them is refused."""
+        carrier = DuplicationCarrier(Z8, I8)
+        first, second = carrier.coordinates
+        shared = {
+            "members": carrier.members,
+            "plus": carrier.plus,
+            "times": carrier.times,
+            "first": first,
+            "second": second,
+        }
+        assert carrier.members.tolist() == [0, 4]
+        assert carrier.plus.tolist() == [[r, (r + 4) % 8] for r in range(8)]
+        assert carrier.times.tolist() == [[0, 4 * r % 8] for r in range(8)]
+        for name, array in shared.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+            assert array.flags.writeable is False, name
+
     def test_order_and_identities(self):
         a = amalgamated_duplication(Z8, I8)
         assert a.ring.order == 16

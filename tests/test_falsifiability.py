@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    ClassGraph,
     FiniteRing,
     Instance,
     Status,
@@ -19,6 +20,7 @@ from amalgam_zdg import (
     instance_invariant_violations,
     parse_ideal_spec,
     parse_ring_spec,
+    sweep,
 )
 from amalgam_zdg import amalgam, theorems
 
@@ -250,3 +252,30 @@ def test_planted_sum_fails_r2_3_exclusive_neighbors():
     assert instance_invariant_violations(inst) == [
         "[Z6* | I={0,1,2,3,4,5}] R2.3: exclusive neighbors failed"
     ]
+
+
+def test_disconnected_duplication_graph_is_reported_by_the_sweep(monkeypatch):
+    """Z6 along {0, 3} with its duplication's key classes planted edgeless:
+    the sweep goes on past the checks that read the diameter, reports
+    each of them as a counterexample with the error as witness and note,
+    and lists the disconnected graph among the invariant violations."""
+    key_classes = theorems._key_classes
+
+    def edgeless(cls, rel, first, second):
+        classes = key_classes(cls, rel, first, second)
+        if len(first) != 12:  # the carrier of Z6 along {0, 3}
+            return classes
+        c = len(classes.q)
+        empty = np.zeros((c, c), dtype=bool)
+        return ClassGraph(empty, classes.sizes, np.zeros(c, dtype=bool), classes.class_of)
+
+    monkeypatch.setattr(theorems, "_key_classes", edgeless)
+    report = sweep(["Z6"], workers=1)
+    assert not report.succeeded
+    assert report.invariant_violations == ("[Z6 | I={0,3}] duplication graph is disconnected",)
+    record = report.instances[0]
+    assert record.ideal == ("0", "3")
+    message = "zero-divisor graph has an isolated vertex; connectivity invariant violated"
+    (t4_12,) = [o for o in record.outcomes if o.theorem is TheoremId.T4_12]
+    assert t4_12.status is Status.COUNTEREXAMPLE
+    assert t4_12.witness == t4_12.note == message

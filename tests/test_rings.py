@@ -30,7 +30,7 @@ from amalgam_zdg import (
     zero_divisors,
 )
 from amalgam_zdg import rings
-from amalgam_zdg.rings import MAX_TABLE_ORDER
+from amalgam_zdg.rings import MAX_TABLE_ORDER, cached_fact
 from oracles import (
     annihilator_pair,
     brute_zero_divisors,
@@ -42,6 +42,46 @@ from oracles import (
 
 def members(ideal):
     return set(ideal.members)
+
+
+class _Counted:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    @cached_fact
+    def fact(self) -> object:
+        """A fresh object, counted."""
+        self.calls += 1
+        return object()
+
+
+class TestCachedFact:
+    def test_computed_once_per_object(self):
+        a, b = _Counted(), _Counted()
+        assert "fact" not in vars(a)
+        first = a.fact
+        assert a.fact is first and vars(a)["fact"] is first
+        assert b.fact is not first
+        assert (a.calls, b.calls) == (1, 1)
+
+    def test_class_access_returns_the_descriptor_with_its_doc(self):
+        assert isinstance(_Counted.fact, cached_fact)
+        assert _Counted.fact.__doc__ == "A fresh object, counted."
+        assert isinstance(FiniteRing._nilpotent_mask, cached_fact)
+
+    def test_assignment_plants_a_value(self):
+        fresh, read = _Counted(), _Counted()
+        fresh.fact = "planted"
+        read.fact
+        read.fact = "replanted"
+        assert (fresh.fact, fresh.calls) == ("planted", 0)
+        assert (read.fact, read.calls) == ("replanted", 1)
+
+    def test_idempotent_mask_is_read_only_and_cached(self):
+        ring = make_zn(12)
+        mask = ring._idempotent_mask
+        assert mask.nonzero()[0].tolist() == [x for x in range(12) if x * x % 12 == x]
+        assert ring._idempotent_mask is mask and not mask.flags.writeable
 
 
 class TestMakeZn:

@@ -6,6 +6,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 from functools import cached_property
 from unittest.mock import patch
 
@@ -411,6 +412,28 @@ class TestSweep:
         serial = sweep(family, "nonzero", workers=1).to_json()
         parallel = sweep(family, "nonzero", workers=2).to_json()
         assert serial == parallel
+
+    def test_pool_starts_the_largest_rings_first(self, monkeypatch):
+        """With workers > 1 the pool is handed the rings in descending
+        order, equal orders in family order, and the report is put back
+        in family order: the same bytes as the serial sweep."""
+        handed = []
+
+        class SerialPool:
+            def map(self, fn, tasks):
+                handed.extend(spec for spec, _ in tasks)
+                return map(fn, tasks)
+
+        @contextmanager
+        def serial_pool(workers):
+            yield SerialPool()
+
+        monkeypatch.setattr(theorems, "_worker_pool", serial_pool)
+        family = ["Z16", "Z2xZ8", "Z4xZ4", "Z7", "Z30", "Z2"]
+        pooled = sweep(family, "nonzero", workers=2)
+        assert handed == ["Z30", "Z16", "Z2xZ8", "Z4xZ4", "Z7", "Z2"]
+        assert pooled.family == tuple(family)
+        assert pooled.to_json() == sweep(family, "nonzero", workers=1).to_json()
 
     def test_pool_workers_run_one_blas_thread(self):
         def blas_env():
