@@ -252,7 +252,7 @@ class DuplicationCarrier:
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Every element's product-form image (r, r+i), as two read-only
         index arrays over the base ring in carrier order."""
-        first = np.repeat(np.arange(self.base.order), len(self.members))
+        first = np.arange(self.base.order).repeat(len(self.members))
         second = self.plus.ravel().astype(np.intp)
         first.setflags(write=False)
         second.setflags(write=False)
@@ -534,10 +534,11 @@ def structure_checks(
         exclusive = first and second
 
     # x -> (x, 0) must land on vertices; (x, 0) is x*k plus the position
-    # of 0 among the members.  A class_of that stops short of an image
-    # (a materialized graph's) leaves it off the graph.
+    # of 0 among the members, as in the carrier's zero (0, 0).  A class_of
+    # that stops short of an image (a materialized graph's) leaves it off
+    # the graph.
     class_of = dup_classes.class_of
-    images = np.array(base_graph.vertices, dtype=np.intp) * k + int(np.searchsorted(members, zero))
+    images = np.array(base_graph.vertices, dtype=np.intp) * k + (dup.zero - zero * k)
     on_graph = bool((images < len(class_of)).all()) and bool((class_of[images] >= 0).all())
     embeds = edge_images_vanish and on_graph
 

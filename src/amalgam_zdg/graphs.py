@@ -305,7 +305,9 @@ class ClassGraph:
     @cached_fact
     def _closed(self) -> np.ndarray:
         """Q + I: the adjacency with every class joined to itself."""
-        return self.q | np.eye(len(self.q), dtype=bool)
+        closed = self.q.copy()
+        closed.flat[:: len(closed) + 1] = True
+        return closed
 
     @cached_fact
     def _joined(self) -> np.ndarray:
@@ -333,8 +335,9 @@ class ClassGraph:
         "within d steps" of every class, grown by one boolean matrix
         product per step on the rows not yet full until every row is full;
         the number of steps is the diameter.  The first step's product,
-        (Q + I) @ Q, is Q @ Q + Q, and Q is in the reach already.  No bound on the step count is
-        assumed, so a diameter above 3 is reported as it is.  Raises
+        (Q + I) @ Q, is Q @ Q + Q, and Q is in the reach already.  No
+        bound on the step count is assumed, so a diameter above 3 is
+        reported as it is.  Raises
         DisconnectedGraphError on a disconnected graph rather than
         returning a value, since that would falsify the connectivity
         invariant: there a class has no neighbour (and is not a lone
@@ -451,7 +454,7 @@ class ClassGraph:
         in_universal = np.append(self.universal_classes, False)[self.class_of]
         return tuple(in_universal.nonzero()[0].tolist())
 
-    @property
+    @cached_fact
     def complete(self) -> bool:
         """All distinct vertex pairs are adjacent (vacuous for <= 1): every
         class is universal."""

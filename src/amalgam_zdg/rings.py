@@ -40,11 +40,13 @@ MAX_TABLE_ORDER = int(np.iinfo(TABLE_DTYPE).max) + 1
 
 
 class cached_fact:
-    """A read-only attribute computed on first read and kept in the
-    instance ``__dict__``, where later reads find it without calling the
+    """An attribute computed on first read and kept in the instance
+    ``__dict__``, where later reads find it without calling the
     descriptor; assigning to the attribute plants a value.  This is
     ``functools.cached_property`` without the lock that Python 3.10 and
-    3.11 take on every first read: the facts are read on one thread."""
+    3.11 take on every first read.  The facts are pure functions of
+    their object, so two threads that read one at once would only compute
+    it twice."""
 
     def __init__(self, func) -> None:
         self.func = func
@@ -615,24 +617,26 @@ def _primes_from_idempotents(
     idem = np.logical_and.reduce([square_fixed[c] for c in coords]).nonzero()[0]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
-    below = np.ones((len(idem), len(idem)), dtype=bool)
-    for c in coords:
-        e = c[idem]
-        below &= mul.take(e, axis=0).take(e, axis=1) == e
+    below = np.logical_and.reduce(
+        [mul.take(e, axis=0).take(e, axis=1) == e for e in (c[idem] for c in coords)]
+    )
     primitive = idem[below.sum(axis=1) == 1]
     # masks[t, x]: x * primitive[t] is nilpotent; row t of the base ring's
     # is one contiguous gather, read at each element's coordinate.
-    masks = np.ones((len(primitive), len(coords[0])), dtype=bool)
-    for c in coords:
-        nilpotent = nil.take(mul.take(c[primitive], axis=1).T)
-        masks &= nilpotent.take(c, axis=1)
+    nilpotent = (nil.take(mul.take(c[primitive], axis=1).T).take(c, axis=1) for c in coords)
+    masks = next(nilpotent)
+    for more in nilpotent:
+        masks &= more
     return masks
 
 
 def _minimal_rows(masks: np.ndarray) -> np.ndarray:
     """The rows of a boolean (sets, elements) matrix whose set contains no
     other one strictly, read off the containment counts: row b lies
-    inside row a when their common count is b's size."""
+    inside row a when their common count is b's size.  Fewer than two
+    rows are returned as they are."""
+    if len(masks) < 2:
+        return masks
     sizes = masks.sum(axis=1)
     common = masks.astype(np.intp) @ masks.T
     inside = (common == sizes[None, :]) & (sizes[None, :] < sizes[:, None])

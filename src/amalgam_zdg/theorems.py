@@ -825,19 +825,21 @@ class SweepReport:
         sort_keys=True)`` plus a newline, written in that fixed layout
         directly, with every string escaped by the C function
         ``json.dumps`` itself uses.  (``json.dumps`` with an indent runs
-        its pure-Python encoder.)"""
+        its pure-Python encoder.)  An outcome always has a status and a
+        theorem, so its object is written in one piece, as ``_json_block``
+        would lay it out."""
+        # Between the members of an outcome object, and after its last one.
+        sep, end = ",\n" + " " * 10, "\n" + " " * 8 + "}"
         instances = []
         for record in self.instances:
             outcomes = []
             for o in record.outcomes:
-                members = []
-                if o.note is not None:
-                    members.append('"note": ' + _encode(o.note))
-                members.append(f'"status": "{o.status.text}"')
-                members.append(f'"theorem": "{o.theorem.text}"')
-                if o.witness is not None:
-                    members.append('"witness": ' + _encode(o.witness))
-                outcomes.append(_json_block(members, 10, "{}"))
+                note = "" if o.note is None else f'"note": {_encode(o.note)}{sep}'
+                witness = "" if o.witness is None else f'{sep}"witness": {_encode(o.witness)}'
+                outcomes.append(
+                    f'{{{sep[1:]}{note}"status": "{o.status.text}"{sep}'
+                    f'"theorem": "{o.theorem.text}"{witness}{end}'
+                )
             ideal = _json_block([_encode(label) for label in record.ideal], 8)
             members = [
                 f'"ideal": {ideal}',
