@@ -161,8 +161,10 @@ def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarr
     plus = base.add_table.take(members, axis=1)
     times = base.mul_table.take(members, axis=1)
     inside = _mask(base.order, members)
-    # inside[...] by the uint16 columns, which take would widen to intp.
-    if not (inside[base.zero] and inside[plus.take(members, axis=0)].all() and inside[times].all()):
+    # i + j and r*j stay inside, read by inside[...] on the uint16 columns,
+    # which take would widen to intp.
+    closed = inside[plus.take(members, axis=0)].all() and inside[times].all()
+    if not (inside[base.zero] and closed):
         raise NotAnIdealError(
             f"member set is not an ideal of {base.spec_name}: "
             + "; ".join(ideal_violations(base, ideal.members))

@@ -744,7 +744,10 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
         inst = Instance(ring, ideal, base)
         zero = ideal.is_zero
         outcomes = tuple(
-            [_outcome(theorem, run, needs_nonzero and zero, inst) for theorem, run, needs_nonzero in _CHECKS]
+            [
+                _outcome(theorem, run, needs_nonzero and zero, inst)
+                for theorem, run, needs_nonzero in _CHECKS
+            ]
         )
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
