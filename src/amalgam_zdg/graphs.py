@@ -369,8 +369,8 @@ class ClassGraph:
             before = grown[~grown.all(axis=1)]
             if len(before):
                 product = _boolean_product(before, q)
-        if ((sizes > 1) & ~clique).any():
-            steps = max(steps, 2)
+        if steps == 1 and ((sizes > 1) & ~clique).any():
+            return 2
         return steps
 
     @cached_fact
@@ -417,11 +417,12 @@ class ClassGraph:
         either, every cross pair an edge.  Two members of a clique class
         are adjacent with the same closed neighbourhood, which in a
         complete bipartite graph happens only in K_{1,1}.  A single vertex
-        is not bipartite here.
+        is not bipartite here, and neither is a graph with a triangle,
+        which the girth shows.
         """
         q, sizes, clique = self.q, self.sizes, self.clique
         n = self.vertex_count
-        if n <= 1:
+        if n <= 1 or self.girth == 3:
             return None
         if (clique & (sizes > 1)).any():
             return (1, 1) if n == 2 else None

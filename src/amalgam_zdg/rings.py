@@ -223,7 +223,7 @@ class Ideal:
         return iter(self.sorted_members)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.ring.labels[m] for m in self.sorted_members)
+        return tuple([self.ring.labels[m] for m in self.sorted_members])
 
     @property
     def is_zero(self) -> bool:
