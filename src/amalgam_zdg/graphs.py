@@ -337,11 +337,11 @@ class ClassGraph:
         the number of steps is the diameter.  The first step's product,
         (Q + I) @ Q, is Q @ Q + Q, and Q is in the reach already.  No
         bound on the step count is assumed, so a diameter above 3 is
-        reported as it is.  Raises
-        DisconnectedGraphError on a disconnected graph rather than
-        returning a value, since that would falsify the connectivity
-        invariant: there a class has no neighbour (and is not a lone
-        clique), or some row stops growing before it is full.
+        reported as it is.  Raises DisconnectedGraphError on a
+        disconnected graph rather than returning a value, since that would
+        falsify the connectivity invariant: there a class has no neighbour
+        (and is not a lone clique), or some row stops growing before it is
+        full.
         """
         q, sizes, clique = self.q, self.sizes, self.clique
         n = self.vertex_count
