@@ -71,9 +71,7 @@ __all__ = [
 
 
 class TheoremId(enum.Enum):
-    """Closed enumeration of the statements tracked by this harness.
-    ``text`` is the value as a plain attribute, which the report reads
-    without the two Python calls of the ``value`` property."""
+    """Closed enumeration of the statements tracked by this harness."""
 
     P2_1A = "P2.1a"
     P2_1B = "P2.1b"
@@ -90,19 +88,11 @@ class TheoremId(enum.Enum):
     L4_15 = "L4.15"
     P4_16 = "P4.16"
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-
 
 class Status(enum.Enum):
-    """A check's verdict on one instance; ``text`` is as in ``TheoremId``."""
-
     VERIFIED = "verified"
     VACUOUS = "vacuous"
     COUNTEREXAMPLE = "counterexample"
-
-    def __init__(self, text: str) -> None:
-        self.text = text
 
 
 class PreconditionError(Exception):
@@ -127,7 +117,7 @@ class VerificationOutcome:
     def to_json_dict(self) -> dict:
         """The outcome's entry in a JSON report: theorem and status, and
         the witness and note when present."""
-        entry: dict = {"theorem": self.theorem.text, "status": self.status.text}
+        entry: dict = {"theorem": self.theorem.value, "status": self.status.value}
         if self.witness is not None:
             entry["witness"] = self.witness
         if self.note is not None:
@@ -578,36 +568,20 @@ _NONZERO_IDEAL_CHECKS = frozenset(
 )
 _ZERO_IDEAL = "the ideal is {0}; a nonzero ideal is required"
 
-# The sweep's walk over the registry: each check with its statement and
-# whether it assumes a nonzero ideal.
-_CHECKS = tuple(
-    (theorem, run, theorem in _NONZERO_IDEAL_CHECKS) for theorem, run in _REGISTRY.items()
-)
-
 
 def _evaluate(theorem: TheoremId, inst: Instance) -> VerificationOutcome:
-    """Run the registered check for ``theorem`` on ``inst`` (see
-    ``_outcome``)."""
-    needs_nonzero = theorem in _NONZERO_IDEAL_CHECKS
-    return _outcome(theorem, _REGISTRY[theorem], needs_nonzero and inst.ideal.is_zero, inst)
-
-
-def _outcome(
-    theorem: TheoremId, run: Callable[[Instance], tuple], zero_ideal_refused: bool, inst: Instance
-) -> VerificationOutcome:
-    """The outcome of the check ``run`` for ``theorem`` on ``inst``: the
-    one place a status is derived.  A check that assumes a nonzero ideal
-    is vacuous on {0} (``zero_ideal_refused``), with a precondition note;
-    otherwise it is vacuous when it raises ``_Vacuous``, a counterexample
-    when its conclusion fails, and verified when it holds.  A graph found
-    disconnected falsifies the connectivity invariant that the check
-    reads through, so the check is a counterexample with the error as
-    its witness and note.  Only a counterexample carries a witness: the
-    check's own, or else its note."""
+    """Run the registered check for ``theorem`` on ``inst``: the one place
+    a status is derived.  A check that assumes a nonzero ideal is vacuous
+    on {0}, with a precondition note; otherwise it is vacuous when it
+    raises ``_Vacuous``, a counterexample when its conclusion fails, and
+    verified when it holds.  A graph found disconnected falsifies the
+    connectivity invariant that the check reads through, so the check is
+    a counterexample with the error as its witness and note.  Only a
+    counterexample carries a witness: the check's own, or else its note."""
     try:
-        if zero_ideal_refused:
+        if theorem in _NONZERO_IDEAL_CHECKS and inst.ideal.is_zero:
             raise _Vacuous(f"precondition not met: {_ZERO_IDEAL}")
-        holds, note, *named = run(inst)
+        holds, note, *named = _REGISTRY[theorem](inst)
     except _Vacuous as exc:
         return VerificationOutcome(theorem, Status.VACUOUS, None, exc.args[0])
     except DisconnectedGraphError as exc:
@@ -742,13 +716,7 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
     violations: list[str] = []
     for ideal in ideals:
         inst = Instance(ring, ideal, base)
-        zero = ideal.is_zero
-        outcomes = tuple(
-            [
-                _outcome(theorem, run, needs_nonzero and zero, inst)
-                for theorem, run, needs_nonzero in _CHECKS
-            ]
-        )
+        outcomes = tuple(_evaluate(theorem, inst) for theorem in _REGISTRY)
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
     return records, violations
@@ -786,7 +754,7 @@ def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
 
 
 _encode = json.encoder.encode_basestring_ascii
-_STATUS_TEXTS = tuple(status.text for status in Status)
+_STATUS_VALUES = tuple(status.value for status in Status)
 
 
 def _json_block(items: list[str], pad: int, brackets: str = "[]") -> str:
@@ -809,15 +777,15 @@ class SweepReport:
 
     @cached_fact
     def totals(self) -> dict[str, dict[str, int]]:
-        counts = {theorem.text: dict.fromkeys(_STATUS_TEXTS, 0) for theorem in _REGISTRY}
+        counts = {theorem.value: dict.fromkeys(_STATUS_VALUES, 0) for theorem in _REGISTRY}
         for record in self.instances:
             for outcome in record.outcomes:
-                counts[outcome.theorem.text][outcome.status.text] += 1
+                counts[outcome.theorem.value][outcome.status.value] += 1
         return counts
 
     @property
     def counterexample_count(self) -> int:
-        return sum(t[Status.COUNTEREXAMPLE.text] for t in self.totals.values())
+        return sum(t[Status.COUNTEREXAMPLE.value] for t in self.totals.values())
 
     @property
     def succeeded(self) -> bool:
@@ -840,8 +808,8 @@ class SweepReport:
                 note = "" if o.note is None else f'"note": {_encode(o.note)}{sep}'
                 witness = "" if o.witness is None else f'{sep}"witness": {_encode(o.witness)}'
                 outcomes.append(
-                    f'{{{sep[1:]}{note}"status": "{o.status.text}"{sep}'
-                    f'"theorem": "{o.theorem.text}"{witness}{end}'
+                    f'{{{sep[1:]}{note}"status": "{o.status.value}"{sep}'
+                    f'"theorem": "{o.theorem.value}"{witness}{end}'
                 )
             ideal = _json_block([_encode(label) for label in record.ideal], 8)
             members = [
@@ -878,8 +846,8 @@ class SweepReport:
                     [
                         record.ring,
                         ideal_text,
-                        o.theorem.text,
-                        o.status.text,
+                        o.theorem.value,
+                        o.status.value,
                         o.witness or "",
                         o.note or "",
                     ]
