@@ -26,12 +26,12 @@ from .rings import (
     TABLE_DTYPE,
     FiniteRing,
     Ideal,
+    _ideal_test,
     _mask,
     _minimal_rows,
     _primes_from_idempotents,
     _sorted_sets,
     cached_fact,
-    ideal_violations,
 )
 from .specs import MAX_DUPLICATION_ORDER
 
@@ -150,24 +150,17 @@ def _checked_ideal(base: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarr
     member set is known to be an ideal of ``base`` whose duplication is
     within MAX_DUPLICATION_ORDER.  The order is checked first, so nothing
     of the carrier's size has been allocated when it fails.  The ideal
-    test reads the two columns: 0 is a member, i + j (rows of ``plus`` at
-    the members) and r*j (``times``) are members; when it fails, the
-    message gives ``ideal_violations``.
-    """
+    test reads the two columns."""
     if ideal.ring is not base:
         raise NotAnIdealError("ideal belongs to a different ring")
     _check_duplication_order(base, ideal)
     members = np.array(ideal.sorted_members, dtype=np.intp)
     plus = base.add_table.take(members, axis=1)
     times = base.mul_table.take(members, axis=1)
-    inside = _mask(base.order, members)
-    # i + j and r*j stay inside, read by inside[...] on the uint16 columns,
-    # which take would widen to intp.
-    closed = inside[plus.take(members, axis=0)].all() and inside[times].all()
-    if not (inside[base.zero] and closed):
+    violations = _ideal_test(base, members, plus.take(members, axis=0), times)
+    if violations:
         raise NotAnIdealError(
-            f"member set is not an ideal of {base.spec_name}: "
-            + "; ".join(ideal_violations(base, ideal.members))
+            f"member set is not an ideal of {base.spec_name}: " + "; ".join(violations)
         )
     return members, plus, times
 

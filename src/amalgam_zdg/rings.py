@@ -437,16 +437,22 @@ def is_field(ring: FiniteRing) -> bool:
 
 def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
     """Why a member set fails to be an ideal; empty list iff it is one."""
-    s = frozenset(members)
+    elems = np.array(sorted(frozenset(members)), dtype=np.intp)
+    sums = ring.add_table.take(elems, axis=0).take(elems, axis=1)
+    return _ideal_test(ring, elems, sums, ring.mul_table.take(elems, axis=1))
+
+
+def _ideal_test(
+    ring: FiniteRing, elems: np.ndarray, sums: np.ndarray, times: np.ndarray
+) -> list[str]:
+    """Why the ascending index array ``elems`` fails to be an ideal, empty
+    iff it is one, read off the tables' gathers ``sums[s, t]`` = elems[s] +
+    elems[t] and ``times[r, t]`` = r*elems[t]."""
     out: list[str] = []
     lab = ring.labels
-    if ring.zero not in s:
-        out.append("does not contain zero")
-    if not s:
-        return out
-    elems = np.array(sorted(s), dtype=np.intp)
     mask = _mask(ring.order, elems)
-    sums = ring.add_table.take(elems, axis=0).take(elems, axis=1)
+    if not mask[ring.zero]:
+        out.append("does not contain zero")
     # mask[...] by the uint16 tables, not mask.take: take would first widen
     # each order x |s| table into an intp copy four times its size.
     bad = ~mask[sums]
@@ -456,13 +462,12 @@ def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
             f"not closed under addition: {lab[elems[int(i)]]} + {lab[elems[int(j)]]}"
             f" = {lab[int(sums[i, j])]} is outside"
         )
-    prods = ring.mul_table.take(elems, axis=1)
-    bad = ~mask[prods]
+    bad = ~mask[times]
     if bad.any():
         r, j = np.argwhere(bad)[0]
         out.append(
             f"not absorbing: {lab[int(r)]} * {lab[elems[int(j)]]}"
-            f" = {lab[int(prods[r, j])]} is outside"
+            f" = {lab[int(times[r, j])]} is outside"
         )
     return out
 
