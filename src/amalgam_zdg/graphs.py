@@ -357,9 +357,11 @@ class ClassGraph:
             )
         reach = self._closed
         open_rows = ~reach.all(axis=1)
-        before, product = reach[open_rows], self._joined[open_rows]
+        before = reach[open_rows]
         steps = 1
         while len(before):
+            # A complete quotient has no open row, so reads no product.
+            product = self._joined[open_rows] if steps == 1 else _boolean_product(before, q)
             grown = before | product
             if (grown == before).all(axis=1).any():
                 raise DisconnectedGraphError(
@@ -367,8 +369,6 @@ class ClassGraph:
                 )
             steps += 1
             before = grown[~grown.all(axis=1)]
-            if len(before):
-                product = _boolean_product(before, q)
         if steps == 1 and ((sizes > 1) & ~clique).any():
             return 2
         return steps
