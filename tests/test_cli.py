@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 
@@ -60,6 +61,50 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "a modulus of 5000 digits puts the ring order above the limit" in err
+
+
+# sha256 of the ``analyze`` output, JSON and human, on instances that
+# between them give every duplication field a nonzero value: the T1..T4
+# counts (t4 = 8 on Z12 along gen(2)), O1, O2, the minimal primes and both
+# graphs; Z5 along {0} has an empty duplication graph.
+ANALYZE_SHA256 = {
+    ("Z8", "gen(4)"): (
+        "1014fb925abcaed3fdd077f9ac9f0400ec704273034d3ea0fb27daa476c0ebb9",
+        "ba867cf04e6e6a036f728ada1defea174ca2a6447cb79f7717ee57e498634cbd",
+    ),
+    ("Z6", "gen(3)"): (
+        "449d0b42a89926000a49c99fa0e5f8c3b4835333c56ba34afb8c8a75b3a7eecc",
+        "4829460f234a74e41641cf377b5ed7c7882586e51fc9b6457ebdd5cb1cf9f127",
+    ),
+    ("Z2xZ4", "full"): (
+        "0eeda55dabce8ec93ee29cb95e687c1aa4268ab4994b68907a1f9236674581b5",
+        "3bd5592c1b1acfffc30c5d653caa3b489973ea36fd45195d2b7245e0dba19617",
+    ),
+    ("Z9", "gen(3)"): (
+        "1a3e4eb99fc8d166e667a857c1482a093629c0866d5fba5ed0730e82c553951e",
+        "f991ace734c651fe5f9efdad26ebb1c724ee57110583d86bdcf052b44d5ed95d",
+    ),
+    ("Z12", "gen(2)"): (
+        "7b722f27d0e0397f85d7b7f7e70031078509f54b5ffd2d7007d897a12c2d3745",
+        "27721045cbb63ac4131d9758f700034e3b3010015eb32953484f9400e0a10237",
+    ),
+    ("Z5", "zero"): (
+        "733231a50ad4c23197e3595ebb2ab3fd78bdb468601fed037dcfde78cf86df3f",
+        "af1dc9015df3957b17fe38837752e66eaf127284e4847fff3deb02f469399e19",
+    ),
+    ("Z2xZ2xZ2", "gen((1,0,0))"): (
+        "f01bc8f28eb83cecd9de4044f3e0cefad1b0f1c921a811c68829fd0d32ab7023",
+        "8592fd6fc2bc6eafc97d33e33ed20146b3488a2822c77c3b4d7b859e05e2c681",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, ideal", list(ANALYZE_SHA256))
+def test_analyze_reports_are_pinned(capsys, spec, ideal):
+    for fmt, pinned in zip(("json", "human"), ANALYZE_SHA256[spec, ideal]):
+        code, out, _ = run_cli(capsys, "analyze", spec, "--ideal", ideal, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned, fmt
 
 
 class TestVerify:
