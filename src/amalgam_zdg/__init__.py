@@ -6,8 +6,6 @@ from .amalgam import (
     DuplicationCarrier,
     DuplicationTooLargeError,
     NotAnIdealError,
-    StructureChecks,
-    ZDClassification,
     amalgamated_duplication,
     classify_zero_divisors,
     matches_idealization,
@@ -49,7 +47,6 @@ from .rings import (
 )
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
 from .theorems import (
-    DuplicationFacts,
     Instance,
     InstanceRecord,
     PreconditionError,

@@ -16,8 +16,6 @@ base ring's tables, and builds no table of the duplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import ClassGraph, ZDGraph
@@ -43,9 +41,7 @@ __all__ = [
     "amalgamated_duplication",
     "matches_idealization",
     "verify_product_embedding",
-    "ZDClassification",
     "classify_zero_divisors",
-    "StructureChecks",
     "structure_checks",
 ]
 
@@ -58,37 +54,16 @@ class DuplicationTooLargeError(ValueError):
     """The duplication's carrier R x I is above MAX_DUPLICATION_ORDER."""
 
 
-def _member_positions(base: FiniteRing, members: tuple[int, ...]) -> np.ndarray:
-    """pos[x]: the position t of x in the sorted ``members``, -1 for an
-    element outside them.  The carrier element (r, i) has index r*k + t
-    where i = members[t]."""
-    pos = np.full(base.order, -1, dtype=np.intp)
-    pos[list(members)] = np.arange(len(members))
-    return pos
-
-
-def _ideal_positions(base: FiniteRing, members: tuple[int, ...]):
-    """Positions inside the ideal of i+j (k x k) and of r*j (n x k).
-
-    Second coordinates never leave position form, and an escape from the
-    ideal shows in these two tables before anything of the carrier's
-    squared size is built.
-    """
-    m = np.array(members, dtype=np.intp)
-    pos = _member_positions(base, members)
-    sum_pos = pos.take(base.add_table.take(m, axis=0).take(m, axis=1))
-    prod_pos = pos.take(base.mul_table.take(m, axis=1))
-    if (sum_pos < 0).any() or (prod_pos < 0).any():
-        raise NotAnIdealError("second coordinates escape the ideal carrier")
-    return sum_pos, prod_pos
-
-
-def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
+def _pair_tables(carrier: DuplicationCarrier):
     """The duplication's addition/multiplication tables over the carrier
-    base x members, built in the shape (n, k, n, k) from the two position
-    tables: addition by one broadcast add, multiplication one block of
+    base x members, built in the shape (n, k, n, k) from two position
+    tables, of i+j (k x k) and of r*j (n x k), with second coordinates
+    given by their position in the ideal: the carrier's columns ``plus``
+    and ``times`` read through ``pos``, each member's position.  The
+    carrier's ideal test keeps every such sum and product inside the
+    ideal.  Addition is one broadcast add, multiplication one block of
     first coordinates at a time.  Both are written as TABLE_DTYPE from the
-    start: the caller's order check keeps every carrier index r*k + t
+    start: the carrier's order check keeps every carrier index r*k + t
     below MAX_DUPLICATION_ORDER, so the arithmetic on base-table entries
     cannot wrap.
 
@@ -100,16 +75,19 @@ def _pair_tables(base: FiniteRing, members: tuple[int, ...]):
     of whole k-wide rows, driven by an index array of 1/k of its cells; a
     block of ``step`` first coordinates holds about _BLOCK_CELLS cells,
     and never less than one coordinate.  The row table itself is one
-    gather of whole rows of ``sum_pos`` by ``prod_pos``,
-    [u, j, b] = sum_pos[pos(u*m_j), b], and one transposing copy to
+    gather of whole rows of ``sums`` by ``prod_pos``,
+    [u, j, b] = sums[pos(u*m_j), b], and one transposing copy to
     [u, b, j]."""
+    base, members = carrier.base, carrier.members
     n, k = base.order, len(members)
-    sum_pos, prod_pos = _ideal_positions(base, members)
-    sums = sum_pos.astype(TABLE_DTYPE)
+    pos = np.zeros(n, dtype=TABLE_DTYPE)
+    pos[members] = np.arange(k)
+    sums = pos[carrier.plus[members]]
+    prod_pos = pos[carrier.times]
     add = (base.add_table * k)[:, None, :, None] + sums[None, :, None, :]
-    gathered = np.take(sums, prod_pos, axis=0)
+    gathered = sums[prod_pos]
     rows = np.ascontiguousarray(gathered.transpose(0, 2, 1)).reshape(n * k, k)
-    u = base.add_table.take(members, axis=1).astype(np.intp)
+    u = carrier.plus.astype(np.intp)
     # Every block reads cross along the base ring, so it is held row-major.
     cross = np.ascontiguousarray(prod_pos.T)
     mul = np.empty((n, k, n, k), dtype=TABLE_DTYPE)
@@ -282,7 +260,7 @@ class AmalgamRing(DuplicationCarrier):
 
     def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
         super().__init__(base, ideal)
-        add, mul = _pair_tables(base, self.ideal_elements)
+        add, mul = _pair_tables(self)
         labels = [self.label(e) for e in range(self.order)]
         self.ring = FiniteRing(
             self.order, add, mul, self.zero, self.one, labels, self.spec_name, _owned=True
@@ -372,31 +350,18 @@ def verify_product_embedding(amalgam: AmalgamRing) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ZDClassification:
-    """The zero-divisors of a duplication split into four descriptive sets.
+def classify_zero_divisors(
+    dup: DuplicationCarrier, zd_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The duplication's zero-divisors split into four descriptive sets,
+    as boolean masks over the carrier, given the mask ``zd_mask`` of the
+    base ring's zero-divisors (0 included).
 
     t1: pairs (0, i); t2: pairs (-i, i); t3: pairs whose first coordinate is
     a nonzero zero-divisor of the base; t4: pairs (x, i) with x regular,
-    x+i nonzero, and some nonzero j in the ideal killing x+i.
+    x+i nonzero, and some nonzero j in the ideal killing x+i.  t1 and t2
+    are the carrier's read-only kernel masks, and both hold the zero.
     """
-
-    t1: frozenset[int]
-    t2: frozenset[int]
-    t3: frozenset[int]
-    t4: frozenset[int]
-
-    def union(self) -> frozenset[int]:
-        return self.t1 | self.t2 | self.t3 | self.t4
-
-
-def _classification_masks(
-    dup: DuplicationCarrier, zd_mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sets t1..t4 of ``ZDClassification`` as boolean masks over the
-    carrier, in carrier order, given the mask ``zd_mask`` of the base
-    ring's zero-divisors (0 included).  t1 and t2 are the carrier's
-    read-only kernel masks."""
     base, members = dup.base, dup.members
     n, k, zero = base.order, len(members), base.zero
 
@@ -412,34 +377,6 @@ def _classification_masks(
     # killed[...] by the uint16 table, which take would widen to intp.
     t4 = ~zd_mask[:, None] & (sums != zero) & killed[sums]
     return t1, t2, t3.ravel(), t4.ravel()
-
-
-def classify_zero_divisors(dup: DuplicationCarrier, zd_mask: np.ndarray) -> ZDClassification:
-    """The classification of the duplication's zero-divisors, given the
-    mask ``zd_mask`` of the base ring's zero-divisors (0 included)."""
-    masks = _classification_masks(dup, zd_mask)
-    return ZDClassification(*(frozenset(mask.nonzero()[0].tolist()) for mask in masks))
-
-
-@dataclass(frozen=True)
-class StructureChecks:
-    """Structural facts about the duplication graph, checked exhaustively.
-
-    crossings_complete: every nonzero (0,i) -- (j,-j) pair is an edge, so a
-    complete bipartite pattern on two parts of size |I|-1 is present.
-    regular_members_exclusive: for ideal members outside Z(R), (0,i) touches
-    only the (j,-j) side and (i,-i) only the (0,j) side.
-    embeds_base: x -> (x,0) carries the base graph onto a subgraph.
-    vacuous: the ideal is {0}, so there is nothing to check.
-    """
-
-    crossings_complete: bool
-    regular_members_exclusive: bool
-    embeds_base: bool
-    vacuous: bool
-
-    def all_hold(self) -> bool:
-        return self.crossings_complete and self.regular_members_exclusive and self.embeds_base
 
 
 def _products_vanish(base: FiniteRing, r, i, s, j) -> np.ndarray:
@@ -485,16 +422,26 @@ def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:
 def structure_checks(
     dup: DuplicationCarrier,
     zd_mask: np.ndarray,
-    base_graph: ZDGraph,
+    base_vertices: np.ndarray,
     dup_classes: ClassGraph,
     edge_images_vanish: bool,
-) -> StructureChecks:
-    """The structure checks of the duplication, given the mask
-    ``zd_mask`` of the base ring's zero-divisors (0 included), its graph,
-    the duplication's graph as classes over the carrier indices (the
-    sweep's key classes, or a materialized graph's ``ZDGraph.classes``),
-    and ``_edge_images_vanish`` of the base ring, which holds for all of
-    its duplications or for none.
+) -> list[str]:
+    """The names of the duplication's structure checks that fail, in the
+    order "crossings", "exclusive neighbors", "base embedding"; empty when
+    all three hold, or when the ideal is {0} and there is nothing to check.
+
+    crossings: every nonzero (0,i) -- (j,-j) pair is an edge, so a complete
+    bipartite pattern on two parts of size |I|-1 is present.
+    exclusive neighbors: for ideal members outside Z(R), (0,i) touches only
+    the (j,-j) side and (i,-i) only the (0,j) side.
+    base embedding: x -> (x,0) carries the base graph onto a subgraph.
+
+    Given are the mask ``zd_mask`` of the base ring's zero-divisors (0
+    included), the base graph's vertices as an index array, the
+    duplication's graph as classes over the carrier indices (the sweep's
+    key classes, or a materialized graph's ``ZDGraph.classes``), and
+    ``_edge_images_vanish`` of the base ring, which holds for all of its
+    duplications or for none.
 
     The crossing products are computed from the definition of the
     multiplication over the base ring's tables, so they can fail on
@@ -504,7 +451,7 @@ def structure_checks(
     base, members = dup.base, dup.members
     k = len(members)
     if k < 2:
-        return StructureChecks(True, True, True, vacuous=True)
+        return []
     zero = base.zero
     nonzero = members != zero
     nonzero_members = members[nonzero]
@@ -533,8 +480,16 @@ def structure_checks(
     # that stops short of an image (a materialized graph's) leaves it off
     # the graph.
     class_of = dup_classes.class_of
-    images = np.array(base_graph.vertices, dtype=np.intp) * k + (dup.zero - zero * k)
+    images = base_vertices * k + (dup.zero - zero * k)
     on_graph = bool((images < len(class_of)).all()) and bool((class_of[images] >= 0).all())
     embeds = edge_images_vanish and on_graph
 
-    return StructureChecks(crossings, exclusive, embeds, vacuous=False)
+    return [
+        name
+        for name, holds in (
+            ("crossings", crossings),
+            ("exclusive neighbors", exclusive),
+            ("base embedding", embeds),
+        )
+        if not holds
+    ]

@@ -82,8 +82,10 @@ def _yn(flag: bool) -> str:
 
 def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
     """The report of ``analyze``: the base ring read through its
-    ``RingFacts``, and the duplication through the sweep's table-free
-    ``DuplicationFacts``."""
+    ``RingFacts``, and the duplication through the sweep's ``Instance``,
+    which builds no table of it: its carrier, and its graph as key classes
+    (``Instance.dup``).  The four zero-divisor classes are counted off
+    their masks; the carrier's zero lies in both kernels, T1 and T2."""
     base = RingFacts(ring)
     data: dict = {
         "ring": {
@@ -99,29 +101,26 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
     }
     if ideal is not None:
         inst = Instance(ring, ideal, base)
-        carrier, facts = inst.carrier, inst.dup
-        cls = classify_zero_divisors(carrier, base.zero_divisor_mask)
-        zero = carrier.zero
+        carrier, graph = inst.carrier, inst.dup
+        t1, t2, t3, t4 = classify_zero_divisors(carrier, base.zero_divisor_mask)
         o1, o2 = (mask.nonzero()[0].tolist() for mask in carrier.kernel_masks)
         data["ideal"] = {"members": list(ideal.labels()), "size": len(ideal)}
         data["duplication"] = {
             "spec": carrier.spec_name,
             "order": carrier.order,
             "classes": {
-                "t1_nonzero": len(cls.t1 - {zero}),
-                "t2_nonzero": len(cls.t2 - {zero}),
-                "t3": len(cls.t3),
-                "t4": len(cls.t4),
+                "t1_nonzero": int(t1.sum()) - 1,
+                "t2_nonzero": int(t2.sum()) - 1,
+                "t3": int(t3.sum()),
+                "t4": int(t4.sum()),
             },
-            "nonzero_zero_divisors": [
-                carrier.label(v) for v in facts.classes.vertices.tolist()
-            ],
+            "nonzero_zero_divisors": [carrier.label(v) for v in graph.vertices.tolist()],
             "o1": [carrier.label(m) for m in o1],
             "o2": [carrier.label(m) for m in o2],
             "minimal_primes": [
                 [carrier.label(m) for m in sorted(p)] for p in carrier.minimal_primes
             ],
-            "graph": _graph_summary(facts.classes, carrier.label),
+            "graph": _graph_summary(graph, carrier.label),
         }
     return data
 

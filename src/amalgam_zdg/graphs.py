@@ -462,6 +462,15 @@ class ClassGraph:
         return bool(self.universal_classes.all())
 
     @cached_fact
+    def square_zero(self) -> bool:
+        """Every vertex annihilates every vertex, itself included: the
+        graph is complete and every class is a clique.  On a ring's
+        annihilator or key classes, where a clique's members square to
+        zero, and with 0 absorbing, which ``RingFacts.annihilator_classes``
+        checks on the base ring, this is Z(R)^2 = 0."""
+        return self.complete and bool(self.clique.all())
+
+    @cached_fact
     def edge_count(self) -> int:
         """|A|*|B| for each adjacent pair of classes, |A|(|A|-1)/2 inside
         each clique class A."""

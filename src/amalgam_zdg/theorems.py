@@ -5,7 +5,8 @@ Each registered check evaluates a hypothesis/conclusion pair on a concrete
 counterexample.  The sweep applies every check to every instance of a ring
 family and additionally asserts the global invariants (connectivity,
 diameter bound, girth values, the zero-divisor classification, reducedness
-transfer, and the square-zero table identity).
+transfer, the square-zero table identity, and the structure of the
+duplication graph around the projection kernels and the base graph).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 from .amalgam import (
     DuplicationCarrier,
     _check_duplication_order,
-    _classification_masks,
     _edge_images_vanish,
+    classify_zero_divisors,
     matches_idealization,
     structure_checks,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "PreconditionError",
     "VerificationOutcome",
     "RingFacts",
-    "DuplicationFacts",
     "Instance",
     "check",
     "run_all",
@@ -170,21 +170,7 @@ def _key_classes(
     return ClassGraph(q, counts[on_graph], clique, position[keys])
 
 
-class _KeyClassFacts:
-    """What a ring's key classes, ``classes``, tell beyond its graph."""
-
-    classes: ClassGraph
-
-    @cached_fact
-    def square_zero(self) -> bool:
-        """The zero-divisors square to zero: the graph is complete and
-        every class is a clique, so every vertex squares to zero too.  0
-        kills every element, which ``RingFacts.annihilator_classes``
-        checked on the base ring."""
-        return self.classes.complete and bool(self.classes.clique.all())
-
-
-class RingFacts(_KeyClassFacts):
+class RingFacts:
     """What the checks read about one ring, each computed on first read.
 
     One object serves every instance of a base ring.  It holds the ring,
@@ -304,36 +290,10 @@ class RingFacts(_KeyClassFacts):
         return cls, mul.take(reps, axis=0).take(reps, axis=1) == zero
 
 
-class DuplicationFacts(_KeyClassFacts):
-    """What the checks read about the duplication of a base ring along an
-    ideal, read off the base ring's annihilator classes over the carrier,
-    with no table or graph of the duplication.
-
-    Under (r, i) -> (a, b) = (r, r+i) the product is componentwise, so
-    the graph is ``_key_classes`` of the carrier's two coordinates.
-    """
-
-    def __init__(self, base: RingFacts, carrier: DuplicationCarrier) -> None:
-        if carrier.base is not base.ring:
-            raise ValueError("the carrier belongs to a different base ring")
-        self.base = base
-        self.carrier = carrier
-
-    @cached_fact
-    def classes(self) -> ClassGraph:
-        cls, rel = self.base.annihilator_classes
-        return _key_classes(cls, rel, *self.carrier.coordinates)
-
-    @cached_fact
-    def is_reduced(self) -> bool:
-        """No nonzero element is nilpotent, read off the carrier."""
-        return int(self.carrier.nilpotents.sum()) == 1
-
-
 class Instance:
     """One (ring, ideal) pair as the checks see it: the facts of the base
     ring (``base``, which a caller may share between the ring's instances),
-    the duplication's carrier and its facts (``dup``), and what depends on
+    the duplication's carrier and its graph (``dup``), and what depends on
     the ideal."""
 
     def __init__(self, ring: FiniteRing, ideal: Ideal, base: RingFacts | None = None) -> None:
@@ -358,8 +318,13 @@ class Instance:
         return DuplicationCarrier(self.ring, self.ideal)
 
     @cached_fact
-    def dup(self) -> DuplicationFacts:
-        return DuplicationFacts(self.base, self.carrier)
+    def dup(self) -> ClassGraph:
+        """The duplication's graph, read off the base ring's annihilator
+        classes over the carrier, with no table or graph of the
+        duplication: under (r, i) -> (a, b) = (r, r+i) the product is
+        componentwise, so the graph is ``_key_classes`` of the carrier's
+        two coordinates."""
+        return _key_classes(*self.base.annihilator_classes, *self.carrier.coordinates)
 
     @cached_fact
     def ideal_inside_zdivs(self) -> bool:
@@ -380,7 +345,7 @@ class _Vacuous(Exception):
 
 
 def _dup_diameter_is(inst: Instance, d: int) -> tuple[bool, str]:
-    diam = inst.dup.classes.diameter
+    diam = inst.dup.diameter
     return diam == d, f"diameter(duplication graph) = {_fmt_diam(diam)}"
 
 
@@ -388,7 +353,7 @@ def _girth_classification(inst: Instance) -> tuple[bool, str]:
     """Girth of the duplication graph is 3 iff the base ring has nonzero
     zero-divisors, 4 iff the base is a domain with |I| >= 3, and infinite
     iff I is the whole two-element field."""
-    g = inst.dup.classes.girth
+    g = inst.dup.girth
     dom = inst.base.is_domain
     k = len(inst.ideal)
     clauses = (
@@ -405,7 +370,7 @@ def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
     exactly the two projection kernels as minimal primes, meeting in zero;
     the duplication graph is complete bipartite."""
     a = inst.base.is_domain
-    b = inst.dup.classes.girth == 4 or math.isinf(inst.dup.classes.girth)
+    b = inst.dup.girth == 4 or math.isinf(inst.dup.girth)
     mins = inst.carrier.minimal_prime_masks
     k1, k2 = inst.carrier.kernel_masks
     same = np.array_equal
@@ -417,7 +382,7 @@ def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
             or (same(mins[0], k2) and same(mins[1], k1))
         )
     )
-    d = inst.dup.classes.bipartition is not None
+    d = inst.dup.bipartition is not None
     note = (
         f"domain = {a}, girth in {{4, inf}} = {b}, "
         f"kernel minimal primes = {c}, complete bipartite = {d}"
@@ -440,8 +405,8 @@ def _completeness_equivalence(inst: Instance) -> tuple[bool, str]:
             "itself has a complete single-edge graph while both square-zero "
             "clauses fail"
         )
-    a = inst.dup.classes.complete
-    b = inst.base.square_zero and inst.ideal_inside_zdivs
+    a = inst.dup.complete
+    b = inst.base.classes.square_zero and inst.ideal_inside_zdivs
     c = inst.dup.square_zero
     note = (
         f"complete = {a}, base square-zero with I inside Z(R) = {b}, "
@@ -542,10 +507,10 @@ def _annihilators_meet_ideal(inst: Instance) -> tuple[bool, str] | tuple[bool, s
 def _universal_vertex_prime_zdivs(inst: Instance) -> tuple[bool, str]:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    if not inst.dup.classes.universal_classes.any():
+    if not inst.dup.universal_classes.any():
         raise _Vacuous("duplication graph has no universal vertex")
     holds = inst.base.zdivs_prime
-    labels = inst.carrier.format_subset(inst.dup.classes.universal)
+    labels = inst.carrier.format_subset(inst.dup.universal)
     return holds, f"universal vertices {labels}; Z(R) prime ideal = {holds}"
 
 
@@ -639,44 +604,36 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     """Check the global invariants on one instance; returns violations."""
     prefix = f"[{inst.ring_spec} | I={{{','.join(inst.ideal_labels)}}}]"
     out: list[str] = []
+    carrier = inst.carrier
 
     out.extend(_graph_invariant_violations(prefix, "base", inst.base.classes))
-    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup.classes))
+    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
-    t1, t2, t3, t4 = _classification_masks(inst.carrier, inst.base.zero_divisor_mask)
+    t1, t2, t3, t4 = classify_zero_divisors(carrier, inst.base.zero_divisor_mask)
     classified = t1 | t2 | t3 | t4
-    classified[inst.carrier.zero] = False
-    if (classified != (inst.dup.classes.class_of >= 0)).any():
+    classified[carrier.zero] = False
+    if (classified != (inst.dup.class_of >= 0)).any():
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
-    if inst.dup.is_reduced != inst.base.is_reduced:
+    # A reduced ring has 0 as its only nilpotent.
+    if (int(carrier.nilpotents.sum()) == 1) != inst.base.is_reduced:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
-    carrier = inst.carrier
     square_zero = bool((carrier.times.take(carrier.members, axis=0) == inst.ring.zero).all())
     if square_zero != matches_idealization(carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
         )
 
-    checks = structure_checks(
+    failing = structure_checks(
         carrier,
         inst.base.zero_divisor_mask,
-        inst.base.graph,
-        inst.dup.classes,
+        inst.base.classes.vertices,
+        inst.dup,
         inst.base.edge_images_vanish,
     )
-    if not checks.vacuous and not checks.all_hold():
-        failing = [
-            name
-            for name, value in (
-                ("crossings", checks.crossings_complete),
-                ("exclusive neighbors", checks.regular_members_exclusive),
-                ("base embedding", checks.embeds_base),
-            )
-            if not value
-        ]
+    if failing:
         out.append(f"{prefix} {TheoremId.R2_3.value}: {', '.join(failing)} failed")
 
     return out

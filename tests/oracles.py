@@ -48,7 +48,6 @@ import numpy as np
 from amalgam_zdg import (
     DisconnectedGraphError,
     FiniteRing,
-    StructureChecks,
     ZDGraph,
     Ideal,
     all_ideals,
@@ -451,13 +450,14 @@ def bfs_complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
 
 
 def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
-    """The duplication's structure checks with neighbour sets per regular
-    ideal member and one ``mul`` call per base edge."""
+    """The names of the duplication's failing structure checks, as
+    ``structure_checks`` gives them, with neighbour sets per regular ideal
+    member and one ``mul`` call per base edge."""
     base = amalgam.base
     ring = amalgam.ring
     members = amalgam.ideal_elements
     if len(members) < 2:
-        return StructureChecks(True, True, True, vacuous=True)
+        return []
     zero = base.zero
     t1_nonzero = sorted(amalgam.index_of(zero, i) for i in members if i != zero)
     t2_nonzero = sorted(amalgam.index_of(base.neg(i), i) for i in members if i != zero)
@@ -494,7 +494,15 @@ def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
             if not embeds:
                 break
 
-    return StructureChecks(crossings, exclusive, embeds, vacuous=False)
+    return [
+        name
+        for name, holds in (
+            ("crossings", crossings),
+            ("exclusive neighbors", exclusive),
+            ("base embedding", embeds),
+        )
+        if not holds
+    ]
 
 
 def brute_boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:

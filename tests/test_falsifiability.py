@@ -97,7 +97,7 @@ def test_planted_nonzero_base_edge_product_fails_r2_3_embedding():
 # it as built; the planted fact is one the conclusion reads.
 PLANTED_FACTS = [
     (
-        TheoremId.C3_3, "Z6", "gen(3)", ("dup.classes", "girth", 4),
+        TheoremId.C3_3, "Z6", "gen(3)", ("dup", "girth", 4),
         "girth = 4, domain = False, |I| = 2",
         "girth = 4, domain = False, |I| = 2",
     ),
@@ -109,27 +109,27 @@ PLANTED_FACTS = [
         "duplication square-zero = False",
     ),
     (
-        TheoremId.L4_9, "Z4", "full", ("dup.classes", "diameter", 2),
+        TheoremId.L4_9, "Z4", "full", ("dup", "diameter", 2),
         "diameter(duplication graph) = 2",
         "diameter(duplication graph) = 2",
     ),
     (
-        TheoremId.C4_10, "Z4", "full", ("dup.classes", "diameter", 2),
+        TheoremId.C4_10, "Z4", "full", ("dup", "diameter", 2),
         "universal base vertices {2}; diameter(duplication graph) = 2",
         "universal base vertices {2}; diameter(duplication graph) = 2",
     ),
     (
-        TheoremId.P4_11, "Z2xZ4", "full", ("dup.classes", "diameter", 2),
+        TheoremId.P4_11, "Z2xZ4", "full", ("dup", "diameter", 2),
         "diameter(duplication graph) = 2",
         "diameter(duplication graph) = 2",
     ),
     (
-        TheoremId.T4_12, "Z6", "gen(3)", ("dup.classes", "diameter", 2),
+        TheoremId.T4_12, "Z6", "gen(3)", ("dup", "diameter", 2),
         "diameter(duplication graph) = 2",
         "diameter(duplication graph) = 2",
     ),
     (
-        TheoremId.P4_13, "Z8", "gen(4)", ("dup.classes", "diameter", 3),
+        TheoremId.P4_13, "Z8", "gen(4)", ("dup", "diameter", 3),
         "diameter(duplication graph) = 3; non-reduced variant: hypotheses hold",
         "diameter(duplication graph) = 3; non-reduced variant: hypotheses hold",
     ),

@@ -216,7 +216,7 @@ class TestZeroProductPass:
             facts = RingFacts(dup)
             graph = facts.graph
             facts.zero_divisors
-            facts.square_zero
+            facts.classes.square_zero
             facts.classes.complete
             held, peak = tracemalloc.get_traced_memory()
         finally:
@@ -235,10 +235,10 @@ class TestZeroProductPass:
 
         monkeypatch.setattr(graphs, "_zero_product_adjacency", spy)
         z8, z4 = RingFacts(make_zn(8)), RingFacts(make_zn(4))
-        assert z8.square_zero is False
-        assert z4.square_zero is True
+        assert z8.classes.square_zero is False
+        assert z4.classes.square_zero is True
         # Read again, and the graph too: no further pass.
-        assert z8.square_zero is False and z8.graph.vertex_count == 3
+        assert z8.classes.square_zero is False and z8.graph.vertex_count == 3
         assert passes == ["Z8", "Z4"]
 
 

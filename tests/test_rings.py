@@ -395,9 +395,9 @@ class TestIdeals:
 
 class TestElementPredicates:
     def test_zset_square_zero(self):
-        assert RingFacts(make_zn(4)).square_zero
-        assert RingFacts(make_zn(9)).square_zero
-        assert not RingFacts(make_zn(6)).square_zero
+        assert RingFacts(make_zn(4)).classes.square_zero
+        assert RingFacts(make_zn(9)).classes.square_zero
+        assert not RingFacts(make_zn(6)).classes.square_zero
 
     def test_domain_reduced_field_trio(self):
         z6 = make_zn(6)

@@ -16,8 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from amalgam_zdg import (
+    ClassGraph,
     DuplicationCarrier,
-    DuplicationFacts,
     DuplicationTooLargeError,
     FiniteRing,
     Instance,
@@ -598,7 +598,7 @@ class TestRingFacts:
 
     def test_swept_rings_are_freed_without_the_cyclic_collector(self, monkeypatch):
         refs = []
-        for cls in (FiniteRing, ZDGraph, DuplicationCarrier, DuplicationFacts):
+        for cls in (FiniteRing, ZDGraph, DuplicationCarrier, ClassGraph):
 
             def recording(self, *args, _init=cls.__init__, **kwargs):
                 _init(self, *args, **kwargs)
@@ -621,9 +621,9 @@ class TestRingFacts:
                 tracemalloc.stop()
         finally:
             gc.enable()
-        # Z12 and its graph, and the carrier and the facts of each of its
-        # five duplications along a nonzero ideal.
-        assert len(refs) == 12
+        # Z12, its graph and the graph's classes, and the carrier and the
+        # key classes of each of its five duplications along a nonzero ideal.
+        assert len(refs) == 13
         assert alive == []
         # Z32 along itself alone has two 2 MiB tables.
         assert held - start < 2**18
