@@ -15,17 +15,11 @@ from .amalgam import (
 from .graphs import (
     ClassGraph,
     DisconnectedGraphError,
-    GraphInvariants,
     ZDGraph,
     build_graph,
-    complete_bipartition,
     diameter,
-    edge_count,
     export_dot,
-    girth,
     graph_invariants,
-    is_complete,
-    universal_vertices,
 )
 from .rings import (
     FiniteRing,

@@ -45,17 +45,17 @@ def _girth_json(g: int | float) -> int | str:
 def _graph_summary(classes: ClassGraph, label) -> dict:
     """The graph part of the ``analyze`` report, with ``label`` naming a
     vertex by its index."""
-    inv = classes.invariants
+    parts = classes.bipartition
     return {
-        "vertices": inv.vertex_count,
-        "edges": inv.edge_count,
-        "diameter": inv.diameter,
-        "girth": _girth_json(inv.girth),
-        "complete": inv.is_complete,
-        "complete_bipartite": inv.is_complete_bipartite,
-        "parts": list(inv.bipartition) if inv.bipartition else None,
-        "star": inv.is_star,
-        "universal": [label(v) for v in inv.universal_vertices],
+        "vertices": classes.vertex_count,
+        "edges": classes.edge_count,
+        "diameter": classes.diameter,
+        "girth": _girth_json(classes.girth),
+        "complete": classes.complete,
+        "complete_bipartite": parts is not None,
+        "parts": list(parts) if parts else None,
+        "star": parts is not None and parts[0] == 1,
+        "universal": [label(v) for v in classes.universal_vertices],
     }
 
 
@@ -249,9 +249,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     ring = parse_ring_spec(args.ring)
-    ideal = parse_ideal_spec(ring, args.ideal)
+    ideal = parse_ideal_spec(ring, args.ideal) if args.ideal is not None else None
     if args.base:
         graph = build_graph(ring)
+    elif ideal is None:
+        raise SpecError("export-dot needs --ideal unless --base is given")
     else:
         graph = build_graph(amalgamated_duplication(ring, ideal).ring)
     _emit(export_dot(graph), args.out)
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dot = sub.add_parser("export-dot", help="write the graph in DOT format")
     dot.add_argument("ring")
-    dot.add_argument("--ideal", required=True)
+    dot.add_argument("--ideal", help="ideal spec; required unless --base is given")
     dot.add_argument(
         "--base", action="store_true", help="export the base-ring graph instead"
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,13 +32,7 @@ __all__ = [
     "ZDGraph",
     "build_graph",
     "diameter",
-    "girth",
-    "is_complete",
-    "complete_bipartition",
-    "universal_vertices",
-    "edge_count",
     "export_dot",
-    "GraphInvariants",
     "graph_invariants",
 ]
 
@@ -75,8 +68,9 @@ def _symmetric_hollow(adj: np.ndarray) -> bool:
 class ZDGraph:
     """Immutable undirected graph with dense adjacency and labeled vertices.
 
-    Vertices are distinct element indices, which ``classes`` indexes by.
-    The adjacency is stored as a read-only C-ordered boolean array.
+    Vertices are distinct element indices, which ``classes`` indexes by,
+    each with one label.  The adjacency is stored as a read-only C-ordered
+    boolean array.
     ``build_graph`` hands over fresh tuples and a fresh array (``_owned``),
     which are kept as they are; a caller's are converted and copied.  Either
     way the adjacency must be symmetric with an empty diagonal, so a graph
@@ -100,6 +94,8 @@ class ZDGraph:
             if not distinct or min(self.vertices, default=0) < 0:
                 raise ValueError("vertices must be distinct nonnegative element indices")
             self.labels = tuple(str(x) for x in labels)
+            if len(self.labels) != len(self.vertices):
+                raise ValueError("label list does not match the vertex list")
             adj = np.array(adjacency, dtype=bool, order="C")
         if adj.shape != (len(self.vertices), len(self.vertices)):
             raise ValueError("adjacency shape does not match the vertex list")
@@ -271,19 +267,6 @@ def _bfs_girth(adjacency: np.ndarray) -> int | float:
     return best
 
 
-@dataclass(frozen=True)
-class GraphInvariants:
-    vertex_count: int
-    edge_count: int
-    diameter: int | None
-    girth: int | float
-    is_complete: bool
-    is_complete_bipartite: bool
-    bipartition: tuple[int, int] | None
-    is_star: bool
-    universal_vertices: tuple[int, ...]
-
-
 class ClassGraph:
     """A graph given by its classes of twins, with every invariant the
     harness reads computed on first read.
@@ -448,7 +431,7 @@ class ClassGraph:
         return meets_all & (self.clique | (self.sizes == 1))
 
     @cached_fact
-    def universal(self) -> tuple[int, ...]:
+    def universal_vertices(self) -> tuple[int, ...]:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
         # A class of -1 is in none.
@@ -477,54 +460,19 @@ class ClassGraph:
         s = self.sizes.astype(np.int64)
         return int(s @ self.q @ s) // 2 + int((s * (s - 1))[self.clique].sum()) // 2
 
-    @cached_fact
-    def invariants(self) -> GraphInvariants:
-        parts = self.bipartition
-        return GraphInvariants(
-            vertex_count=self.vertex_count,
-            edge_count=self.edge_count,
-            diameter=self.diameter,
-            girth=self.girth,
-            is_complete=self.complete,
-            is_complete_bipartite=parts is not None,
-            bipartition=parts,
-            is_star=parts is not None and parts[0] == 1,
-            universal_vertices=self.universal,
-        )
-
 
 def diameter(graph: ZDGraph) -> int | None:
-    """Largest eccentricity; None for the empty graph, 0 for one vertex.
+    """``graph.classes.diameter``, kept as a function because the sweep's
+    diameter calls on a ``ZDGraph`` are what the benchmark's tracer counts.
     Raises DisconnectedGraphError on a disconnected graph."""
     return graph.classes.diameter
 
 
-def girth(graph: ZDGraph) -> int | float:
-    """Length of a shortest cycle, or math.inf for acyclic graphs."""
-    return graph.classes.girth
-
-
-def complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
-    """Part sizes (m, n) if the graph is complete bipartite, else None."""
-    return graph.classes.bipartition
-
-
-def universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
-    """Element indices of vertices adjacent to every other vertex."""
-    return graph.classes.universal
-
-
-def is_complete(graph: ZDGraph) -> bool:
-    """True iff all distinct vertex pairs are adjacent (vacuous for <= 1)."""
-    return graph.classes.complete
-
-
-def edge_count(graph: ZDGraph) -> int:
-    return graph.classes.edge_count
-
-
-def graph_invariants(graph: ZDGraph) -> GraphInvariants:
-    return graph.classes.invariants
+def graph_invariants(graph: ZDGraph) -> ClassGraph:
+    """``graph.classes``, the object that computes and caches every graph
+    fact; kept as a function because the benchmark's graph workload calls
+    it."""
+    return graph.classes
 
 
 def export_dot(graph: ZDGraph) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -39,7 +40,6 @@ from .graphs import (
     ZDGraph,
     build_graph,
     diameter,
-    universal_vertices,
 )
 from .rings import (
     FiniteRing,
@@ -305,10 +305,6 @@ class Instance:
         if self.base.ring is not ring:
             raise ValueError("base facts belong to a different ring")
 
-    @property
-    def ring_spec(self) -> str:
-        return self.ring.spec_name
-
     @cached_fact
     def ideal_labels(self) -> tuple[str, ...]:
         return self.ideal.labels()
@@ -435,7 +431,7 @@ def _ideal_zdivs_diam_three(inst: Instance) -> tuple[bool, str]:
 def _universal_vertex_diam_three(inst: Instance) -> tuple[bool, str]:
     """If the ideal escapes Z(R) and the base graph has a universal vertex,
     the duplication graph has diameter 3."""
-    universal = universal_vertices(inst.base.graph)
+    universal = inst.base.classes.universal_vertices
     if inst.ideal_inside_zdivs:
         raise _Vacuous("I lies inside Z(R)")
     if not universal:
@@ -510,7 +506,7 @@ def _universal_vertex_prime_zdivs(inst: Instance) -> tuple[bool, str]:
     if not inst.dup.universal_classes.any():
         raise _Vacuous("duplication graph has no universal vertex")
     holds = inst.base.zdivs_prime
-    labels = inst.carrier.format_subset(inst.dup.universal)
+    labels = inst.carrier.format_subset(inst.dup.universal_vertices)
     return holds, f"universal vertices {labels}; Z(R) prime ideal = {holds}"
 
 
@@ -602,7 +598,7 @@ def _graph_invariant_violations(prefix: str, tag: str, classes: ClassGraph) -> l
 
 def instance_invariant_violations(inst: Instance) -> list[str]:
     """Check the global invariants on one instance; returns violations."""
-    prefix = f"[{inst.ring_spec} | I={{{','.join(inst.ideal_labels)}}}]"
+    prefix = f"[{inst.ring.spec_name} | I={{{','.join(inst.ideal_labels)}}}]"
     out: list[str] = []
     carrier = inst.carrier
 
@@ -677,10 +673,6 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
     return records, violations
-
-
-def _sweep_worker(args: tuple[str, str]) -> tuple[list[InstanceRecord], list[str]]:
-    return _sweep_ring(*args)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -829,14 +821,14 @@ def sweep(
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, int(workers))
-    tasks = [(spec, ideal_filter) for spec in specs]
-    if workers == 1 or len(tasks) <= 1:
-        results = [_sweep_worker(task) for task in tasks]
+    if workers == 1 or len(specs) <= 1:
+        results = [_sweep_ring(spec, ideal_filter) for spec in specs]
     else:
-        start = sorted(range(len(tasks)), key=lambda t: -math.prod(_ring_moduli(specs[t])))
-        with _worker_pool(min(workers, len(tasks))) as pool:
-            done = dict(zip(start, pool.map(_sweep_worker, [tasks[t] for t in start])))
-        results = [done[t] for t in range(len(tasks))]
+        start = sorted(range(len(specs)), key=lambda t: -math.prod(_ring_moduli(specs[t])))
+        ordered = [specs[t] for t in start]
+        with _worker_pool(min(workers, len(specs))) as pool:
+            done = dict(zip(start, pool.map(_sweep_ring, ordered, itertools.repeat(ideal_filter))))
+        results = [done[t] for t in range(len(specs))]
     records: list[InstanceRecord] = []
     violations: list[str] = []
     for recs, viols in results:

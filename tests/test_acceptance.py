@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from amalgam_zdg import (
+    ClassGraph,
     DisconnectedGraphError,
     Instance,
     RingFacts,
@@ -27,14 +28,9 @@ from amalgam_zdg import (
     amalgamated_duplication,
     build_graph,
     classify_zero_divisors,
-    complete_bipartition,
     diameter,
-    edge_count,
     expand_family,
-    girth,
-    graph_invariants,
     ideal_from_generators,
-    is_complete,
     is_prime_ideal,
     is_reduced,
     make_zn,
@@ -44,7 +40,6 @@ from amalgam_zdg import (
     prime_ideals,
     structure_checks,
     sweep,
-    universal_vertices,
     zero_divisors,
 )
 from amalgam_zdg import amalgam, graphs, rings
@@ -198,7 +193,8 @@ def test_star_base_golden(field_spec):
             ring = parse_ring_spec(f"Z2x{field_spec}")
             ideal = parse_ideal_spec(ring, "gen((1,0))")
             assert len(ideal) == 2
-            assert graph_invariants(build_graph(ring)).is_star
+            parts = build_graph(ring).classes.bipartition
+            assert parts is not None and parts[0] == 1  # a star
             dup = amalgamated_duplication(ring, ideal)
             assert diameter(build_graph(dup.ring)) == 3
 
@@ -275,11 +271,11 @@ def test_oracle_equivalence(family_instances):
             graphs.append(build_graph(dup.ring))
             for graph in graphs:
                 assert diameter(graph) == bfs_diameter(graph)
-                assert girth(graph) == bfs_girth(graph)
+                assert graph.classes.girth == bfs_girth(graph)
                 if graph.vertex_count <= 50:
                     assert diameter(graph) == floyd_warshall_diameter(graph)
                 if graph.vertex_count <= 12:
-                    assert girth(graph) == enumerate_cycles_girth(graph)
+                    assert graph.classes.girth == enumerate_cycles_girth(graph)
         assert len(seen_rings) == len(FAMILY) and len(family_instances) == 68
 
 
@@ -339,9 +335,8 @@ def test_vectorized_checks_match_loops(family_instances):
                 shared = RingFacts(owner).edges_share_annihilator
                 assert shared == edge_loop_share_annihilator(owner, graph), owner.spec_name
                 shares.add(shared)
-                assert universal_vertices(
-                    graph
-                ) == neighbor_count_universal_vertices(graph), owner.spec_name
+                universal = graph.classes.universal_vertices
+                assert universal == neighbor_count_universal_vertices(graph), owner.spec_name
         assert len(seen_rings) == len(FAMILY) and shares == {True, False}
 
 
@@ -364,7 +359,7 @@ def test_whole_array_graph_checks_match_loops(family_instances):
             zd_mask = full_zero_divisor_mask(ring)
             for pair in ((base_graph, dup_graph), complements):
                 for graph in pair:
-                    got = complete_bipartition(graph)
+                    got = graph.classes.bipartition
                     assert got == bfs_complete_bipartition(graph), graph
                     parts.add(got is None)
                 base, graph = pair
@@ -413,8 +408,8 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
                 assert np.array_equal(graph.adjacency, adj), owner.spec_name
                 assert graph.adjacency.flags.c_contiguous
                 for g in (graph, _complement(graph)):
-                    assert is_complete(g) == eye_mask_is_complete(g), g
-                    outcomes.add((square_zero, is_complete(g)))
+                    assert g.classes.complete == eye_mask_is_complete(g), g
+                    outcomes.add((square_zero, g.classes.complete))
                 side = math.isqrt(graphs._BLOCK_CELLS)
                 ragged += graph.vertex_count > side and graph.vertex_count % side != 0
         assert outcomes == {(a, b) for a in (True, False) for b in (True, False)}
@@ -442,7 +437,7 @@ def test_quotient_graph_layer_matches_whole_graph_oracles(family_instances):
                     assert got == _diameter_or_disconnected(
                         reach_product_diameter, g
                     ), g
-                    assert girth(g) == square_girth(g), g
+                    assert g.classes.girth == square_girth(g), g
                     outcomes.add(got == "disconnected")
                     checked += 1
         assert checked == 4 * 68 and outcomes == {True, False}
@@ -532,6 +527,20 @@ def assert_neighbour_rows(classes, graph):
     assert np.array_equal(rows, expected), graph
 
 
+def graph_facts(classes: ClassGraph) -> tuple:
+    """The graph facts ``analyze`` reports; whether the graph is complete
+    bipartite, and a star, is read off the bipartition."""
+    return (
+        classes.vertex_count,
+        classes.edge_count,
+        classes.diameter,
+        classes.girth,
+        classes.complete,
+        classes.bipartition,
+        classes.universal_vertices,
+    )
+
+
 def test_base_ring_classes_are_its_key_classes():
     """R is R⋈{0}: a ring's graph classes (its adjacency rows grouped with
     the diagonal set where x^2 = 0) are ``_key_classes`` of its elements
@@ -552,11 +561,11 @@ def test_base_ring_classes_are_its_key_classes():
                 assert np.array_equal(getattr(keyed, part), getattr(classes, part)), spec
             assert np.array_equal(keyed.class_of[verts], classes.class_of[verts]), spec
             twins = ZDGraph(graph.vertices, graph.labels, graph.adjacency).classes
-            assert classes.invariants == twins.invariants, spec
+            assert graph_facts(classes) == graph_facts(twins), spec
             assert classes.diameter == reach_product_diameter(graph), spec
             assert classes.girth == square_girth(graph), spec
             assert classes.bipartition == bfs_complete_bipartition(graph), spec
-            assert classes.universal == neighbor_count_universal_vertices(graph), spec
+            assert classes.universal_vertices == neighbor_count_universal_vertices(graph), spec
             assert classes.complete == eye_mask_is_complete(graph), spec
             assert classes.edge_count == int(graph.adjacency.sum()) // 2, spec
             assert classes.square_zero == gather_zset_square_zero(ring), spec
@@ -586,7 +595,7 @@ def test_zero_ideal_duplication_is_the_base_ring():
                 assert np.array_equal(getattr(dup, part), getattr(base, part)), spec
             verts = base.vertices
             assert np.array_equal(dup.class_of[verts], base.class_of[verts]), spec
-            assert dup.invariants == base.invariants, spec
+            assert graph_facts(dup) == graph_facts(base), spec
             assert dup.square_zero == base.square_zero, spec
 
 
@@ -633,15 +642,15 @@ def test_factored_duplication_matches_the_materialized_graph():
                 assert classes.vertices.tolist() == list(graph.vertices), name
                 assert classes.vertex_count == graph.vertex_count, name
                 assert classes.diameter == diameter(graph), name
-                assert classes.girth == girth(graph), name
-                assert classes.complete == is_complete(graph), name
+                assert classes.girth == graph.classes.girth, name
+                assert classes.complete == graph.classes.complete, name
                 assert classes.complete == eye_mask_is_complete(graph), name
-                assert classes.universal == universal_vertices(graph), name
-                assert classes.universal == neighbor_count_universal_vertices(graph), name
-                assert classes.bipartition == complete_bipartition(graph), name
-                assert classes.invariants == graph_invariants(graph), name
+                assert classes.universal_vertices == graph.classes.universal_vertices, name
+                assert classes.universal_vertices == neighbor_count_universal_vertices(graph), name
+                assert classes.bipartition == graph.classes.bipartition, name
+                assert graph_facts(classes) == graph_facts(graph.classes), name
                 edges = int(graph.adjacency.sum()) // 2
-                assert classes.invariants.edge_count == edge_count(graph) == edges, name
+                assert classes.edge_count == graph.classes.edge_count == edges, name
                 materialized = RingFacts(dup.ring)
                 materialized.graph = graph
                 assert classes.square_zero == materialized.classes.square_zero, name
@@ -682,7 +691,7 @@ def test_clique_classes_are_not_false_twins(spec, ideal_spec, vertices, diam, co
         assert classes.vertex_count == vertices
         assert classes.diameter == diam
         assert classes.complete is complete
-        assert len(classes.universal) == universal
+        assert len(classes.universal_vertices) == universal
         assert classes.girth == 3
 
 

@@ -259,6 +259,16 @@ class TestExportDot:
             'graph {\n  "2";\n  "3";\n  "4";\n  "2" -- "3";\n  "3" -- "4";\n}\n'
         )
 
+    def test_base_graph_needs_no_ideal(self, capsys):
+        _, with_ideal, _ = run_cli(capsys, "export-dot", "Z6", "--ideal", "zero", "--base")
+        code, out, _ = run_cli(capsys, "export-dot", "Z6", "--base")
+        assert code == 0 and out == with_ideal
+
+    def test_duplication_graph_needs_an_ideal(self, capsys):
+        code, out, err = run_cli(capsys, "export-dot", "Z6")
+        assert code == 2 and out == ""
+        assert "--ideal" in err
+
     def test_full_duplication_of_z3_is_a_four_cycle(self, capsys):
         code, out, _ = run_cli(capsys, "export-dot", "Z3", "--ideal", "full")
         assert code == 0

@@ -19,18 +19,13 @@ from amalgam_zdg import (
     ZDGraph,
     amalgamated_duplication,
     build_graph,
-    complete_bipartition,
     diameter,
-    edge_count,
     export_dot,
-    girth,
     graph_invariants,
-    is_complete,
     make_zn,
     parse_ideal_spec,
     parse_ring_spec,
     sweep,
-    universal_vertices,
     zero_divisors,
 )
 from amalgam_zdg import graphs, theorems
@@ -135,8 +130,8 @@ class TestBuild:
 
     def test_klein_ring_graph_is_one_edge(self):
         g = build_graph(parse_ring_spec("Z2xZ2"))
-        assert g.vertex_count == 2 and edge_count(g) == 1
-        assert is_complete(g)
+        assert g.vertex_count == 2 and g.classes.edge_count == 1
+        assert g.classes.complete
 
     def test_domains_have_empty_graphs(self):
         for n in (2, 3, 5, 7, 13):
@@ -144,7 +139,7 @@ class TestBuild:
 
     def test_no_self_loops_even_for_square_zero_elements(self):
         g = build_graph(make_zn(4))  # 2*2 = 0 but 2 is a single vertex
-        assert g.vertex_count == 1 and edge_count(g) == 0
+        assert g.vertex_count == 1 and g.classes.edge_count == 0
 
 
 class TestValidation:
@@ -189,6 +184,13 @@ class TestValidation:
         adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
         with pytest.raises(ValueError, match="distinct nonnegative element indices"):
             ZDGraph(vertices, list("abc"), adj)
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
+    def test_labels_match_the_vertex_list(self, labels):
+        """``export_dot`` names each vertex by its label, so a short list
+        would fail there and a long one write a node that is no vertex."""
+        with pytest.raises(ValueError, match="label list does not match the vertex list"):
+            ZDGraph([1, 2], labels, [[False, True], [True, False]])
 
     def test_non_commutative_caller_table_is_refused(self):
         """In Z8 with 4*6 set to 4, both 4 and 6 stay zero-divisors (4*2
@@ -371,7 +373,7 @@ class TestTwinQuotient:
         nxg = nx.Graph()
         nxg.add_nodes_from(range(g.vertex_count))
         nxg.add_edges_from(g.edge_positions())
-        assert girth(g) == nx.girth(nxg)
+        assert g.classes.girth == nx.girth(nxg)
         if nx.is_connected(nxg):
             assert diameter(g) == nx.diameter(nxg)
         else:
@@ -405,7 +407,7 @@ class TestTwinQuotient:
         g = build()
         assert class_count(g) == classes
         assert diameter(g) == diam == bfs_diameter(g) == reach_product_diameter(g)
-        assert girth(g) == length == bfs_girth(g) == square_girth(g)
+        assert g.classes.girth == length == bfs_girth(g) == square_girth(g)
 
     @pytest.mark.parametrize(
         "layout", [np.transpose, np.asfortranarray], ids=["transpose", "fortran"]
@@ -417,19 +419,19 @@ class TestTwinQuotient:
         assert not adj.flags.c_contiguous
         g = ZDGraph(range(10), [str(v) for v in range(10)], adj)
         assert g.adjacency.flags.c_contiguous
-        assert diameter(g) == 2 and girth(g) == 5
+        assert diameter(g) == 2 and g.classes.girth == 5
 
     def test_two_isolated_vertices_are_disconnected(self):
         g = synthetic(2, [])
         assert class_count(g) == 1
         with pytest.raises(DisconnectedGraphError):
             diameter(g)
-        assert math.isinf(girth(g))
+        assert math.isinf(g.classes.girth)
 
     def test_four_cycle_twins_decide_girth_without_bfs(self, bfs_girth_calls):
         # The quotient of C4 is one edge: no 4-cycle there, but each class
         # holds two twins with two neighbours.
-        assert girth(cycle(4)) == 4
+        assert cycle(4).classes.girth == 4
         assert bfs_girth_calls == []
 
     def test_sweep_multiplies_only_quotient_sized_operands(self, monkeypatch):
@@ -537,34 +539,34 @@ class TestDiameter:
     def test_complete_iff_diameter_one(self):
         for g in sample_graphs():
             if g.vertex_count >= 2:
-                assert is_complete(g) == (diameter(g) == 1)
+                assert g.classes.complete == (diameter(g) == 1)
 
 
 class TestGirth:
     def test_known_girths(self):
         _, single_edge = dup_graph("Z2", "full")
-        assert math.isinf(girth(single_edge))
+        assert math.isinf(single_edge.classes.girth)
         _, four_cycle = dup_graph("Z3", "full")
-        assert girth(four_cycle) == 4
+        assert four_cycle.classes.girth == 4
         _, triangle_rich = dup_graph("Z6", "gen(3)")
-        assert girth(triangle_rich) == 3
+        assert triangle_rich.classes.girth == 3
 
     def test_base_ring_girths(self):
-        assert math.isinf(girth(build_graph(make_zn(8))))
+        assert math.isinf(build_graph(make_zn(8)).classes.girth)
         # No triangle in the Z12 graph, but 3-4-9-8 closes a 4-cycle.
-        assert girth(build_graph(make_zn(12))) == 4
+        assert build_graph(make_zn(12)).classes.girth == 4
 
     def test_matches_cycle_enumeration_oracle(self):
         for g in sample_graphs():
             if g.vertex_count <= 12:
-                assert girth(g) == enumerate_cycles_girth(g)
+                assert g.classes.girth == enumerate_cycles_girth(g)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_long_cycles_go_through_the_bfs_fallback(self, n, bfs_girth_calls):
         # No two vertices of a long cycle are twins: the BFS runs once, on
         # a quotient of all n vertices.
         g = cycle(n)
-        assert girth(g) == n == bfs_girth(g)
+        assert g.classes.girth == n == bfs_girth(g)
         [searched] = bfs_girth_calls
         assert searched is g.classes.q and len(searched) == n
 
@@ -572,7 +574,7 @@ class TestGirth:
         # The leaves are one class: the BFS runs once, on the single edge
         # between the centre and that class.
         g = star()
-        assert math.isinf(girth(g))
+        assert math.isinf(g.classes.girth)
         [searched] = bfs_girth_calls
         assert searched is g.classes.q and len(searched) == 2
 
@@ -581,15 +583,15 @@ class TestGirth:
         # twin-class rule fires, and its 2-core is empty.
         g = synthetic(2039, [(0, v) for v in range(1, 2039)])
         start = time.perf_counter()
-        assert math.isinf(girth(g))
+        assert math.isinf(g.classes.girth)
         assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(forests_with_planted_cycles())
     def test_forests_and_planted_cycles(self, drawn):
         kind, g = drawn
-        assert girth(g) == bfs_girth(g) == enumerate_cycles_girth(g)
-        assert math.isinf(girth(g)) == (kind != "cycle")
+        assert g.classes.girth == bfs_girth(g) == enumerate_cycles_girth(g)
+        assert math.isinf(g.classes.girth) == (kind != "cycle")
         assert (graphs._two_core(g.adjacency).size == 0) == (kind != "cycle")
 
     @pytest.mark.parametrize(
@@ -599,23 +601,23 @@ class TestGirth:
     )
     def test_square_decides_three_and_four(self, build, expected, bfs_girth_calls):
         g = build()
-        assert girth(g) == expected == bfs_girth(g)
+        assert g.classes.girth == expected == bfs_girth(g)
         assert bfs_girth_calls == []
 
 
 class TestShapePredicates:
     def test_complete_examples(self):
         _, triangle = dup_graph("Z4", "gen(2)")
-        assert is_complete(triangle)
-        assert not is_complete(build_graph(make_zn(6)))
+        assert triangle.classes.complete
+        assert not build_graph(make_zn(6)).classes.complete
 
     def test_complete_bipartite_examples(self):
         _, k22 = dup_graph("Z3", "full")
-        assert complete_bipartition(k22) == (2, 2)
+        assert k22.classes.bipartition == (2, 2)
         _, k11 = dup_graph("Z2", "full")
-        assert complete_bipartition(k11) == (1, 1)
+        assert k11.classes.bipartition == (1, 1)
         _, triangle = dup_graph("Z4", "gen(2)")
-        assert complete_bipartition(triangle) is None
+        assert triangle.classes.bipartition is None
 
     @pytest.mark.parametrize(
         "graph, expected",
@@ -638,32 +640,33 @@ class TestShapePredicates:
     )
     def test_bipartition_matches_the_bfs_colouring(self, graph, expected):
         g = graph()
-        assert complete_bipartition(g) == expected == bfs_complete_bipartition(g)
+        assert g.classes.bipartition == expected == bfs_complete_bipartition(g)
 
     def test_single_vertex_is_not_bipartite_but_is_complete(self):
         g = build_graph(make_zn(4))
-        assert complete_bipartition(g) is None
-        assert is_complete(g)
-        assert not graph_invariants(g).is_star
+        assert g.classes.bipartition is None
+        assert g.classes.complete
 
     def test_star_with_universal_center(self):
         g = build_graph(parse_ring_spec("Z2xZ3"))
-        assert graph_invariants(g).is_star
-        assert [g.ring.labels[v] for v in universal_vertices(g)] == ["(1,0)"]
+        assert g.classes.bipartition == (1, 2)  # a star
+        assert [g.ring.labels[v] for v in g.classes.universal_vertices] == ["(1,0)"]
 
     def test_single_vertex_is_universal(self):
         g = build_graph(make_zn(4))
-        assert universal_vertices(g) == (2,)
+        assert g.classes.universal_vertices == (2,)
 
     def test_k22_has_no_universal_vertex(self):
         _, k22 = dup_graph("Z3", "full")
-        assert universal_vertices(k22) == ()
+        assert k22.classes.universal_vertices == ()
 
     def test_invariants_bundle(self):
-        inv = graph_invariants(build_graph(make_zn(6)))
+        g = build_graph(make_zn(6))
+        inv = graph_invariants(g)
+        assert inv is g.classes
         assert inv.vertex_count == 3 and inv.edge_count == 2
         assert inv.diameter == 2 and math.isinf(inv.girth)
-        assert inv.is_star and inv.bipartition == (1, 2)
+        assert inv.bipartition == (1, 2)
         assert inv.universal_vertices == (3,)
 
 

@@ -420,9 +420,9 @@ class TestSweep:
         handed = []
 
         class SerialPool:
-            def map(self, fn, tasks):
-                handed.extend(spec for spec, _ in tasks)
-                return map(fn, tasks)
+            def map(self, fn, specs, filters):
+                handed.extend(specs)
+                return map(fn, specs, filters)
 
         @contextmanager
         def serial_pool(workers):
