@@ -8,10 +8,11 @@ Mapping (r,i) to (r, r+i) identifies it with the subring
 drops the ij term, so the two coincide exactly when I*I = 0.
 
 ``DuplicationCarrier`` is the carrier alone, with its element encoding,
-labels and projection kernels, and the product-form coordinates that its
-minimal primes are read from; ``AmalgamRing`` adds the two operation
-tables.  The verification sweep reads everything off the carrier and the
-base ring's tables, and builds no table of the duplication.
+labels, projection kernels, and the product form (r, r+i) as the base
+addition table's columns at the ideal; ``AmalgamRing`` adds the two
+operation tables.  The verification sweep reads everything off the
+carrier and the base ring's tables, and builds no table of the
+duplication.
 """
 
 from __future__ import annotations
@@ -147,53 +148,49 @@ class DuplicationCarrier:
     """The duplication of ``base`` along ``ideal`` as its carrier R x I,
     with no operation table.
 
-    The element (r, i) has index r*k + t, where i is the ideal's t-th
-    member in ascending order and k = |I|.  ``coordinates`` gives every
-    element's product-form image (a, b) = (r, r+i) in R x R, where the
-    multiplication is componentwise.  The ideal and the order limit are
-    checked at construction, before anything of the carrier's size exists.
+    The element (r, i) has index r*k + t, where i = members[t], the
+    ideal's t-th member in ascending order, and k = |I|.  Its product-form
+    image in R x R, where the multiplication is componentwise, is
+    (r, plus[r, t]) = (r, r+i).  The ideal and the order limit are checked
+    at construction, before anything of the carrier's size exists.
 
     ``members`` is the ideal as an index array, and ``plus`` and ``times``
     are the base tables' columns at its members, n x k: [r, t] holds r + i
     and r*i for i = members[t].  Every reader of the carrier gathers from
-    these three, so they are read-only, as are the masks and coordinates
-    built from them.
+    these three, so they are read-only, as are the masks built from them.
     """
 
     def __init__(self, base: FiniteRing, ideal: Ideal) -> None:
         self.members, self.plus, self.times = _checked_ideal(base, ideal)
         for shared in (self.members, self.plus, self.times):
             shared.setflags(write=False)
-        elements = ideal.sorted_members
         self.base = base
         self.ideal = ideal
-        self.ideal_elements = elements
-        self.order = base.order * len(elements)
-        self._pos = dict(zip(elements, range(len(elements))))
-        self.zero = self.index_of(base.zero, base.zero)
-        self.one = self.index_of(base.one, base.zero)
+        k = len(self.members)
+        self.order = base.order * k
+        # (0, 0) and (1, 0): the ideal test has put 0 among the members.
+        at = int(np.searchsorted(self.members, base.zero))
+        self.zero, self.one = base.zero * k + at, base.one * k + at
 
     @cached_fact
     def spec_name(self) -> str:
-        return f"{self.base.spec_name} join {self.base.format_subset(self.ideal_elements)}"
+        return f"{self.base.spec_name} join {self.base.format_subset(self.members.tolist())}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_name!r})"
 
     def pair_of(self, e: int) -> tuple[int, int]:
         """Decode a carrier index into base-ring element indices (r, i)."""
-        r, t = divmod(e, len(self.ideal_elements))
-        return r, self.ideal_elements[t]
+        r, t = divmod(e, len(self.members))
+        return r, int(self.members[t])
 
     def index_of(self, r: int, i: int) -> int:
         """Encode base-ring element indices (r, i) with i in the ideal."""
-        try:
-            t = self._pos[i]
-        except KeyError:
-            raise ValueError(
-                f"{self.base.labels[i]} is not a member of the ideal"
-            ) from None
-        return r * len(self.ideal_elements) + t
+        members = self.members
+        t = int(np.searchsorted(members, i))
+        if t == len(members) or members[t] != i:
+            raise ValueError(f"{self.base.labels[i]} is not a member of the ideal")
+        return r * len(members) + t
 
     def label(self, e: int) -> str:
         r, i = self.pair_of(e)
@@ -222,30 +219,23 @@ class DuplicationCarrier:
         return tuple(masks)
 
     @cached_fact
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every element's product-form image (r, r+i), as two read-only
-        index arrays over the base ring in carrier order."""
-        first = np.arange(self.base.order).repeat(len(self.members))
-        second = self.plus.ravel().astype(np.intp)
-        first.setflags(write=False)
-        second.setflags(write=False)
-        return first, second
-
-    @cached_fact
     def nilpotents(self) -> np.ndarray:
         """Mask of the nilpotent elements: (a, b) is nilpotent iff a and b
         both are."""
         nil = self.base._nilpotent_mask
-        first, second = self.coordinates
-        return nil[first] & nil[second]
+        # nil[...] by the uint16 plus, which take would widen to intp.
+        return (nil[:, None] & nil[self.plus]).ravel()
 
     @cached_fact
     def minimal_prime_masks(self) -> np.ndarray:
         """Boolean (minimal primes, carrier): the membership masks of the
         minimal prime ideals, by the primitive-idempotent rule of
-        ``prime_ideals`` applied to the product-form coordinates: every
-        fact it reads holds iff it holds in both coordinates of R x R."""
-        return _minimal_rows(_primes_from_idempotents(self.base, self.coordinates, self.zero))
+        ``prime_ideals`` applied to the product-form coordinates (r, r+i):
+        every fact it reads holds iff it holds in both coordinates of
+        R x R."""
+        n, k = self.plus.shape
+        coords = (np.arange(n).repeat(k), self.plus.ravel())
+        return _minimal_rows(_primes_from_idempotents(self.base, coords, self.zero))
 
     @property
     def minimal_primes(self) -> list[frozenset[int]]:
@@ -311,21 +301,15 @@ def verify_product_embedding(amalgam: AmalgamRing) -> list[str]:
     Empty list iff the map is injective, lands exactly on
     {(a,b) : b-a in ideal}, and preserves both operations into R x R.
     """
-    base = amalgam.base
-    ring = amalgam.ring
-    size = ring.order
-    k = len(amalgam.ideal_elements)
-    rv = np.repeat(np.arange(base.order), k)
-    iv = np.tile(np.array(amalgam.ideal_elements, dtype=np.intp), base.order)
-    f1 = rv
-    f2 = base.add_table[rv, iv]
+    base, ring, members = amalgam.base, amalgam.ring, amalgam.members
+    f1 = np.repeat(np.arange(base.order), len(members))
+    f2 = base.add_table[f1, np.tile(members, base.order)]
     out: list[str] = []
 
     images = set(zip(f1.tolist(), f2.tolist()))
-    if len(images) != size:
+    if len(images) != ring.order:
         out.append("embedding is not injective")
-    member_mask = np.zeros(base.order, dtype=bool)
-    member_mask[list(amalgam.ideal_elements)] = True
+    member_mask = _mask(base.order, members)
     expected = {
         (int(x), int(y))
         for x in range(base.order)

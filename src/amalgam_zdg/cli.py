@@ -1,9 +1,9 @@
 """Command-line front end: analyze rings, verify checks, sweep families.
 
 Exit codes: 0 success / all checks verified or vacuous, 1 counterexample or
-invariant violation, 2 usage or parse error, or a duplication above the
-order limit, 3 a sweep worker process died (broken process pool), 4 out of
-memory.
+invariant violation, 2 usage or parse error, a duplication above the order
+limit, or an --out path that cannot be written, 3 a sweep worker process
+died (broken process pool), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -30,12 +30,19 @@ from .theorems import Instance, RingFacts, Status, run_all, sweep
 WORKERS_ENV = "AMALGAM_ZDG_WORKERS"
 
 
+class _OutError(Exception):
+    """The --out path could not be written."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _OutError(f"cannot write --out '{out_path}': {exc.strerror}") from None
 
 
 def _girth_json(g: int | float) -> int | str:
@@ -318,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, NotAnIdealError, DuplicationTooLargeError) as exc:
+    except (SpecError, NotAnIdealError, DuplicationTooLargeError, _OutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenProcessPool:

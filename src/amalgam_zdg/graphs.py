@@ -476,11 +476,9 @@ def graph_invariants(graph: ZDGraph) -> ClassGraph:
 
 
 def export_dot(graph: ZDGraph) -> str:
-    """Deterministic DOT text: nodes in carrier order, each edge once."""
-    lines = ["graph {"]
-    for label in graph.labels:
-        lines.append(f'  "{label}";')
-    for u, v in graph.edge_positions():
-        lines.append(f'  "{graph.labels[u]}" -- "{graph.labels[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Deterministic DOT text: nodes in carrier order, each edge once, each
+    name a quoted DOT string with its backslashes and quotes escaped."""
+    names = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in graph.labels]
+    lines = ["graph {", *(f"  {name};" for name in names)]
+    lines += (f"  {names[u]} -- {names[v]};" for u, v in graph.edge_positions())
+    return "\n".join(lines) + "\n}\n"

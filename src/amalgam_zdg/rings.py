@@ -124,6 +124,8 @@ class FiniteRing:
         self.labels = tuple(labels) if _owned else tuple(str(lbl) for lbl in labels)
         if len(self.labels) != self.order:
             raise ValueError(f"{len(self.labels)} labels for order {self.order}")
+        if not _owned and len(set(self.labels)) != self.order:
+            raise ValueError("labels must be distinct")
         self.spec_name = spec_name or f"ring<{self.order}>"
 
     def __repr__(self) -> str:
@@ -619,20 +621,27 @@ def _primes_from_idempotents(
     at a time.  No ideal lattice is needed.
     """
     mul, nil, square_fixed = ring.mul_table, ring._nilpotent_mask, ring._idempotent_mask
-    idem = np.logical_and.reduce([square_fixed[c] for c in coords]).nonzero()[0]
+    # A later coordinate is read only where the earlier ones are idempotent.
+    idem = square_fixed[coords[0]].nonzero()[0]
+    for c in coords[1:]:
+        idem = idem[square_fixed.take(c[idem])]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
     below = np.logical_and.reduce(
         [mul.take(e, axis=0).take(e, axis=1) == e for e in (c[idem] for c in coords)]
     )
     primitive = idem[below.sum(axis=1) == 1]
-    # masks[t, x]: x * primitive[t] is nilpotent; row t of the base ring's
-    # is one contiguous gather, read at each element's coordinate.
-    nilpotent = (nil.take(mul.take(c[primitive], axis=1).T).take(c, axis=1) for c in coords)
-    masks = next(nilpotent)
-    for more in nilpotent:
-        masks &= more
-    return masks
+    # masks[t, x]: x * primitive[t] is nilpotent.  A base element's flags
+    # over the primitive idempotents are one record, read at every
+    # element's coordinate by a 1-D fancy gather, which does not widen a
+    # uint16 coordinate to intp.  A table that is no ring's may have no
+    # primitive idempotent, and then no row.
+    masks = np.ones((len(coords[0]), len(primitive)), dtype=bool)
+    if len(primitive):
+        for c in coords:
+            flags = nil.take(mul.take(c[primitive], axis=1)).view((np.void, len(primitive)))
+            masks &= flags.ravel()[c].view(bool).reshape(masks.shape)
+    return np.ascontiguousarray(masks.T)
 
 
 def _minimal_rows(masks: np.ndarray) -> np.ndarray:

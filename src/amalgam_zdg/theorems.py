@@ -133,11 +133,10 @@ def _fmt_diam(d: int | None) -> str:
     return "empty" if d is None else str(d)
 
 
-def _key_classes(
-    cls: np.ndarray, rel: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> ClassGraph:
-    """The zero-divisor graph of the elements whose two coordinates are the
-    base ring's elements ``first[e]`` and ``second[e]``, as key classes.
+def _key_classes(cls: np.ndarray, rel: np.ndarray, second: np.ndarray) -> ClassGraph:
+    """The zero-divisor graph, as key classes, of the elements r*k + t of a
+    subring of R x R, whose coordinates are r and ``second[r, t]`` for the
+    (n, k) index array ``second`` over the base ring R.
 
     ``cls`` and ``rel`` are the base ring's annihilator classes (see
     ``RingFacts.annihilator_classes``).  Products are componentwise, so
@@ -152,9 +151,10 @@ def _key_classes(
     related to another nonzero key.
     """
     c = len(rel)
-    keys = cls[first]
-    keys *= c
-    keys += cls[second]
+    # cls[...] by the carrier-sized uint16 second, which take would widen.
+    keys = cls[second]
+    keys += (cls * c)[:, None]
+    keys = keys.ravel()
     counts = np.bincount(keys, minlength=c * c)
     present = counts.nonzero()[0]
     a, b = np.divmod(present, c)
@@ -319,8 +319,8 @@ class Instance:
         classes over the carrier, with no table or graph of the
         duplication: under (r, i) -> (a, b) = (r, r+i) the product is
         componentwise, so the graph is ``_key_classes`` of the carrier's
-        two coordinates."""
-        return _key_classes(*self.base.annihilator_classes, *self.carrier.coordinates)
+        second coordinates ``plus``."""
+        return _key_classes(*self.base.annihilator_classes, self.carrier.plus)
 
     @cached_fact
     def ideal_inside_zdivs(self) -> bool:

@@ -356,8 +356,8 @@ def kernel_ideals(amalgam) -> tuple[Ideal, Ideal]:
     """The projection kernels O1 = {(0, i)} and O2 = {(-i, i)} as ideals
     of the duplication ring, one ``index_of`` per member."""
     base = amalgam.base
-    o1 = frozenset(amalgam.index_of(base.zero, i) for i in amalgam.ideal_elements)
-    o2 = frozenset(amalgam.index_of(base.neg(i), i) for i in amalgam.ideal_elements)
+    o1 = frozenset(amalgam.index_of(base.zero, i) for i in amalgam.members.tolist())
+    o2 = frozenset(amalgam.index_of(base.neg(i), i) for i in amalgam.members.tolist())
     return Ideal(amalgam.ring, o1), Ideal(amalgam.ring, o2)
 
 
@@ -376,7 +376,7 @@ def loop_classify_zero_divisors(amalgam) -> tuple[frozenset[int], ...]:
     """The four sets t1..t4 of the zero-divisor classification, built
     element by element with ``index_of``."""
     base = amalgam.base
-    members = amalgam.ideal_elements
+    members = amalgam.members.tolist()
     base_zd = zero_divisors(base)
     zero = base.zero
 
@@ -455,7 +455,7 @@ def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
     member and one ``mul`` call per base edge."""
     base = amalgam.base
     ring = amalgam.ring
-    members = amalgam.ideal_elements
+    members = amalgam.members.tolist()
     if len(members) < 2:
         return []
     zero = base.zero

@@ -554,7 +554,7 @@ def test_base_ring_classes_are_its_key_classes():
             facts = RingFacts(ring)
             classes, graph = facts.classes, facts.graph
             index = np.arange(ring.order)
-            keyed = _key_classes(*facts.annihilator_classes, index, index)
+            keyed = _key_classes(*facts.annihilator_classes, index[:, None])
             verts = classes.vertices
             assert verts.tolist() == keyed.vertices.tolist() == list(graph.vertices), spec
             for part in ("q", "sizes", "clique"):
@@ -610,9 +610,11 @@ def test_key_classes_match_the_unique_reference():
             base = RingFacts(ring)
             for ideal in all_ideals(ring):
                 inst = Instance(ring, ideal, base)
-                args = (*base.annihilator_classes, *inst.carrier.coordinates)
-                classes = _key_classes(*args)
-                reference = unique_key_classes(*args)
+                plus = inst.carrier.plus
+                n, k = plus.shape
+                classes = _key_classes(*base.annihilator_classes, plus)
+                first = np.arange(n).repeat(k)
+                reference = unique_key_classes(*base.annihilator_classes, first, plus.ravel())
                 got = (classes.q, classes.sizes, classes.clique, classes.class_of)
                 for part, want in zip(got, reference):
                     assert np.array_equal(part, want), inst.carrier.spec_name

@@ -76,13 +76,10 @@ class TestConstruction:
         """Every fact of an instance reads these arrays, so a write
         through any of them is refused."""
         carrier = DuplicationCarrier(Z8, I8)
-        first, second = carrier.coordinates
         shared = {
             "members": carrier.members,
             "plus": carrier.plus,
             "times": carrier.times,
-            "first": first,
-            "second": second,
         }
         assert carrier.members.tolist() == [0, 4]
         assert carrier.plus.tolist() == [[r, (r + 4) % 8] for r in range(8)]
@@ -91,6 +88,14 @@ class TestConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
             assert array.flags.writeable is False, name
+
+    def test_index_of_finds_members_and_refuses_the_rest(self):
+        carrier = DuplicationCarrier(Z8, I8)
+        assert [carrier.index_of(3, i) for i in (0, 4)] == [6, 7]
+        assert [carrier.pair_of(e) for e in (6, 7)] == [(3, 0), (3, 4)]
+        for i in (2, 7):  # between the members, and above the last one
+            with pytest.raises(ValueError, match=f"^{i} is not a member of the ideal$"):
+                carrier.index_of(3, i)
 
     def test_order_and_identities(self):
         a = amalgamated_duplication(Z8, I8)
@@ -230,7 +235,7 @@ class TestIdealization:
         # first coordinate 0 differ; when I*I = 0 every block is compared.
         ring = parse_ring_spec(spec)
         carrier = DuplicationCarrier(ring, parse_ideal_spec(ring, ideal_spec))
-        n, k = ring.order, len(carrier.ideal_elements)
+        n, k = ring.order, len(carrier.members)
         monkeypatch.setattr(amalgam, "_BLOCK_CELLS", n * k * k)
         assert amalgam.matches_idealization(carrier) is square_zero
 

@@ -249,6 +249,25 @@ class TestSweep:
         assert b"\r" not in raw and raw.endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "Z6"), ("sweep", "--family", "Z6", "--workers", "1")],
+    ids=["analyze", "sweep"],
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/report.txt", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target, reason):
+    # Exit 1 is kept for counterexamples; a path that cannot be written is
+    # a usage error, with one line naming it.
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out '{path}': {reason}\n"
+
+
 class TestExportDot:
     def test_base_graph_path(self, capsys):
         code, out, _ = run_cli(

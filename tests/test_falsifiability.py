@@ -261,9 +261,9 @@ def test_disconnected_duplication_graph_is_reported_by_the_sweep(monkeypatch):
     and lists the disconnected graph among the invariant violations."""
     key_classes = theorems._key_classes
 
-    def edgeless(cls, rel, first, second):
-        classes = key_classes(cls, rel, first, second)
-        if len(first) != 12:  # the carrier of Z6 along {0, 3}
+    def edgeless(cls, rel, second):
+        classes = key_classes(cls, rel, second)
+        if second.size != 12:  # the carrier of Z6 along {0, 3}
             return classes
         c = len(classes.q)
         empty = np.zeros((c, c), dtype=bool)

@@ -457,16 +457,16 @@ class TestTwinQuotient:
             keys = annihilator_key_count(graph.ring, graph, lambda v: (v, v))
             return record(twin_classes(graph), "base", keys, graph)
 
-        def key_spy(cls, rel, first, second):
-            pairs = zip(first.tolist(), second.tolist())
-            ideal = frozenset(ring.sub(b, a) for a, b in pairs)
+        def key_spy(cls, rel, second):
+            rows = enumerate(second.tolist())
+            ideal = frozenset(ring.sub(b, r) for r, row in rows for b in row)
             dup = amalgamated_duplication(ring, Ideal(ring, ideal))
             graph = build_graph(dup.ring)
             keys = annihilator_key_count(ring, graph, lambda v: product_rep(dup, v))
             # Keys can outnumber the twin classes (Z8 along (2) has 8 keys
             # and 6 distinct rows), but on Z32 they never do.
             assert keys <= class_count(graph)
-            return record(key_classes(cls, rel, first, second), "duplication", keys, graph)
+            return record(key_classes(cls, rel, second), "duplication", keys, graph)
 
         def routine_spy(name):
             routine = getattr(graphs.ClassGraph, name).func
@@ -687,3 +687,13 @@ class TestDot:
 
     def test_empty_graph_dot(self):
         assert export_dot(build_graph(make_zn(5))) == "graph {\n}\n"
+
+    def test_quotes_and_backslashes_in_labels_are_escaped(self):
+        graph = ZDGraph([0, 1], ['a"b', "c\\"], [[0, 1], [1, 0]])
+        assert export_dot(graph) == (
+            'graph {\n'
+            '  "a\\"b";\n'
+            '  "c\\\\";\n'
+            '  "a\\"b" -- "c\\\\";\n'
+            '}\n'
+        )

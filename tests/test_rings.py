@@ -217,6 +217,11 @@ class TestTableOwnership:
         with pytest.raises(ValueError, match=f"{which}_table entries out of range"):
             FiniteRing(5, add, mul, 0, 1, z5.labels)
 
+    def test_repeated_labels_are_rejected(self):
+        # "a" would name element 1 alone, so gen(a) could not reach element 0.
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            FiniteRing(2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, 1, ["a", "a"])
+
     def test_order_above_the_table_range_is_rejected_before_any_table(self):
         rings._check_table_order(MAX_TABLE_ORDER)
         with pytest.raises(ValueError, match="above 65536"):

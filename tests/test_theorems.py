@@ -652,6 +652,35 @@ class TestRingFacts:
         assert Status.COUNTEREXAMPLE not in {o.status for o in outcomes}
         assert peak < 44 * 2**20
 
+    @pytest.mark.parametrize("spec, ideal_spec", [("Z128", "full"), ("Z4096", "gen(1024)")])
+    def test_instance_holds_no_copy_of_the_product_form(self, spec, ideal_spec):
+        """The bytes an instance keeps after its ten checks and the
+        invariant pass, per carrier element, the base ring's facts read
+        first by an instance of the same pair.  The carrier holds the
+        product form once, as the uint16 ``plus`` (2 bytes an element),
+        and the key classes' intp ``class_of`` takes 8; an intp copy of
+        every element's two coordinates (16 more) breaks the bound."""
+        ring = parse_ring_spec(spec)
+        ideal = parse_ideal_spec(ring, ideal_spec)
+        base = RingFacts(ring)
+
+        def run(inst):
+            outcomes = [_evaluate(theorem, inst) for theorem in EXPECTED_ORDER]
+            assert Status.COUNTEREXAMPLE not in {o.status for o in outcomes}
+            assert instance_invariant_violations(inst) == []
+
+        run(Instance(ring, ideal, base))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            inst = Instance(ring, ideal, base)
+            run(inst)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / inst.carrier.order <= 25
+
 
 def _blas_thread_probe() -> int:
     """Threads of this worker after a matmul large enough for BLAS to use
