@@ -169,7 +169,7 @@ class DuplicationCarrier:
         k = len(self.members)
         self.order = base.order * k
         # (0, 0) and (1, 0): the ideal test has put 0 among the members.
-        at = int(np.searchsorted(self.members, base.zero))
+        at = int(self.members.searchsorted(base.zero))
         self.zero, self.one = base.zero * k + at, base.one * k + at
 
     @cached_fact
@@ -187,7 +187,7 @@ class DuplicationCarrier:
     def index_of(self, r: int, i: int) -> int:
         """Encode base-ring element indices (r, i) with i in the ideal."""
         members = self.members
-        t = int(np.searchsorted(members, i))
+        t = int(members.searchsorted(i))
         if t == len(members) or members[t] != i:
             raise ValueError(f"{self.base.labels[i]} is not a member of the ideal")
         return r * len(members) + t
@@ -288,7 +288,7 @@ def matches_idealization(dup: DuplicationCarrier) -> bool:
         # [h, i, j]: (r+i)*j and r*j for the block's h-th first coordinate r.
         w_dup = times.take(plus[rows], axis=0)
         w_ideal = times[rows, None, :]
-        for h, i, j in zip(*np.nonzero(w_dup != w_ideal)):
+        for h, i, j in zip(*(w_dup != w_ideal).nonzero()):
             si = times[:, i]
             if (add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)).any():
                 return False
@@ -381,7 +381,7 @@ def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarr
     class out[a] less one if v itself is outside.  Raises ValueError when
     an element of ``elems`` is not a vertex."""
     class_of = classes.class_of
-    at = class_of[elems]
+    at = class_of[elems].astype(np.intp)
     if (at < 0).any():
         raise ValueError("element index is not a vertex")
     inside = _mask(len(class_of), allowed[allowed < len(class_of)])

@@ -4,6 +4,11 @@ Exit codes: 0 success / all checks verified or vacuous, 1 counterexample or
 invariant violation, 2 usage or parse error, a duplication above the order
 limit, or an --out path that cannot be written, 3 a sweep worker process
 died (broken process pool), 4 out of memory.
+
+An --out path is opened before the command does any work, without writing
+to it, so a path that cannot be written fails at once; the report is
+written only when the command has computed it, so a command that fails
+leaves an existing file as it was and removes one it created.
 """
 
 from __future__ import annotations
@@ -34,6 +39,22 @@ class _OutError(Exception):
     """The --out path could not be written."""
 
 
+def _out_error(out_path: str, exc: OSError) -> _OutError:
+    return _OutError(f"cannot write --out '{out_path}': {exc.strerror}")
+
+
+def _claim_out(out_path: str) -> bool:
+    """Open the --out path for appending, which writes nothing, so that a
+    path that cannot be written fails before the command runs; True when
+    this created the file."""
+    created = not os.path.lexists(out_path)
+    try:
+        open(out_path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _out_error(out_path, exc) from None
+    return created
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -42,7 +63,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _OutError(f"cannot write --out '{out_path}': {exc.strerror}") from None
+        raise _out_error(out_path, exc) from None
 
 
 def _girth_json(g: int | float) -> int | str:
@@ -323,8 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An --out file that this run creates is removed unless the command
+    # returns; one that existed is written only by the command's _emit.
+    created = False
     try:
-        return args.func(args)
+        created = args.out is not None and _claim_out(args.out)
+        code = args.func(args)
+        created = False
+        return code
     except (SpecError, NotAnIdealError, DuplicationTooLargeError, _OutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,6 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 4
+    finally:
+        if created:
+            try:
+                os.remove(args.out)
+            except OSError:
+                pass
 
 
 if __name__ == "__main__":

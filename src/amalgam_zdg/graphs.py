@@ -104,7 +104,11 @@ class ZDGraph:
         adj.setflags(write=False)
         self.adjacency = adj
         self.ring = ring
-        self._pos = {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_fact
+    def _pos(self) -> dict[int, int]:
+        """Each vertex's position, built on first read."""
+        return {v: k for k, v in enumerate(self.vertices)}
 
     @cached_fact
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -117,31 +121,34 @@ class ZDGraph:
 
         Vertices are grouped by their adjacency rows with the diagonal set
         where a vertex is marked, compared byte for byte, and the classes
-        numbered in the order of their first vertex.  A ring's graph
-        marks x where x^2 = 0, so its classes are the annihilator classes
-        (Ann(x) minus 0); a graph with no ring marks none, so its classes
-        are its false twins.  Under any marking, since the adjacency is
-        symmetric, a marked class is a clique of true twins and an
-        unmarked one independent false twins.  ``class_of`` runs over the
-        element indices up to the largest vertex.
+        numbered in the order of their first vertex, which the grouping
+        records.  A ring's graph marks x where x^2 = 0, so its classes are
+        the annihilator classes (Ann(x) minus 0); a graph with no ring
+        marks none, so its classes are its false twins.  Under any
+        marking, since the adjacency is symmetric, a marked class is a
+        clique of true twins and an unmarked one independent false twins.
+        ``class_of`` runs over the element indices up to the largest
+        vertex, as int32.
         """
         packed = np.packbits(self.adjacency, axis=1)
-        marked = np.zeros(self.vertex_count, dtype=bool)
+        verts = np.array(self.vertices, dtype=np.intp)
+        marked = np.zeros(len(verts), dtype=bool)
         if self.ring is not None:
-            verts = np.array(self.vertices, dtype=np.intp)
-            marked = np.diagonal(self.ring.mul_table)[verts] == self.ring.zero
+            marked = self.ring.mul_table.diagonal()[verts] == self.ring.zero
             at = marked.nonzero()[0]
             packed[at, at // 8] |= (0x80 >> (at % 8)).astype(np.uint8)
-        number: dict[bytes, int] = {}
-        inverse = np.array(
-            [number.setdefault(row.tobytes(), len(number)) for row in packed], dtype=np.intp
-        )
-        sizes = np.bincount(inverse, minlength=len(number))
-        # Numbered in order of appearance, the classes' running maximum
-        # steps up exactly at each class's first vertex.
-        first = np.diff(np.maximum.accumulate(inverse), prepend=-1).nonzero()[0]
-        class_of = np.full(max(self.vertices, default=-1) + 1, -1, dtype=np.intp)
-        class_of[np.array(self.vertices, dtype=np.intp)] = inverse
+        # Each class's first row, keyed by the row's bytes, in order of
+        # appearance; every vertex's class is the number of its first row.
+        first_row: dict[bytes, int] = {}
+        firsts = [first_row.setdefault(row.tobytes(), v) for v, row in enumerate(packed)]
+        first = np.array(list(first_row.values()), dtype=np.intp)
+        number = np.zeros(len(verts), dtype=np.intp)
+        number[first] = np.arange(len(first))
+        inverse = number[firsts]
+        sizes = np.bincount(inverse, minlength=len(first))
+        class_of = np.empty(max(self.vertices, default=-1) + 1, dtype=np.int32)
+        class_of.fill(-1)
+        class_of[verts] = inverse
         q = self.adjacency.take(first, axis=0).take(first, axis=1)
         return ClassGraph(q, sizes, marked[first], class_of)
 
@@ -434,6 +441,8 @@ class ClassGraph:
     def universal_vertices(self) -> tuple[int, ...]:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
+        if not self.universal_classes.any():
+            return ()
         # A class of -1 is in none.
         in_universal = np.append(self.universal_classes, False)[self.class_of]
         return tuple(in_universal.nonzero()[0].tolist())

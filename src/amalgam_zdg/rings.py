@@ -148,7 +148,7 @@ class FiniteRing:
 
     @cached_fact
     def _neg_table(self) -> np.ndarray:
-        rows, cols = np.nonzero(self.add_table == self.zero)
+        rows, cols = (self.add_table == self.zero).nonzero()
         neg = np.empty(self.order, dtype=np.intp)
         neg[rows] = cols
         neg.setflags(write=False)
@@ -173,7 +173,7 @@ class FiniteRing:
     def _idempotent_mask(self) -> np.ndarray:
         """Read-only boolean mask over the elements, True exactly where
         x*x = x."""
-        idem = np.diagonal(self.mul_table) == np.arange(self.order)
+        idem = self.mul_table.diagonal() == np.arange(self.order)
         idem.setflags(write=False)
         return idem
 
@@ -410,13 +410,13 @@ def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, len(verts), step):
         rows = mul.take(verts[lo : lo + step], axis=0)
         np.equal(rows.take(verts, axis=1), zero, out=adj[lo : lo + step])
-    np.fill_diagonal(adj, False)
+    adj.flat[:: len(adj) + 1] = False
     return verts, adj
 
 
 def annihilator(ring: FiniteRing, a: int) -> Ideal:
     """Ann(a) = {r : r*a = 0}."""
-    members = np.nonzero(ring.mul_table[:, a] == ring.zero)[0]
+    members = (ring.mul_table[:, a] == ring.zero).nonzero()[0]
     return Ideal(ring, frozenset(members.tolist()))
 
 
@@ -457,16 +457,16 @@ def _ideal_test(
         out.append("does not contain zero")
     # mask[...] by the uint16 tables, not mask.take: take would first widen
     # each order x |s| table into an intp copy four times its size.
-    bad = ~mask[sums]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    inside = mask[sums]
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
         out.append(
             f"not closed under addition: {lab[elems[int(i)]]} + {lab[elems[int(j)]]}"
             f" = {lab[int(sums[i, j])]} is outside"
         )
-    bad = ~mask[times]
-    if bad.any():
-        r, j = np.argwhere(bad)[0]
+    inside = mask[times]
+    if not inside.all():
+        r, j = np.argwhere(~inside)[0]
         out.append(
             f"not absorbing: {lab[int(r)]} * {lab[elems[int(j)]]}"
             f" = {lab[int(times[r, j])]} is outside"
@@ -493,11 +493,6 @@ def _multiples(ring: FiniteRing, a: int) -> np.ndarray:
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
     """(a) = {r*a : r in R}."""
     return Ideal(ring, frozenset(_multiples(ring, a).tolist()))
-
-
-def _ideal_order(members: frozenset[int]) -> tuple:
-    """Sort key of every ideal listing: by size, then by member indices."""
-    return len(members), tuple(sorted(members))
 
 
 def ideal_from_generators(ring: FiniteRing, generators: Iterable[int]) -> Ideal:
@@ -546,8 +541,8 @@ def _sums_with(
     n, width = ring.order, len(known)
     stacked = np.concatenate(lefts)
     rights = np.concatenate(known)
-    row_of = np.repeat(np.arange(len(lefts)) * (width * n), [len(m) for m in lefts])
-    offsets = np.repeat(np.arange(width) * n, [len(m) for m in known])
+    row_of = (np.arange(len(lefts)) * (width * n)).repeat([len(m) for m in lefts])
+    offsets = (np.arange(width) * n).repeat([len(m) for m in known])
     sums = np.zeros((len(lefts) * width, n), dtype=bool)
     step = max(1, _BLOCK_CELLS // max(n, len(rights)))
     for lo in range(0, len(stacked), step):
@@ -587,8 +582,7 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
                     ideals[key] = row.nonzero()[0]
                     fresh.append(ideals[key])
         frontier = fresh
-    found = [frozenset(m.tolist()) for m in ideals.values()]
-    return [Ideal(ring, m) for m in sorted(found, key=_ideal_order)]
+    return [Ideal(ring, m) for m in _sorted_members(ideals.values())]
 
 
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
@@ -627,19 +621,22 @@ def _primes_from_idempotents(
         idem = idem[square_fixed.take(c[idem])]
     idem = idem[idem != zero]
     # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
-    below = np.logical_and.reduce(
-        [mul.take(e, axis=0).take(e, axis=1) == e for e in (c[idem] for c in coords)]
-    )
+    below = True
+    for c in coords:
+        e = c[idem]
+        below = below & (mul.take(e, axis=0).take(e, axis=1) == e)
     primitive = idem[below.sum(axis=1) == 1]
     # masks[t, x]: x * primitive[t] is nilpotent.  A base element's flags
     # over the primitive idempotents are one record, read at every
     # element's coordinate by a 1-D fancy gather, which does not widen a
     # uint16 coordinate to intp.  A table that is no ring's may have no
     # primitive idempotent, and then no row.
-    masks = np.ones((len(coords[0]), len(primitive)), dtype=bool)
+    masks = np.empty((len(coords[0]), len(primitive)), dtype=bool)
+    masks.fill(True)
     if len(primitive):
+        record = np.dtype(f"V{len(primitive)}")
         for c in coords:
-            flags = nil.take(mul.take(c[primitive], axis=1)).view((np.void, len(primitive)))
+            flags = nil.take(mul.take(c[primitive], axis=1)).view(record)
             masks &= flags.ravel()[c].view(bool).reshape(masks.shape)
     return np.ascontiguousarray(masks.T)
 
@@ -657,10 +654,17 @@ def _minimal_rows(masks: np.ndarray) -> np.ndarray:
     return masks[~inside.any(axis=1)]
 
 
+def _sorted_members(arrays: Iterable[np.ndarray]) -> list[frozenset[int]]:
+    """The sets of distinct ascending index arrays, sorted by (size,
+    member indices): the order of every ideal listing.  Each array's
+    list is its own sort key."""
+    return [frozenset(m) for _, m in sorted([(len(m), m.tolist()) for m in arrays])]
+
+
 def _sorted_sets(masks: np.ndarray) -> list[frozenset[int]]:
     """The member sets of a boolean (sets, elements) matrix's rows, sorted
     by (size, member indices)."""
-    return sorted((frozenset(row.nonzero()[0].tolist()) for row in masks), key=_ideal_order)
+    return _sorted_members(row.nonzero()[0] for row in masks)
 
 
 def prime_ideals(ring: FiniteRing) -> list[Ideal]:

@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +70,16 @@ __all__ = [
 ]
 
 
+# Both enumerations hash their members by identity, as they compare, and
+# the sweep reads ``_value_``, the plain attribute behind ``value``: the
+# ``Enum`` hash and the ``value`` descriptor are Python functions, and
+# these are read on every outcome of every instance.
+
+
 class TheoremId(enum.Enum):
     """Closed enumeration of the statements tracked by this harness."""
+
+    __hash__ = object.__hash__
 
     P2_1A = "P2.1a"
     P2_1B = "P2.1b"
@@ -90,6 +98,8 @@ class TheoremId(enum.Enum):
 
 
 class Status(enum.Enum):
+    __hash__ = object.__hash__
+
     VERIFIED = "verified"
     VACUOUS = "vacuous"
     COUNTEREXAMPLE = "counterexample"
@@ -99,14 +109,15 @@ class PreconditionError(Exception):
     """A check was invoked outside its stated preconditions."""
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     """Result of one check on one (ring, ideal) instance.
 
     ``status`` is derived by ``_evaluate``: counterexample iff the
     hypotheses hold and the conclusion fails, vacuous iff the hypotheses
     fail.  ``witness`` names counterexample evidence by element labels;
     ``note`` carries measured values or the reason a check was vacuous.
+    An immutable tuple: a frozen dataclass would set each field by
+    ``object.__setattr__``, one call per field of every outcome.
     """
 
     theorem: TheoremId
@@ -117,7 +128,7 @@ class VerificationOutcome:
     def to_json_dict(self) -> dict:
         """The outcome's entry in a JSON report: theorem and status, and
         the witness and note when present."""
-        entry: dict = {"theorem": self.theorem.value, "status": self.status.value}
+        entry: dict = {"theorem": self.theorem._value_, "status": self.status._value_}
         if self.witness is not None:
             entry["witness"] = self.witness
         if self.note is not None:
@@ -164,8 +175,10 @@ def _key_classes(cls: np.ndarray, rel: np.ndarray, second: np.ndarray) -> ClassG
     on_graph = present[at]
     q = related.take(at, axis=0).take(at, axis=1)
     clique = q.diagonal().copy()
-    np.fill_diagonal(q, False)
-    position = np.full(c * c, -1, dtype=np.intp)
+    q.flat[:: len(q) + 1] = False
+    # int32 numbers every class: there are fewer keys than carrier elements.
+    position = np.empty(c * c, dtype=np.int32)
+    position.fill(-1)
     position[on_graph] = np.arange(len(on_graph))
     return ClassGraph(q, counts[on_graph], clique, position[keys])
 
@@ -271,7 +284,7 @@ class RingFacts:
         if (mul[zero] != zero).any() or (mul[:, zero] != zero).any():
             raise ValueError(f"zero does not absorb every element of {ring.spec_name}")
         # One 2-D gather: a row gather first would copy |Z(R)| whole rows.
-        killed = mul[np.ix_(verts, regular)] == zero
+        killed = mul[verts[:, None], regular] == zero
         if killed.any():
             x, u = np.argwhere(killed)[0]
             raise ValueError(
@@ -279,7 +292,7 @@ class RingFacts:
                 f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
                 f"{ring.labels[regular[u]]} is not a zero-divisor"
             )
-        class_of = graph.classes.class_of[verts]
+        class_of = graph.classes.class_of[verts].astype(np.intp)
         cls = np.ones(ring.order, dtype=np.intp)
         cls[zero] = 0
         cls[verts] = 2 + class_of
@@ -369,13 +382,12 @@ def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
     b = inst.dup.girth == 4 or math.isinf(inst.dup.girth)
     mins = inst.carrier.minimal_prime_masks
     k1, k2 = inst.carrier.kernel_masks
-    same = np.array_equal
     c = (
         len(mins) == 2
         and (mins[0] & mins[1]).nonzero()[0].tolist() == [inst.carrier.zero]
-        and (
-            (same(mins[0], k1) and same(mins[1], k2))
-            or (same(mins[0], k2) and same(mins[1], k1))
+        and bool(
+            ((mins[0] == k1).all() and (mins[1] == k2).all())
+            or ((mins[0] == k2).all() and (mins[1] == k1).all())
         )
     )
     d = inst.dup.bipartition is not None
@@ -639,8 +651,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
 # Sweeps
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     ring: str
     ideal: tuple[str, ...]
     outcomes: tuple[VerificationOutcome, ...]
@@ -704,6 +715,14 @@ def _worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
 
 _encode = json.encoder.encode_basestring_ascii
 _STATUS_VALUES = tuple(status.value for status in Status)
+# Between the members of an outcome's JSON object, and after its last one.
+_SEP, _END = ",\n" + " " * 10, "\n" + " " * 8 + "}"
+# The "status" and "theorem" members of an outcome's JSON object.
+_STATUS_THEOREM_JSON = {
+    (status, theorem): f'"status": "{status.value}"{_SEP}"theorem": "{theorem.value}"'
+    for status in Status
+    for theorem in TheoremId
+}
 
 
 def _json_block(items: list[str], pad: int, brackets: str = "[]") -> str:
@@ -726,15 +745,15 @@ class SweepReport:
 
     @cached_fact
     def totals(self) -> dict[str, dict[str, int]]:
-        counts = {theorem.value: dict.fromkeys(_STATUS_VALUES, 0) for theorem in _REGISTRY}
+        counts = {theorem._value_: dict.fromkeys(_STATUS_VALUES, 0) for theorem in _REGISTRY}
         for record in self.instances:
             for outcome in record.outcomes:
-                counts[outcome.theorem.value][outcome.status.value] += 1
+                counts[outcome.theorem._value_][outcome.status._value_] += 1
         return counts
 
     @property
     def counterexample_count(self) -> int:
-        return sum(t[Status.COUNTEREXAMPLE.value] for t in self.totals.values())
+        return sum(t[Status.COUNTEREXAMPLE._value_] for t in self.totals.values())
 
     @property
     def succeeded(self) -> bool:
@@ -747,19 +766,16 @@ class SweepReport:
         ``json.dumps`` itself uses.  (``json.dumps`` with an indent runs
         its pure-Python encoder.)  An outcome always has a status and a
         theorem, so its object is written in one piece, as ``_json_block``
-        would lay it out."""
-        # Between the members of an outcome object, and after its last one.
-        sep, end = ",\n" + " " * 10, "\n" + " " * 8 + "}"
+        would lay it out, those two members from ``_STATUS_THEOREM_JSON``."""
+        sep, end = _SEP, _END
         instances = []
         for record in self.instances:
             outcomes = []
             for o in record.outcomes:
                 note = "" if o.note is None else f'"note": {_encode(o.note)}{sep}'
                 witness = "" if o.witness is None else f'{sep}"witness": {_encode(o.witness)}'
-                outcomes.append(
-                    f'{{{sep[1:]}{note}"status": "{o.status.value}"{sep}'
-                    f'"theorem": "{o.theorem.value}"{witness}{end}'
-                )
+                pair = _STATUS_THEOREM_JSON[o.status, o.theorem]
+                outcomes.append(f"{{{sep[1:]}{note}{pair}{witness}{end}")
             ideal = _json_block([_encode(label) for label in record.ideal], 8)
             members = [
                 f'"ideal": {ideal}',
@@ -795,8 +811,8 @@ class SweepReport:
                     [
                         record.ring,
                         ideal_text,
-                        o.theorem.value,
-                        o.status.value,
+                        o.theorem._value_,
+                        o.status._value_,
                         o.witness or "",
                         o.note or "",
                     ]

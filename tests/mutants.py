@@ -1,0 +1,180 @@
+"""Mutant gate: the checks must still be able to fail.
+
+Each entry plants one fault in a copy of the package: in ``module``, the
+exact ``snippet``, which must occur once, becomes ``replacement``.  The
+tests named in ``killers`` then run against the copy, and at least one of
+them must fail.  Before any mutant, the named tests run once against an
+unmutated copy and must all pass there.
+
+    python3 tests/mutants.py
+
+Exit code 0 when every mutant is killed; 1 when a mutant survives, when a
+snippet is missing or occurs more than once (a refactor must update the
+entry, not drop it), when a named test is not found, or when the named
+tests fail on the unmutated copy.  Pytest does not collect this file; it
+is slow, and CI runs it as its own step.  An entry is never deleted or
+weakened to make the gate pass.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = "amalgam_zdg"
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    snippet: str
+    replacement: str
+    killers: tuple[str, ...]
+
+
+# matches_idealization's test of the sums at a product w that differs.
+_SUMS_DIFFER = (
+    "            if (add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)).any():\n"
+)
+
+MUTANTS = (
+    Mutant(
+        "ideal test: closure under addition always holds",
+        "rings.py",
+        "    inside = mask[sums]\n",
+        "    inside = mask[sums] | True\n",
+        (
+            "tests/test_rings.py::TestIdeals::test_violation_messages_name_offenders",
+            "tests/test_amalgam.py::TestConstruction::test_non_ideal_is_rejected_with_detail",
+        ),
+    ),
+    Mutant(
+        "ideal test: absorption always holds",
+        "rings.py",
+        "    inside = mask[times]\n",
+        "    inside = mask[times] | True\n",
+        (
+            "tests/test_rings.py::TestIdeals"
+            "::test_additive_subgroup_that_does_not_absorb_is_refused",
+        ),
+    ),
+    Mutant(
+        "P2.1b comparator: a differing product decides without its sums",
+        "amalgam.py",
+        _SUMS_DIFFER,
+        "            if True:\n",
+        (
+            "tests/test_amalgam.py::TestIdealization"
+            "::test_comparator_compares_the_sums_where_products_differ",
+        ),
+    ),
+    Mutant(
+        "P2.1b comparator: the sums never differ",
+        "amalgam.py",
+        _SUMS_DIFFER,
+        "            if False:\n",
+        (
+            "tests/test_amalgam.py::TestIdealization"
+            "::test_comparator_matches_whole_tables_on_every_planted_cell",
+        ),
+    ),
+    Mutant(
+        "C3.4: the kernel minimal primes clause always holds",
+        "theorems.py",
+        "    c = (\n        len(mins) == 2\n",
+        "    c = True or (\n        len(mins) == 2\n",
+        (
+            "tests/test_falsifiability.py"
+            "::test_planted_minimal_prime_rows_make_c3_4_a_counterexample",
+        ),
+    ),
+    Mutant(
+        "evaluator: no zero-ideal precondition",
+        "theorems.py",
+        "        if theorem in _NONZERO_IDEAL_CHECKS and inst.ideal.is_zero:\n"
+        '            raise _Vacuous(f"precondition not met: {_ZERO_IDEAL}")\n',
+        "",
+        (
+            "tests/test_theorems.py::TestRunAll::test_zero_ideal_reports_precondition_notes",
+            "tests/test_theorems.py::TestSweep::test_all_filter_keeps_zero_ideal_with_notes",
+        ),
+    ),
+    Mutant(
+        "R2.3: the crossings always vanish",
+        "amalgam.py",
+        "    crossings = bool(\n",
+        "    crossings = True or bool(\n",
+        ("tests/test_falsifiability.py::test_planted_product_fails_r2_3_crossings",),
+    ),
+    Mutant(
+        "R2.3: the exclusive neighbours always hold",
+        "amalgam.py",
+        "        exclusive = first and second\n",
+        "        exclusive = True\n",
+        ("tests/test_falsifiability.py::test_planted_sum_fails_r2_3_exclusive_neighbors",),
+    ),
+)
+
+
+def run_tests(src: Path, node_ids) -> int:
+    """Pytest's exit code for ``node_ids`` with the package imported from
+    ``src``: 0 all passed, 1 some failed, anything else an error."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True).returncode
+
+
+def imported_from(src: Path) -> Path:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = f"import {PACKAGE}; print({PACKAGE}.__file__)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return Path(out.stdout.strip()).resolve().parent
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        src = Path(scratch) / "src"
+        package = src / PACKAGE
+        shutil.copytree(
+            ROOT / "src" / PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        if imported_from(src) != package.resolve():
+            print(f"error: {PACKAGE} is not imported from the copy in {src}")
+            return 1
+        killers = sorted({node for m in MUTANTS for node in m.killers})
+        code = run_tests(src, killers)
+        if code != 0:
+            print(f"error: the named tests do not pass unmutated (pytest exit {code})")
+            return 1
+        failed = 0
+        for mutant in MUTANTS:
+            path = package / mutant.module
+            original = path.read_text(encoding="utf-8")
+            found = original.count(mutant.snippet)
+            if found != 1:
+                print(f"MISSING  {mutant.name}: snippet found {found} times in {mutant.module}")
+                failed += 1
+                continue
+            path.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+            try:
+                code = run_tests(src, mutant.killers)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            if code == 1:
+                print(f"killed   {mutant.name}")
+            else:
+                verdict = "SURVIVED" if code == 0 else f"ERROR    (pytest exit {code})"
+                print(f"{verdict} {mutant.name}")
+                failed += 1
+        print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+        return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -268,6 +268,48 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv, target, reason):
     assert err == f"error: cannot write --out '{path}': {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("sweep", "--family", "Z6", "--workers", "1"), "sweep"),
+        (("analyze", "Z6", "--ideal", "full"), "_analysis_data"),
+        (("verify", "Z6", "--ideal", "full"), "run_all"),
+        (("export-dot", "Z6", "--ideal", "full"), "build_graph"),
+    ],
+    ids=["sweep", "analyze", "verify", "export-dot"],
+)
+def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, work):
+    """The --out path is opened before the command computes anything, so
+    an unwritable one fails with the same line while the work it would
+    have done is never called."""
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was opened")
+
+    monkeypatch.setattr(cli, work, never)
+    path = str(tmp_path / "missing" / "report.txt")
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out '{path}': No such file or directory\n"
+
+
+def test_failed_command_leaves_the_out_path_as_it_was(capsys, tmp_path):
+    """A command that fails after --out was opened writes nothing: an
+    existing file keeps its bytes, and a file the run created is removed."""
+    kept = tmp_path / "kept.txt"
+    kept.write_bytes(b"earlier report\n")
+    fresh = tmp_path / "fresh.txt"
+    for path in (kept, fresh):
+        code, out, err = run_cli(capsys, "sweep", "--family", "Z6,Zx", "--out", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        code, out, err = run_cli(capsys, "analyze", "Z256", "--ideal", "full", "--out", str(path))
+        assert code == 2 and out == "" and "above the limit" in err
+    assert kept.read_bytes() == b"earlier report\n"
+    assert not fresh.exists()
+    code, _, _ = run_cli(capsys, "analyze", "Z6", "--out", str(kept))
+    assert code == 0 and kept.read_text(encoding="utf-8").startswith("ring Z6")
+
+
 class TestExportDot:
     def test_base_graph_path(self, capsys):
         code, out, _ = run_cli(

@@ -397,6 +397,15 @@ class TestIdeals:
         assert any("not closed under addition" in line for line in report)
         assert not ideal_violations(r, {0, 3})
 
+    def test_additive_subgroup_that_does_not_absorb_is_refused(self):
+        # The diagonal of Z2 x Z2 is closed under addition, but
+        # (0,1) * (1,1) = (0,1) lies outside it.
+        r = product_ring([make_zn(2), make_zn(2)])
+        diagonal = {r.element_index("(0,0)"), r.element_index("(1,1)")}
+        assert ideal_violations(r, diagonal) == [
+            "not absorbing: (0,1) * (1,1) = (0,1) is outside"
+        ]
+
 
 class TestElementPredicates:
     def test_zset_square_zero(self):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import pickle
 import sys
 import tracemalloc
 import weakref
@@ -42,6 +43,7 @@ from amalgam_zdg.theorems import (
     _BLAS_THREAD_VARS,
     _evaluate,
     _graph_invariant_violations,
+    _sweep_ring,
     _worker_pool,
 )
 from oracles import dumps_report, report_json_dict
@@ -401,6 +403,38 @@ class TestSweep:
             assert written == dumps_report(report, generated_at)
             assert written.isascii()
 
+    def test_sweep_and_report_run_no_enum_frame(self):
+        """The sweep and its JSON report read the members' ``_value_`` and
+        hash them by identity, so no frame of the ``enum`` module runs:
+        its ``value`` descriptor and ``Enum.__hash__`` are Python."""
+        sweep(["Z12"]).to_json()
+        files = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                files.add(os.path.basename(frame.f_code.co_filename))
+
+        sys.setprofile(profile)
+        try:
+            sweep(["Z12"]).to_json()
+        finally:
+            sys.setprofile(None)
+        assert "theorems.py" in files
+        assert "enum.py" not in files
+
+    def test_records_survive_a_pickle_round_trip(self):
+        """A pool worker's results come back pickled: every outcome and
+        record equals the original, with the same enum members."""
+        result = _sweep_ring("Z6", "all")
+        back = pickle.loads(pickle.dumps(result))
+        assert back == result
+        for record, copied in zip(result[0], back[0]):
+            assert type(copied) is InstanceRecord and copied == record
+            for outcome, twin in zip(record.outcomes, copied.outcomes):
+                assert type(twin) is VerificationOutcome and twin == outcome
+                assert twin.status is outcome.status and twin.theorem is outcome.theorem
+        assert any(o.witness for r in back[0] for o in r.outcomes)
+
     def test_csv_has_a_row_per_check(self):
         report = sweep(["Z4", "Z6"], "nonzero", workers=1)
         rows = report.to_csv().splitlines()
@@ -658,7 +692,7 @@ class TestRingFacts:
         invariant pass, per carrier element, the base ring's facts read
         first by an instance of the same pair.  The carrier holds the
         product form once, as the uint16 ``plus`` (2 bytes an element),
-        and the key classes' intp ``class_of`` takes 8; an intp copy of
+        and the key classes' int32 ``class_of`` takes 4; an intp copy of
         every element's two coordinates (16 more) breaks the bound."""
         ring = parse_ring_spec(spec)
         ideal = parse_ideal_spec(ring, ideal_spec)
@@ -680,6 +714,7 @@ class TestRingFacts:
         finally:
             tracemalloc.stop()
         assert held / inst.carrier.order <= 25
+        assert inst.dup.class_of.dtype == np.int32 == base.classes.class_of.dtype
 
 
 def _blas_thread_probe() -> int:
