@@ -521,7 +521,7 @@ def _principal_ideals(ring: FiniteRing) -> np.ndarray:
         member = np.zeros((len(block), n), dtype=bool)
         member[np.arange(len(block))[:, None], block] = True
         packed[lo : lo + step] = np.packbits(member, axis=1)
-    distinct = b"".join(dict.fromkeys(row.tobytes() for row in packed))
+    distinct = b"".join(dict.fromkeys([row.tobytes() for row in packed]))
     rows = np.frombuffer(distinct, dtype=np.uint8).reshape(-1, packed.shape[1])
     return np.unpackbits(rows, axis=1, count=n).view(bool)
 

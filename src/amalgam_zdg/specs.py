@@ -73,7 +73,7 @@ def _ring_moduli(text: str) -> list[int]:
     spec = text.strip()
     if not spec:
         raise SpecError("empty ring spec")
-    if any(ch.isspace() for ch in spec):
+    if any(map(str.isspace, spec)):
         raise SpecError(f"ring spec '{text}' contains whitespace")
     parts = spec.split("x")
     if len(parts) > 3:

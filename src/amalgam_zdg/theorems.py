@@ -680,7 +680,7 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
     violations: list[str] = []
     for ideal in ideals:
         inst = Instance(ring, ideal, base)
-        outcomes = tuple(_evaluate(theorem, inst) for theorem in _REGISTRY)
+        outcomes = tuple([_evaluate(theorem, inst) for theorem in _REGISTRY])
         violations.extend(instance_invariant_violations(inst))
         records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
     return records, violations
