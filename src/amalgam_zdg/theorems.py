@@ -176,7 +176,7 @@ def _key_classes(cls: np.ndarray, rel: np.ndarray, second: np.ndarray) -> ClassG
     q = related.take(at, axis=0).take(at, axis=1)
     clique = q.diagonal().copy()
     q.flat[:: len(q) + 1] = False
-    # int32 numbers every class: there are fewer keys than carrier elements.
+    # Class numbers fit int32: there are fewer classes than carrier elements.
     position = np.empty(c * c, dtype=np.int32)
     position.fill(-1)
     position[on_graph] = np.arange(len(on_graph))
