@@ -230,12 +230,10 @@ class DuplicationCarrier:
     def minimal_prime_masks(self) -> np.ndarray:
         """Boolean (minimal primes, carrier): the membership masks of the
         minimal prime ideals, by the primitive-idempotent rule of
-        ``prime_ideals`` applied to the product-form coordinates (r, r+i):
-        every fact it reads holds iff it holds in both coordinates of
-        R x R."""
-        n, k = self.plus.shape
-        coords = (np.arange(n).repeat(k), self.plus.ravel())
-        return _minimal_rows(_primes_from_idempotents(self.base, coords, self.zero))
+        ``prime_ideals`` applied to the product-form coordinates (r, r+i)
+        on the (n, k) grid of ``plus``: every fact it reads holds iff it
+        holds in both coordinates of R x R."""
+        return _minimal_rows(_primes_from_idempotents(self.base, self.plus))
 
     @property
     def minimal_primes(self) -> list[frozenset[int]]:

@@ -229,15 +229,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _resolve_workers(args: argparse.Namespace) -> int | None:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    name, workers = "--workers", args.workers
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return None
         try:
-            return int(env)
+            name, workers = WORKERS_ENV, int(env)
         except ValueError:
             raise SpecError(f"{WORKERS_ENV} must be an integer, got '{env}'") from None
-    return None
+    if workers < 1:
+        raise SpecError(f"{name} must be at least 1, got {workers}")
+    return workers
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -591,67 +591,63 @@ def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     elems = np.fromiter(members, dtype=np.intp)
     if ((elems < 0) | (elems >= ring.order)).any():
         return False
-    masks = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    masks = _primes_from_idempotents(ring, np.arange(ring.order)[:, None])
     return bool((masks == _mask(ring.order, elems)).all(axis=1).any())
 
 
-def _primes_from_idempotents(
-    ring: FiniteRing, coords: Sequence[np.ndarray], zero: int
-) -> np.ndarray:
+def _primes_from_idempotents(ring: FiniteRing, second: np.ndarray) -> np.ndarray:
     """Boolean (primes, elements): the membership masks of every prime
-    ideal of a finite commutative ring S, one row per primitive
-    idempotent, where S sits in a power of ``ring`` with componentwise
-    operations: element x of S has the coordinates c[x] for c in
-    ``coords``, index arrays over ``ring``, and ``zero`` is its zero.
-    ``ring`` itself is one coordinate, the identity; a duplication's
-    carrier is two.
+    ideal of a finite commutative subring S of R x R, R = ``ring``, one
+    row per primitive idempotent: element r*k + t of S has the
+    coordinates r and ``second[r, t]``, for an (n, k) index array over R.
+    R itself is the grid ``np.arange(n)[:, None]``; a duplication's
+    carrier is its ``plus``.
 
     A finite commutative ring is the product of local rings, one for each
     primitive idempotent e, so its primes are exactly the ideals
     M_e = {x : x*e nilpotent}.  A nonzero idempotent is primitive when no
     other nonzero idempotent f satisfies e*f = f.  Idempotency, e*f = f
-    and nilpotency of x*e all hold iff they hold in every coordinate, so
-    each is read off ``ring``'s table and nilpotent mask, one coordinate
-    at a time.  No ideal lattice is needed.
+    and nilpotency of x*e all hold iff they hold in both coordinates, so
+    each is read off R's table and nilpotent mask, on the (n, k) grid.
+    No ideal lattice is needed.
     """
     mul, nil, square_fixed = ring.mul_table, ring._nilpotent_mask, ring._idempotent_mask
-    # A later coordinate is read only where the earlier ones are idempotent.
-    idem = square_fixed[coords[0]].nonzero()[0]
-    for c in coords[1:]:
-        idem = idem[square_fixed.take(c[idem])]
-    idem = idem[idem != zero]
-    # below[a, b]: idem[a] * idem[b] == idem[b]; the diagonal is always set.
-    below = True
-    for c in coords:
-        e = c[idem]
-        below = below & (mul.take(e, axis=0).take(e, axis=1) == e)
-    primitive = idem[below.sum(axis=1) == 1]
-    # masks[t, x]: x * primitive[t] is nilpotent.  A base element's flags
-    # over the primitive idempotents are one record, read at every
-    # element's coordinate by a 1-D fancy gather, which does not widen a
-    # uint16 coordinate to intp.  A table that is no ring's may have no
-    # primitive idempotent, and then no row.
-    masks = np.empty((len(coords[0]), len(primitive)), dtype=bool)
-    masks.fill(True)
-    if len(primitive):
-        record = np.dtype(f"V{len(primitive)}")
-        for c in coords:
-            flags = nil.take(mul.take(c[primitive], axis=1)).view(record)
-            masks &= flags.ravel()[c].view(bool).reshape(masks.shape)
-    return np.ascontiguousarray(masks.T)
+    # Fancy indexing by uint16 tables, which take would widen to intp.  The
+    # grid is read only on the rows whose first coordinate is idempotent.
+    rows = square_fixed.nonzero()[0]
+    at, t = square_fixed[second[rows]].nonzero()
+    first, other = rows[at], second[rows[at], t]
+    nonzero = (first != ring.zero) | (other != ring.zero)
+    idem = (first[nonzero], other[nonzero])
+    # below[a, b]: idempotent a times b is b, in each coordinate, off a 2-D
+    # gather of the idempotents' block of the table; the diagonal is set.
+    below = [mul[e[:, None], e] == e for e in idem]
+    primitive = (below[0] & below[1]).sum(axis=1) == 1
+    # f[x, p]: x times primitive p's coordinate is nilpotent.  A table that
+    # is no ring's may have no primitive idempotent, and then no row.
+    f1, f2 = [nil[mul.take(e[primitive], axis=1)] for e in idem]
+    masks = f2[second]
+    masks &= f1[:, None, :]
+    return np.ascontiguousarray(masks.reshape(second.size, -1).T)
 
 
 def _minimal_rows(masks: np.ndarray) -> np.ndarray:
     """The rows of a boolean (sets, elements) matrix whose set contains no
-    other one strictly, read off the containment counts: row b lies
-    inside row a when their common count is b's size.  Fewer than two
-    rows are returned as they are."""
+    other one strictly, counted on the rows packed eight elements a byte:
+    row b lies inside row a when their common bits number b's size.  The
+    pairwise count is a transient of sets**2 * elements / 8 bytes; a ring
+    of order N has at most log2(N) primes, one per nonzero factor, so at
+    the duplication order limit 2**14 it is at most 14**2 * 2048 bytes,
+    about 0.4 MB.  A matrix that loses no row is returned as it is."""
     if len(masks) < 2:
         return masks
-    sizes = masks.sum(axis=1)
-    common = masks.astype(np.intp) @ masks.T
-    inside = (common == sizes[None, :]) & (sizes[None, :] < sizes[:, None])
-    return masks[~inside.any(axis=1)]
+    packed = np.packbits(masks, axis=1)
+    sizes = np.bitwise_count(packed).sum(axis=1)
+    common = packed[:, None] & packed
+    common = np.bitwise_count(common, out=common).sum(axis=2)
+    inside = (common == sizes) & (sizes < sizes[:, None])
+    keep = ~inside.any(axis=1)
+    return masks if keep.all() else masks[keep]
 
 
 def _sorted_members(arrays: Iterable[np.ndarray]) -> list[frozenset[int]]:
@@ -671,5 +667,5 @@ def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every prime ideal, sorted by (size, member indices), from the
     ring's primitive idempotents (``_primes_from_idempotents``); the tests
     compare against a complement scan over the ideal lattice."""
-    masks = _primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    masks = _primes_from_idempotents(ring, np.arange(ring.order)[:, None])
     return [Ideal(ring, m) for m in _sorted_sets(masks)]

@@ -831,18 +831,19 @@ def sweep(
     read off each spec's moduli (ties in family order), so that no large
     ring starts last.  The report is assembled in family order regardless
     of worker count, so identical inputs produce byte-identical
-    serializations.
+    serializations.  A worker count below 1 raises ValueError; the pool
+    starts no more workers than there are rings or cores.
     """
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     specs = [ring_spec_name(spec) for spec in family]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
     if workers == 1 or len(specs) <= 1:
         results = [_sweep_ring(spec, ideal_filter) for spec in specs]
     else:
         start = sorted(range(len(specs)), key=lambda t: -math.prod(_ring_moduli(specs[t])))
         ordered = [specs[t] for t in start]
-        with _worker_pool(min(workers, len(specs))) as pool:
+        with _worker_pool(min(workers, len(specs), os.cpu_count() or 1)) as pool:
             done = dict(zip(start, pool.map(_sweep_ring, ordered, itertools.repeat(ideal_filter))))
         results = [done[t] for t in range(len(specs))]
     records: list[InstanceRecord] = []

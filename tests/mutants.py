@@ -119,6 +119,20 @@ MUTANTS = (
         "        exclusive = True\n",
         ("tests/test_falsifiability.py::test_planted_sum_fails_r2_3_exclusive_neighbors",),
     ),
+    Mutant(
+        "C3.4 minimality: every prime row is kept",
+        "rings.py",
+        "    return masks if keep.all() else masks[keep]\n",
+        "    return masks\n",
+        ("tests/test_rings.py::TestPrimes::test_minimal_rows_drop_strict_supersets_only",),
+    ),
+    Mutant(
+        "C3.4 primes: the masks drop their second-coordinate factor",
+        "rings.py",
+        "    masks = f2[second]\n",
+        "    masks = f2[second] | True\n",
+        ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
+    ),
 )
 
 

@@ -229,7 +229,7 @@ def _assert_primes_match_oracle(ring, rng: random.Random) -> None:
     oracle = complement_scan_primes(ring)
     assert [p.members for p in prime_ideals(ring)] == oracle, ring.spec_name
     minimal = [p for p in oracle if not any(q < p for q in oracle)]
-    masks = rings._primes_from_idempotents(ring, (np.arange(ring.order),), ring.zero)
+    masks = rings._primes_from_idempotents(ring, np.arange(ring.order)[:, None])
     assert rings._sorted_sets(rings._minimal_rows(masks)) == minimal, ring.spec_name
     candidates = [i.members for i in all_ideals(ring)] + [zero_divisors(ring)]
     for _ in range(3):

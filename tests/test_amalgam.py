@@ -380,6 +380,23 @@ class TestProjectionKernels:
         assert got == {kernel.members for kernel in kernel_ideals(a)}
         assert set(a.minimal_primes) == got
 
+    @pytest.mark.parametrize("spec", ["Z2xZ8xZ8", "Z128"])
+    def test_minimal_prime_masks_hold_no_wide_carrier_copy(self, spec):
+        """The primes are read on the (n, k) grid and their minimality on
+        packed bits: no intp copy of the carrier's indices or of its prime
+        rows, so the peak stays within 24 bytes a carrier element (6 and 2
+        rows of one byte an element here)."""
+        ring = parse_ring_spec(spec)
+        carrier = DuplicationCarrier(ring, Ideal(ring, frozenset(ring.elements())))
+        ring._nilpotent_mask, ring._idempotent_mask
+        tracemalloc.start()
+        try:
+            carrier.minimal_prime_masks
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * carrier.order
+
 
 class TestClassification:
     def test_z8_classes(self):

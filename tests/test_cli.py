@@ -205,6 +205,26 @@ class TestSweep:
         assert json.loads(out)["family"] == ["Z4", "Z6"]
 
     @pytest.mark.parametrize(
+        "flag, env, named",
+        [
+            (["--workers", "0"], None, "--workers must be at least 1, got 0"),
+            (["--workers", "-3"], None, "--workers must be at least 1, got -3"),
+            ([], "0", "AMALGAM_ZDG_WORKERS must be at least 1, got 0"),
+        ],
+        ids=["flag-zero", "flag-negative", "env-zero"],
+    )
+    def test_worker_count_below_one_exits_2(self, capsys, monkeypatch, flag, env, named):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", refuse)
+        if env is not None:
+            monkeypatch.setenv("AMALGAM_ZDG_WORKERS", env)
+        code, out, err = run_cli(capsys, "sweep", "--family", "Z6", *flag)
+        assert code == 2 and out == ""
+        assert err == f"error: {named}\n"
+
+    @pytest.mark.parametrize(
         "crash, code, message",
         [
             (BrokenProcessPool("a process terminated abruptly"), 3, "worker process died"),

@@ -469,6 +469,44 @@ class TestSweep:
         assert pooled.family == tuple(family)
         assert pooled.to_json() == sweep(family, "nonzero", workers=1).to_json()
 
+    @pytest.mark.parametrize(
+        "requested, family, size",
+        [
+            (64, ["Z2", "Z3", "Z4", "Z5", "Z6"], 3),
+            (64, ["Z2", "Z3"], 2),
+            (None, ["Z2", "Z3", "Z4", "Z5", "Z6"], 3),
+            (2, ["Z2", "Z3", "Z4", "Z5", "Z6"], 2),
+        ],
+        ids=["cores", "rings", "default", "requested"],
+    )
+    def test_pool_starts_no_more_workers_than_cores_or_rings(
+        self, monkeypatch, requested, family, size
+    ):
+        sizes = []
+
+        class SerialPool:
+            def map(self, fn, specs, filters):
+                return map(fn, specs, filters)
+
+        @contextmanager
+        def recording_pool(workers):
+            sizes.append(workers)
+            yield SerialPool()
+
+        monkeypatch.setattr(theorems, "_worker_pool", recording_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sweep(family, "nonzero", workers=requested)
+        assert sizes == [size]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_refused(self, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ring was swept")
+
+        monkeypatch.setattr(theorems, "_sweep_ring", refuse)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            sweep(["Z2", "Z3"], "nonzero", workers=workers)
+
     def test_pool_workers_run_one_blas_thread(self):
         def blas_env():
             return {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
