@@ -25,6 +25,8 @@ from .rings import (
     TABLE_DTYPE,
     FiniteRing,
     Ideal,
+    _all,
+    _any,
     _ideal_test,
     _mask,
     _minimal_rows,
@@ -288,7 +290,7 @@ def matches_idealization(dup: DuplicationCarrier) -> bool:
         w_ideal = times[rows, None, :]
         for h, i, j in zip(*(w_dup != w_ideal).nonzero()):
             si = times[:, i]
-            if (add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)).any():
+            if _any(add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)):
                 return False
     return True
 
@@ -380,13 +382,13 @@ def _neighbours_inside(classes: ClassGraph, elems: np.ndarray, allowed: np.ndarr
     an element of ``elems`` is not a vertex."""
     class_of = classes.class_of
     at = class_of[elems].astype(np.intp)
-    if (at < 0).any():
+    if _any(at < 0):
         raise ValueError("element index is not a vertex")
     inside = _mask(len(class_of), allowed[allowed < len(class_of)])
     kept = class_of[inside]
     out = classes.sizes - np.bincount(kept[kept >= 0], minlength=len(classes.q))
     own = out[at] - ~inside[elems]
-    return not ((classes.q.take(at, axis=0) @ out).any() or (classes.clique[at] & (own > 0)).any())
+    return not (_any(classes.q.take(at, axis=0) @ out) or _any(classes.clique[at] & (own > 0)))
 
 
 def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:
@@ -398,7 +400,7 @@ def _edge_images_vanish(base: FiniteRing, graph: ZDGraph) -> bool:
     verts = np.array(graph.vertices, dtype=np.intp)
     zero = base.zero
     products = _products_vanish(base, verts[:, None], zero, verts[None, :], zero)
-    return bool(products[graph.adjacency].all())
+    return _all(products[graph.adjacency])
 
 
 def structure_checks(
@@ -441,10 +443,10 @@ def structure_checks(
     o1, o2 = dup._kernels
 
     # (0, i)(-j, j) for every pair of nonzero members i, j.
-    crossings = bool(
+    crossings = _all(
         _products_vanish(
             base, zero, nonzero_members[:, None], negated[None, :], nonzero_members[None, :]
-        ).all()
+        )
     )
 
     # The neighbours of (0, i) and (-i, i) for each member i outside Z(R)
@@ -452,7 +454,7 @@ def structure_checks(
     # there is nothing to check.
     regular = ~zd_mask[members]
     exclusive = True
-    if regular.any():
+    if _any(regular):
         first = _neighbours_inside(dup_classes, o1[regular], o2[nonzero])
         second = _neighbours_inside(dup_classes, o2[regular], o1[nonzero])
         exclusive = first and second
@@ -463,7 +465,7 @@ def structure_checks(
     # the graph.
     class_of = dup_classes.class_of
     images = base_vertices * k + (dup.zero - zero * k)
-    on_graph = bool((images < len(class_of)).all()) and bool((class_of[images] >= 0).all())
+    on_graph = _all(images < len(class_of)) and _all(class_of[images] >= 0)
     embeds = edge_images_vanish and on_graph
 
     return [

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .rings import _BLOCK_CELLS, FiniteRing, _zero_product_adjacency, cached_fact
+from .rings import _BLOCK_CELLS, FiniteRing, _all, _any, _zero_product_adjacency, cached_fact
 
 __all__ = [
     "DisconnectedGraphError",
@@ -53,14 +53,14 @@ def _symmetric_hollow(adj: np.ndarray) -> bool:
     is compared with the transpose of its mirror tile, so both stay in
     cache and no n x n temporary is allocated.
     """
-    if adj.diagonal().any():
+    if _any(adj.diagonal()):
         return False
     n = len(adj)
     side = max(1, math.isqrt(_BLOCK_CELLS))
     for lo in range(0, n, side):
         for co in range(lo, n, side):
             tile = adj[lo : lo + side, co : co + side]
-            if (tile != adj[co : co + side, lo : lo + side].T).any():
+            if _any(tile != adj[co : co + side, lo : lo + side].T):
                 return False
     return True
 
@@ -230,7 +230,7 @@ def _two_core(adjacency: np.ndarray) -> np.ndarray:
     degrees = adjacency.sum(axis=1)
     while True:
         drop = alive & (degrees <= 1)
-        if not drop.any():
+        if not _any(drop):
             return alive.nonzero()[0]
         alive &= ~drop
         degrees -= adjacency[drop].sum(axis=0)
@@ -341,7 +341,7 @@ class ClassGraph:
             return 0
         if len(q) == 1 and clique[0]:
             return 1
-        if not q.any(axis=1).all():
+        if not _all(q.any(axis=1)):
             raise DisconnectedGraphError(
                 "zero-divisor graph has an isolated vertex; connectivity invariant violated"
             )
@@ -353,13 +353,13 @@ class ClassGraph:
             # A complete quotient has no open row, so reads no product.
             product = self._joined[open_rows] if steps == 1 else _boolean_product(before, q)
             grown = before | product
-            if (grown == before).all(axis=1).any():
+            if _any((grown == before).all(axis=1)):
                 raise DisconnectedGraphError(
                     "zero-divisor graph is disconnected; connectivity invariant violated"
                 )
             steps += 1
             before = grown[~grown.all(axis=1)]
-        if steps == 1 and ((sizes > 1) & ~clique).any():
+        if steps == 1 and _any((sizes > 1) & ~clique):
             return 2
         return steps
 
@@ -384,16 +384,16 @@ class ClassGraph:
         or infinity.
         """
         q, sizes, clique = self.q, self.sizes, self.clique
-        if (clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))).any():
+        if _any(clique & ((sizes >= 3) | ((sizes == 2) & q.any(axis=1)))):
             return 3
         joined = self._joined
-        if (joined & q).any():
+        if _any(joined & q):
             return 3
         degrees = q.sum(axis=1)
         paths = int((degrees * (degrees - 1)).sum()) // 2
-        pairs = (int(joined.sum()) - int(joined.diagonal().sum())) // 2
+        pairs = (np.count_nonzero(joined) - np.count_nonzero(joined.diagonal())) // 2
         twin_corner = (sizes > 1) & (q @ sizes >= 2)
-        if paths > pairs or twin_corner.any():
+        if paths > pairs or _any(twin_corner):
             return 4
         return _bfs_girth(q)
 
@@ -414,18 +414,18 @@ class ClassGraph:
         n = self.vertex_count
         if n <= 1 or self.girth == 3:
             return None
-        if (clique & (sizes > 1)).any():
+        if _any(clique & (sizes > 1)):
             return (1, 1) if n == 2 else None
         near = q[0]
         far = ~near
-        if not near.any():
+        if not _any(near):
             return None
         # The rows of each part, read against the part's own columns.
         near_rows = q.take(near.nonzero()[0], axis=0)
         far_rows = q.take(far.nonzero()[0], axis=0)
-        if (near_rows & near).any() or (far_rows & far).any():
+        if _any(near_rows & near) or _any(far_rows & far):
             return None
-        if not (far_rows | far).all():
+        if not _all(far_rows | far):
             return None
         return tuple(sorted((int(sizes[far].sum()), int(sizes[near].sum()))))  # type: ignore[return-value]
 
@@ -441,7 +441,7 @@ class ClassGraph:
     def universal_vertices(self) -> tuple[int, ...]:
         """Vertices adjacent to every other vertex: the members of the
         universal classes."""
-        if not self.universal_classes.any():
+        if not _any(self.universal_classes):
             return ()
         # A class of -1 is in none.
         in_universal = np.append(self.universal_classes, False)[self.class_of]
@@ -451,7 +451,7 @@ class ClassGraph:
     def complete(self) -> bool:
         """All distinct vertex pairs are adjacent (vacuous for <= 1): every
         class is universal."""
-        return bool(self.universal_classes.all())
+        return _all(self.universal_classes)
 
     @cached_fact
     def square_zero(self) -> bool:
@@ -460,7 +460,7 @@ class ClassGraph:
         annihilator or key classes, where a clique's members square to
         zero, and with 0 absorbing, which ``RingFacts.annihilator_classes``
         checks on the base ring, this is Z(R)^2 = 0."""
-        return self.complete and bool(self.clique.all())
+        return self.complete and _all(self.clique)
 
     @cached_fact
     def edge_count(self) -> int:

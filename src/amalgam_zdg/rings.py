@@ -177,6 +177,30 @@ class FiniteRing:
         idem.setflags(write=False)
         return idem
 
+    @cached_fact
+    def _prime_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What ``_primes_from_idempotents`` reads of the ring, whichever
+        subring of R x R it lists the primes of, as four read-only arrays:
+
+        - ``idempotents``: E, the x with x*x = x, ascending;
+        - ``position``: each element's place in E, -1 off it;
+        - ``below``: |E| x |E|, [a, b] says E[a]*E[b] = E[b];
+        - ``nil_times``: n x |E|, [x, a] says x*E[a] is nilpotent, held
+          column by column, so that a gather of columns is a gather of
+          whole rows of its transpose.
+        """
+        mul = self.mul_table
+        idempotents = self._idempotent_mask.nonzero()[0]
+        position = np.full(self.order, -1, dtype=np.intp)
+        position[idempotents] = np.arange(len(idempotents))
+        below = mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents
+        columns = mul.take(idempotents, axis=1)
+        nil_times = np.ascontiguousarray(self._nilpotent_mask[columns].T).T
+        table = (idempotents, position, below, nil_times)
+        for array in table:
+            array.setflags(write=False)
+        return table
+
     def label(self, a: int) -> str:
         return self.labels[a]
 
@@ -423,14 +447,14 @@ def annihilator(ring: FiniteRing, a: int) -> Ideal:
 def is_reduced(ring: FiniteRing) -> bool:
     """True iff the ring has no nonzero nilpotents."""
     nil = ring._nilpotent_mask
-    return int(nil.sum()) == int(nil[ring.zero])
+    return int(np.count_nonzero(nil)) == int(nil[ring.zero])
 
 
 def is_field(ring: FiniteRing) -> bool:
     """True iff every nonzero element has a multiplicative inverse."""
     invertible = (ring.mul_table == ring.one).any(axis=1)
     invertible[ring.zero] = True
-    return bool(invertible.all())
+    return _all(invertible)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +482,14 @@ def _ideal_test(
     # mask[...] by the uint16 tables, not mask.take: take would first widen
     # each order x |s| table into an intp copy four times its size.
     inside = mask[sums]
-    if not inside.all():
+    if not _all(inside):
         i, j = np.argwhere(~inside)[0]
         out.append(
             f"not closed under addition: {lab[elems[int(i)]]} + {lab[elems[int(j)]]}"
             f" = {lab[int(sums[i, j])]} is outside"
         )
     inside = mask[times]
-    if not inside.all():
+    if not _all(inside):
         r, j = np.argwhere(~inside)[0]
         out.append(
             f"not absorbing: {lab[int(r)]} * {lab[elems[int(j)]]}"
@@ -483,6 +507,21 @@ def _mask(order: int, elems: np.ndarray) -> np.ndarray:
     mask = np.zeros(order, dtype=bool)
     mask[elems] = True
     return mask
+
+
+# ndarray.any, all and sum run through numpy's Python-level wrappers; a
+# whole-array test is one np.count_nonzero call instead, and the sum of a
+# boolean mask is its count.  Reductions along an axis stay as they are.
+
+
+def _any(values: np.ndarray) -> bool:
+    """``values.any()``: some entry is nonzero."""
+    return int(np.count_nonzero(values)) > 0
+
+
+def _all(values: np.ndarray) -> bool:
+    """``values.all()``: every entry is nonzero."""
+    return int(np.count_nonzero(values)) == values.size
 
 
 def _multiples(ring: FiniteRing, a: int) -> np.ndarray:
@@ -589,10 +628,10 @@ def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     """True iff the set is one of the ring's prime ideals: its membership
     mask is a row of ``_primes_from_idempotents``."""
     elems = np.fromiter(members, dtype=np.intp)
-    if ((elems < 0) | (elems >= ring.order)).any():
+    if _any((elems < 0) | (elems >= ring.order)):
         return False
     masks = _primes_from_idempotents(ring, np.arange(ring.order)[:, None])
-    return bool((masks == _mask(ring.order, elems)).all(axis=1).any())
+    return _any((masks == _mask(ring.order, elems)).all(axis=1))
 
 
 def _primes_from_idempotents(ring: FiniteRing, second: np.ndarray) -> np.ndarray:
@@ -608,33 +647,39 @@ def _primes_from_idempotents(ring: FiniteRing, second: np.ndarray) -> np.ndarray
     M_e = {x : x*e nilpotent}.  A nonzero idempotent is primitive when no
     other nonzero idempotent f satisfies e*f = f.  Idempotency, e*f = f
     and nilpotency of x*e all hold iff they hold in both coordinates, so
-    each is read off R's table and nilpotent mask, on the (n, k) grid.
-    No ideal lattice is needed.
+    each is read off R's prime table (``FiniteRing._prime_table``), which
+    is computed once per ring; a call pays only for its own grid: the
+    idempotent pairs on it, the primitive test by table position, and one
+    column gather of the nilpotency table per coordinate.  No ideal
+    lattice is needed.
     """
-    mul, nil, square_fixed = ring.mul_table, ring._nilpotent_mask, ring._idempotent_mask
-    # Fancy indexing by uint16 tables, which take would widen to intp.  The
-    # grid is read only on the rows whose first coordinate is idempotent.
-    rows = square_fixed.nonzero()[0]
-    at, t = square_fixed[second[rows]].nonzero()
-    first, other = rows[at], second[rows[at], t]
-    nonzero = (first != ring.zero) | (other != ring.zero)
-    idem = (first[nonzero], other[nonzero])
-    # below[a, b]: idempotent a times b is b, in each coordinate, off a 2-D
-    # gather of the idempotents' block of the table; the diagonal is set.
-    below = [mul[e[:, None], e] == e for e in idem]
-    primitive = (below[0] & below[1]).sum(axis=1) == 1
-    # f[x, p]: x times primitive p's coordinate is nilpotent.  A table that
-    # is no ring's may have no primitive idempotent, and then no row.
-    f1, f2 = [nil[mul.take(e[primitive], axis=1)] for e in idem]
-    masks = f2[second]
-    masks &= f1[:, None, :]
-    return np.ascontiguousarray(masks.reshape(second.size, -1).T)
+    idempotents, position, below, nil_times = ring._prime_table
+    # [a, t]: the place in E of second[E[a], t], -1 off E.  Fancy indexing
+    # by the uint16 grid, which take would widen to intp; the grid is read
+    # only on the rows whose first coordinate is idempotent, so a is the
+    # first coordinate's place too.
+    pairs = position[second[idempotents]]
+    a, t = (pairs >= 0).nonzero()
+    b = pairs[a, t]
+    zero = position[ring.zero]
+    nonzero = (a != zero) | (b != zero)
+    a, b = a[nonzero], b[nonzero]
+    # The diagonal of below is set, so a primitive pair is below itself only.
+    related = below.take(a, axis=0).take(a, axis=1) & below.take(b, axis=0).take(b, axis=1)
+    primitive = related.sum(axis=1) == 1
+    # Rows [p, x]: x times primitive p's coordinate is nilpotent.  A table
+    # that is no ring's may have no primitive idempotent, and then no row.
+    rows = nil_times.T
+    first = rows.take(a[primitive], axis=0)[:, :, None]
+    masks = first & rows.take(b[primitive], axis=0)[:, second]
+    return masks.reshape(len(masks), second.size)
 
 
 def _minimal_rows(masks: np.ndarray) -> np.ndarray:
     """The rows of a boolean (sets, elements) matrix whose set contains no
     other one strictly, counted on the rows packed eight elements a byte:
-    row b lies inside row a when their common bits number b's size.  The
+    row b lies inside row a when their common bits number b's size, its
+    count with itself.  The
     pairwise count is a transient of sets**2 * elements / 8 bytes; a ring
     of order N has at most log2(N) primes, one per nonzero factor, so at
     the duplication order limit 2**14 it is at most 14**2 * 2048 bytes,
@@ -642,12 +687,12 @@ def _minimal_rows(masks: np.ndarray) -> np.ndarray:
     if len(masks) < 2:
         return masks
     packed = np.packbits(masks, axis=1)
-    sizes = np.bitwise_count(packed).sum(axis=1)
     common = packed[:, None] & packed
     common = np.bitwise_count(common, out=common).sum(axis=2)
+    sizes = common.diagonal()
     inside = (common == sizes) & (sizes < sizes[:, None])
     keep = ~inside.any(axis=1)
-    return masks if keep.all() else masks[keep]
+    return masks if _all(keep) else masks[keep]
 
 
 def _sorted_members(arrays: Iterable[np.ndarray]) -> list[frozenset[int]]:

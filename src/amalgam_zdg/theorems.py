@@ -44,6 +44,8 @@ from .graphs import (
 from .rings import (
     FiniteRing,
     Ideal,
+    _all,
+    _any,
     _mask,
     all_ideals,
     annihilator,
@@ -208,7 +210,7 @@ class RingFacts:
         kills = self.ring.mul_table[zero] == zero
         kills[zero] = False
         vertices = frozenset(self.graph.vertices)
-        return vertices | {zero} if kills.any() else vertices
+        return vertices | {zero} if _any(kills) else vertices
 
     @cached_fact
     def zero_divisor_mask(self) -> np.ndarray:
@@ -252,9 +254,9 @@ class RingFacts:
         cls, rel = self.annihilator_classes
         killers = rel.take(np.bincount(cls, minlength=len(rel))[1:].nonzero()[0] + 1, axis=0)
         shared = (killers.T @ killers)[2:, 2:]
-        return bool(shared[self.classes.q].all())
+        return _all(shared[self.classes.q])
 
-    @property
+    @cached_fact
     def classes(self) -> ClassGraph:
         """The graph's classes: its annihilator classes.  R is R⋈{0}, whose
         element r has both coordinates r, so these are also its key
@@ -281,11 +283,11 @@ class RingFacts:
         regular[verts] = False
         regular[zero] = False
         regular = regular.nonzero()[0]
-        if (mul[zero] != zero).any() or (mul[:, zero] != zero).any():
+        if _any(mul[zero] != zero) or _any(mul[:, zero] != zero):
             raise ValueError(f"zero does not absorb every element of {ring.spec_name}")
         # One 2-D gather: a row gather first would copy |Z(R)| whole rows.
         killed = mul[verts[:, None], regular] == zero
-        if killed.any():
+        if _any(killed):
             x, u = np.argwhere(killed)[0]
             raise ValueError(
                 f"zero products of {ring.spec_name} are not symmetric: "
@@ -385,9 +387,9 @@ def _domain_equivalences(inst: Instance) -> tuple[bool, str]:
     c = (
         len(mins) == 2
         and (mins[0] & mins[1]).nonzero()[0].tolist() == [inst.carrier.zero]
-        and bool(
-            ((mins[0] == k1).all() and (mins[1] == k2).all())
-            or ((mins[0] == k2).all() and (mins[1] == k1).all())
+        and (
+            (_all(mins[0] == k1) and _all(mins[1] == k2))
+            or (_all(mins[0] == k2) and _all(mins[1] == k1))
         )
     )
     d = inst.dup.bipartition is not None
@@ -515,7 +517,7 @@ def _annihilators_meet_ideal(inst: Instance) -> tuple[bool, str] | tuple[bool, s
 def _universal_vertex_prime_zdivs(inst: Instance) -> tuple[bool, str]:
     """A universal vertex in the duplication graph forces Z(R) to be a
     prime ideal of the base ring (implication only)."""
-    if not inst.dup.universal_classes.any():
+    if not _any(inst.dup.universal_classes):
         raise _Vacuous("duplication graph has no universal vertex")
     holds = inst.base.zdivs_prime
     labels = inst.carrier.format_subset(inst.dup.universal_vertices)
@@ -621,14 +623,14 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     t1, t2, t3, t4 = classify_zero_divisors(carrier, inst.base.zero_divisor_mask)
     classified = t1 | t2 | t3 | t4
     classified[carrier.zero] = False
-    if (classified != (inst.dup.class_of >= 0)).any():
+    if _any(classified != (inst.dup.class_of >= 0)):
         out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
 
     # A reduced ring has 0 as its only nilpotent.
-    if (int(carrier.nilpotents.sum()) == 1) != inst.base.is_reduced:
+    if (np.count_nonzero(carrier.nilpotents) == 1) != inst.base.is_reduced:
         out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
 
-    square_zero = bool((carrier.times.take(carrier.members, axis=0) == inst.ring.zero).all())
+    square_zero = _all(carrier.times.take(carrier.members, axis=0) == inst.ring.zero)
     if square_zero != matches_idealization(carrier):
         out.append(
             f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
@@ -736,6 +738,20 @@ def _json_block(items: list[str], pad: int, brackets: str = "[]") -> str:
     return brackets[0] + inner[1:] + inner.join(items) + "\n" + " " * (pad - 2) + brackets[1]
 
 
+# Every report's totals hold every check and every status, so their block
+# is laid out once, keys sorted, with a %d where each count goes.
+_TOTALS_THEOREMS = sorted(theorem._value_ for theorem in _REGISTRY)
+_TOTALS_STATUSES = sorted(_STATUS_VALUES)
+_TOTALS_JSON = _json_block(
+    [
+        f'"{theorem}": ' + _json_block([f'"{status}": %d' for status in _TOTALS_STATUSES], 6, "{}")
+        for theorem in _TOTALS_THEOREMS
+    ],
+    4,
+    "{}",
+)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     family: tuple[str, ...]
@@ -766,7 +782,8 @@ class SweepReport:
         ``json.dumps`` itself uses.  (``json.dumps`` with an indent runs
         its pure-Python encoder.)  An outcome always has a status and a
         theorem, so its object is written in one piece, as ``_json_block``
-        would lay it out, those two members from ``_STATUS_THEOREM_JSON``."""
+        would lay it out, those two members from ``_STATUS_THEOREM_JSON``;
+        the totals fill the fixed layout ``_TOTALS_JSON``."""
         sep, end = _SEP, _END
         instances = []
         for record in self.instances:
@@ -783,11 +800,8 @@ class SweepReport:
                 f'"ring": {_encode(record.ring)}',
             ]
             instances.append(_json_block(members, 6, "{}"))
-        totals = [
-            f'"{theorem}": '
-            + _json_block([f'"{s}": {n}' for s, n in sorted(counts.items())], 6, "{}")
-            for theorem, counts in sorted(self.totals.items())
-        ]
+        totals = self.totals
+        counts = tuple([totals[t][s] for t in _TOTALS_THEOREMS for s in _TOTALS_STATUSES])
         violations = [_encode(v) for v in self.invariant_violations]
         members = [f'"family": {_json_block([_encode(s) for s in self.family], 4)}']
         if generated_at is not None:
@@ -796,7 +810,7 @@ class SweepReport:
             f'"ideal_filter": {_encode(self.ideal_filter)}',
             f'"instances": {_json_block(instances, 4)}',
             f'"invariant_violations": {_json_block(violations, 4)}',
-            f'"totals": {_json_block(totals, 4, "{}")}',
+            f'"totals": {_TOTALS_JSON % counts}',
         ]
         return _json_block(members, 2, "{}") + "\n"
 

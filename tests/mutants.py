@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
 
 # matches_idealization's test of the sums at a product w that differs.
 _SUMS_DIFFER = (
-    "            if (add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)).any():\n"
+    "            if _any(add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)):\n"
 )
 
 MUTANTS = (
@@ -108,8 +108,8 @@ MUTANTS = (
     Mutant(
         "R2.3: the crossings always vanish",
         "amalgam.py",
-        "    crossings = bool(\n",
-        "    crossings = True or bool(\n",
+        "    crossings = _all(\n",
+        "    crossings = True or _all(\n",
         ("tests/test_falsifiability.py::test_planted_product_fails_r2_3_crossings",),
     ),
     Mutant(
@@ -122,16 +122,43 @@ MUTANTS = (
     Mutant(
         "C3.4 minimality: every prime row is kept",
         "rings.py",
-        "    return masks if keep.all() else masks[keep]\n",
+        "    return masks if _all(keep) else masks[keep]\n",
         "    return masks\n",
         ("tests/test_rings.py::TestPrimes::test_minimal_rows_drop_strict_supersets_only",),
     ),
     Mutant(
         "C3.4 primes: the masks drop their second-coordinate factor",
         "rings.py",
-        "    masks = f2[second]\n",
-        "    masks = f2[second] | True\n",
+        "    masks = first & rows.take(b[primitive], axis=0)[:, second]\n",
+        "    masks = first & (rows.take(b[primitive], axis=0)[:, second] | True)\n",
         ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
+    ),
+    Mutant(
+        "C3.4 primes: every idempotent pair passes the primitive test",
+        "rings.py",
+        "    primitive = related.sum(axis=1) == 1\n",
+        "    primitive = related.sum(axis=1) >= 1\n",
+        (
+            "tests/test_rings.py::TestPrimes::test_minimal_primes_of_z6",
+            "tests/test_acceptance.py::test_duplication_primes_lift_base_primes",
+        ),
+    ),
+    Mutant(
+        "C3.4 primes: the prime table reads the pair relation transposed",
+        "rings.py",
+        "        below = mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents\n",
+        "        below = (mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents).T\n",
+        (
+            "tests/test_rings.py::TestPrimes::test_minimal_primes_of_z6",
+            "tests/test_acceptance.py::test_duplication_primes_lift_base_primes",
+        ),
+    ),
+    Mutant(
+        "count helpers: any needs two nonzero entries",
+        "rings.py",
+        "    return int(np.count_nonzero(values)) > 0\n",
+        "    return int(np.count_nonzero(values)) > 1\n",
+        ("tests/test_rings.py::TestCountHelpers::test_helpers_agree_with_ndarray_any_and_all",),
     ),
 )
 

@@ -13,6 +13,7 @@ from amalgam_zdg import (
     Ideal,
     NotAnIdealError,
     ZDGraph,
+    all_ideals,
     amalgamated_duplication,
     build_graph,
     classify_zero_divisors,
@@ -379,6 +380,23 @@ class TestProjectionKernels:
         got = {p.members for p in minimal_primes(a.ring)}
         assert got == {kernel.members for kernel in kernel_ideals(a)}
         assert set(a.minimal_primes) == got
+
+    def test_minimal_primes_match_the_materialized_ring_at_128_idempotents(self):
+        """Z6xZ6xZ30 has 2**7 = 128 idempotents, the most of any spec
+        within the order limit, so its prime table is the largest; along
+        its two smallest nonzero ideals the carrier's minimal primes, read
+        on the grid, equal those of the duplication's own tables.  Such an
+        ideal lies outside one of the ring's seven primes, whose two lifts
+        differ, so each duplication has eight."""
+        ring = parse_ring_spec("Z6xZ6xZ30")
+        assert len(ring._prime_table[0]) == 128
+        nonzero = [ideal for ideal in all_ideals(ring) if not ideal.is_zero]
+        for ideal in nonzero[:2]:
+            carrier = DuplicationCarrier(ring, ideal)
+            dup = amalgamated_duplication(ring, ideal)
+            expected = [p.members for p in minimal_primes(dup.ring)]
+            assert carrier.minimal_primes == expected, dup.ring.spec_name
+            assert len(expected) == 8, dup.ring.spec_name
 
     @pytest.mark.parametrize("spec", ["Z2xZ8xZ8", "Z128"])
     def test_minimal_prime_masks_hold_no_wide_carrier_copy(self, spec):

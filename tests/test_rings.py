@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from amalgam_zdg import (
     FiniteRing,
@@ -82,6 +83,26 @@ class TestCachedFact:
         mask = ring._idempotent_mask
         assert mask.nonzero()[0].tolist() == [x for x in range(12) if x * x % 12 == x]
         assert ring._idempotent_mask is mask and not mask.flags.writeable
+
+
+class TestCountHelpers:
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.bool_, np.int8, np.uint16, np.int64]),
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        )
+    )
+    @example(np.zeros(0, dtype=bool))
+    @example(np.zeros((3, 0), dtype=np.int64))
+    @example(np.array([0, 5, 0], dtype=np.int8))
+    @example(np.array([[True, True], [True, False]]))
+    @settings(deadline=None)
+    def test_helpers_agree_with_ndarray_any_and_all(self, values):
+        """The whole-array tests are one count each, with the answers of
+        ``ndarray.any`` and ``all`` on empty, integer and boolean arrays,
+        as Python bools."""
+        assert rings._any(values) is bool(values.any())
+        assert rings._all(values) is bool(values.all())
 
 
 class TestMakeZn:

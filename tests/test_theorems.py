@@ -447,6 +447,33 @@ class TestSweep:
         parallel = sweep(family, "nonzero", workers=2).to_json()
         assert serial == parallel
 
+    def test_prime_table_is_built_once_per_ring(self, monkeypatch):
+        """Every prime listing of a sweep reads its ring's one prime table:
+        C3.4's carrier primes on each nonzero ideal and P4.16's Z(R)
+        primality on Z16 alike."""
+        built, listed = [], []
+        build = FiniteRing._prime_table.func
+
+        def counted_build(ring):
+            built.append(ring.spec_name)
+            return build(ring)
+
+        counted = rings.cached_fact(counted_build)
+        counted.__set_name__(FiniteRing, "_prime_table")
+        monkeypatch.setattr(FiniteRing, "_prime_table", counted)
+        primes = rings._primes_from_idempotents
+
+        def counted_primes(ring, second):
+            listed.append(ring.spec_name)
+            return primes(ring, second)
+
+        for module in (rings, amalgam):
+            monkeypatch.setattr(module, "_primes_from_idempotents", counted_primes)
+        report = sweep(["Z30", "Z16"], workers=1)
+        assert report.succeeded and len(report.instances) == 11
+        assert sorted(built) == ["Z16", "Z30"]
+        assert (listed.count("Z30"), listed.count("Z16")) == (7, 5)
+
     def test_pool_starts_the_largest_rings_first(self, monkeypatch):
         """With workers > 1 the pool is handed the rings in descending
         order, equal orders in family order, and the report is put back
