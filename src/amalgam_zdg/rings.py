@@ -189,12 +189,11 @@ class FiniteRing:
           column by column, so that a gather of columns is a gather of
           whole rows of its transpose.
         """
-        mul = self.mul_table
         idempotents = self._idempotent_mask.nonzero()[0]
         position = np.full(self.order, -1, dtype=np.intp)
         position[idempotents] = np.arange(len(idempotents))
-        below = mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents
-        columns = mul.take(idempotents, axis=1)
+        columns = self.mul_table.take(idempotents, axis=1)
+        below = columns.take(idempotents, axis=0) == idempotents
         nil_times = np.ascontiguousarray(self._nilpotent_mask[columns].T).T
         table = (idempotents, position, below, nil_times)
         for array in table:
@@ -511,7 +510,7 @@ def _mask(order: int, elems: np.ndarray) -> np.ndarray:
 
 # ndarray.any, all and sum run through numpy's Python-level wrappers; a
 # whole-array test is one np.count_nonzero call instead, and the sum of a
-# boolean mask is its count.  Reductions along an axis stay as they are.
+# boolean mask is its count.  A reduction along an axis keeps the method.
 
 
 def _any(values: np.ndarray) -> bool:

@@ -146,8 +146,8 @@ MUTANTS = (
     Mutant(
         "C3.4 primes: the prime table reads the pair relation transposed",
         "rings.py",
-        "        below = mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents\n",
-        "        below = (mul.take(idempotents, axis=0).take(idempotents, axis=1) == idempotents).T\n",
+        "        below = columns.take(idempotents, axis=0) == idempotents\n",
+        "        below = (columns.take(idempotents, axis=0) == idempotents).T\n",
         (
             "tests/test_rings.py::TestPrimes::test_minimal_primes_of_z6",
             "tests/test_acceptance.py::test_duplication_primes_lift_base_primes",
