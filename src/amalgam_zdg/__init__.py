@@ -10,7 +10,6 @@ from .amalgam import (
     classify_zero_divisors,
     matches_idealization,
     structure_checks,
-    verify_product_embedding,
 )
 from .graphs import (
     ClassGraph,

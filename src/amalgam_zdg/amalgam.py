@@ -43,7 +43,6 @@ __all__ = [
     "AmalgamRing",
     "amalgamated_duplication",
     "matches_idealization",
-    "verify_product_embedding",
     "classify_zero_divisors",
     "structure_checks",
 ]
@@ -293,45 +292,6 @@ def matches_idealization(dup: DuplicationCarrier) -> bool:
             if _any(add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)):
                 return False
     return True
-
-
-def verify_product_embedding(amalgam: AmalgamRing) -> list[str]:
-    """Exhaustively check the product-form embedding (r,i) -> (r, r+i).
-
-    Empty list iff the map is injective, lands exactly on
-    {(a,b) : b-a in ideal}, and preserves both operations into R x R.
-    """
-    base, ring, members = amalgam.base, amalgam.ring, amalgam.members
-    f1 = np.repeat(np.arange(base.order), len(members))
-    f2 = base.add_table[f1, np.tile(members, base.order)]
-    out: list[str] = []
-
-    images = set(zip(f1.tolist(), f2.tolist()))
-    if len(images) != ring.order:
-        out.append("embedding is not injective")
-    member_mask = _mask(base.order, members)
-    expected = {
-        (int(x), int(y))
-        for x in range(base.order)
-        for y in range(base.order)
-        if member_mask[base.sub(y, x)]
-    }
-    if images != expected:
-        out.append("embedding image differs from {(a,b) : b-a in ideal}")
-
-    added = ring.add_table
-    if not (
-        np.array_equal(f1[added], base.add_table[f1[:, None], f1[None, :]])
-        and np.array_equal(f2[added], base.add_table[f2[:, None], f2[None, :]])
-    ):
-        out.append("embedding does not preserve addition")
-    multiplied = ring.mul_table
-    if not (
-        np.array_equal(f1[multiplied], base.mul_table[f1[:, None], f1[None, :]])
-        and np.array_equal(f2[multiplied], base.mul_table[f2[:, None], f2[None, :]])
-    ):
-        out.append("embedding does not preserve multiplication")
-    return out
 
 
 def classify_zero_divisors(

@@ -24,7 +24,6 @@ from concurrent.futures.process import BrokenProcessPool
 from .amalgam import (
     DuplicationTooLargeError,
     NotAnIdealError,
-    amalgamated_duplication,
     classify_zero_divisors,
 )
 from .graphs import ClassGraph, build_graph, export_dot
@@ -282,12 +281,14 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     ring = parse_ring_spec(args.ring)
     ideal = parse_ideal_spec(ring, args.ideal) if args.ideal is not None else None
     if args.base:
-        graph = build_graph(ring)
+        text = export_dot(build_graph(ring).classes, ring.label)
     elif ideal is None:
         raise SpecError("export-dot needs --ideal unless --base is given")
     else:
-        graph = build_graph(amalgamated_duplication(ring, ideal).ring)
-    _emit(export_dot(graph), args.out)
+        inst = Instance(ring, ideal)
+        carrier, classes = inst.carrier, inst.dup
+        text = export_dot(classes, carrier.label)
+    _emit(text, args.out)
     return 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,36 +66,31 @@ def _symmetric_hollow(adj: np.ndarray) -> bool:
 
 
 class ZDGraph:
-    """Immutable undirected graph with dense adjacency and labeled vertices.
+    """Immutable undirected graph with a dense adjacency.
 
-    Vertices are distinct element indices, which ``classes`` indexes by,
-    each with one label.  The adjacency is stored as a read-only C-ordered
-    boolean array.
-    ``build_graph`` hands over fresh tuples and a fresh array (``_owned``),
-    which are kept as they are; a caller's are converted and copied.  Either
-    way the adjacency must be symmetric with an empty diagonal, so a graph
-    read off a non-commutative table is refused.
+    Vertices are distinct element indices, which ``classes`` indexes by.
+    The adjacency is stored as a read-only C-ordered boolean array.
+    ``build_graph`` hands over a fresh tuple and a fresh array
+    (``_owned``), which are kept as they are; a caller's are converted and
+    copied.  Either way the adjacency must be symmetric with an empty
+    diagonal, so a graph read off a non-commutative table is refused.
     """
 
     def __init__(
         self,
         vertices: Sequence[int],
-        labels: Sequence[str],
         adjacency: np.ndarray,
         ring: FiniteRing | None = None,
         *,
         _owned: bool = False,
     ) -> None:
         if _owned:
-            self.vertices, self.labels, adj = vertices, labels, adjacency
+            self.vertices, adj = vertices, adjacency
         else:
             self.vertices = tuple(int(v) for v in vertices)
             distinct = len(set(self.vertices)) == len(self.vertices)
             if not distinct or min(self.vertices, default=0) < 0:
                 raise ValueError("vertices must be distinct nonnegative element indices")
-            self.labels = tuple(str(x) for x in labels)
-            if len(self.labels) != len(self.vertices):
-                raise ValueError("label list does not match the vertex list")
             adj = np.array(adjacency, dtype=bool, order="C")
         if adj.shape != (len(self.vertices), len(self.vertices)):
             raise ValueError("adjacency shape does not match the vertex list")
@@ -104,16 +99,6 @@ class ZDGraph:
         adj.setflags(write=False)
         self.adjacency = adj
         self.ring = ring
-
-    @cached_fact
-    def _pos(self) -> dict[int, int]:
-        """Each vertex's position, built on first read."""
-        return {v: k for k, v in enumerate(self.vertices)}
-
-    @cached_fact
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour positions of every vertex, built on first read."""
-        return tuple(tuple(row.nonzero()[0].tolist()) for row in self.adjacency)
 
     @cached_fact
     def classes(self) -> ClassGraph:
@@ -156,19 +141,6 @@ class ZDGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def position(self, elem: int) -> int:
-        try:
-            return self._pos[elem]
-        except KeyError:
-            raise ValueError(f"element index {elem} is not a vertex") from None
-
-    def edge_positions(self) -> Iterator[tuple[int, int]]:
-        """Each edge once, as a position pair (u, v) with u < v."""
-        for u in range(self.vertex_count):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield u, v
-
     def __repr__(self) -> str:
         name = self.ring.spec_name if self.ring is not None else "synthetic"
         return f"ZDGraph({name!r}, vertices={self.vertex_count})"
@@ -177,9 +149,7 @@ class ZDGraph:
 def build_graph(ring: FiniteRing) -> ZDGraph:
     """The zero-divisor graph of a ring, vertices in ascending element order."""
     verts, adj = _zero_product_adjacency(ring)
-    vertices = tuple(verts.tolist())
-    labels = tuple([ring.labels[v] for v in vertices])
-    return ZDGraph(vertices, labels, adj, ring, _owned=True)
+    return ZDGraph(tuple(verts.tolist()), adj, ring, _owned=True)
 
 
 # Boolean products whose inner dimension is at most this many classes run
@@ -484,10 +454,26 @@ def graph_invariants(graph: ZDGraph) -> ClassGraph:
     return graph.classes
 
 
-def export_dot(graph: ZDGraph) -> str:
-    """Deterministic DOT text: nodes in carrier order, each edge once, each
-    name a quoted DOT string with its backslashes and quotes escaped."""
-    names = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in graph.labels]
+def export_dot(classes: ClassGraph, label: Callable[[int], str]) -> str:
+    """Deterministic DOT text of the graph of ``classes``: nodes in
+    ascending vertex order, named by ``label``, each edge once from its
+    earlier end, each name a quoted DOT string with its backslashes and
+    quotes escaped.
+
+    Distinct vertices are joined when their classes are adjacent in ``q``
+    or are one clique class.  Each vertex's later neighbours are read off
+    its class's row of ``q`` at the later vertices' classes, so no
+    adjacency over the vertices is built.
+    """
+    q, clique = classes.q, classes.clique
+    of = classes.class_of[classes.vertices]
+    labels = map(label, classes.vertices.tolist())
+    names = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels]
     lines = ["graph {", *(f"  {name};" for name in names)]
-    lines += (f"  {names[u]} -- {names[v]};" for u, v in graph.edge_positions())
+    for u, a in enumerate(of.tolist()):
+        later = of[u + 1 :]
+        row = q[a].take(later)
+        if clique[a]:
+            row |= later == a
+        lines += (f"  {names[u]} -- {names[v]};" for v in (row.nonzero()[0] + u + 1).tolist())
     return "\n".join(lines) + "\n}\n"

@@ -36,11 +36,12 @@ __all__ = [
 MAX_RING_ORDER = 4096
 
 # The duplication of R along I has order |R|*|I|.  This limit is sized for
-# the table path, ``amalgamated_duplication`` (``export-dot`` and the
-# tests' oracles): its two uint16 tables take 512 MiB each at this order,
-# 1 GiB together, and its zero-divisor graph adds a boolean adjacency over
-# the nonzero zero-divisors, 144 MiB for Z128 along itself (12287
-# vertices).  The order is checked before any of its tables is allocated.
+# the table path, the library's ``amalgamated_duplication``, which the
+# tests' oracles and the benchmark's graph workload build and no command
+# does: its two uint16 tables take 512 MiB each at this order, 1 GiB
+# together, and its zero-divisor graph adds a boolean adjacency over the
+# nonzero zero-divisors, 144 MiB for Z128 along itself (12287 vertices).
+# The order is checked before any of its tables is allocated.
 MAX_DUPLICATION_ORDER = 16384
 
 _FACTOR_RE = re.compile(r"[Zz]([0-9]+)")

@@ -43,6 +43,13 @@ _SUMS_DIFFER = (
     "            if _any(add[w_dup[h, i, j]].take(si) != add[w_ideal[h, 0, j]].take(si)):\n"
 )
 
+# The DOT written from the classes against the table path's, and the
+# pinned bytes of export-dot.
+_DOT_KILLERS = (
+    "tests/test_graphs.py::TestDot::test_key_classes_match_the_table_path",
+    "tests/test_cli.py::TestExportDot::test_output_is_pinned",
+)
+
 MUTANTS = (
     Mutant(
         "ideal test: closure under addition always holds",
@@ -159,6 +166,20 @@ MUTANTS = (
         "    return int(np.count_nonzero(values)) > 0\n",
         "    return int(np.count_nonzero(values)) > 1\n",
         ("tests/test_rings.py::TestCountHelpers::test_helpers_agree_with_ndarray_any_and_all",),
+    ),
+    Mutant(
+        "export-dot: members of a clique class are never joined",
+        "graphs.py",
+        "        if clique[a]:\n            row |= later == a\n",
+        "",
+        _DOT_KILLERS,
+    ),
+    Mutant(
+        "export-dot: each vertex's edge row is read one vertex late",
+        "graphs.py",
+        "        later = of[u + 1 :]\n",
+        "        later = of[u + 2 :]\n",
+        _DOT_KILLERS,
     ),
 )
 

@@ -28,11 +28,14 @@ report's JSON is ``json.dumps`` of the report as a dict instead of the
 report's own writer.
 
 The library builds no idealization ring, measures no distance between two
-vertices, and has no joint annihilator or product-form image of one
-element; the tests read those from here: the idealization as a ring on
-the gathered tables, a distance from the Floyd-Warshall matrix, Ann(a, b)
-as two ``annihilator`` calls intersected, and (r, i) -> (r, r+i) from
-``pair_of``.
+vertices, and has no joint annihilator, product-form image of one element,
+check of the product-form embedding, or per-vertex neighbour list; the
+tests read those from here: the idealization as a ring on the gathered
+tables, a distance from the Floyd-Warshall matrix, Ann(a, b) as two
+``annihilator`` calls intersected, (r, i) -> (r, r+i) from ``pair_of``,
+the embedding checked on the duplication's tables, and neighbour lists
+and edges from the adjacency rows.  The library writes a graph's DOT from
+its classes; ``adjacency_dot`` writes it from a materialized adjacency.
 """
 
 from __future__ import annotations
@@ -105,6 +108,35 @@ def eye_mask_is_complete(graph: ZDGraph) -> bool:
     if n <= 1:
         return True
     return bool(graph.adjacency[~np.eye(n, dtype=bool)].all())
+
+
+def neighbour_lists(graph: ZDGraph) -> list[list[int]]:
+    """Neighbour positions of every vertex, one adjacency row each."""
+    return [np.flatnonzero(row).tolist() for row in graph.adjacency]
+
+
+def vertex_position(graph: ZDGraph, elem: int) -> int:
+    """The position of the vertex ``elem`` (an element index) in the
+    vertex list; ValueError for an element that is not a vertex."""
+    return list(graph.vertices).index(elem)
+
+
+def edge_positions(graph: ZDGraph) -> list[tuple[int, int]]:
+    """Each edge once, as a position pair (u, v) with u < v, in row-major
+    order of the adjacency's upper triangle."""
+    return [(int(u), int(v)) for u, v in np.argwhere(np.triu(graph.adjacency))]
+
+
+def adjacency_dot(graph: ZDGraph) -> str:
+    """The DOT text ``export_dot`` writes, from a materialized graph of a
+    ring: nodes in vertex order named by the ring's labels, then each edge
+    of the adjacency's upper triangle, escaped by ``json.dumps``, which
+    escapes a backslash and a quote as DOT does and leaves the ASCII
+    labels of this library as they are."""
+    names = [json.dumps(graph.ring.labels[v]) for v in graph.vertices]
+    lines = ["graph {", *(f"  {name};" for name in names)]
+    lines += (f"  {names[u]} -- {names[v]};" for u, v in edge_positions(graph))
+    return "\n".join(lines) + "\n}\n"
 
 
 def subset_scan_ideals(ring: FiniteRing) -> list[frozenset[int]]:
@@ -201,7 +233,7 @@ def floyd_warshall_distance(graph: ZDGraph, u: int, v: int) -> int | None:
     """Shortest-path length between the vertices u and v (element indices)
     from the all-pairs matrix; None if unreachable.  ValueError for an
     element that is not a vertex."""
-    d = floyd_warshall_distances(graph)[graph.position(u), graph.position(v)]
+    d = floyd_warshall_distances(graph)[vertex_position(graph, u), vertex_position(graph, v)]
     return None if math.isinf(d) else int(d)
 
 
@@ -217,7 +249,7 @@ def enumerate_cycles_girth(graph: ZDGraph) -> int | float:
     """Minimum length over all simple cycles, via exhaustive enumeration."""
     g = nx.Graph()
     g.add_nodes_from(range(graph.vertex_count))
-    g.add_edges_from(graph.edge_positions())
+    g.add_edges_from(edge_positions(graph))
     best: int | float = math.inf
     for cycle in nx.simple_cycles(g):
         best = min(best, len(cycle))
@@ -230,6 +262,7 @@ def bfs_diameter(graph: ZDGraph) -> int | None:
     n = graph.vertex_count
     if n == 0:
         return None
+    neighbors = neighbour_lists(graph)
     best = 0
     for source in range(n):
         depth = [-1] * n
@@ -237,7 +270,7 @@ def bfs_diameter(graph: ZDGraph) -> int | None:
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors[u]:
+            for w in neighbors[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
                     queue.append(w)
@@ -253,6 +286,7 @@ def bfs_girth(graph: ZDGraph) -> int | float:
     longer than that, and the minimum over all roots is exact."""
     best: int | float = math.inf
     n = graph.vertex_count
+    neighbors = neighbour_lists(graph)
     for root in range(n):
         depth = [-1] * n
         parent = [-1] * n
@@ -260,7 +294,7 @@ def bfs_girth(graph: ZDGraph) -> int | float:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors[u]:
+            for w in neighbors[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
                     parent[w] = u
@@ -352,6 +386,46 @@ def gather_idealization(base: FiniteRing, ideal) -> FiniteRing:
     return FiniteRing(base.order * k, add, mul, zero, one, labels, name)
 
 
+def verify_product_embedding(amalgam) -> list[str]:
+    """Exhaustively check the product-form embedding (r,i) -> (r, r+i).
+
+    Empty list iff the map is injective, lands exactly on
+    {(a,b) : b-a in ideal}, and preserves both operations into R x R.
+    """
+    base, ring, members = amalgam.base, amalgam.ring, amalgam.members
+    f1 = np.repeat(np.arange(base.order), len(members))
+    f2 = base.add_table[f1, np.tile(members, base.order)]
+    out: list[str] = []
+
+    images = set(zip(f1.tolist(), f2.tolist()))
+    if len(images) != ring.order:
+        out.append("embedding is not injective")
+    member_mask = np.zeros(base.order, dtype=bool)
+    member_mask[members] = True
+    expected = {
+        (int(x), int(y))
+        for x in range(base.order)
+        for y in range(base.order)
+        if member_mask[base.sub(y, x)]
+    }
+    if images != expected:
+        out.append("embedding image differs from {(a,b) : b-a in ideal}")
+
+    added = ring.add_table
+    if not (
+        np.array_equal(f1[added], base.add_table[f1[:, None], f1[None, :]])
+        and np.array_equal(f2[added], base.add_table[f2[:, None], f2[None, :]])
+    ):
+        out.append("embedding does not preserve addition")
+    multiplied = ring.mul_table
+    if not (
+        np.array_equal(f1[multiplied], base.mul_table[f1[:, None], f1[None, :]])
+        and np.array_equal(f2[multiplied], base.mul_table[f2[:, None], f2[None, :]])
+    ):
+        out.append("embedding does not preserve multiplication")
+    return out
+
+
 def kernel_ideals(amalgam) -> tuple[Ideal, Ideal]:
     """The projection kernels O1 = {(0, i)} and O2 = {(-i, i)} as ideals
     of the duplication ring, one ``index_of`` per member."""
@@ -405,7 +479,7 @@ def loop_classify_zero_divisors(amalgam) -> tuple[frozenset[int], ...]:
 def edge_loop_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
     """True iff Ann(a, b) != {0} for every edge {a, b}, one
     ``annihilator_pair`` call per edge."""
-    for u, v in graph.edge_positions():
+    for u, v in edge_positions(graph):
         a, b = graph.vertices[u], graph.vertices[v]
         if annihilator_pair(ring, a, b).members == {ring.zero}:
             return False
@@ -413,10 +487,12 @@ def edge_loop_share_annihilator(ring: FiniteRing, graph: ZDGraph) -> bool:
 
 
 def neighbor_count_universal_vertices(graph: ZDGraph) -> tuple[int, ...]:
-    """Vertices whose neighbour tuple holds every other vertex."""
+    """Vertices whose neighbour list holds every other vertex."""
     n = graph.vertex_count
     return tuple(
-        graph.vertices[u] for u in range(n) if len(graph.neighbors[u]) == n - 1
+        graph.vertices[u]
+        for u, neighbors in enumerate(neighbour_lists(graph))
+        if len(neighbors) == n - 1
     )
 
 
@@ -426,6 +502,7 @@ def bfs_complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
     n = graph.vertex_count
     if n <= 1:
         return None
+    neighbors = neighbour_lists(graph)
     color = [-1] * n
     for root in range(n):
         if color[root] >= 0:
@@ -434,7 +511,7 @@ def bfs_complete_bipartition(graph: ZDGraph) -> tuple[int, int] | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in graph.neighbors[u]:
+            for w in neighbors[u]:
                 if color[w] < 0:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -468,13 +545,14 @@ def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
     base_zd = zero_divisors(base)
     exclusive = True
     t1_set, t2_set = set(t1_nonzero), set(t2_nonzero)
+    dup_neighbors = neighbour_lists(dup_graph)
     for i in members:
         if i in base_zd:
             continue
         v1 = amalgam.index_of(zero, i)
         v2 = amalgam.index_of(base.neg(i), i)
-        nbrs1 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v1)]}
-        nbrs2 = {dup_graph.vertices[p] for p in dup_graph.neighbors[dup_graph.position(v2)]}
+        nbrs1 = {dup_graph.vertices[p] for p in dup_neighbors[vertex_position(dup_graph, v1)]}
+        nbrs2 = {dup_graph.vertices[p] for p in dup_neighbors[vertex_position(dup_graph, v2)]}
         if not (nbrs1 <= t2_set and nbrs2 <= t1_set):
             exclusive = False
             break
@@ -485,8 +563,8 @@ def loop_structure_checks(amalgam, base_graph: ZDGraph, dup_graph: ZDGraph):
     if not set(images.values()) <= dup_vertices:
         embeds = False
     else:
-        for a, x in enumerate(base_graph.vertices):
-            for b in base_graph.neighbors[a]:
+        for x, neighbors in zip(base_graph.vertices, neighbour_lists(base_graph)):
+            for b in neighbors:
                 y = base_graph.vertices[b]
                 if ring.mul(images[x], images[y]) != ring.zero:
                     embeds = False

