@@ -286,6 +286,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         raise SpecError("export-dot needs --ideal unless --base is given")
     else:
         inst = Instance(ring, ideal)
+        # The carrier first: it refuses an oversized duplication before the
+        # base ring's classes are built.
         carrier, classes = inst.carrier, inst.dup
         text = export_dot(classes, carrier.label)
     _emit(text, args.out)
