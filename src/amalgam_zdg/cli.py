@@ -123,7 +123,7 @@ def _analysis_data(ring: FiniteRing, ideal: Ideal | None) -> dict:
             "domain": base.is_domain,
             "reduced": base.is_reduced,
             "field": is_field(ring),
-            "graph": _graph_summary(base.classes, ring.label),
+            "graph": _graph_summary(base.graph.classes, ring.label),
         }
     }
     if ideal is not None:
@@ -279,13 +279,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     ring = parse_ring_spec(args.ring)
-    ideal = parse_ideal_spec(ring, args.ideal) if args.ideal is not None else None
     if args.base:
         text = export_dot(build_graph(ring).classes, ring.label)
-    elif ideal is None:
+    elif args.ideal is None:
         raise SpecError("export-dot needs --ideal unless --base is given")
     else:
-        inst = Instance(ring, ideal)
+        inst = Instance(ring, parse_ideal_spec(ring, args.ideal))
         # The carrier first: it refuses an oversized duplication before the
         # base ring's classes are built.
         carrier, classes = inst.carrier, inst.dup

@@ -170,14 +170,6 @@ class FiniteRing:
         return nil
 
     @cached_fact
-    def _idempotent_mask(self) -> np.ndarray:
-        """Read-only boolean mask over the elements, True exactly where
-        x*x = x."""
-        idem = self.mul_table.diagonal() == np.arange(self.order)
-        idem.setflags(write=False)
-        return idem
-
-    @cached_fact
     def _prime_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """What ``_primes_from_idempotents`` reads of the ring, whichever
         subring of R x R it lists the primes of, as four read-only arrays:
@@ -189,7 +181,7 @@ class FiniteRing:
           column by column, so that a gather of columns is a gather of
           whole rows of its transpose.
         """
-        idempotents = self._idempotent_mask.nonzero()[0]
+        idempotents = (self.mul_table.diagonal() == np.arange(self.order)).nonzero()[0]
         position = np.full(self.order, -1, dtype=np.intp)
         position[idempotents] = np.arange(len(idempotents))
         columns = self.mul_table.take(idempotents, axis=1)

@@ -83,10 +83,6 @@ class TheoremId(enum.Enum):
 
     __hash__ = object.__hash__
 
-    P2_1A = "P2.1a"
-    P2_1B = "P2.1b"
-    P2_2 = "P2.2"
-    R2_3 = "R2.3"
     C3_3 = "C3.3"
     C3_4 = "C3.4"
     T4_8 = "T4.8"
@@ -245,23 +241,17 @@ class RingFacts:
     @cached_fact
     def edges_share_annihilator(self) -> bool:
         """Both ends of every edge are killed by one nonzero element:
-        Ann(a) ∩ Ann(b) != 0 for each edge {a, b}, read on the annihilator
-        classes.  Two classes have such a common annihilator when some
-        class X of nonzero elements is related to both, which one boolean
-        product of ``rel`` over those X marks, so it must mark every pair
-        of classes adjacent in the quotient.  The other edges join two
-        members of one clique class, and either of them kills both."""
-        cls, rel = self.annihilator_classes
-        killers = rel.take(np.bincount(cls, minlength=len(rel))[1:].nonzero()[0] + 1, axis=0)
-        shared = (killers.T @ killers)[2:, 2:]
-        return _all(shared[self.classes.q])
-
-    @cached_fact
-    def classes(self) -> ClassGraph:
-        """The graph's classes: its annihilator classes.  R is R⋈{0}, whose
-        element r has both coordinates r, so these are also its key
-        classes (see ``_key_classes``)."""
-        return self.graph.classes
+        Ann(a) ∩ Ann(b) != 0 for each edge {a, b}, read on the graph's
+        classes.  Such an element is a vertex, and the members of class X
+        kill those of class a when X and a are adjacent or X = a is a
+        clique class: ``kills``.  Two classes have a common annihilator
+        when some X kills both, which one boolean product of ``kills``
+        marks, so it must mark every pair of classes adjacent in the
+        quotient.  The other edges join two members of one clique class,
+        and either of them kills both."""
+        classes = self.graph.classes
+        kills = classes.q | np.diag(classes.clique)
+        return _all((kills.T @ kills)[classes.q])
 
     @cached_fact
     def annihilator_classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -270,19 +260,23 @@ class RingFacts:
         members of classes a and b multiply to zero.
 
         Class 0 is {0}, class 1 the elements outside Z(R), and class 2 + c
-        the graph's class c (Ann(x) minus 0); ``rel`` is read off one
-        representative per class.  Both rest on x*y = 0 iff y*x = 0 over
-        all of R and on 0 absorbing, which the graph's symmetry check
-        covers only on Z(R) minus 0; the rest is checked here, and a table
-        that breaks either raises ValueError.
+        the graph's class c (Ann(x) minus 0).  0 is related to every
+        class, an element outside Z(R) to 0 only, and two graph classes
+        when they are adjacent or are one clique class.  R is R⋈{0}, whose
+        element r has both coordinates r, so these are also its key
+        classes (see ``_key_classes``).  All this rests on x*y = 0 iff
+        y*x = 0 over all of R and on 0 absorbing, which the graph's
+        symmetry check covers only on Z(R) minus 0; the rest is checked
+        here, and a table that breaks either raises ValueError.
         """
         ring, graph = self.ring, self.graph
+        classes = graph.classes
         mul, zero = ring.mul_table, ring.zero
         verts = np.array(graph.vertices, dtype=np.intp)
-        regular = np.ones(ring.order, dtype=bool)
-        regular[verts] = False
-        regular[zero] = False
-        regular = regular.nonzero()[0]
+        cls = np.ones(ring.order, dtype=np.intp)
+        cls[zero] = 0
+        cls[verts] = 2 + classes.class_of[verts]
+        regular = (cls == 1).nonzero()[0]
         if _any(mul[zero] != zero) or _any(mul[:, zero] != zero):
             raise ValueError(f"zero does not absorb every element of {ring.spec_name}")
         # One 2-D gather: a row gather first would copy |Z(R)| whole rows.
@@ -294,15 +288,10 @@ class RingFacts:
                 f"{ring.labels[verts[x]]}*{ring.labels[regular[u]]} = 0 but "
                 f"{ring.labels[regular[u]]} is not a zero-divisor"
             )
-        class_of = graph.classes.class_of[verts].astype(np.intp)
-        cls = np.ones(ring.order, dtype=np.intp)
-        cls[zero] = 0
-        cls[verts] = 2 + class_of
-        members = np.empty(len(graph.classes.q), dtype=np.intp)
-        members[class_of] = verts
-        # An empty class 1 (no element outside Z(R)) keeps 0 as a stand-in.
-        reps = np.concatenate(([zero, regular[0] if regular.size else zero], members))
-        return cls, mul.take(reps, axis=0).take(reps, axis=1) == zero
+        rel = np.zeros((2 + len(classes.q),) * 2, dtype=bool)
+        rel[0] = rel[:, 0] = True
+        rel[2:, 2:] = classes.q | np.diag(classes.clique)
+        return cls, rel
 
 
 class Instance:
@@ -416,7 +405,7 @@ def _completeness_equivalence(inst: Instance) -> tuple[bool, str]:
             "clauses fail"
         )
     a = inst.dup.complete
-    b = inst.base.classes.square_zero and inst.ideal_inside_zdivs
+    b = inst.base.graph.classes.square_zero and inst.ideal_inside_zdivs
     c = inst.dup.square_zero
     note = (
         f"complete = {a}, base square-zero with I inside Z(R) = {b}, "
@@ -445,7 +434,7 @@ def _ideal_zdivs_diam_three(inst: Instance) -> tuple[bool, str]:
 def _universal_vertex_diam_three(inst: Instance) -> tuple[bool, str]:
     """If the ideal escapes Z(R) and the base graph has a universal vertex,
     the duplication graph has diameter 3."""
-    universal = inst.base.classes.universal_vertices
+    universal = inst.base.graph.classes.universal_vertices
     if inst.ideal_inside_zdivs:
         raise _Vacuous("I lies inside Z(R)")
     if not universal:
@@ -570,8 +559,7 @@ def check(theorem: TheoremId, ring: FiniteRing, ideal: Ideal) -> VerificationOut
     """Apply the registered check for ``theorem`` to one (ring, ideal).
 
     Raises PreconditionError when the instance is outside the check's
-    preconditions, and KeyError for a statement that is not a registered
-    check (P2.1a, P2.1b, P2.2 and R2.3 are sweep invariants).
+    preconditions.
     """
     inst = Instance(ring, ideal)
     if theorem in _NONZERO_IDEAL_CHECKS and ideal.is_zero:
@@ -616,7 +604,7 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     out: list[str] = []
     carrier = inst.carrier
 
-    out.extend(_graph_invariant_violations(prefix, "base", inst.base.classes))
+    out.extend(_graph_invariant_violations(prefix, "base", inst.base.graph.classes))
     out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
@@ -624,27 +612,25 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
     classified = t1 | t2 | t3 | t4
     classified[carrier.zero] = False
     if _any(classified != (inst.dup.class_of >= 0)):
-        out.append(f"{prefix} {TheoremId.P2_2.value}: classification misses the zero-divisor set")
+        out.append(f"{prefix} P2.2: classification misses the zero-divisor set")
 
     # A reduced ring has 0 as its only nilpotent.
     if (np.count_nonzero(carrier.nilpotents) == 1) != inst.base.is_reduced:
-        out.append(f"{prefix} {TheoremId.P2_1A.value}: reducedness does not transfer")
+        out.append(f"{prefix} P2.1a: reducedness does not transfer")
 
     square_zero = _all(carrier.times.take(carrier.members, axis=0) == inst.ring.zero)
     if square_zero != matches_idealization(carrier):
-        out.append(
-            f"{prefix} {TheoremId.P2_1B.value}: square-zero ideal and table equality disagree"
-        )
+        out.append(f"{prefix} P2.1b: square-zero ideal and table equality disagree")
 
     failing = structure_checks(
         carrier,
         inst.base.zero_divisor_mask,
-        inst.base.classes.vertices,
+        inst.base.graph.classes.vertices,
         inst.dup,
         inst.base.edge_images_vanish,
     )
     if failing:
-        out.append(f"{prefix} {TheoremId.R2_3.value}: {', '.join(failing)} failed")
+        out.append(f"{prefix} R2.3: {', '.join(failing)} failed")
 
     return out
 
@@ -659,20 +645,18 @@ class InstanceRecord(NamedTuple):
     outcomes: tuple[VerificationOutcome, ...]
 
 
-def _filtered_ideals(ring: FiniteRing, ideal_filter: str) -> list[Ideal]:
-    ideals = all_ideals(ring)
-    if ideal_filter == "all":
-        return ideals
-    if ideal_filter == "nonzero":
-        return [i for i in ideals if not i.is_zero]
-    if ideal_filter == "proper":
-        return [i for i in ideals if not i.is_zero and not i.is_full]
-    raise ValueError(f"unknown ideal filter '{ideal_filter}'")
+# The ideals of a ring that each ideal filter keeps.
+_IDEAL_FILTERS: dict[str, Callable[[Ideal], bool]] = {
+    "all": lambda ideal: True,
+    "nonzero": lambda ideal: not ideal.is_zero,
+    "proper": lambda ideal: not ideal.is_zero and not ideal.is_full,
+}
 
 
 def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], list[str]]:
     ring = parse_ring_spec(spec)
-    ideals = _filtered_ideals(ring, ideal_filter)
+    keep = _IDEAL_FILTERS[ideal_filter]
+    ideals = [ideal for ideal in all_ideals(ring) if keep(ideal)]
     # Ideals come sorted by size, so a ring whose largest duplication is
     # above the order limit is refused before any of its instances runs.
     if ideals:
@@ -845,9 +829,12 @@ def sweep(
     read off each spec's moduli (ties in family order), so that no large
     ring starts last.  The report is assembled in family order regardless
     of worker count, so identical inputs produce byte-identical
-    serializations.  A worker count below 1 raises ValueError; the pool
-    starts no more workers than there are rings or cores.
+    serializations.  An unknown ideal filter or a worker count below 1
+    raises ValueError before any ring is built; the pool starts no more
+    workers than there are rings or cores.
     """
+    if ideal_filter not in _IDEAL_FILTERS:
+        raise ValueError(f"unknown ideal filter '{ideal_filter}'")
     workers = (os.cpu_count() or 1) if workers is None else int(workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -181,6 +181,41 @@ MUTANTS = (
         "        later = of[u + 2 :]\n",
         _DOT_KILLERS,
     ),
+    Mutant(
+        "annihilator classes: the clique classes are not related to themselves",
+        "theorems.py",
+        "        rel[2:, 2:] = classes.q | np.diag(classes.clique)\n",
+        "        rel[2:, 2:] = classes.q\n",
+        ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
+    ),
+    Mutant(
+        "P4.13 joint annihilators: a clique class does not kill itself",
+        "theorems.py",
+        "        kills = classes.q | np.diag(classes.clique)\n",
+        "        kills = classes.q\n",
+        ("tests/test_acceptance.py::test_vectorized_checks_match_loops",),
+    ),
+    Mutant(
+        "P2.1b comparator: the last block of first coordinates is dropped",
+        "amalgam.py",
+        "    for rows in [zero, *[slice(lo, lo + step) for lo in range(0, n, step)]]:\n",
+        "    for rows in [zero, *[slice(lo, lo + step) for lo in range(0, n - step, step)]]:\n",
+        ("tests/test_amalgam.py::TestIdealization::test_comparator_reads_the_last_block",),
+    ),
+    Mutant(
+        "diameter: the step count is capped at 3",
+        "graphs.py",
+        "        while len(before):\n",
+        "        while len(before) and steps < 3:\n",
+        ("tests/test_graphs.py::TestDiameter::test_no_cap_at_three",),
+    ),
+    Mutant(
+        "key classes: every size is one too large",
+        "theorems.py",
+        "    return ClassGraph(q, counts[on_graph], clique, position[keys])\n",
+        "    return ClassGraph(q, counts[on_graph] + 1, clique, position[keys])\n",
+        ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
+    ),
 )
 
 

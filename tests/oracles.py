@@ -20,7 +20,9 @@ off-diagonal ``eye`` mask instead of the one blocked zero-product pass for
 Z(R), the graph adjacency, Z(R)^2 = 0 and completeness.  A boolean
 product is an OR of ANDs cell by cell instead of numpy's boolean matmul or
 the four Russians, and a duplication's key classes come from ``np.unique``
-over its keys instead of a count over the whole key space.  Minimal
+over its keys instead of a count over the whole key space; the base
+ring's annihilator relation is read off ``mul_table`` at one
+representative per class instead of off its graph's classes.  Minimal
 primes are the primes that strictly contain no other member set, instead
 of containment counts over mask rows; the projection kernels are built
 with one ``index_of`` per member instead of index arithmetic; and a sweep
@@ -590,6 +592,14 @@ def brute_boolean_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         for j in range(right.shape[1]):
             out[i, j] = any(bool(a and b) for a, b in zip(left[i], right[:, j]))
     return out
+
+
+def representative_relation(ring: FiniteRing, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of ``cls`` that have members, ascending, and whether
+    the members of two of them multiply to zero, read off ``mul_table``
+    at one representative each, its first member."""
+    present, first = np.unique(cls, return_index=True)
+    return present, ring.mul_table[np.ix_(first, first)] == ring.zero
 
 
 def unique_key_classes(cls, rel, first, second):

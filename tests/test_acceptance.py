@@ -70,6 +70,7 @@ from oracles import (
     neighbor_count_universal_vertices,
     product_rep,
     reach_product_diameter,
+    representative_relation,
     square_girth,
     subset_scan_ideals,
     unique_key_classes,
@@ -206,10 +207,10 @@ def test_prime_square_golden(p):
         with under_a_second():
             ring = make_zn(p * p)
             ideal = parse_ideal_spec(ring, "full")
-            assert RingFacts(ring).classes.square_zero
+            assert RingFacts(ring).graph.classes.square_zero
             assert not ideal.members <= zero_divisors(ring)
             dup = amalgamated_duplication(ring, ideal)
-            assert not RingFacts(dup.ring).classes.square_zero
+            assert not RingFacts(dup.ring).graph.classes.square_zero
 
 
 def test_exhaustive_sweep_is_clean(sweep_report):
@@ -341,6 +342,26 @@ def test_vectorized_checks_match_loops(family_instances):
         assert len(seen_rings) == len(FAMILY) and shares == {True, False}
 
 
+def test_annihilator_relation_matches_one_representative_per_class(family_instances):
+    """``rel`` is read off the graph's classes.  On the classes that have
+    members it is the product table at one representative each, and x*y
+    is zero iff ``rel[cls[x], cls[y]]`` for every pair of elements, on
+    every base ring of the acceptance family and every duplication ring
+    of its nonzero ideals built on the table path."""
+    with criterion("oracles: annihilator relation against one representative per class"):
+        owners = {ring.spec_name: ring for ring, _ in family_instances}
+        for ring, ideal in family_instances:
+            dup = amalgamated_duplication(ring, ideal).ring
+            owners[dup.spec_name] = dup
+        for name, owner in owners.items():
+            cls, rel = RingFacts(owner).annihilator_classes
+            present, relation = representative_relation(owner, cls)
+            assert np.array_equal(rel[np.ix_(present, present)], relation), name
+            zero_products = owner.mul_table == owner.zero
+            assert np.array_equal(rel[cls[:, None], cls], zero_products), name
+        assert len(owners) == len(FAMILY) + len(family_instances) == 90
+
+
 def _complement(graph: ZDGraph) -> ZDGraph:
     adj = ~graph.adjacency
     np.fill_diagonal(adj, False)
@@ -398,7 +419,7 @@ def test_zero_product_pass_matches_gathers(family_instances, blocks, monkeypatch
                 square_zero = gather_zset_square_zero(owner)
                 graph = build_graph(owner)
                 facts = RingFacts(owner)
-                assert facts.classes.square_zero == square_zero, owner.spec_name
+                assert facts.graph.classes.square_zero == square_zero, owner.spec_name
                 assert zero_divisors(owner) == full_mask_zero_divisors(owner)
                 assert facts.zero_divisors == full_mask_zero_divisors(owner)
                 assert np.array_equal(facts.zero_divisor_mask, full_zero_divisor_mask(owner))
@@ -490,7 +511,7 @@ def test_bipartite_pattern_and_embedding(family_instances):
             checks = structure_checks(
                 dup,
                 base.zero_divisor_mask,
-                base.classes.vertices,
+                base.graph.classes.vertices,
                 build_graph(dup.ring).classes,
                 base.edge_images_vanish,
             )
@@ -553,7 +574,7 @@ def test_base_ring_classes_are_its_key_classes():
         for spec in FACTORED_FAMILY:
             ring = parse_ring_spec(spec)
             facts = RingFacts(ring)
-            classes, graph = facts.classes, facts.graph
+            classes, graph = facts.graph.classes, facts.graph
             index = np.arange(ring.order)
             keyed = _key_classes(*facts.annihilator_classes, index[:, None])
             verts = classes.vertices
@@ -587,7 +608,7 @@ def test_zero_ideal_duplication_is_the_base_ring():
         for spec in FACTORED_FAMILY:
             ring = parse_ring_spec(spec)
             inst = Instance(ring, next(i for i in all_ideals(ring) if i.is_zero))
-            base, dup = inst.base.classes, inst.dup
+            base, dup = inst.base.graph.classes, inst.dup
             assert [inst.carrier.index_of(r, ring.zero) for r in ring.elements()] == list(
                 ring.elements()
             ), spec
@@ -654,9 +675,7 @@ def test_factored_duplication_matches_the_materialized_graph():
                 assert graph_facts(classes) == graph_facts(graph.classes), name
                 edges = int(graph.adjacency.sum()) // 2
                 assert classes.edge_count == graph.classes.edge_count == edges, name
-                materialized = RingFacts(dup.ring)
-                materialized.graph = graph
-                assert classes.square_zero == materialized.classes.square_zero, name
+                assert classes.square_zero == graph.classes.square_zero, name
                 assert classes.square_zero == gather_zset_square_zero(dup.ring), name
                 assert (int(carrier.nilpotents.sum()) == 1) == is_reduced(dup.ring), name
                 assert carrier.minimal_primes == [
@@ -667,7 +686,7 @@ def test_factored_duplication_matches_the_materialized_graph():
                 checks = structure_checks(
                     carrier,
                     base.zero_divisor_mask,
-                    base.classes.vertices,
+                    base.graph.classes.vertices,
                     classes,
                     base.edge_images_vanish,
                 )

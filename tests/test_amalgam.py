@@ -56,7 +56,11 @@ def checks_of(a, graph=None):
     base = RingFacts(a.base)
     graph = build_graph(a.ring) if graph is None else graph
     return structure_checks(
-        a, base.zero_divisor_mask, base.classes.vertices, graph.classes, base.edge_images_vanish
+        a,
+        base.zero_divisor_mask,
+        base.graph.classes.vertices,
+        graph.classes,
+        base.edge_images_vanish,
     )
 
 
@@ -406,7 +410,7 @@ class TestProjectionKernels:
         rows of one byte an element here)."""
         ring = parse_ring_spec(spec)
         carrier = DuplicationCarrier(ring, Ideal(ring, frozenset(ring.elements())))
-        ring._nilpotent_mask, ring._idempotent_mask
+        ring._nilpotent_mask
         tracemalloc.start()
         try:
             carrier.minimal_prime_masks

@@ -365,6 +365,11 @@ class TestExportDot:
         code, out, _ = run_cli(capsys, "export-dot", "Z6", "--base")
         assert code == 0 and out == with_ideal
 
+    def test_base_graph_ignores_an_ideal_it_does_not_use(self, capsys):
+        _, base, _ = run_cli(capsys, "export-dot", "Z6", "--base")
+        code, out, err = run_cli(capsys, "export-dot", "Z6", "--base", "--ideal", "gen(7)")
+        assert (code, out, err) == (0, base, "")
+
     def test_duplication_graph_needs_an_ideal(self, capsys):
         code, out, err = run_cli(capsys, "export-dot", "Z6")
         assert code == 2 and out == ""

@@ -14,6 +14,7 @@ from amalgam_zdg import (
     ClassGraph,
     FiniteRing,
     Instance,
+    RingFacts,
     Status,
     TheoremId,
     build_graph,
@@ -23,6 +24,7 @@ from amalgam_zdg import (
     sweep,
 )
 from amalgam_zdg import amalgam, theorems
+from oracles import representative_relation
 
 
 def _instance(spec: str, ideal_spec: str) -> Instance:
@@ -226,6 +228,26 @@ def _planted_ring(spec: str, table: str, cell: tuple[int, int], value: int) -> F
     return FiniteRing(
         ring.order, tables["add"], tables["mul"], ring.zero, ring.one, ring.labels, f"{spec}*"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, table, cell, value",
+    [
+        ("Z6", "add", (0, 0), 3),
+        ("Z4", "mul", (2, 3), 0),
+        ("Z4", "mul", (1, 2), 3),
+        ("Z6", "add", (2, 2), 0),
+    ],
+)
+def test_planted_tables_relate_their_classes_as_their_representatives(spec, table, cell, value):
+    """The annihilator relation of each planted table above, read off its
+    graph's classes, is its product table at one representative per
+    class, and at every pair of elements."""
+    planted = _planted_ring(spec, table, cell, value)
+    cls, rel = RingFacts(planted).annihilator_classes
+    present, relation = representative_relation(planted, cls)
+    assert np.array_equal(rel[np.ix_(present, present)], relation)
+    assert np.array_equal(rel[cls[:, None], cls], planted.mul_table == planted.zero)
 
 
 def test_planted_product_fails_r2_3_crossings():

@@ -216,8 +216,8 @@ class TestZeroProductPass:
             facts = RingFacts(dup)
             graph = facts.graph
             facts.zero_divisors
-            facts.classes.square_zero
-            facts.classes.complete
+            facts.graph.classes.square_zero
+            facts.graph.classes.complete
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -235,10 +235,10 @@ class TestZeroProductPass:
 
         monkeypatch.setattr(graphs, "_zero_product_adjacency", spy)
         z8, z4 = RingFacts(make_zn(8)), RingFacts(make_zn(4))
-        assert z8.classes.square_zero is False
-        assert z4.classes.square_zero is True
+        assert z8.graph.classes.square_zero is False
+        assert z4.graph.classes.square_zero is True
         # Read again, and the graph too: no further pass.
-        assert z8.classes.square_zero is False and z8.graph.vertex_count == 3
+        assert z8.graph.classes.square_zero is False and z8.graph.vertex_count == 3
         assert passes == ["Z8", "Z4"]
 
 
@@ -702,7 +702,7 @@ class TestDot:
         for spec in family:
             ring = parse_ring_spec(spec)
             base = RingFacts(ring)
-            assert export_dot(base.classes, ring.label) == adjacency_dot(base.graph)
+            assert export_dot(base.graph.classes, ring.label) == adjacency_dot(base.graph)
             for ideal in all_ideals(ring):
                 inst = Instance(ring, ideal, base)
                 table_path = build_graph(amalgamated_duplication(ring, ideal).ring)

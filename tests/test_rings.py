@@ -78,11 +78,20 @@ class TestCachedFact:
         assert (fresh.fact, fresh.calls) == ("planted", 0)
         assert (read.fact, read.calls) == ("replanted", 1)
 
-    def test_idempotent_mask_is_read_only_and_cached(self):
+    def test_prime_table_is_read_only_and_cached(self):
+        """Each of the prime table's four arrays is what its docstring
+        says, read off the products of Z12, and none of them is writable."""
         ring = make_zn(12)
-        mask = ring._idempotent_mask
-        assert mask.nonzero()[0].tolist() == [x for x in range(12) if x * x % 12 == x]
-        assert ring._idempotent_mask is mask and not mask.flags.writeable
+        table = ring._prime_table
+        idempotents, position, below, nil_times = table
+        elems = [x for x in range(12) if x * x % 12 == x]
+        assert idempotents.tolist() == elems
+        assert position.tolist() == [elems.index(x) if x in elems else -1 for x in range(12)]
+        assert below.tolist() == [[e * f % 12 == f for f in elems] for e in elems]
+        nilpotent = [x for x in range(12) if x**12 % 12 == 0]
+        assert nil_times.tolist() == [[x * e % 12 in nilpotent for e in elems] for x in range(12)]
+        assert ring._prime_table is table
+        assert not any(array.flags.writeable for array in table)
 
 
 class TestCountHelpers:
@@ -430,9 +439,9 @@ class TestIdeals:
 
 class TestElementPredicates:
     def test_zset_square_zero(self):
-        assert RingFacts(make_zn(4)).classes.square_zero
-        assert RingFacts(make_zn(9)).classes.square_zero
-        assert not RingFacts(make_zn(6)).classes.square_zero
+        assert RingFacts(make_zn(4)).graph.classes.square_zero
+        assert RingFacts(make_zn(9)).graph.classes.square_zero
+        assert not RingFacts(make_zn(6)).graph.classes.square_zero
 
     def test_domain_reduced_field_trio(self):
         z6 = make_zn(6)

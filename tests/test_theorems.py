@@ -232,6 +232,9 @@ class TestUniversalVertexPrime:
 
 
 class TestRunAll:
+    def test_every_statement_is_a_registered_check(self):
+        assert set(TheoremId) == set(theorems._REGISTRY)
+
     def test_z6_half_ideal_produces_ten_outcomes(self):
         outs = run_all(*instance("Z6", "gen(3)"))
         assert [o.theorem for o in outs] == EXPECTED_ORDER
@@ -534,6 +537,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             sweep(["Z2", "Z3"], "nonzero", workers=workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_ideal_filter_is_refused_before_any_ring_or_pool(self, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(theorems, "parse_ring_spec", refuse)
+        monkeypatch.setattr(theorems, "_worker_pool", refuse)
+        with pytest.raises(ValueError, match="unknown ideal filter 'odd'"):
+            sweep(["Z4", "Z6"], "odd", workers=workers)
+
     def test_pool_workers_run_one_blas_thread(self):
         def blas_env():
             return {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
@@ -768,7 +781,7 @@ class TestRingFacts:
         finally:
             tracemalloc.stop()
         assert held / inst.carrier.order <= 25
-        assert inst.dup.class_of.dtype == np.int32 == base.classes.class_of.dtype
+        assert inst.dup.class_of.dtype == np.int32 == base.graph.classes.class_of.dtype
 
 
 def _blas_thread_probe() -> int:
