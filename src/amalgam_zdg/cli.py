@@ -29,9 +29,7 @@ from .amalgam import (
 from .graphs import ClassGraph, build_graph, export_dot
 from .rings import FiniteRing, Ideal, is_field
 from .specs import SpecError, expand_family, parse_ideal_spec, parse_ring_spec
-from .theorems import Instance, RingFacts, Status, run_all, sweep
-
-WORKERS_ENV = "AMALGAM_ZDG_WORKERS"
+from .theorems import _IDEAL_FILTERS, Instance, RingFacts, Status, run_all, sweep
 
 
 class _OutError(Exception):
@@ -227,24 +225,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if counterexamples else 0
 
 
-def _resolve_workers(args: argparse.Namespace) -> int | None:
-    name, workers = "--workers", args.workers
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return None
-        try:
-            name, workers = WORKERS_ENV, int(env)
-        except ValueError:
-            raise SpecError(f"{WORKERS_ENV} must be an integer, got '{env}'") from None
-    if workers < 1:
-        raise SpecError(f"{name} must be at least 1, got {workers}")
-    return workers
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     family = expand_family(args.family)
-    report = sweep(family, ideal_filter=args.ideals, workers=_resolve_workers(args))
+    if args.workers is not None and args.workers < 1:
+        raise SpecError(f"--workers must be at least 1, got {args.workers}")
+    report = sweep(family, ideal_filter=args.ideals, workers=args.workers)
     stamp = (
         datetime.datetime.now(datetime.timezone.utc).isoformat()
         if args.timestamps
@@ -321,14 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--family", required=True, help="comma list of specs; ranges like Z2..Z16"
     )
-    sweep_cmd.add_argument(
-        "--ideals", choices=("all", "nonzero", "proper"), default="nonzero"
-    )
+    sweep_cmd.add_argument("--ideals", choices=tuple(_IDEAL_FILTERS), default="nonzero")
     sweep_cmd.add_argument("--format", choices=("human", "json", "csv"), default="human")
     sweep_cmd.add_argument("--out")
-    sweep_cmd.add_argument(
-        "--workers", type=int, help=f"parallel workers (default: {WORKERS_ENV} or cores)"
-    )
+    sweep_cmd.add_argument("--workers", type=int, help="parallel workers (default: the core count)")
     sweep_cmd.add_argument(
         "--timestamps", action="store_true", help="include a generation timestamp"
     )

@@ -454,7 +454,12 @@ def is_field(ring: FiniteRing) -> bool:
 
 def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
     """Why a member set fails to be an ideal; empty list iff it is one."""
-    elems = np.array(sorted(frozenset(members)), dtype=np.intp)
+    given = sorted(frozenset(members))
+    # An index outside the tables would wrap (negative) or raise in the gathers.
+    for m in given:
+        if not 0 <= m < ring.order:
+            return [f"member {m} is outside 0..{ring.order - 1}"]
+    elems = np.array(given, dtype=np.intp)
     sums = ring.add_table.take(elems, axis=0).take(elems, axis=1)
     return _ideal_test(ring, elems, sums, ring.mul_table.take(elems, axis=1))
 
@@ -578,7 +583,8 @@ def _sums_with(
     for lo in range(0, len(stacked), step):
         block = ring.add_table.take(stacked[lo : lo + step], axis=0).take(rights, axis=1)
         at = block + offsets
-        at += row_of[lo : lo + step, None]
+        if len(lefts) > 1:  # with one left ideal every row offset is 0
+            at += row_of[lo : lo + step, None]
         sums.reshape(-1)[at] = True
     return sums
 

@@ -216,6 +216,20 @@ MUTANTS = (
         "    return ClassGraph(q, counts[on_graph] + 1, clique, position[keys])\n",
         ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
     ),
+    Mutant(
+        "four Russians over seven bits of eight",
+        "graphs.py",
+        "        for b in range(8):\n",
+        "        for b in range(7):\n",
+        ("tests/test_graphs.py::TestBooleanProduct::test_matches_a_brute_or_of_ands",),
+    ),
+    Mutant(
+        "C3.3: the conclusion always holds",
+        "theorems.py",
+        "    return all(clauses), f\"girth",
+        "    return True, f\"girth",
+        ("tests/test_falsifiability.py::test_planted_fact_makes_a_counterexample[C3.3]",),
+    ),
 )
 
 

@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from amalgam_zdg import amalgam, cli
+from amalgam_zdg import amalgam, cli, theorems
 from amalgam_zdg.cli import main
 
 
@@ -196,30 +196,31 @@ class TestSweep:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_workers_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("AMALGAM_ZDG_WORKERS", "1")
-        code, out, _ = run_cli(
-            capsys, "sweep", "--family", "Z4,Z6", "--format", "json"
-        )
+    def test_ideal_filters_are_read_from_the_registry(self, capsys, monkeypatch):
+        # The CLI offers exactly the filters sweep() accepts, so one added
+        # to the registry is offered and runs.
+        monkeypatch.setitem(theorems._IDEAL_FILTERS, "full", lambda ideal: ideal.is_full)
+        argv = ["sweep", "--family", "Z6", "--ideals", "full", "--format", "json", "--workers", "1"]
+        assert cli.build_parser().parse_args(argv).ideals == "full"
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["family"] == ["Z4", "Z6"]
+        data = json.loads(out)
+        assert data["ideal_filter"] == "full"
+        assert [i["ideal"] for i in data["instances"]] == [["0", "1", "2", "3", "4", "5"]]
 
     @pytest.mark.parametrize(
-        "flag, env, named",
+        "flag, named",
         [
-            (["--workers", "0"], None, "--workers must be at least 1, got 0"),
-            (["--workers", "-3"], None, "--workers must be at least 1, got -3"),
-            ([], "0", "AMALGAM_ZDG_WORKERS must be at least 1, got 0"),
+            (["--workers", "0"], "--workers must be at least 1, got 0"),
+            (["--workers", "-3"], "--workers must be at least 1, got -3"),
         ],
-        ids=["flag-zero", "flag-negative", "env-zero"],
+        ids=["flag-zero", "flag-negative"],
     )
-    def test_worker_count_below_one_exits_2(self, capsys, monkeypatch, flag, env, named):
+    def test_worker_count_below_one_exits_2(self, capsys, monkeypatch, flag, named):
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(cli, "sweep", refuse)
-        if env is not None:
-            monkeypatch.setenv("AMALGAM_ZDG_WORKERS", env)
         code, out, err = run_cli(capsys, "sweep", "--family", "Z6", *flag)
         assert code == 2 and out == ""
         assert err == f"error: {named}\n"

@@ -263,7 +263,7 @@ class TestBooleanProduct:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 20),
-        st.integers(0, 40),
+        st.integers(0, 200),
         st.integers(0, 20),
         st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),

@@ -421,6 +421,18 @@ class TestIdeals:
         with pytest.raises(ValueError, match="ideal members out of range"):
             Ideal(z6, frozenset({0, 3, member}))
 
+    @pytest.mark.parametrize(
+        "n, given, named",
+        [(2, [0, -1], -1), (6, [0, -3], -3), (6, [0, 7], 7), (6, [0, 2**70], 2**70)],
+        ids=["negative-wraps-to-last", "negative-wraps-to-ideal", "past-the-end", "beyond-intp"],
+    )
+    def test_members_outside_the_carrier_are_violations(self, n, given, named):
+        # A negative index would wrap to the end of the tables: {0, -1} of
+        # Z2 read as {0, 1}, and {0, -3} of Z6 as the ideal {0, 3}.
+        ring = make_zn(n)
+        assert ideal_violations(ring, given) == [f"member {named} is outside 0..{n - 1}"]
+        assert not is_ideal(ring, given)
+
     def test_violation_messages_name_offenders(self):
         r = make_zn(6)
         report = ideal_violations(r, {0, 2, 3})
