@@ -220,12 +220,11 @@ class DuplicationCarrier:
         return tuple(masks)
 
     @cached_fact
-    def nilpotents(self) -> np.ndarray:
-        """Mask of the nilpotent elements: (a, b) is nilpotent iff a and b
-        both are."""
+    def nilpotent_count(self) -> int:
+        """The number of nilpotent elements: (a, b) is nilpotent iff a and b
+        both are, so only the rows of a nilpotent first coordinate count."""
         nil = self.base._nilpotent_mask
-        # nil[...] by the uint16 plus, which take would widen to intp.
-        return (nil[:, None] & nil[self.plus]).ravel()
+        return int(np.count_nonzero(nil[self.plus[nil]]))
 
     @cached_fact
     def minimal_prime_masks(self) -> np.ndarray:

@@ -253,21 +253,13 @@ class ClassGraph:
     members are adjacent to each other, and ``class_of`` each element's
     class, -1 off the graph.  Elements are named by their element or
     carrier indices, and the vertices are those with a class, in
-    ascending order.  ``Q + I`` and ``Q @ Q`` are computed once, for the
-    facts that read them.
+    ascending order.  ``Q @ Q`` is computed once, for diameter and girth.
     """
 
     def __init__(
         self, q: np.ndarray, sizes: np.ndarray, clique: np.ndarray, class_of: np.ndarray
     ) -> None:
         self.q, self.sizes, self.clique, self.class_of = q, sizes, clique, class_of
-
-    @cached_fact
-    def _closed(self) -> np.ndarray:
-        """Q + I: the adjacency with every class joined to itself."""
-        closed = self.q.copy()
-        closed.flat[:: len(closed) + 1] = True
-        return closed
 
     @cached_fact
     def _joined(self) -> np.ndarray:
@@ -315,7 +307,8 @@ class ClassGraph:
             raise DisconnectedGraphError(
                 "zero-divisor graph has an isolated vertex; connectivity invariant violated"
             )
-        reach = self._closed
+        reach = q.copy()
+        reach.flat[:: len(reach) + 1] = True  # Q + I
         open_rows = ~reach.all(axis=1)
         before = reach[open_rows]
         steps = 1
@@ -404,7 +397,7 @@ class ClassGraph:
         """Mask of the classes whose members are adjacent to every other
         vertex: the class meets every other class, and its members meet
         each other, being one or a clique."""
-        meets_all = self._closed.all(axis=1)
+        meets_all = self.q.sum(axis=1) == len(self.q) - 1
         return meets_all & (self.clique | (self.sizes == 1))
 
     @cached_fact

@@ -221,10 +221,7 @@ class Ideal:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.members and (
-            min(self.members) < 0 or max(self.members) >= self.ring.order
-        ):
-            raise ValueError("ideal members out of range for the ring carrier")
+        _check_elements(self.ring, self.members, "ideal members out of range:")
 
     @cached_fact
     def sorted_members(self) -> tuple[int, ...]:
@@ -431,6 +428,7 @@ def _zero_product_adjacency(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
 
 def annihilator(ring: FiniteRing, a: int) -> Ideal:
     """Ann(a) = {r : r*a = 0}."""
+    _check_elements(ring, (a,), "element index")
     members = (ring.mul_table[:, a] == ring.zero).nonzero()[0]
     return Ideal(ring, frozenset(members.tolist()))
 
@@ -452,14 +450,23 @@ def is_field(ring: FiniteRing) -> bool:
 # Ideals
 
 
+def _check_elements(ring: FiniteRing, elems: Iterable, what: str) -> None:
+    """Raise ValueError naming, after ``what``, the first of ``elems`` that
+    is not an int or numpy integer in 0..order-1: a gather would truncate
+    it, wrap it (a negative index) or overflow on it."""
+    for e in elems:
+        if not isinstance(e, (int, np.integer)) or not 0 <= e < ring.order:
+            raise ValueError(f"{what} {e} is outside 0..{ring.order - 1}")
+
+
 def ideal_violations(ring: FiniteRing, members: Iterable[int]) -> list[str]:
     """Why a member set fails to be an ideal; empty list iff it is one."""
-    given = sorted(frozenset(members))
-    # An index outside the tables would wrap (negative) or raise in the gathers.
-    for m in given:
-        if not 0 <= m < ring.order:
-            return [f"member {m} is outside 0..{ring.order - 1}"]
-    elems = np.array(given, dtype=np.intp)
+    given = tuple(members)
+    try:
+        _check_elements(ring, given, "member")
+    except ValueError as err:
+        return [str(err)]
+    elems = np.array(sorted(set(given)), dtype=np.intp)
     sums = ring.add_table.take(elems, axis=0).take(elems, axis=1)
     return _ideal_test(ring, elems, sums, ring.mul_table.take(elems, axis=1))
 
@@ -522,6 +529,7 @@ def _all(values: np.ndarray) -> bool:
 
 def _multiples(ring: FiniteRing, a: int) -> np.ndarray:
     """{r*a : r in R} in ascending order."""
+    _check_elements(ring, (a,), "element index")
     return _mask(ring.order, ring.mul_table[:, a]).nonzero()[0]
 
 
@@ -624,11 +632,13 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 def is_prime_ideal(ring: FiniteRing, members: Iterable[int]) -> bool:
     """True iff the set is one of the ring's prime ideals: its membership
     mask is a row of ``_primes_from_idempotents``."""
-    elems = np.fromiter(members, dtype=np.intp)
-    if _any((elems < 0) | (elems >= ring.order)):
+    given = tuple(members)
+    try:
+        _check_elements(ring, given, "member")
+    except ValueError:
         return False
     masks = _primes_from_idempotents(ring, np.arange(ring.order)[:, None])
-    return _any((masks == _mask(ring.order, elems)).all(axis=1))
+    return _any((masks == _mask(ring.order, list(given))).all(axis=1))
 
 
 def _primes_from_idempotents(ring: FiniteRing, second: np.ndarray) -> np.ndarray:

@@ -310,10 +310,6 @@ class Instance:
             raise ValueError("base facts belong to a different ring")
 
     @cached_fact
-    def ideal_labels(self) -> tuple[str, ...]:
-        return self.ideal.labels()
-
-    @cached_fact
     def carrier(self) -> DuplicationCarrier:
         return DuplicationCarrier(self.ring, self.ideal)
 
@@ -581,46 +577,44 @@ def run_all(ring: FiniteRing, ideal: Ideal) -> list[VerificationOutcome]:
 # Per-instance global invariants
 
 
-def _graph_invariant_violations(prefix: str, tag: str, classes: ClassGraph) -> list[str]:
-    out = []
+def _graph_invariant_violations(tag: str, classes: ClassGraph) -> list[str]:
     if classes.vertex_count == 0:
-        return out
+        return []
     try:
         d = classes.diameter
     except DisconnectedGraphError:
-        out.append(f"{prefix} {tag} graph is disconnected")
-        return out
+        return [f"{tag} graph is disconnected"]
+    out = []
     if d is not None and d > 3:
-        out.append(f"{prefix} {tag} graph has diameter {d} > 3")
+        out.append(f"{tag} graph has diameter {d} > 3")
     g = classes.girth
     if not math.isinf(g) and g not in (3, 4):
-        out.append(f"{prefix} {tag} graph has girth {_fmt_girth(g)} outside {{3, 4, inf}}")
+        out.append(f"{tag} graph has girth {_fmt_girth(g)} outside {{3, 4, inf}}")
     return out
 
 
 def instance_invariant_violations(inst: Instance) -> list[str]:
-    """Check the global invariants on one instance; returns violations."""
-    prefix = f"[{inst.ring.spec_name} | I={{{','.join(inst.ideal_labels)}}}]"
+    """The global invariants that fail on one instance, each led by ``[ring | I={...}]``."""
     out: list[str] = []
     carrier = inst.carrier
 
-    out.extend(_graph_invariant_violations(prefix, "base", inst.base.graph.classes))
-    out.extend(_graph_invariant_violations(prefix, "duplication", inst.dup))
+    out.extend(_graph_invariant_violations("base", inst.base.graph.classes))
+    out.extend(_graph_invariant_violations("duplication", inst.dup))
 
     # The duplication graph's vertices are Z(R⋈I) without 0.
     t1, t2, t3, t4 = classify_zero_divisors(carrier, inst.base.zero_divisor_mask)
     classified = t1 | t2 | t3 | t4
     classified[carrier.zero] = False
     if _any(classified != (inst.dup.class_of >= 0)):
-        out.append(f"{prefix} P2.2: classification misses the zero-divisor set")
+        out.append("P2.2: classification misses the zero-divisor set")
 
     # A reduced ring has 0 as its only nilpotent.
-    if (np.count_nonzero(carrier.nilpotents) == 1) != inst.base.is_reduced:
-        out.append(f"{prefix} P2.1a: reducedness does not transfer")
+    if (carrier.nilpotent_count == 1) != inst.base.is_reduced:
+        out.append("P2.1a: reducedness does not transfer")
 
     square_zero = _all(carrier.times.take(carrier.members, axis=0) == inst.ring.zero)
     if square_zero != matches_idealization(carrier):
-        out.append(f"{prefix} P2.1b: square-zero ideal and table equality disagree")
+        out.append("P2.1b: square-zero ideal and table equality disagree")
 
     failing = structure_checks(
         carrier,
@@ -630,9 +624,12 @@ def instance_invariant_violations(inst: Instance) -> list[str]:
         inst.base.edge_images_vanish,
     )
     if failing:
-        out.append(f"{prefix} R2.3: {', '.join(failing)} failed")
+        out.append(f"R2.3: {', '.join(failing)} failed")
 
-    return out
+    if not out:
+        return out
+    lead = f"[{inst.ring.spec_name} | I={{{','.join(inst.ideal.labels())}}}]"
+    return [f"{lead} {message}" for message in out]
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +665,7 @@ def _sweep_ring(spec: str, ideal_filter: str) -> tuple[list[InstanceRecord], lis
         inst = Instance(ring, ideal, base)
         outcomes = tuple([_evaluate(theorem, inst) for theorem in _REGISTRY])
         violations.extend(instance_invariant_violations(inst))
-        records.append(InstanceRecord(ring.spec_name, inst.ideal_labels, outcomes))
+        records.append(InstanceRecord(ring.spec_name, ideal.labels(), outcomes))
     return records, violations
 
 

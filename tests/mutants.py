@@ -230,6 +230,27 @@ MUTANTS = (
         "    return True, f\"girth",
         ("tests/test_falsifiability.py::test_planted_fact_makes_a_counterexample[C3.3]",),
     ),
+    Mutant(
+        "T4.8: the conclusion always holds",
+        "theorems.py",
+        "    return a == b == c, note\n",
+        "    return True, note\n",
+        ("tests/test_falsifiability.py::test_planted_fact_makes_a_counterexample[T4.8]",),
+    ),
+    Mutant(
+        "P4.16: Z(R) is always prime",
+        "theorems.py",
+        "    holds = inst.base.zdivs_prime\n",
+        "    holds = True\n",
+        ("tests/test_falsifiability.py::test_zero_ideal_makes_p4_16_an_honest_counterexample",),
+    ),
+    Mutant(
+        "P2.1a count drops its first-coordinate factor",
+        "amalgam.py",
+        "nil[self.plus[nil]]",
+        "nil[self.plus]",
+        ("tests/test_acceptance.py::test_factored_duplication_matches_the_materialized_graph",),
+    ),
 )
 
 

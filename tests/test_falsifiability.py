@@ -174,14 +174,12 @@ def test_zero_ideal_makes_p4_16_an_honest_counterexample():
 
 
 def test_planted_nilpotent_makes_p2_1a_fail():
-    """Z6 is reduced, and so is its duplication along {0, 3}.  With one
-    more carrier element marked nilpotent, the duplication reads as not
+    """Z6 is reduced, and so is its duplication along {0, 3}.  With the
+    carrier's nilpotent count planted as 2, the duplication reads as not
     reduced, and reducedness no longer transfers."""
     inst = _instance("Z6", "gen(3)")
-    nilpotents = inst.carrier.nilpotents.copy()
-    assert nilpotents.sum() == 1
-    nilpotents[inst.carrier.index_of(1, 0)] = True
-    inst.carrier.nilpotents = nilpotents
+    assert inst.carrier.nilpotent_count == 1
+    inst.carrier.nilpotent_count = 2
     assert instance_invariant_violations(inst) == [
         "[Z6 | I={0,3}] P2.1a: reducedness does not transfer"
     ]

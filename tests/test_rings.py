@@ -415,7 +415,7 @@ class TestIdeals:
         assert is_ideal(make_zn(8), zero_divisors(make_zn(8)))
         assert is_ideal(make_zn(6), {0})
 
-    @pytest.mark.parametrize("member", [-1, 6], ids=["negative", "order"])
+    @pytest.mark.parametrize("member", [-1, 6, 3.5], ids=["negative", "order", "float"])
     def test_members_outside_the_carrier_are_rejected(self, member):
         z6 = make_zn(6)
         with pytest.raises(ValueError, match="ideal members out of range"):
@@ -423,15 +423,44 @@ class TestIdeals:
 
     @pytest.mark.parametrize(
         "n, given, named",
-        [(2, [0, -1], -1), (6, [0, -3], -3), (6, [0, 7], 7), (6, [0, 2**70], 2**70)],
-        ids=["negative-wraps-to-last", "negative-wraps-to-ideal", "past-the-end", "beyond-intp"],
+        [
+            (2, [0, -1], -1),
+            (6, [0, -3], -3),
+            (6, [0, 7], 7),
+            (6, [0, 2**70], 2**70),
+            (6, [0, 3.5], 3.5),
+        ],
+        ids=[
+            "negative-wraps-to-last",
+            "negative-wraps-to-ideal",
+            "past-the-end",
+            "beyond-intp",
+            "float-truncates-to-ideal",
+        ],
     )
     def test_members_outside_the_carrier_are_violations(self, n, given, named):
         # A negative index would wrap to the end of the tables: {0, -1} of
-        # Z2 read as {0, 1}, and {0, -3} of Z6 as the ideal {0, 3}.
+        # Z2 read as {0, 1}, and {0, -3} of Z6 as the ideal {0, 3}; a
+        # float would be truncated, {0, 3.5} of Z6 read as {0, 3}.
         ring = make_zn(n)
         assert ideal_violations(ring, given) == [f"member {named} is outside 0..{n - 1}"]
         assert not is_ideal(ring, given)
+
+    @pytest.mark.parametrize(
+        "build, index",
+        [
+            (lambda z6: principal_ideal(z6, -1), -1),
+            (lambda z6: ideal_from_generators(z6, [-2]), -2),
+            (lambda z6: annihilator(z6, -3), -3),
+            (lambda z6: annihilator(z6, 7), 7),
+        ],
+        ids=["principal", "generator", "annihilator", "annihilator-past-the-end"],
+    )
+    def test_element_indices_outside_the_carrier_are_refused(self, build, index):
+        # A negative index would read the column of order + index: (-1) of
+        # Z6 as (5), the whole ring, and Ann(-3) as Ann(3).
+        with pytest.raises(ValueError, match=f"element index {index} is outside 0..5"):
+            build(make_zn(6))
 
     def test_violation_messages_name_offenders(self):
         r = make_zn(6)
@@ -503,6 +532,10 @@ class TestPrimes:
         assert not is_prime_ideal(r, set(range(8)))
         assert not is_prime_ideal(r, {0, 2, 4, 6, 8})
         assert not is_prime_ideal(r, {-1, 0, 2, 4, 6})
+        # Neither truncated to {0, 2, 4}, a prime of Z6, nor overflowing.
+        z6 = make_zn(6)
+        assert not is_prime_ideal(z6, [0, 2, 4.9])
+        assert not is_prime_ideal(z6, [0, 2**70])
 
     def test_complement_of_primes_multiplicatively_closed(self):
         for spec_ring in (make_zn(12), product_ring([make_zn(2), make_zn(3)])):
